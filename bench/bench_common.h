@@ -49,10 +49,21 @@ inline unsigned threads() {
   return SweepRunner::default_threads();
 }
 
-/// The process-wide calibrated aging context (built once, ~1s).
+/// The process-wide calibrated aging context (the build-embedded LUT).
 inline const AgingContext& aging() {
   static AgingContext* ctx = new AgingContext();
   return *ctx;
+}
+
+/// A calibrated st45 cell model, for benches that query the physics
+/// directly instead of through the LUT (one calibration, not a LUT build).
+inline const CellAgingCharacterizer& calibrated_cell() {
+  static const CellAgingCharacterizer* chr = [] {
+    auto* c = new CellAgingCharacterizer(AgingParams::st45());
+    c->calibrate();
+    return c;
+  }();
+  return *chr;
 }
 
 /// The machine-readable perf record of one bench run — shared with the

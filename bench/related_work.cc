@@ -15,7 +15,7 @@ int main() {
   print_header("Related-work axes: content inversion vs re-indexing",
                "DATE'11 §II-B ([11],[15]) combined with §III");
 
-  const auto& chr = aging().characterizer();
+  const auto& chr = calibrated_cell();
   FlippingScheme flip;
   flip.flip_period_s = units::years_to_seconds(0.01);  // ~4 days, as [11]
   const double horizon = units::years_to_seconds(12.0);

@@ -32,8 +32,8 @@ ThermalOutcome evaluate(const SimResult& r, const SimConfig& cfg) {
   }
   const auto temps = thermal.temperatures(power);
   const CacheLifetimeEvaluator eval(aging().lut());
-  const auto lt = eval.evaluate_with_temperature(
-      residency, temps, aging().characterizer().nbti());
+  const auto lt = eval.evaluate_with_temperature(residency, temps,
+                                                 calibrated_cell().nbti());
   ThermalOutcome out;
   out.hottest_c = *std::max_element(temps.begin(), temps.end());
   out.spread_c = out.hottest_c - *std::min_element(temps.begin(),

@@ -68,7 +68,8 @@ int main() {
   table.render(std::cout);
 
   // ---- look underneath: what the aging model says ----
-  const auto& chr = aging.characterizer();
+  CellAgingCharacterizer chr(AgingParams::st45());
+  chr.calibrate();
   std::cout << "\nphysics detail (calibrated 45nm-class cell):\n"
             << "  fresh read SNM:            " << chr.nominal_snm()
             << " V\n"

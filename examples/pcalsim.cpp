@@ -218,9 +218,9 @@ int run_multicore(const ConfigFile& cfg, MultiCoreConfig mc,
     observer = recorder.observer();
   }
 
-  AgingContext aging;
-  const MultiCoreResult mr =
-      MultiCoreSystem(std::move(mc)).run(sources, &aging.lut(), observer);
+  const MultiCoreResult mr = MultiCoreSystem(std::move(mc))
+                                 .run(sources, &api::shared_aging().lut(),
+                                      observer);
   const SimResult& r = mr.system;
 
   std::cout << "pcalsim: " << r.workload << " on " << r.config_label
@@ -437,8 +437,8 @@ int main(int argc, char** argv) {
       observer = recorder.observer();
     }
 
-    AgingContext aging;
-    const SimResult r = Simulator(sim).run(*source, &aging.lut(), observer);
+    const SimResult r =
+        Simulator(sim).run(*source, &api::shared_aging().lut(), observer);
 
     std::cout << "pcalsim: " << r.workload << " on " << r.config_label
               << "\n"

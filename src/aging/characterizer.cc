@@ -99,7 +99,6 @@ double CellAgingCharacterizer::calibrate() {
       nbti_.prefactor(params_.vdd, params_.temperature_c);
   const double scale = k_needed / k_current;
   nbti_.scale_prefactor(scale);
-  params_.nbti.kdc = nbti_.params().kdc;
   return scale;
 }
 

@@ -58,6 +58,8 @@ class CellAgingCharacterizer {
   BilinearTable2D build_lut(const std::vector<double>& p0_axis,
                             const std::vector<double>& sleep_axis) const;
 
+  /// The parameters this characterizer was constructed from; calibrate()
+  /// rescales nbti()'s prefactor, not these.
   const AgingParams& params() const { return params_; }
   const NbtiModel& nbti() const { return nbti_; }
 

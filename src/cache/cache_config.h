@@ -41,12 +41,25 @@ struct CacheConfig {
     return address >> (offset_bits() + index_bits());
   }
 
-  void validate() const {
-    PCAL_CONFIG_CHECK(is_pow2(size_bytes), "cache size must be a power of 2");
-    PCAL_CONFIG_CHECK(is_pow2(line_bytes) && line_bytes >= 4,
+  // Single-field constraints.  validate() applies all of them; the
+  // run-assembly layer also applies each where its key is set, so a bad
+  // value is reported against its key.
+  static void check_size(std::uint64_t bytes) {
+    PCAL_CONFIG_CHECK(is_pow2(bytes), "cache size must be a power of 2");
+  }
+  static void check_line(std::uint64_t bytes) {
+    PCAL_CONFIG_CHECK(is_pow2(bytes) && bytes >= 4,
                       "line size must be a power of 2 and >= 4 bytes");
-    PCAL_CONFIG_CHECK(is_pow2(ways) && ways >= 1,
+  }
+  static void check_ways(std::uint64_t n) {
+    PCAL_CONFIG_CHECK(is_pow2(n) && n >= 1,
                       "associativity must be a power of 2");
+  }
+
+  void validate() const {
+    check_size(size_bytes);
+    check_line(line_bytes);
+    check_ways(ways);
     PCAL_CONFIG_CHECK(size_bytes >= line_bytes * ways,
                       "cache must hold at least one set");
     PCAL_CONFIG_CHECK(address_bits >= index_bits() + offset_bits() + 1,

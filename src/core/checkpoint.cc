@@ -19,8 +19,6 @@
 namespace pcal {
 namespace {
 
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
 std::string hex16(std::uint64_t v) {
   char buf[17];
   std::snprintf(buf, sizeof(buf), "%016" PRIx64, v);
@@ -356,20 +354,6 @@ void fsync_file(std::FILE* f) {
 }
 
 }  // namespace
-
-void Fingerprint::add(std::string_view bytes) {
-  for (const char c : bytes) {
-    h_ ^= static_cast<unsigned char>(c);
-    h_ *= kFnvPrime;
-  }
-}
-
-void Fingerprint::add_u64(std::uint64_t v) {
-  char buf[24];
-  const int n = std::snprintf(buf, sizeof(buf), "%" PRIu64, v);
-  add(std::string_view("#", 1));  // length/field separator
-  add(std::string_view(buf, static_cast<std::size_t>(n)));
-}
 
 std::string serialize_outcome(const SweepOutcome& outcome) {
   std::ostringstream os;

@@ -39,24 +39,9 @@
 #include <vector>
 
 #include "core/sweep.h"
+#include "util/fingerprint.h"  // the journal's fingerprint/checksum hasher
 
 namespace pcal {
-
-/// Incremental 64-bit FNV-1a hasher — the journal's fingerprint and
-/// per-line checksum primitive.  Deterministic across platforms and
-/// runs (no pointer or time inputs), cheap enough to hash every line.
-class Fingerprint {
- public:
-  /// Hashes raw bytes.
-  void add(std::string_view bytes);
-  /// Hashes a u64 by its decimal spelling, length-prefixed so that
-  /// adjacent fields can never alias ("1","23" vs "12","3").
-  void add_u64(std::uint64_t v);
-  std::uint64_t value() const { return h_; }
-
- private:
-  std::uint64_t h_ = 14695981039346656037ull;  // FNV-1a offset basis
-};
 
 /// Identity of one journaled run.  `shard_index`/`shard_count` describe
 /// the slice this journal covers (1/1 = the whole grid).

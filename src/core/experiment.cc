@@ -1,12 +1,45 @@
 #include "core/experiment.h"
 
-namespace pcal {
+#include <cinttypes>
+#include <cstdio>
+#include <sstream>
+#include <string>
 
-AgingContext::AgingContext(AgingParams params) {
-  chr_ = std::make_unique<CellAgingCharacterizer>(params);
-  chr_->calibrate();
-  lut_ = std::make_unique<AgingLut>(AgingLut::build(*chr_));
+#include "util/error.h"
+
+namespace pcal {
+namespace {
+
+std::uint64_t default_axes_fingerprint(const AgingParams& params) {
+  return AgingLut::fingerprint(params, AgingLut::default_p0_axis(),
+                               AgingLut::default_sleep_axis());
 }
+
+AgingLut load_or_characterize(const AgingParams& params) {
+  const std::uint64_t want = default_axes_fingerprint(params);
+  if (want != default_axes_fingerprint(AgingParams::st45()))
+    return AgingLut::characterize(params);
+  std::istringstream is{std::string(embedded_st45_lut())};
+  AgingLut lut = AgingLut::deserialize(is);
+  if (lut.fingerprint() != want) {
+    char msg[160];
+    std::snprintf(msg, sizeof(msg),
+                  "embedded st45 aging LUT is stale: stamped %016" PRIx64
+                  ", AgingParams::st45() is %016" PRIx64
+                  "; rebuild to regenerate it",
+                  lut.fingerprint(), want);
+    throw Error(msg);
+  }
+  return lut;
+}
+
+}  // namespace
+
+AgingContext::AgingContext(const AgingParams& params)
+    : lut_(load_or_characterize(params)),
+      gamma_(NbtiModel(params.nbti)
+                 .gamma(params.vdd_retention, params.vdd,
+                        params.temperature_c)) {}
 
 SimResult run_workload(const WorkloadSpec& workload, const SimConfig& config,
                        const AgingContext& aging,

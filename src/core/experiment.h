@@ -1,15 +1,14 @@
 // Experiment plumbing shared by the paper-table benches and examples.
 //
-// AgingContext owns the calibrated characterizer and its LUT (built once,
-// reused across hundreds of runs).  run_three_way() evaluates one workload
-// on the three architectures every paper table compares:
+// AgingContext owns the calibrated aging LUT (loaded once, reused across
+// hundreds of runs).  run_three_way() evaluates one workload on the three
+// architectures every paper table compares:
 //   - monolithic: one bank, the 2.93-year reference point,
 //   - static:     power-managed partition, no re-indexing (column LT0),
 //   - reindexed:  the proposed dynamic-indexing architecture (column LT).
 #pragma once
 
 #include <cstdint>
-#include <memory>
 
 #include "aging/aging_lut.h"
 #include "core/simulator.h"
@@ -19,24 +18,29 @@ namespace pcal {
 
 class AgingContext {
  public:
-  /// Builds and calibrates the characterizer, then the LUT.  Takes a few
-  /// hundred milliseconds; share one instance per process.
-  explicit AgingContext(AgingParams params = AgingParams::st45());
+  /// For AgingParams::st45() (the default), loads the table the build
+  /// characterized and embedded (embedded_st45_lut()) in well under a
+  /// millisecond, and throws Error if its fingerprint shows it was
+  /// generated from different parameters (a stale build).  For any other
+  /// parameters, calibrates and characterizes at runtime: AgingLut::
+  /// characterize, about two seconds of CPU.  Share one instance per
+  /// process (api::shared_aging()).
+  explicit AgingContext(const AgingParams& params = AgingParams::st45());
 
-  const AgingLut& lut() const { return *lut_; }
-  const CellAgingCharacterizer& characterizer() const { return *chr_; }
+  const AgingLut& lut() const { return lut_; }
 
   /// Lifetime of the never-sleeping nominal cell (the paper's 2.93 years).
   double nominal_lifetime_years() const {
-    return lut_->lifetime_years(0.5, 0.0);
+    return lut_.lifetime_years(0.5, 0.0);
   }
 
-  /// The drowsy equivalent-stress factor (DESIGN.md gamma ~= 0.226).
-  double sleep_stress_factor() const { return chr_->sleep_stress_factor(); }
+  /// The drowsy equivalent-stress factor (DESIGN.md gamma ~= 0.226), in
+  /// closed form from NbtiModel::gamma.
+  double sleep_stress_factor() const { return gamma_; }
 
  private:
-  std::unique_ptr<CellAgingCharacterizer> chr_;
-  std::unique_ptr<AgingLut> lut_;
+  AgingLut lut_;
+  double gamma_;
 };
 
 struct ThreeWayResult {

@@ -929,11 +929,8 @@ std::vector<GridJob> GridSpec::expand(std::uint64_t num_accesses) const {
     asmb.set("llc_banks", std::to_string(llc_banks_));
     asmb.set("llc_breakeven", std::to_string(llc_breakeven_));
     asmb.set("llc_ways", std::to_string(llc_ways_));
-    for (std::size_t i = 0; i < axes_.size(); ++i) {
-      const std::string& value = axes_[i].values[odometer[i]];
-      job.coords.push_back(value);
-      asmb.set(axes_[i].key, value, "axis " + axes_[i].key);
-    }
+    for (std::size_t i = 0; i < axes_.size(); ++i)
+      job.coords.push_back(axes_[i].values[odometer[i]]);
     const auto fail_point = [&](const Error& e) {
       std::string coords;
       for (std::size_t i = 0; i < axes_.size(); ++i)
@@ -941,6 +938,10 @@ std::vector<GridJob> GridSpec::expand(std::uint64_t num_accesses) const {
       throw ConfigError("grid point (" + coords + "): " + e.what());
     };
     try {
+      // Single-key errors (e.g. a non-power-of-2 cache_size) surface
+      // here, so they name the grid point like the assembled checks do.
+      for (std::size_t i = 0; i < axes_.size(); ++i)
+        asmb.set(axes_[i].key, job.coords[i], "axis " + axes_[i].key);
       RunAssembly::Assembled assembled = asmb.assemble();
       job.config = std::move(assembled.config);
       job.workload = asmb.workload();

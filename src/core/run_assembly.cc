@@ -119,13 +119,25 @@ void RunAssembly::set(const std::string& key, const std::string& value,
                       const std::string& where) {
   const auto number = [&] { return parse_config_number(value, where); };
   const auto real = [&] { return parse_config_real(value, where); };
+  // The L1 geometry's single-key constraints are checked here, where the
+  // key is set, so every front-end reports them against the key;
+  // assemble() still validates the whole config.
+  const auto geometry = [&](void (*check)(std::uint64_t)) {
+    const std::uint64_t v = number();
+    try {
+      check(v);
+    } catch (const ConfigError& e) {
+      throw ConfigError(where + ": " + e.what());
+    }
+    return v;
+  };
   // ---- flat L1/global keys (the legacy sweep-axis vocabulary) ----
   if (key == "cache_size")
-    config.cache.size_bytes = number();
+    config.cache.size_bytes = geometry(&CacheConfig::check_size);
   else if (key == "line_size")
-    config.cache.line_bytes = number();
+    config.cache.line_bytes = geometry(&CacheConfig::check_line);
   else if (key == "ways")
-    config.cache.ways = number();
+    config.cache.ways = geometry(&CacheConfig::check_ways);
   else if (key == "banks")
     config.partition.num_banks = number();
   else if (key == "updates")

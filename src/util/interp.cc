@@ -1,13 +1,72 @@
 #include "util/interp.h"
 
 #include <algorithm>
+#include <cerrno>
+#include <cmath>
+#include <cstdio>
+#include <cstdlib>
 #include <istream>
 #include <ostream>
+#include <string>
 
 #include "util/error.h"
 
 namespace pcal {
 namespace {
+
+constexpr char kMagic[] = "pcal-bilinear-v2";
+
+// ---- deserialize helpers: each throws ParseError naming its field ----
+
+std::string take_token(std::istream& is, const std::string& field) {
+  std::string tok;
+  if (!(is >> tok))
+    throw ParseError("bilinear table: truncated before " + field);
+  return tok;
+}
+
+/// A positive decimal count (digits only: no sign, no base prefix).
+unsigned long long take_count(std::istream& is, const char* field) {
+  const std::string tok = take_token(is, field);
+  errno = 0;
+  const unsigned long long v =
+      tok.find_first_not_of("0123456789") == std::string::npos
+          ? std::strtoull(tok.c_str(), nullptr, 10)
+          : 0;
+  if (v == 0 || errno == ERANGE)
+    throw ParseError(std::string("bilinear table: ") + field + " '" + tok +
+                     "' is not a positive count");
+  return v;
+}
+
+double take_double(std::istream& is, const std::string& field) {
+  const std::string tok = take_token(is, field);
+  char* end = nullptr;
+  const double v = std::strtod(tok.c_str(), &end);
+  if (end == tok.c_str() || *end != '\0')
+    throw ParseError("bilinear table: " + field + " '" + tok +
+                     "' is not a number");
+  if (!std::isfinite(v))
+    throw ParseError("bilinear table: " + field + " = " + tok +
+                     " is not finite");
+  return v;
+}
+
+std::vector<double> take_axis(std::istream& is, const std::string& name,
+                              std::size_t n) {
+  std::vector<double> axis;
+  axis.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::string field = name + "[" + std::to_string(i) + "]";
+    const double v = take_double(is, field);
+    if (i > 0 && !(v > axis.back()))
+      throw ParseError("bilinear table: " + field +
+                       " is not greater than the point before it (axis " +
+                       name + " must be strictly increasing)");
+    axis.push_back(v);
+  }
+  return axis;
+}
 
 void check_axis(const std::vector<double>& xs, const char* name) {
   PCAL_ASSERT_MSG(!xs.empty(), "empty axis " << name);
@@ -77,28 +136,41 @@ double BilinearTable2D::operator()(double x, double y) const {
 }
 
 void BilinearTable2D::serialize(std::ostream& os) const {
-  os.precision(17);
-  os << "pcal-bilinear-v1\n" << xs_.size() << ' ' << ys_.size() << '\n';
-  for (double v : xs_) os << v << ' ';
-  os << '\n';
-  for (double v : ys_) os << v << ' ';
-  os << '\n';
-  for (double v : values_) os << v << ' ';
-  os << '\n';
+  const auto put_row = [&os](const double* v, std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) {
+      // C99 hexfloat prints the exact bit pattern; strtod restores it.
+      char buf[48];
+      std::snprintf(buf, sizeof(buf), "%a", v[i]);
+      os << (i ? " " : "") << buf;
+    }
+    os << '\n';
+  };
+  os << kMagic << '\n' << xs_.size() << ' ' << ys_.size() << '\n';
+  put_row(xs_.data(), xs_.size());
+  put_row(ys_.data(), ys_.size());
+  for (std::size_t i = 0; i < xs_.size(); ++i)
+    put_row(values_.data() + i * ys_.size(), ys_.size());
 }
 
 BilinearTable2D BilinearTable2D::deserialize(std::istream& is) {
   std::string magic;
-  is >> magic;
-  if (magic != "pcal-bilinear-v1") throw ParseError("bad table magic");
-  std::size_t nx = 0, ny = 0;
-  is >> nx >> ny;
-  if (!is || nx == 0 || ny == 0) throw ParseError("bad table dimensions");
-  std::vector<double> xs(nx), ys(ny), vals(nx * ny);
-  for (auto& v : xs) is >> v;
-  for (auto& v : ys) is >> v;
-  for (auto& v : vals) is >> v;
-  if (!is) throw ParseError("truncated table data");
+  if (!(is >> magic) || magic != kMagic)
+    throw ParseError("bilinear table: bad magic '" + magic + "' (want " +
+                     kMagic + ")");
+  const unsigned long long nx = take_count(is, "nx");
+  const unsigned long long ny = take_count(is, "ny");
+  if (nx > kMaxDeserializeValues / ny)
+    throw ParseError("bilinear table: nx * ny = " + std::to_string(nx) +
+                     " * " + std::to_string(ny) + " exceeds the " +
+                     std::to_string(kMaxDeserializeValues) + "-value cap");
+  std::vector<double> xs = take_axis(is, "xs", nx);
+  std::vector<double> ys = take_axis(is, "ys", ny);
+  std::vector<double> vals;
+  vals.reserve(nx * ny);
+  for (std::size_t i = 0; i < nx; ++i)
+    for (std::size_t j = 0; j < ny; ++j)
+      vals.push_back(take_double(is, "value(" + std::to_string(i) + ", " +
+                                         std::to_string(j) + ")"));
   return BilinearTable2D(std::move(xs), std::move(ys), std::move(vals));
 }
 

@@ -6,6 +6,7 @@
 // increasing but need not be uniform.
 #pragma once
 
+#include <cstddef>
 #include <iosfwd>
 #include <vector>
 
@@ -46,9 +47,21 @@ class BilinearTable2D {
 
   bool empty() const { return values_.empty(); }
 
-  /// Plain-text serialization (round-trips with deserialize).
+  /// Text serialization, "pcal-bilinear-v2": the axis sizes in decimal,
+  /// then every axis point and value as a C99 hexfloat, so deserialize
+  /// restores each double bit for bit.
   void serialize(std::ostream& os) const;
+
+  /// Parses serialize()'s output.  Throws ParseError naming the field
+  /// on any malformed input, before the table is built: a bad magic, a
+  /// size that is not a count or whose nx * ny grid exceeds
+  /// kMaxDeserializeValues (checked before anything is allocated), a
+  /// token that is not a number, a non-finite number, an axis that is
+  /// not strictly increasing, or a truncated stream.
   static BilinearTable2D deserialize(std::istream& is);
+
+  /// Largest grid (nx * ny values) deserialize accepts.
+  static constexpr std::size_t kMaxDeserializeValues = std::size_t{1} << 20;
 
  private:
   std::vector<double> xs_;

@@ -70,6 +70,27 @@ TEST(RunConfigTest, ValidateChecksTheAssembledWhole) {
   EXPECT_NE(issues[0].reason.find("llc_size"), std::string::npos);
 }
 
+TEST(RunConfigTest, ValidateNamesTheKeyOfAGeometryError) {
+  // Single-key geometry constraints are reported against their key, so
+  // pcalsim can print the promised "key = value: reason" line; before,
+  // they surfaced from the assembled whole with an empty key.
+  RunConfig rc = small_config();
+  rc.set("cache_size", "3000").set("line_size", "2").set("ways", "3");
+  const std::vector<ConfigIssue> issues = rc.validate();
+  ASSERT_EQ(issues.size(), 3u) << api::describe(issues);
+  EXPECT_EQ(issues[0].key, "cache_size");
+  EXPECT_EQ(issues[0].value, "3000");
+  EXPECT_NE(issues[0].reason.find("cache size must be a power of 2"),
+            std::string::npos);
+  EXPECT_EQ(issues[1].key, "line_size");
+  EXPECT_NE(issues[1].reason.find("line size must be a power of 2"),
+            std::string::npos);
+  EXPECT_EQ(issues[2].key, "ways");
+  EXPECT_NE(issues[2].reason.find("associativity must be a power of 2"),
+            std::string::npos);
+  EXPECT_EQ(api::describe({issues[0]}).find("cache_size = 3000: "), 0u);
+}
+
 TEST(RunConfigTest, ValidateResolvesWorkloads) {
   RunConfig rc = small_config();
   rc.set("workload", "no_such_workload");

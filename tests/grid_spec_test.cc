@@ -433,7 +433,7 @@ l2_indexing = probing
 l2_drowsy_window = 32
 workload = cjpeg
 )");
-  const SimConfig& icfg = inherit.expand(5000)[0].config;
+  const SimConfig icfg = inherit.expand(5000)[0].config;
   EXPECT_EQ(icfg.lower_levels[1].topology.indexing, IndexingKind::kProbing);
   EXPECT_EQ(icfg.lower_levels[1].topology.drowsy_window_cycles, 32u);
 }
@@ -637,6 +637,27 @@ workload = cjpeg
   } catch (const ConfigError& e) {
     EXPECT_NE(std::string(e.what()).find("banks=3"), std::string::npos)
         << e.what();
+  }
+}
+
+TEST(GridSpecExpand, SingleKeyErrorNamesItsCoordinates) {
+  // cache_size is checked where the key is set, not in the assembled
+  // whole; the grid point must still be named.
+  const GridSpec spec = parse(R"(
+[sweep]
+cache_size = 8k, 3000
+workload = cjpeg
+)");
+  try {
+    spec.expand(5000);
+    FAIL() << "invalid grid point accepted";
+  } catch (const ConfigError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("grid point (cache_size=3000 workload=cjpeg)"),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find("cache size must be a power of 2"), std::string::npos)
+        << what;
   }
 }
 

@@ -4,6 +4,7 @@
 
 #include <sstream>
 
+#include "bit_identical.h"
 #include "core/experiment.h"
 #include "trace/multiprogram.h"
 #include "trace/trace_io.h"
@@ -81,9 +82,11 @@ TEST(Integration, SerializedLutMatchesLiveContext) {
   std::stringstream ss;
   aging().lut().serialize(ss);
   const AgingLut restored = AgingLut::deserialize(ss);
+  EXPECT_TRUE(BitIdentical(restored.table(), aging().lut().table()));
+  EXPECT_EQ(restored.fingerprint(), aging().lut().fingerprint());
   for (double s : {0.0, 0.3, 0.7})
-    EXPECT_DOUBLE_EQ(restored.lifetime_years(0.5, s),
-                     aging().lut().lifetime_years(0.5, s));
+    EXPECT_EQ(double_bits(restored.lifetime_years(0.5, s)),
+              double_bits(aging().lut().lifetime_years(0.5, s)));
 }
 
 TEST(Integration, SixteenBankConfigurationRuns) {

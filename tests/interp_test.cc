@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
+#include "bit_identical.h"
 #include "util/error.h"
 
 namespace pcal {
@@ -98,21 +100,66 @@ TEST(Bilinear2D, RejectsSizeMismatch) {
 }
 
 TEST(Bilinear2D, SerializationRoundTrip) {
-  const BilinearTable2D t = make_plane(1.5, -0.25, 3.0);
+  // Values with no short decimal spelling: a rounding serializer would
+  // lose their last bits.
+  const BilinearTable2D t({0.0, 0.1, 1.0 / 3.0}, {-1.0, 0.7},
+                          {0.1, 0.2, 1.0 / 7.0, 1e-300, 6.02214076e23,
+                           -2.0 / 3.0});
   std::stringstream ss;
   t.serialize(ss);
   const BilinearTable2D u = BilinearTable2D::deserialize(ss);
-  for (double x : {0.0, 1.3, 3.0})
-    for (double y : {-1.0, 0.5, 4.0}) EXPECT_DOUBLE_EQ(t(x, y), u(x, y));
+  EXPECT_TRUE(BitIdentical(t, u));
+}
+
+/// deserialize(text) must throw ParseError whose message names `field`.
+void expect_rejected(const std::string& text, const std::string& field) {
+  std::stringstream ss(text);
+  try {
+    (void)BilinearTable2D::deserialize(ss);
+    ADD_FAILURE() << "accepted: " << text;
+  } catch (const ParseError& e) {
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+        << "'" << e.what() << "' does not name " << field;
+  }
 }
 
 TEST(Bilinear2D, DeserializeRejectsGarbage) {
-  std::stringstream bad1("not-a-table");
-  EXPECT_THROW(BilinearTable2D::deserialize(bad1), ParseError);
-  std::stringstream bad2("pcal-bilinear-v1\n2 2\n0 1\n0 1\n1 2 3");
-  EXPECT_THROW(BilinearTable2D::deserialize(bad2), ParseError);
-  std::stringstream bad3("pcal-bilinear-v1\n0 0\n");
-  EXPECT_THROW(BilinearTable2D::deserialize(bad3), ParseError);
+  expect_rejected("not-a-table", "magic");
+  // The v1 decimal format is no longer read.
+  expect_rejected("pcal-bilinear-v1\n1 1\n0\n0\n1\n", "magic");
+  // Truncated value grid: names the first missing value.
+  expect_rejected("pcal-bilinear-v2\n2 2\n0 1\n0 1\n1 2 3", "value(1, 1)");
+  expect_rejected("pcal-bilinear-v2\n0 0\n", "nx");
+  expect_rejected("pcal-bilinear-v2\n2 -1\n", "ny");
+  expect_rejected("pcal-bilinear-v2\n0x2 2\n", "nx");
+  expect_rejected("pcal-bilinear-v2\n2 2\n0 one\n", "xs[1]");
+}
+
+TEST(Bilinear2D, DeserializeRejectsOversizedHeaderBeforeAllocating) {
+  // Declared sizes whose product overflows 64 bits, exceeds the cap, or
+  // does not even fit a count: rejected from the header alone (no data
+  // follows, so an allocation sized by them would be the only failure).
+  expect_rejected("pcal-bilinear-v2\n4294967296 4294967296\n", "nx * ny");
+  expect_rejected("pcal-bilinear-v2\n18446744073709551615 2\n", "nx * ny");
+  expect_rejected("pcal-bilinear-v2\n99999999999999999999999 1\n", "nx");
+  expect_rejected("pcal-bilinear-v2\n2048 1024\n", "nx * ny");
+  // Exactly at the cap is a legal header (it fails later, on data).
+  expect_rejected("pcal-bilinear-v2\n1024 1024\n", "xs[0]");
+}
+
+TEST(Bilinear2D, DeserializeRejectsNonIncreasingAxis) {
+  expect_rejected("pcal-bilinear-v2\n3 1\n0 0x1p-1 0x1p-1\n0\n1 2 3\n",
+                  "xs[2]");
+  expect_rejected("pcal-bilinear-v2\n1 2\n0\n1 0\n1 2\n", "ys[1]");
+}
+
+TEST(Bilinear2D, DeserializeRejectsNonFiniteValues) {
+  expect_rejected("pcal-bilinear-v2\n2 1\n0 inf\n0\n1 2\n", "xs[1]");
+  expect_rejected("pcal-bilinear-v2\n1 1\nnan\n0\n1\n", "xs[0]");
+  expect_rejected("pcal-bilinear-v2\n2 2\n0 1\n0 1\n1 2 -inf 4\n",
+                  "value(1, 0)");
+  expect_rejected("pcal-bilinear-v2\n2 2\n0 1\n0 1\n1 2 3 1e999\n",
+                  "value(1, 1)");
 }
 
 }  // namespace

@@ -53,6 +53,7 @@
 #include <string>
 #include <vector>
 
+#include "api/pcal.h"
 #include "api/timeline.h"
 #include "core/bench_record.h"
 #include "core/checkpoint.h"
@@ -395,7 +396,7 @@ int main(int argc, char** argv) {
 
     const std::optional<FaultSpec> fault = fault_spec_from_env();
 
-    AgingContext aging;
+    const AgingLut& lut = api::shared_aging().lut();
     std::vector<SweepJob> sweep_jobs;
     sweep_jobs.reserve(slice.size());
     for (const std::size_t g : slice) {
@@ -404,7 +405,7 @@ int main(int argc, char** argv) {
       j.make_source = jobs[g].make_source;
       j.multicore = jobs[g].multicore;
       j.core_sources = jobs[g].core_sources;
-      j.lut = &aging.lut();
+      j.lut = &lut;
       j.label = coords_of(spec, jobs[g]);
       if (fault && fault->job == g) {
         // Arm the injected fault on this job's trace stream (first
