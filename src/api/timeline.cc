@@ -17,13 +17,9 @@ IntervalObserver TimelineRecorder::observer() {
 }
 
 void TimelineRecorder::price_with(const SimConfig& config) {
-  models_.clear();
-  // Level 0 with the breakeven the run will actually use (override,
-  // legacy bank model, or the per-unit gate breakeven).
-  models_.emplace_back(config.energy_params, config.tech,
-                       config.topology(Simulator(config).breakeven_cycles()));
-  for (const LevelConfig& level : config.enabled_lower_levels())
-    models_.emplace_back(config.energy_params, config.tech, level.topology);
+  // The system Simulator::run executes, so the groups line up with its
+  // census by construction.
+  price_with(one_core_system(config));
 }
 
 void TimelineRecorder::price_with(const MultiCoreConfig& config) {

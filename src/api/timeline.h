@@ -1,7 +1,7 @@
 // Power-state timeline artifact: what every power-management unit was
 // doing, interval by interval.
 //
-// The engines already stream IntervalSnapshots (core/simulator.h) with a
+// The run engine streams IntervalSnapshots (core/simulator.h) with a
 // per-(core, level) power-state census at every re-indexing boundary.  A
 // TimelineRecorder is the observer that turns that stream into a durable
 // artifact: a versioned JSON document ("pcal-timeline", version 1,
@@ -14,7 +14,7 @@
 //
 // Recording is strictly additive: attach the recorder's observer() to a
 // run and the run's results are bit-identical to an unobserved run (the
-// engines' observer contract); skip the recorder and nothing here
+// engine's observer contract); skip the recorder and nothing here
 // executes at all — which is what keeps `pcalsim`/`pcalsweep` output
 // byte-identical when no timeline is requested.
 //
@@ -67,7 +67,7 @@ struct TimelineGroupSample {
 
 struct TimelineInterval {
   /// The snapshot's 1-based boundary index; 0 on the final record (the
-  /// engines' final-snapshot convention).
+  /// engine's final-snapshot convention).
   std::uint64_t interval = 0;
   std::uint64_t cycles = 0;       // wall clock at the boundary
   std::uint64_t span_cycles = 0;  // cycles since the previous record
@@ -93,9 +93,9 @@ class TimelineRecorder {
 
   /// Attaches per-group energy pricing so records carry energy_est_pj:
   /// one UnitEnergyModel per group-table row, derived from the run's
-  /// config (levels in group order; the MultiCoreConfig overload prices
-  /// depth-major private levels then the shared LLC).  Optional — an
-  /// unpriced recorder emits energy_est_pj = 0.
+  /// config: depth-major private levels then the shared LLC (a SimConfig
+  /// is priced as its one_core_system(), the system Simulator::run
+  /// executes).  Optional — an unpriced recorder emits energy_est_pj = 0.
   void price_with(const SimConfig& config);
   void price_with(const MultiCoreConfig& config);
 

@@ -3,8 +3,8 @@
 // The PR-5 timing core prices *events* (hits, misses, wakeups) but admits
 // infinite concurrency: any miss rate is absorbed without backpressure.
 // This layer adds the three finite resources that create backpressure in a
-// real hierarchy, driven timestep-granularly by the Simulator /
-// MultiCoreSystem clock:
+// real hierarchy, driven timestep-granularly by the run engine's
+// (MultiCoreSystem's) clock:
 //
 //   MSHRs       bounded outstanding misses per level.  Each miss allocates
 //               an entry held for `mshr_latency_cycles` (the fill's

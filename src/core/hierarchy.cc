@@ -3,19 +3,8 @@
 #include <sstream>
 
 #include "core/enum_strings.h"
-#include "util/error.h"
 
 namespace pcal {
-
-void HierarchyConfig::validate() const {
-  PCAL_CONFIG_CHECK(!levels.empty(), "hierarchy needs at least one level");
-  for (const LevelConfig& level : levels) {
-    PCAL_CONFIG_CHECK(level.enabled(),
-                      "hierarchy level has zero size (drop disabled levels "
-                      "before building the hierarchy)");
-    level.topology.validate();
-  }
-}
 
 std::string HierarchyConfig::describe() const {
   std::ostringstream os;
@@ -29,23 +18,6 @@ std::string HierarchyConfig::describe() const {
     os << levels[i].topology.describe();
   }
   return os.str();
-}
-
-HierarchicalCache::HierarchicalCache(const HierarchyConfig& config) {
-  config.validate();
-  levels_.reserve(config.levels.size());
-  for (const LevelConfig& lc : config.levels) {
-    Level level;
-    level.cache = make_managed_cache(lc.topology);
-    level.inclusion = lc.inclusion;
-    level.rotates = lc.topology.rotates();
-    level.unit_offset = total_units_;
-    total_units_ += level.cache->num_units();
-    levels_.push_back(std::move(level));
-  }
-  routing_.reserve(levels_.size());
-  for (Level& level : levels_)
-    routing_.push_back({level.cache.get(), level.inclusion});
 }
 
 AccessOutcome route_access(RoutedLevel* levels, std::size_t num_levels,
@@ -129,88 +101,6 @@ AccessOutcome route_access(RoutedLevel* levels, std::size_t num_levels,
 
   top.stall_cycles = stall;
   return top;
-}
-
-AccessOutcome HierarchicalCache::do_access(std::uint64_t address,
-                                           bool is_write) {
-  return route_access(routing_.data(), routing_.size(), address, is_write);
-}
-
-AccessOutcome HierarchicalCache::do_probe(std::uint64_t address) {
-  // A probe of the hierarchy probes the CPU-facing level only; the
-  // levels below idle the cycle (nothing propagates — a probe neither
-  // fills nor evicts).
-  AccessOutcome out = levels_.front().cache->probe(address);
-  for (std::size_t i = 1; i < levels_.size(); ++i)
-    levels_[i].cache->advance_idle(1);
-  return out;
-}
-
-std::uint64_t HierarchicalCache::update_indexing() {
-  // The update signal enters every rotating level; a non-rotating level
-  // has nothing to re-map and is not flushed — the same rule the
-  // Simulator applies to single-level runs.
-  std::vector<bool> flush(levels_.size(), false);
-  for (std::size_t i = 0; i < levels_.size(); ++i)
-    flush[i] = levels_[i].rotates;
-  // Back-invalidation cascade: flushing an inclusive level invalidates
-  // content its upper neighbour may still hold, so the neighbour is
-  // flushed too (and so on up through further inclusive links).
-  for (std::size_t i = levels_.size(); i-- > 1;)
-    if (flush[i] && levels_[i].inclusion == InclusionPolicy::kInclusive)
-      flush[i - 1] = true;
-
-  std::uint64_t dirty = 0;
-  for (std::size_t i = 0; i < levels_.size(); ++i)
-    if (flush[i]) dirty += levels_[i].cache->update_indexing();
-  ++updates_;
-  return dirty;
-}
-
-void HierarchicalCache::advance_idle(std::uint64_t cycles) {
-  for (Level& level : levels_) level.cache->advance_idle(cycles);
-}
-
-void HierarchicalCache::finish() {
-  for (Level& level : levels_) level.cache->finish();
-}
-
-const HierarchicalCache::Level& HierarchicalCache::level_of_unit(
-    std::uint64_t unit, std::uint64_t* local) const {
-  PCAL_ASSERT_MSG(unit < total_units_, "unit out of range");
-  for (std::size_t i = levels_.size(); i-- > 0;) {
-    if (unit >= levels_[i].unit_offset) {
-      *local = unit - levels_[i].unit_offset;
-      return levels_[i];
-    }
-  }
-  *local = unit;
-  return levels_.front();
-}
-
-double HierarchicalCache::unit_residency(std::uint64_t unit) const {
-  std::uint64_t local = 0;
-  const Level& level = level_of_unit(unit, &local);
-  return level.cache->unit_residency(local);
-}
-
-UnitActivity HierarchicalCache::unit_activity(std::uint64_t unit) const {
-  std::uint64_t local = 0;
-  const Level& level = level_of_unit(unit, &local);
-  return level.cache->unit_activity(local);
-}
-
-const IntervalAccumulator& HierarchicalCache::unit_intervals(
-    std::uint64_t unit) const {
-  std::uint64_t local = 0;
-  const Level& level = level_of_unit(unit, &local);
-  return level.cache->unit_intervals(local);
-}
-
-UnitPowerState HierarchicalCache::unit_state(std::uint64_t unit) const {
-  std::uint64_t local = 0;
-  const Level& level = level_of_unit(unit, &local);
-  return level.cache->unit_state(local);
 }
 
 }  // namespace pcal

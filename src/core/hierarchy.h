@@ -1,7 +1,8 @@
-// N-level cache hierarchy with inclusion policies, as one ManagedCache.
+// N-level cache hierarchies with inclusion policies: the level chain
+// description and the per-access routing every run drives it with.
 //
-// A HierarchyConfig is an ordered list of levels — level 0 faces the CPU,
-// each further level backs the one above it.  Every level is an
+// A chain is an ordered list of levels — level 0 faces the CPU, each
+// further level backs the one above it.  Every level is an
 // independently-configured ManagedCache (any granularity, indexing,
 // power policy and latency point, all built through make_managed_cache),
 // and its InclusionPolicy selects which stream of its upper neighbour it
@@ -18,7 +19,8 @@
 //                  subset property holds per line, not just per flush),
 //                  and whenever this level's re-index update flushes it,
 //                  the level above is flushed too, cascading upward
-//                  through further inclusive links.  Back-invalidation is
+//                  through further inclusive links (the run engine's
+//                  flush plan, core/multicore.cc).  Back-invalidation is
 //                  a pure tag-store drop: no cycle, no wakeup, and a
 //                  dirty upper copy is dropped without a writeback (the
 //                  documented approximation).
@@ -39,15 +41,6 @@
 // referenced (each level priced by its own CacheTopology::latency), and
 // the driver stretches the global clock by that sum.
 //
-// The hierarchy presents the concatenated unit vector — level 0's units
-// first, then each level below in order — so the one Simulator engine
-// reports per-unit idleness, energy and lifetime across all levels.
-// stats() is level 0's tag store (what the CPU sees); level_stats(i)
-// exposes the others.  update_indexing fires the update signal into every
-// level whose indexing actually rotates (a static-indexed or single-unit
-// level has nothing to re-map and is not flushed), then applies the
-// inclusive back-invalidation cascade described above.
-//
 // Known modeling asymmetries (unchanged from the two-level ancestor):
 // dirty lines written back by a *flush* leave the hierarchy without
 // touching the level below (flush writebacks have no per-line addresses
@@ -56,14 +49,12 @@
 // may be double-counted until its lower frame is reused.
 //
 // Degeneracies (pinned in tests/hierarchy_test.cc and the backend parity
-// suite at 1 and 8 sweep workers): a 1-level hierarchy is the bare
-// backend bit for bit; a 2-level non-inclusive hierarchy is the legacy
-// SimConfig L1+L2 path bit for bit; zero latencies keep the idealized
-// clock.
+// suite at 1 and 8 sweep workers): a zero-size lower level is absent; a
+// 2-level non-inclusive chain is the legacy SimConfig L1+L2 path bit for
+// bit; zero latencies keep the idealized clock.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -93,10 +84,9 @@ struct RoutedLevel {
 /// level consumes its upper neighbour's miss or eviction stream per its
 /// InclusionPolicy, unreferenced levels advance_idle(1), and the
 /// returned outcome is level 0's with stall_cycles summed over every
-/// level actually referenced.  This is HierarchicalCache's access path,
-/// exposed as a free function so MultiCoreSystem can route per-core
-/// private levels into a *shared* LLC it appends to each core's chain
-/// (core/multicore.h) with identical semantics, bit for bit.
+/// level actually referenced.  The run engine (core/multicore.h) routes
+/// every access of a multi-level run through it: each core's private
+/// levels with the shared LLC appended as the chain's last level.
 AccessOutcome route_access(RoutedLevel* levels, std::size_t num_levels,
                            std::uint64_t address, bool is_write);
 
@@ -115,81 +105,11 @@ struct LevelConfig {
 struct HierarchyConfig {
   std::vector<LevelConfig> levels;
 
-  std::size_t num_levels() const { return levels.size(); }
-
-  /// Requires at least one level, every level non-empty and valid.
-  void validate() const;
-
   /// "8kB/16B/DM M=4 probing | L2 64kB/16B/DM M=4 static | L3/victim ..."
   /// — level 0 bare, lower levels tagged L<k> with a /policy suffix for
   /// non-default inclusion, each carrying its full topology describe()
   /// so hierarchy rows are distinguishable in BENCH JSON records.
   std::string describe() const;
-};
-
-class HierarchicalCache final : public ManagedCache {
- public:
-  /// Builds every level via make_managed_cache.  Throws ConfigError on
-  /// an empty hierarchy or invalid level topologies.
-  explicit HierarchicalCache(const HierarchyConfig& config);
-
-  // ManagedCache (units are level 0's units, then level 1's, ...):
-  std::uint64_t update_indexing() override;
-  void advance_idle(std::uint64_t cycles) override;
-  void finish() override;
-  std::uint64_t cycles() const override { return levels_.front().cache->cycles(); }
-  std::uint64_t num_units() const override { return total_units_; }
-  double unit_residency(std::uint64_t unit) const override;
-  /// Level 0's tag-store statistics (the level the CPU sees).
-  const CacheStats& stats() const override {
-    return levels_.front().cache->stats();
-  }
-  std::uint64_t indexing_updates() const override { return updates_; }
-  UnitActivity unit_activity(std::uint64_t unit) const override;
-  const IntervalAccumulator& unit_intervals(
-      std::uint64_t unit) const override;
-  UnitPowerState unit_state(std::uint64_t unit) const override;
-
-  // ---- level access ----
-  std::size_t num_levels() const { return levels_.size(); }
-  const ManagedCache& level(std::size_t i) const {
-    return *levels_.at(i).cache;
-  }
-  const CacheStats& level_stats(std::size_t i) const {
-    return levels_.at(i).cache->stats();
-  }
-  InclusionPolicy level_inclusion(std::size_t i) const {
-    return levels_.at(i).inclusion;
-  }
-  /// Number of power-management units of one level.
-  std::uint64_t level_units(std::size_t i) const {
-    return levels_.at(i).cache->num_units();
-  }
-  /// Units of level 0 (they lead the concatenated unit vector).
-  std::uint64_t l1_units() const { return levels_.front().cache->num_units(); }
-
- private:
-  struct Level {
-    std::unique_ptr<ManagedCache> cache;
-    InclusionPolicy inclusion;
-    bool rotates;
-    std::uint64_t unit_offset;  // index of its first unit in the vector
-  };
-
-  // No do_access_batch override: each access's route depends on the tag
-  // state the previous one left behind (hits absorb, misses fill and
-  // evict downward), so a hierarchy cannot pre-decode a batch.  The
-  // inherited default replays access_batch through this routed scalar
-  // path — batched callers stay correct, each *level's* backend keeps
-  // its own batched loop for single-level use.
-  AccessOutcome do_access(std::uint64_t address, bool is_write) override;
-  AccessOutcome do_probe(std::uint64_t address) override;
-  const Level& level_of_unit(std::uint64_t unit, std::uint64_t* local) const;
-
-  std::vector<Level> levels_;
-  std::vector<RoutedLevel> routing_;  // borrowed views for route_access
-  std::uint64_t total_units_ = 0;
-  std::uint64_t updates_ = 0;
 };
 
 }  // namespace pcal

@@ -4,9 +4,9 @@
 // only in the *granularity* at which idleness is harvested and re-indexed:
 // the monolithic cache (no management), the paper's uniformly partitioned
 // banks, and the per-line scheme of its reference [7].  ManagedCache is the
-// one interface all of them implement, so a single driver (core/simulator)
-// can run any of them from a CacheTopology description — the same shape as
-// make_indexing_policy, one level up.
+// one interface all of them implement, so a single run engine
+// (core/multicore.h) can run any of them from a CacheTopology
+// description — the same shape as make_indexing_policy, one level up.
 //
 // A "unit" is the architecture's power-management granule: the whole cache
 // (monolithic), one bank, one way-column of a bank (way-grain), or one
@@ -23,7 +23,7 @@
 //
 // - make_managed_cache returns a uniquely-owned backend; the topology is
 //   copied into it, so the CacheTopology may be destroyed afterwards.
-//   DrowsyHybridCache and HierarchicalCache own their wrapped backends.
+//   DrowsyHybridCache owns its wrapped backend.
 // - A ManagedCache instance is NOT thread-safe: all mutating calls
 //   (access, update_indexing, advance_idle, finish) must come from one
 //   thread at a time.  Distinct instances share no mutable state, which is
@@ -223,9 +223,8 @@ struct CacheTopology {
 
   /// True iff this topology has anything to re-index: a time-varying
   /// mapping over more than one unit.  The single source of truth for
-  /// both the Simulator's update cadence and HierarchicalCache's
-  /// per-level update forwarding — a non-rotating level is never
-  /// flushed by the update signal.
+  /// both the run engine's update cadence and its per-level flush plan
+  /// — a non-rotating level is never flushed by the update signal.
   bool rotates() const {
     return indexing != IndexingKind::kStatic && num_units() > 1;
   }
@@ -359,7 +358,7 @@ class ManagedCache {
   /// statistics move, and a dirty line is dropped without a writeback
   /// (the inclusive back-invalidation approximation, documented in
   /// core/hierarchy.h).  Returns true iff a line was invalidated.  The
-  /// default covers composites with no single tag store of their own.
+  /// default covers backends with no tag store to drop from.
   virtual bool invalidate_line(std::uint64_t /*address*/) { return false; }
 
  private:
@@ -367,8 +366,8 @@ class ManagedCache {
   virtual AccessOutcome do_probe(std::uint64_t address) = 0;
 
   /// Batched access body behind access_batch().  The default loops over
-  /// the scalar NVI path — correct for every backend, including
-  /// composites (hierarchies route level by level, so they inherit it).
+  /// the scalar NVI path — correct for every backend, so a new one is
+  /// batch-capable before it grows its own loop.
   virtual std::uint64_t do_access_batch(const MemAccess* accesses,
                                         std::size_t n, AccessOutcome* out) {
     std::uint64_t stalls = 0;

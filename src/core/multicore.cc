@@ -12,13 +12,14 @@
 namespace pcal {
 namespace {
 
-/// Accesses fetched per TraceSource::next_batch call (the Simulator's
-/// batch size — same consumption order at one core).  The engine stays
-/// on the scalar access() path: the round-robin IPC interleave serves
-/// one access per core per slot, and the shared LLC's way-mask swaps
-/// between cores mid-stream, so no core ever owns a long enough
-/// uninterrupted run for ManagedCache::access_batch to apply.
+/// Accesses fetched per TraceSource::next_batch call on the per-access
+/// loop, and the default chunk of the batched one (SimConfig's
+/// batch_size default).
 constexpr std::size_t kBatchSize = 256;
+
+/// Ceiling on the batched loop's chunk: caps its staging buffers
+/// (MemAccess + AccessOutcome) at a few MB.
+constexpr std::uint64_t kMaxDriverBatch = 1 << 16;
 
 /// Observer cadence for runs with no re-indexing updates.
 constexpr std::uint64_t kDefaultObserverIntervals = 16;
@@ -70,8 +71,6 @@ void MultiCoreConfig::validate() const {
   PCAL_CONFIG_CHECK(!cores.empty(),
                     "multi-core system needs at least one core");
   const std::size_t depth = cores.front().levels.size();
-  PCAL_CONFIG_CHECK(depth > 0,
-                    "every core needs at least one private level");
   for (std::size_t k = 0; k < cores.size(); ++k) {
     const Core& core = cores[k];
     PCAL_CONFIG_CHECK(core.levels.size() == depth,
@@ -122,13 +121,11 @@ void MultiCoreConfig::validate() const {
 }
 
 std::string MultiCoreConfig::describe() const {
-  HierarchyConfig priv;
-  priv.levels = cores.front().levels;
+  HierarchyConfig priv{cores.front().levels};
   if (cores.size() == 1 && !partitioned()) {
-    // The 1-core degeneracy keeps the Simulator's label too.
-    HierarchyConfig chain = priv;
-    chain.levels.push_back(llc);
-    return chain.describe();
+    // One core is a single stream: the label of its level chain.
+    priv.levels.push_back(llc);
+    return priv.describe();
   }
   std::ostringstream os;
   os << cores.size() << "x[" << priv.describe() << "] | LLC";
@@ -153,21 +150,52 @@ MultiCoreSystem::MultiCoreSystem(MultiCoreConfig config)
 MultiCoreResult MultiCoreSystem::run(
     const std::vector<TraceSource*>& sources, const AgingLut* lut,
     const IntervalObserver& observer) const {
+  return run(sources, lut, observer, kBatchSize, false);
+}
+
+MultiCoreResult MultiCoreSystem::run(
+    const std::vector<TraceSource*>& sources, const AgingLut* lut,
+    const IntervalObserver& observer, std::uint64_t batch_size,
+    bool force_scalar_loop) const {
   const std::size_t num_cores = config_.cores.size();
   PCAL_CONFIG_CHECK(sources.size() == num_cores,
                     "got " << sources.size() << " trace sources for "
                            << num_cores << " cores");
   for (TraceSource* source : sources)
     PCAL_CONFIG_CHECK(source != nullptr, "null trace source");
+  const std::size_t depth = config_.cores.front().levels.size();
+  const bool one_core = num_cores == 1;
+
+  // Finite-resource contention over the whole system: one model whose
+  // levels are every core's private stack (core-major) with the shared
+  // LLC last — so LLC MSHRs, ports and fill bandwidth are genuinely
+  // shared across cores while private resources stay per core.
+  std::vector<ContentionLevelShape> shapes;
+  shapes.reserve(num_cores * depth + 1);
+  for (const MultiCoreConfig::Core& core : config_.cores)
+    for (const LevelConfig& level : core.levels)
+      shapes.push_back(contention_shape_of(level.topology));
+  shapes.push_back(contention_shape_of(config_.llc.topology));
+  ContentionModel contention(std::move(shapes));
+
+  // Loop choice: one core issuing straight into a single level, with no
+  // resource to arbitrate per access, takes the batched loop below.
+  const bool batched = one_core && depth == 0 && !contention.enabled() &&
+                       !force_scalar_loop;
+  const std::size_t fetch =
+      batched ? static_cast<std::size_t>(std::min<std::uint64_t>(
+                    std::max<std::uint64_t>(batch_size, 1), kMaxDriverBatch))
+              : kBatchSize;
 
   // Per-core runtime state: the private backends plus the routing chain
   // route_access walks — the private levels with the shared LLC
-  // appended, so the stream semantics are HierarchicalCache's.
+  // appended.
   struct CoreRt {
     std::vector<std::unique_ptr<ManagedCache>> levels;
     std::vector<RoutedLevel> route;
     TraceSource* source = nullptr;
     std::uint64_t offset = 0;
+    std::uint64_t quantum = 0;  // the source's boundary_hint; 0 = none
     std::vector<MemAccess> batch;
     std::size_t batch_n = 0;
     std::size_t batch_i = 0;
@@ -188,50 +216,58 @@ MultiCoreResult MultiCoreSystem::run(
                              "granularity");
 
   std::vector<CoreRt> rt(num_cores);
+  std::uint64_t total_hint = 0;
+  bool all_hints = true;
   for (std::size_t k = 0; k < num_cores; ++k) {
     CoreRt& c = rt[k];
     c.source = sources[k];
     c.source->reset();
     c.offset = k * config_.address_stride;
-    c.batch.resize(kBatchSize);
-    for (const LevelConfig& level : config_.cores[k].levels)
+    c.quantum = c.source->boundary_hint().value_or(0);
+    c.batch.resize(fetch);
+    for (const LevelConfig& level : config_.cores[k].levels) {
       c.levels.push_back(make_managed_cache(level.topology));
-    for (std::size_t i = 0; i < c.levels.size(); ++i)
-      c.route.push_back(
-          {c.levels[i].get(), config_.cores[k].levels[i].inclusion});
+      c.route.push_back({c.levels.back().get(), level.inclusion});
+    }
     c.route.push_back({llc.get(), config_.llc.inclusion});
+    const auto hint = c.source->size_hint();
+    total_hint += hint.value_or(0);
+    all_hints = all_hints && hint.has_value();
   }
 
-  // Update cadence: the Simulator's even spread, computed over the
-  // summed size hints of all sources (identical to the single-stream
-  // cadence at one core).
-  std::uint64_t total_hint = 0;
-  bool all_hints = true;
-  for (std::size_t k = 0; k < num_cores; ++k) {
-    const auto h = rt[k].source->size_hint();
-    if (h)
-      total_hint += *h;
-    else
-      all_hints = false;
-  }
+  // Update cadence: the requested updates spread evenly over the summed
+  // size hints of all sources.  Static indexing never rotates, so a run
+  // with no rotating level fires no (pointless) flushes — the
+  // conventional cache does not flush for aging.
   bool any_rotates = config_.llc.topology.rotates();
   for (const MultiCoreConfig::Core& core : config_.cores)
     for (const LevelConfig& level : core.levels)
       any_rotates = any_rotates || level.topology.rotates();
-  const bool updates_enabled = any_rotates && config_.reindex_updates > 0;
   std::uint64_t update_interval = 0;
-  if (updates_enabled && all_hints && total_hint > config_.reindex_updates)
+  if (any_rotates && config_.reindex_updates > 0 && all_hints &&
+      total_hint > config_.reindex_updates)
     update_interval = total_hint / (config_.reindex_updates + 1);
+  // Context-switch alignment (the paper's zero-overhead piggybacking),
+  // the single-stream rule: one core whose source has a natural boundary
+  // — a multiprogrammed stream's quantum — gets the interval rounded
+  // down to a whole number of quanta, so every flush lands exactly on a
+  // context switch that flushes anyway.  Quanta longer than the interval
+  // cannot be aligned to without starving the update budget; those stay
+  // on the even spread.
+  const std::uint64_t quantum = rt.front().quantum;
+  if (one_core && update_interval != 0 && quantum > 0 &&
+      update_interval >= quantum)
+    update_interval -= update_interval % quantum;
   std::uint64_t interval = update_interval;
   if (interval == 0 && observer && all_hints)
     interval =
         std::max<std::uint64_t>(1, total_hint / kDefaultObserverIntervals);
 
-  // The flush plan of one update, mirroring
-  // HierarchicalCache::update_indexing per core chain: the signal
-  // enters every rotating level; the inclusive back-invalidation
-  // cascade climbs from the shared LLC into each core's last private
-  // level, then upward within each private stack.
+  // The flush plan of one update: the signal enters every rotating level
+  // (a non-rotating level has nothing to re-map and is not flushed); the
+  // inclusive back-invalidation cascade climbs from the shared LLC into
+  // each core's last private level, then upward within each private
+  // stack.
   const bool llc_rotates = config_.llc.topology.rotates();
   std::vector<std::vector<char>> flush(num_cores);
   for (std::size_t k = 0; k < num_cores; ++k) {
@@ -239,7 +275,8 @@ MultiCoreResult MultiCoreSystem::run(
     flush[k].resize(levels.size(), 0);
     for (std::size_t i = 0; i < levels.size(); ++i)
       flush[k][i] = levels[i].topology.rotates() ? 1 : 0;
-    if (llc_rotates && config_.llc.inclusion == InclusionPolicy::kInclusive)
+    if (depth > 0 && llc_rotates &&
+        config_.llc.inclusion == InclusionPolicy::kInclusive)
       flush[k].back() = 1;
     for (std::size_t i = levels.size(); i-- > 1;)
       if (flush[k][i] && levels[i].inclusion == InclusionPolicy::kInclusive)
@@ -252,38 +289,41 @@ MultiCoreResult MultiCoreSystem::run(
     if (llc_rotates) llc->update_indexing();
   };
 
-  // Finite-resource contention over the whole system: one model whose
-  // levels are every core's private stack (core-major) with the shared
-  // LLC last — so LLC MSHRs, ports and fill bandwidth are genuinely
-  // shared across cores while private resources stay per core.  At one
-  // core the shape order collapses to the Simulator's, preserving the
-  // 1-core degeneracy bit for bit (contention on or off).
-  const std::size_t depth = config_.cores.front().levels.size();
-  std::vector<ContentionLevelShape> shapes;
-  shapes.reserve(num_cores * depth + 1);
-  for (std::size_t k = 0; k < num_cores; ++k)
-    for (const LevelConfig& level : config_.cores[k].levels)
-      shapes.push_back(contention_shape_of(level.topology));
-  shapes.push_back(contention_shape_of(config_.llc.topology));
-  ContentionModel contention(std::move(shapes));
+  // A boundary is a context switch when any core's multiprogrammed
+  // source sits exactly on one of its quantum boundaries.
+  const auto at_context_switch = [&] {
+    for (const CoreRt& c : rt)
+      if (c.quantum > 0 && c.accesses > 0 && c.accesses % c.quantum == 0)
+        return true;
+    return false;
+  };
+
+  // The global clock: one issued access per cycle plus its stalls;
+  // unreferenced levels (and every other core) idle, so every backend's
+  // cycle counter stays in lockstep with the TimingModel.  With
+  // all-zero latencies no stall ever occurs (the idealized engine).
+  TimingModel timing;
+  std::uint64_t since_boundary = 0;
+  std::uint64_t boundary_index = 0;
+  std::uint64_t updates_applied = 0;
 
   // Snapshot buffers, reused across boundaries (observers must copy what
   // they keep).  The group table is one row per (depth, core) private
   // level plus the shared LLC, in the depth-major unit order the result
-  // reports — at one core this collapses to the Simulator's per-level
-  // table with the same core = -1 convention for the chain's last level.
+  // reports; one core reports every row with core == -1, the
+  // single-stream convention.
   std::vector<UnitGroupStates> snap_groups;
   std::vector<UnitPowerState> snap_states;
-  const auto fill_unit_states = [&](IntervalSnapshot& snap) {
+  const auto notify = [&](std::uint64_t index, bool fired,
+                          bool final_snapshot) {
     snap_groups.clear();
     snap_states.clear();
-    std::uint64_t offset = 0;
     const auto census = [&](const ManagedCache& cache, int core,
                             std::uint64_t level) {
       UnitGroupStates g;
       g.core = core;
       g.level = level;
-      g.first_unit = offset;
+      g.first_unit = snap_states.size();
       g.units = cache.num_units();
       g.stats = cache.stats();
       for (std::uint64_t u = 0; u < g.units; ++u) {
@@ -296,125 +336,133 @@ MultiCoreResult MultiCoreSystem::run(
         else
           ++g.gated;
       }
-      offset += g.units;
       snap_groups.push_back(g);
     };
     for (std::size_t d = 0; d < depth; ++d)
       for (std::size_t k = 0; k < num_cores; ++k)
-        census(*rt[k].levels[d], static_cast<int>(k), d);
+        census(*rt[k].levels[d], one_core ? -1 : static_cast<int>(k), d);
     census(*llc, -1, depth);
+
+    IntervalSnapshot snap;
+    snap.interval = index;
+    snap.cycles = llc->cycles();
+    snap.updates_applied = updates_applied;
+    snap.fired_update = fired;
+    snap.final_snapshot = final_snapshot;
+    snap.context_switch = !final_snapshot && at_context_switch();
+    snap.accesses = timing.accesses();
+    snap.stall_cycles = timing.stall_cycles();
+    snap.stats = &rt.front().route.front().cache->stats();
     snap.groups = &snap_groups;
     snap.unit_states = &snap_states;
+    observer(snap);
   };
 
-  // A boundary is a context switch when any core's multiprogrammed
-  // source sits exactly on one of its quantum boundaries (the
-  // Simulator's rule, per core).
-  std::vector<std::uint64_t> quantum(num_cores, 0);
-  for (std::size_t k = 0; k < num_cores; ++k) {
-    const auto q = rt[k].source->boundary_hint();
-    if (q) quantum[k] = *q;
-  }
-  const auto at_context_switch = [&] {
-    for (std::size_t k = 0; k < num_cores; ++k)
-      if (quantum[k] > 0 && rt[k].accesses > 0 &&
-          rt[k].accesses % quantum[k] == 0)
-        return true;
-    return false;
+  // Everything that happens at an update/observer boundary, shared by
+  // both loops: fire the re-indexing update while budget remains, then
+  // hand the observer its snapshot.
+  const auto on_boundary = [&] {
+    since_boundary = 0;
+    ++boundary_index;
+    bool fired = false;
+    if (update_interval != 0 && updates_applied < config_.reindex_updates) {
+      fire_update();
+      ++updates_applied;
+      fired = true;
+    }
+    if (observer) notify(boundary_index, fired, false);
   };
 
-  // The global clock: one issued access per cycle plus its stalls;
-  // unreferenced levels (and every other core) idle, so every backend's
-  // cycle counter stays in lockstep with the TimingModel.
-  TimingModel timing;
-  std::uint64_t since_boundary = 0;
-  std::uint64_t boundary_index = 0;
-  std::uint64_t updates_applied = 0;
-  std::size_t live = num_cores;
-  std::size_t mask_owner = num_cores;  // sentinel: force the first switch
-  while (live > 0) {
-    for (std::size_t k = 0; k < num_cores; ++k) {
-      CoreRt& c = rt[k];
-      if (c.done) continue;
-      const std::uint64_t weight = config_.cores[k].ipc_weight;
-      for (std::uint64_t slot = 0; slot < weight; ++slot) {
-        if (c.batch_i >= c.batch_n) {
-          c.batch_n = c.source->next_batch(c.batch.data(), kBatchSize);
-          c.batch_i = 0;
-          if (c.batch_n == 0) {
-            c.done = true;
-            --live;
-            break;
-          }
-        }
-        const MemAccess a = c.batch[c.batch_i++];
-        if (partitioned && mask_owner != k) {
-          llc->set_alloc_way_mask(config_.cores[k].llc_way_mask);
-          mask_owner = k;
-        }
+  if (batched) {
+    // Whole chunks through the backend's struct-of-arrays access_batch,
+    // split exactly at boundaries so updates and snapshots land on the
+    // same access positions as the per-access loop; outcomes, statistics
+    // and residencies are bit-identical between the two
+    // (tests/batched_access_test.cc pins it).
+    CoreRt& c = rt.front();
+    std::vector<AccessOutcome> outs(fetch);
+    while (const std::size_t n = c.source->next_batch(c.batch.data(), fetch)) {
+      for (std::size_t pos = 0; pos < n;) {
+        std::size_t take = n - pos;
+        if (interval != 0)
+          take = std::min<std::uint64_t>(take, interval - since_boundary);
         const CacheStats llc_before = llc->stats();
-        const AccessOutcome out =
-            route_access(c.route.data(), c.route.size(),
-                         a.address + c.offset,
-                         a.kind == AccessKind::kWrite);
+        const std::uint64_t stalls =
+            llc->access_batch(c.batch.data() + pos, take, outs.data());
         add_delta(c.llc_stats, llc_before, llc->stats());
-        std::uint64_t stall = out.stall_cycles;
-        if (contention.enabled()) {
-          // Replay the routed chain's level trace through the shared
-          // resource model: private events map to this core's slots,
-          // the last level to the shared LLC slot (Simulator semantics,
-          // system wide).
-          const std::uint64_t now = timing.total_cycles();
-          for (std::uint8_t e = 0; e < out.num_events; ++e) {
-            const LevelEvent& le = out.events[e];
-            ContentionEvent ev;
-            ev.level = le.level < depth ? k * depth + le.level
-                                        : num_cores * depth;
-            ev.unit = le.unit;
-            ev.address = le.address;
-            ev.miss = !le.hit;
-            ev.writeback = le.writeback;
-            stall += contention.on_event(ev, now + stall).total();
+        timing.on_batch(take, stalls);
+        c.accesses += take;
+        c.stalls += stalls;
+        pos += take;
+        since_boundary += take;
+        if (interval != 0 && since_boundary >= interval) on_boundary();
+      }
+    }
+  } else {
+    std::size_t live = num_cores;
+    std::size_t mask_owner = num_cores;  // sentinel: force the first switch
+    while (live > 0) {
+      for (std::size_t k = 0; k < num_cores; ++k) {
+        CoreRt& c = rt[k];
+        if (c.done) continue;
+        const std::uint64_t weight = config_.cores[k].ipc_weight;
+        for (std::uint64_t slot = 0; slot < weight; ++slot) {
+          if (c.batch_i >= c.batch_n) {
+            c.batch_n = c.source->next_batch(c.batch.data(), fetch);
+            c.batch_i = 0;
+            if (c.batch_n == 0) {
+              c.done = true;
+              --live;
+              break;
+            }
           }
-        }
-        // Every other core's private levels idle this cycle (the LLC
-        // was advanced inside route_access, referenced or idle).
-        for (std::size_t j = 0; j < num_cores; ++j) {
-          if (j == k) continue;
-          for (auto& level : rt[j].levels) level->advance_idle(1);
-        }
-        if (stall != 0) {
-          for (CoreRt& other : rt)
-            for (auto& level : other.levels)
-              level->advance_idle(stall);
-          llc->advance_idle(stall);
-        }
-        timing.on_access(stall);
-        ++c.accesses;
-        c.stalls += stall;
-        if (interval != 0 && ++since_boundary >= interval) {
-          since_boundary = 0;
-          ++boundary_index;
-          bool fired = false;
-          if (update_interval != 0 &&
-              updates_applied < config_.reindex_updates) {
-            fire_update();
-            ++updates_applied;
-            fired = true;
+          const MemAccess a = c.batch[c.batch_i++];
+          if (partitioned && mask_owner != k) {
+            llc->set_alloc_way_mask(config_.cores[k].llc_way_mask);
+            mask_owner = k;
           }
-          if (observer) {
-            IntervalSnapshot snap;
-            snap.interval = boundary_index;
-            snap.cycles = rt.front().levels.front()->cycles();
-            snap.updates_applied = updates_applied;
-            snap.fired_update = fired;
-            snap.context_switch = at_context_switch();
-            snap.accesses = timing.accesses();
-            snap.stall_cycles = timing.stall_cycles();
-            snap.stats = &rt.front().levels.front()->stats();
-            fill_unit_states(snap);
-            observer(snap);
+          const CacheStats llc_before = llc->stats();
+          const AccessOutcome out =
+              route_access(c.route.data(), c.route.size(),
+                           a.address + c.offset,
+                           a.kind == AccessKind::kWrite);
+          add_delta(c.llc_stats, llc_before, llc->stats());
+          std::uint64_t stall = out.stall_cycles;
+          if (contention.enabled()) {
+            // Replay the routed chain's level trace through the shared
+            // resource model at the access's position on the stretched
+            // clock: private events map to this core's slots, the last
+            // level to the shared LLC slot.  Latency stalls land before
+            // resource arbitration (the fill is in flight while the core
+            // stalls), and each event sees the stalls charged so far.
+            const std::uint64_t now = timing.total_cycles();
+            for (std::uint8_t e = 0; e < out.num_events; ++e) {
+              const LevelEvent& le = out.events[e];
+              ContentionEvent ev;
+              ev.level = le.level < depth ? k * depth + le.level
+                                          : num_cores * depth;
+              ev.unit = le.unit;
+              ev.address = le.address;
+              ev.miss = !le.hit;
+              ev.writeback = le.writeback;
+              stall += contention.on_event(ev, now + stall).total();
+            }
           }
+          // Every other core's private levels idle this cycle (the LLC
+          // was advanced inside route_access, referenced or idle).
+          for (std::size_t j = 0; j < num_cores; ++j) {
+            if (j == k) continue;
+            for (auto& level : rt[j].levels) level->advance_idle(1);
+          }
+          if (stall != 0) {
+            for (CoreRt& other : rt)
+              for (auto& level : other.levels) level->advance_idle(stall);
+            llc->advance_idle(stall);
+          }
+          timing.on_access(stall);
+          ++c.accesses;
+          c.stalls += stall;
+          if (interval != 0 && ++since_boundary >= interval) on_boundary();
         }
       }
     }
@@ -424,8 +472,9 @@ MultiCoreResult MultiCoreSystem::run(
   llc->finish();
 
   // One clock: every level of every core and the LLC must agree with
-  // the driver's stall accounting (the Simulator's invariant, system
-  // wide).
+  // the driver's stall accounting (total = accesses + stalls is a
+  // CI-gated record invariant; a new non-access clock advance would
+  // break it here, next to its cause).
   const std::uint64_t cycles = timing.total_cycles();
   for (const CoreRt& c : rt)
     for (const auto& level : c.levels)
@@ -437,8 +486,7 @@ MultiCoreResult MultiCoreSystem::run(
                                   << llc->cycles());
 
   // Depth-major unit order: every core's L1 units, then every core's
-  // L2 units, ..., then the LLC's — which collapses to the Simulator's
-  // level order at one core.
+  // L2 units, ..., then the LLC's.
   struct UnitRef {
     const ManagedCache* cache;
     std::uint64_t local;
@@ -453,27 +501,22 @@ MultiCoreResult MultiCoreSystem::run(
 
   MultiCoreResult result;
   SimResult& r = result.system;
-  {
-    std::string workload;
-    for (std::size_t k = 0; k < num_cores; ++k)
-      workload += (k ? "+" : "") + sources[k]->name();
-    r.workload = std::move(workload);
-  }
+  for (std::size_t k = 0; k < num_cores; ++k)
+    r.workload += (k ? "+" : "") + sources[k]->name();
+  const CacheTopology& l1 = depth > 0
+                                ? config_.cores.front().levels.front().topology
+                                : config_.llc.topology;
   r.config_label = config_.describe();
-  r.granularity = config_.cores.front().levels.front().topology.granularity;
-  r.policy = config_.cores.front().levels.front().topology.policy;
+  r.granularity = l1.granularity;
+  r.policy = l1.policy;
   r.accesses = timing.accesses();
   r.total_cycles = cycles;
   r.stall_cycles = timing.stall_cycles();
   r.mshr_stall_cycles = contention.totals().mshr;
   r.port_stall_cycles = contention.totals().port;
   r.bw_stall_cycles = contention.totals().bw;
-  r.breakeven_cycles =
-      config_.cores.front().levels.front().topology.breakeven_cycles;
+  r.breakeven_cycles = l1.breakeven_cycles;
   r.reindex_updates_applied = updates_applied;
-  // What "the CPU" sees: the sum of every core's L1 tag store.
-  for (std::size_t k = 0; k < num_cores; ++k)
-    add_stats(r.cache_stats, rt[k].levels.front()->stats());
   for (std::size_t d = 0; d < depth; ++d) {
     CacheStats agg;
     std::uint64_t units = 0;
@@ -486,6 +529,8 @@ MultiCoreResult MultiCoreSystem::run(
   }
   r.level_stats.push_back(llc->stats());
   r.level_units.push_back(llc->num_units());
+  // What "the CPU" sees: the sum of every core's L1 tag store.
+  r.cache_stats = r.level_stats.front();
 
   const std::size_t num_units = unit_order.size();
   std::vector<UnitActivity> activity(num_units);
@@ -506,36 +551,30 @@ MultiCoreResult MultiCoreSystem::run(
     residency[u] = ur.sleep_residency;
   }
 
-  // Per-(depth, core) slices priced with each level's own unit model,
-  // accumulated in depth-outer / core-inner order — at one core this is
-  // the Simulator's per-level addition order, so the doubles match bit
-  // for bit.  The LLC is priced last.
+  // Per-(depth, core) slices priced with each level's own unit model
+  // over the stall-stretched clock, accumulated in depth-outer /
+  // core-inner order; the LLC is priced last.  The baseline is the
+  // never-sleeping monolithic stack of the same levels.
   std::vector<EnergyReport> core_private(num_cores);
   std::size_t offset = 0;
-  for (std::size_t d = 0; d < depth; ++d) {
-    for (std::size_t k = 0; k < num_cores; ++k) {
-      const std::uint64_t n = rt[k].levels[d]->num_units();
-      const std::vector<UnitActivity> slice(
-          activity.begin() + static_cast<std::ptrdiff_t>(offset),
-          activity.begin() + static_cast<std::ptrdiff_t>(offset + n));
-      const UnitEnergyModel model(config_.energy_params, config_.tech,
-                                  config_.cores[k].levels[d].topology);
-      const EnergyReport report = price_unit_run(model, slice, cycles);
-      r.energy += report;
-      core_private[k] += report;
-      offset += n;
-    }
-  }
-  EnergyReport llc_report;
-  {
+  const auto price_slice = [&](const CacheTopology& topology,
+                               std::uint64_t n) {
     const std::vector<UnitActivity> slice(
         activity.begin() + static_cast<std::ptrdiff_t>(offset),
-        activity.end());
+        activity.begin() + static_cast<std::ptrdiff_t>(offset + n));
+    offset += n;
     const UnitEnergyModel model(config_.energy_params, config_.tech,
-                                config_.llc.topology);
-    llc_report = price_unit_run(model, slice, cycles);
-    r.energy += llc_report;
-  }
+                                topology);
+    const EnergyReport report = price_unit_run(model, slice, cycles);
+    r.energy += report;
+    return report;
+  };
+  for (std::size_t d = 0; d < depth; ++d)
+    for (std::size_t k = 0; k < num_cores; ++k)
+      core_private[k] += price_slice(config_.cores[k].levels[d].topology,
+                                     rt[k].levels[d]->num_units());
+  const EnergyReport llc_report =
+      price_slice(config_.llc.topology, llc->num_units());
 
   if (lut != nullptr) {
     const CacheLifetimeEvaluator evaluator(*lut);
@@ -544,18 +583,7 @@ MultiCoreResult MultiCoreSystem::run(
       r.units[u].lifetime_years = r.lifetime->banks[u].lifetime_years;
   }
 
-  if (observer) {
-    IntervalSnapshot snap;
-    snap.interval = 0;
-    snap.cycles = cycles;
-    snap.updates_applied = r.reindex_updates_applied;
-    snap.final_snapshot = true;
-    snap.accesses = timing.accesses();
-    snap.stall_cycles = timing.stall_cycles();
-    snap.stats = &rt.front().levels.front()->stats();
-    fill_unit_states(snap);
-    observer(snap);
-  }
+  if (observer) notify(0, false, true);
 
   std::uint64_t total_llc = 0;
   for (const CoreRt& c : rt) total_llc += c.llc_stats.accesses;
@@ -588,6 +616,22 @@ MultiCoreResult MultiCoreSystem::run(
   return result;
 }
 
+MultiCoreConfig one_core_system(const SimConfig& config) {
+  const Simulator sim(config);  // validates; resolves the L1 breakeven
+  std::vector<LevelConfig> chain{{config.topology(sim.breakeven_cycles()),
+                                  InclusionPolicy::kNonInclusive}};
+  for (const LevelConfig& level : config.enabled_lower_levels())
+    chain.push_back(level);
+  MultiCoreConfig mc;
+  mc.llc = chain.back();
+  chain.pop_back();
+  mc.cores.push_back({std::move(chain)});
+  mc.reindex_updates = config.reindex_updates;
+  mc.tech = config.tech;
+  mc.energy_params = config.energy_params;
+  return mc;
+}
+
 MultiCoreConfig make_multicore(const SimConfig& config,
                                std::size_t num_cores,
                                const LevelConfig& llc,
@@ -598,17 +642,12 @@ MultiCoreConfig make_multicore(const SimConfig& config,
                       "contiguous way partitions need cores * ways_per_core "
                       "<= 64 mask bits; got "
                           << num_cores << " * " << ways_per_core);
-  MultiCoreConfig mc;
+  // Every core's private stack is the config's whole chain.
+  MultiCoreConfig mc = one_core_system(config);
+  MultiCoreConfig::Core proto = mc.cores.front();
+  proto.levels.push_back(mc.llc);
   mc.llc = llc;
-  mc.reindex_updates = config.reindex_updates;
-  mc.tech = config.tech;
-  mc.energy_params = config.energy_params;
-  const Simulator sim(config);  // validates; resolves the L1 breakeven
-  MultiCoreConfig::Core proto;
-  proto.levels.push_back({config.topology(sim.breakeven_cycles()),
-                          InclusionPolicy::kNonInclusive});
-  for (const LevelConfig& level : config.enabled_lower_levels())
-    proto.levels.push_back(level);
+  mc.cores.clear();
   for (std::size_t k = 0; k < num_cores; ++k) {
     MultiCoreConfig::Core core = proto;
     if (ways_per_core > 0)

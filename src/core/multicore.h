@@ -1,12 +1,13 @@
-// Multi-core simulation: per-core private hierarchies over a shared LLC.
+// The run engine: per-core private hierarchies over a shared LLC.
 //
 // The paper's deployment story is multi-programmed — re-indexing updates
 // piggyback on flushes that "occur regularly in the system (e.g., on a
-// context switch)" — and this subsystem models the system those streams
+// context switch)" — and this engine models the system those streams
 // actually run on: N cores, each with its own private cache stack (any
-// depth, each level a full CacheTopology built via make_managed_cache),
-// all backed by ONE shared managed LLC, advanced on a single global
-// clock.
+// depth, including none; each level a full CacheTopology built via
+// make_managed_cache), all backed by ONE shared managed LLC, advanced on
+// a single global clock.  It is the only run loop: a single-stream
+// Simulator::run is the 1-core system of one_core_system() below.
 //
 // ## Data flow (one issued access)
 //
@@ -16,14 +17,19 @@
 // round-robin order (core k issues `ipc_weight` consecutive accesses per
 // round, in deterministic core order — the per-core-IPC interleave).
 // Core k's addresses are offset by k * address_stride so the streams
-// occupy disjoint address ranges (core 0 is unshifted — the 1-core
-// degeneracy below).  The access routes through the core's private
-// levels and the appended LLC with route_access (core/hierarchy.h), so
-// miss/eviction-stream semantics, probe behavior and stall composition
-// are HierarchicalCache's, bit for bit.  While core k's access occupies
-// the chain, every other core's private levels advance_idle(1), and
-// stalls advance *everything* — every level of every core and the LLC
-// live on the same clock, so leakage and residency stay exact.
+// occupy disjoint address ranges (core 0 is unshifted).  The access
+// routes through the core's private levels and the appended LLC with
+// route_access (core/hierarchy.h), which defines the miss/eviction-
+// stream semantics, probe behavior and stall composition.  While core
+// k's access occupies the chain, every other core's private levels
+// advance_idle(1), and stalls advance *everything* — every level of
+// every core and the LLC live on the same clock, so leakage and
+// residency stay exact.
+//
+// One core with no private levels, no finite resource anywhere and no
+// forced scalar loop — a single-level Simulator run — instead hands
+// whole chunks to ManagedCache::access_batch, split exactly at update
+// and observer boundaries; results are bit-identical either way.
 //
 // ## Way partitioning (QoS)
 //
@@ -35,21 +41,25 @@
 // nonzero, pairwise disjoint, within the LLC's associativity, and either
 // all cores have one or none do (all-zero = fully shared).
 //
-// ## Degeneracy (pinned by tests/multicore_test.cc)
+// ## One core is the single-stream run (by construction)
 //
-//   1 core, unpartitioned LLC  ==  single-stream Simulator whose config
-//   is the core's levels with the LLC appended as the last lower level —
-//   bit for bit: cycles, per-unit stats, interval snapshots and energy.
+// Simulator::run builds its system with one_core_system() and returns
+// the engine's `system` result.  Two rules make a 1-core system behave
+// as a single stream: the update interval is rounded down to a whole
+// number of the source's quanta (TraceSource::boundary_hint — flushes
+// land on context switches), and the snapshot census reports every
+// group with core == -1.  With two or more cores the even spread is
+// computed over the summed size hints and private groups carry their
+// core index.
 //
 // ## Attribution
 //
 // MultiCoreResult carries the system-wide SimResult (units ordered
 // depth-major: every core's L1 units, then every core's L2 units, ...,
-// then the LLC's — which collapses to the Simulator's level order at one
-// core) plus one CoreResult per core: its accesses, stalls, private-level
-// stats, its delta-attributed slice of the LLC's tag-store traffic, and
-// an energy figure = the core's own private levels plus the LLC report
-// scaled by the core's share of LLC accesses.
+// then the LLC's) plus one CoreResult per core: its accesses, stalls,
+// private-level stats, its delta-attributed slice of the LLC's tag-store
+// traffic, and an energy figure = the core's own private levels plus the
+// LLC report scaled by the core's share of LLC accesses.
 #pragma once
 
 #include <cstdint>
@@ -65,7 +75,8 @@ namespace pcal {
 struct MultiCoreConfig {
   struct Core {
     /// The core's private stack, L1 first (each a full CacheTopology +
-    /// the inclusion policy tying it to the level above).
+    /// the inclusion policy tying it to the level above).  May be empty:
+    /// the core then issues straight into the shared LLC.
     std::vector<LevelConfig> levels;
     /// LLC allocation way mask for this core; 0 = unrestricted.  If any
     /// core sets one, all cores must, and masks must be disjoint.
@@ -78,12 +89,11 @@ struct MultiCoreConfig {
   /// The shared last-level cache; its inclusion policy relates it to the
   /// private level above it, exactly as in a HierarchyConfig.
   LevelConfig llc;
-  /// Re-indexing updates spread evenly over the run (Simulator
-  /// semantics; 0 disables).
+  /// Re-indexing updates spread evenly over the run (0 disables).
   std::uint64_t reindex_updates = 16;
   /// Offset between consecutive cores' address spaces (core k adds
   /// k * address_stride to every address it issues).  Core 0 is
-  /// unshifted, which is what makes the 1-core degeneracy exact.
+  /// unshifted.
   std::uint64_t address_stride = std::uint64_t{1} << 20;
   TechnologyParams tech = TechnologyParams::st45();
   EnergyParams energy_params = EnergyParams::st45();
@@ -129,8 +139,7 @@ struct CoreResult {
 struct MultiCoreResult {
   /// System-wide observables in the single-stream shape (units
   /// depth-major as documented above; workload is the '+'-joined source
-  /// names).  At one core this IS the Simulator's SimResult, bit for
-  /// bit.
+  /// names).  Every level is priced by the per-unit model.
   SimResult system;
   std::vector<CoreResult> cores;
 };
@@ -142,8 +151,10 @@ class MultiCoreSystem {
 
   /// Runs every source to exhaustion (cores whose stream ends early drop
   /// out of the rotation; the rest keep issuing).  `sources` must hold
-  /// one non-null source per configured core.  The observer sees core
-  /// 0's L1 through the same snapshots the Simulator emits.
+  /// one non-null source per configured core.  The observer sees the
+  /// whole system's census at every update boundary (for runs without
+  /// updates: at a default 16-interval cadence when every source's size
+  /// is known) and once after the run completes.
   MultiCoreResult run(const std::vector<TraceSource*>& sources,
                       const AgingLut* lut = nullptr,
                       const IntervalObserver& observer = {}) const;
@@ -151,16 +162,30 @@ class MultiCoreSystem {
   const MultiCoreConfig& config() const { return config_; }
 
  private:
+  // Simulator::run forwards SimConfig::batch_size and force_scalar_loop,
+  // the knobs of the batched single-level loop.
+  friend class Simulator;
+  MultiCoreResult run(const std::vector<TraceSource*>& sources,
+                      const AgingLut* lut, const IntervalObserver& observer,
+                      std::uint64_t batch_size, bool force_scalar_loop) const;
+
   MultiCoreConfig config_;
 };
+
+/// The 1-core system of a single-stream config — what Simulator::run
+/// executes: L1 (with its resolved breakeven) and every enabled lower
+/// level but the last are the core's private levels, and the last level
+/// is the "LLC" (L1 itself for a single-level config, leaving no private
+/// level).  Validates `config`.
+MultiCoreConfig one_core_system(const SimConfig& config);
 
 /// Builds the homogeneous N-core system of a single-stream SimConfig:
 /// every core's private stack is the config's L1 (with its resolved
 /// breakeven) plus its enabled lower levels, and `llc` is the shared
 /// last level.  `ways_per_core` > 0 assigns core k the contiguous mask
 /// ((1 << wpc) - 1) << (k * wpc); 0 leaves the LLC fully shared.  With
-/// num_cores == 1 and ways_per_core == 0 the result reproduces
-/// Simulator(config-with-llc-appended) bit for bit.
+/// num_cores == 1 and ways_per_core == 0 the result is
+/// one_core_system(config-with-llc-appended).
 MultiCoreConfig make_multicore(const SimConfig& config,
                                std::size_t num_cores,
                                const LevelConfig& llc,

@@ -1,26 +1,12 @@
 #include "core/simulator.h"
 
 #include <algorithm>
-#include <cstddef>
 
-#include "core/contention.h"
-#include "core/hierarchy.h"
+#include "core/multicore.h"
 #include "power/energy_model.h"
-#include "util/error.h"
 
 namespace pcal {
 namespace {
-
-/// Accesses fetched per TraceSource::next_batch call in the scalar loop.
-constexpr std::size_t kBatchSize = 256;
-
-/// Ceiling on SimConfig::batch_size: caps the driver's per-batch staging
-/// buffers (MemAccess + AccessOutcome) at a few MB.
-constexpr std::uint64_t kMaxDriverBatch = 1 << 16;
-
-/// Observer cadence for runs with no re-indexing updates (static /
-/// monolithic configs still stream interval stats).
-constexpr std::uint64_t kDefaultObserverIntervals = 16;
 
 /// The partition the energy model prices.  A monolithic cache is one bank
 /// of the full size regardless of what `partition` says (it is ignored at
@@ -148,310 +134,21 @@ std::uint64_t Simulator::breakeven_cycles() const {
 
 SimResult Simulator::run(TraceSource& source, const AgingLut* lut,
                          const IntervalObserver& observer) const {
-  const CacheTopology topo = config_.topology(breakeven_cycles());
-  // The hierarchy description: L1 first, then every enabled lower level.
-  // A single level skips the HierarchicalCache wrapper entirely (the
-  // 1-level degeneracy the parity tests pin holds either way).
-  HierarchyConfig hconfig;
-  hconfig.levels.push_back({topo, InclusionPolicy::kNonInclusive});
-  for (const LevelConfig& level : config_.enabled_lower_levels())
-    hconfig.levels.push_back(level);
-  const bool hierarchy = hconfig.levels.size() > 1;
-  std::unique_ptr<ManagedCache> cache;
-  const HierarchicalCache* hier = nullptr;
-  if (hierarchy) {
-    auto h = std::make_unique<HierarchicalCache>(hconfig);
-    hier = h.get();
-    cache = std::move(h);
-  } else {
-    cache = make_managed_cache(topo);
-  }
-
-  // Spread the requested updates evenly: fire after every `interval`
-  // accesses.  Static indexing never rotates, so skip the (pointless)
-  // flushes there — the conventional cache does not flush for aging — and
-  // a single unit has nothing to rotate over.
-  source.reset();
-  const auto hint = source.size_hint();
-  // A hierarchy rotates if any level does (HierarchicalCache applies the
-  // same CacheTopology::rotates() rule per level when forwarding the
-  // update signal, so e.g. a monolithic L1 is never flushed just because
-  // a rotating L2 sits behind it).
-  bool any_rotates = false;
-  for (const LevelConfig& level : hconfig.levels)
-    any_rotates = any_rotates || level.topology.rotates();
-  const bool updates_enabled = any_rotates && config_.reindex_updates > 0;
-  std::uint64_t update_interval = 0;
-  if (updates_enabled && hint && *hint > config_.reindex_updates)
-    update_interval = *hint / (config_.reindex_updates + 1);
-  // Context-switch alignment (the paper's zero-overhead piggybacking): a
-  // source with a natural boundary — a multiprogrammed stream's quantum —
-  // gets the update interval rounded down to a whole number of quanta,
-  // so every flush lands exactly on a context switch that flushes
-  // anyway.  Quanta longer than the interval cannot be aligned to
-  // without starving the update budget; those stay on the even spread.
-  const auto quantum = source.boundary_hint();
-  if (update_interval != 0 && quantum && *quantum > 0 &&
-      update_interval >= *quantum)
-    update_interval -= update_interval % *quantum;
-  std::uint64_t interval = update_interval;
-  if (interval == 0 && observer && hint)
-    interval = std::max<std::uint64_t>(1, *hint / kDefaultObserverIntervals);
-
-  // The latency-aware clock: every access consumes its base cycle inside
-  // the backend; its reported stall stretches the global clock with no
-  // access consumed (all units idle — see core/timing.h).  With all-zero
-  // latencies no stall ever occurs and the loop is the idealized engine.
-  //
-  // Finite-resource contention rides the same clock: each access's
-  // per-level event trace replays through the ContentionModel at the
-  // access's position on the stretched clock, and any extra stall it
-  // charges (no free MSHR / port / bandwidth slot) is folded into the
-  // stall that stretches the clock — so residencies, leakage pricing and
-  // the total == accesses + stalls invariant all see one consistent
-  // timeline.  With all-unlimited params the model is disabled and the
-  // loop below is the legacy path bit for bit.
-  std::vector<ContentionLevelShape> shapes;
-  shapes.reserve(hconfig.levels.size());
-  for (const LevelConfig& level : hconfig.levels)
-    shapes.push_back(contention_shape_of(level.topology));
-  ContentionModel contention(std::move(shapes));
-
-  // Snapshot buffers, reused across boundaries (observers must copy what
-  // they keep — see IntervalSnapshot).  The group table is one row per
-  // hierarchy level; the census re-reads every unit's state per boundary.
-  std::vector<UnitGroupStates> snap_groups;
-  std::vector<UnitPowerState> snap_states;
-  const auto fill_unit_states = [&](IntervalSnapshot& snap) {
-    const std::uint64_t n = cache->num_units();
-    snap_states.resize(n);
-    snap_groups.clear();
-    const std::size_t levels = hierarchy ? hier->num_levels() : 1;
-    std::uint64_t offset = 0;
-    for (std::size_t i = 0; i < levels; ++i) {
-      UnitGroupStates g;
-      g.core = -1;
-      g.level = i;
-      g.first_unit = offset;
-      g.units = hierarchy ? hier->level_units(i) : n;
-      g.stats = hierarchy ? hier->level_stats(i) : cache->stats();
-      for (std::uint64_t u = 0; u < g.units; ++u) {
-        const UnitPowerState s = cache->unit_state(offset + u);
-        snap_states[offset + u] = s;
-        if (s == UnitPowerState::kAwake)
-          ++g.awake;
-        else if (s == UnitPowerState::kDrowsy)
-          ++g.drowsy;
-        else
-          ++g.gated;
-      }
-      offset += g.units;
-      snap_groups.push_back(g);
-    }
-    snap.groups = &snap_groups;
-    snap.unit_states = &snap_states;
-  };
-
-  TimingModel timing;
-  std::uint64_t since_boundary = 0;
-  std::uint64_t boundary_index = 0;
-
-  // Everything that happens at an update/observer boundary, shared by
-  // both loop flavours below: fire the re-indexing update while budget
-  // remains, then hand the observer its snapshot.
-  const auto on_boundary = [&]() {
-    since_boundary = 0;
-    ++boundary_index;
-    bool fired = false;
-    if (update_interval != 0 &&
-        cache->indexing_updates() < config_.reindex_updates) {
-      cache->update_indexing();
-      fired = true;
-    }
-    if (observer) {
-      IntervalSnapshot snap;
-      snap.interval = boundary_index;
-      snap.cycles = cache->cycles();
-      snap.updates_applied = cache->indexing_updates();
-      snap.fired_update = fired;
-      snap.context_switch = quantum && *quantum > 0 &&
-                            timing.accesses() % *quantum == 0;
-      snap.accesses = timing.accesses();
-      snap.stall_cycles = timing.stall_cycles();
-      snap.stats = &cache->stats();
-      snap.cache = cache.get();
-      fill_unit_states(snap);
-      observer(snap);
-    }
-  };
-
-  // Two flavours of the same loop.  The scalar path replays one access
-  // at a time — required when contention is on (each access's level
-  // trace arbitrates for resources at its own position on the stretched
-  // clock) and available as a measured baseline via force_scalar_loop.
-  // The batched path hands whole runs of accesses to the backend's
-  // struct-of-arrays loop, splitting exactly at boundaries so updates
-  // and snapshots land on the same access positions; outcomes,
-  // statistics and residencies are bit-identical between the two (the
-  // clock-agreement assert below and tests/batched_access_test.cc pin
-  // it).
-  const bool scalar_loop = config_.force_scalar_loop || contention.enabled();
-  if (scalar_loop) {
-    MemAccess batch[kBatchSize];
-    for (;;) {
-      const std::size_t n = source.next_batch(batch, kBatchSize);
-      if (n == 0) break;
-      for (std::size_t i = 0; i < n; ++i) {
-        const AccessOutcome out = cache->access(
-            batch[i].address, batch[i].kind == AccessKind::kWrite);
-        std::uint64_t stall = out.stall_cycles;
-        if (contention.enabled()) {
-          // Replay the access's level trace through the resource model at
-          // its position on the stretched clock; latency stalls land
-          // before resource arbitration (the fill is in flight while the
-          // core stalls), and each event sees the stalls charged so far.
-          const std::uint64_t now = timing.total_cycles();
-          for (std::uint8_t e = 0; e < out.num_events; ++e) {
-            const LevelEvent& le = out.events[e];
-            ContentionEvent ev;
-            ev.level = le.level;
-            ev.unit = le.unit;
-            ev.address = le.address;
-            ev.miss = !le.hit;
-            ev.writeback = le.writeback;
-            stall += contention.on_event(ev, now + stall).total();
-          }
-        }
-        if (stall != 0) cache->advance_idle(stall);
-        timing.on_access(stall);
-        if (interval != 0 && ++since_boundary >= interval) on_boundary();
-      }
-    }
-  } else {
-    const std::size_t batch_size = static_cast<std::size_t>(
-        std::min<std::uint64_t>(std::max<std::uint64_t>(config_.batch_size,
-                                                        1),
-                                kMaxDriverBatch));
-    std::vector<MemAccess> buf(batch_size);
-    std::vector<AccessOutcome> outs(batch_size);
-    for (;;) {
-      const std::size_t n = source.next_batch(buf.data(), batch_size);
-      if (n == 0) break;
-      std::size_t pos = 0;
-      while (pos < n) {
-        std::size_t take = n - pos;
-        if (interval != 0)
-          take = std::min<std::uint64_t>(take, interval - since_boundary);
-        const std::uint64_t stalls =
-            cache->access_batch(buf.data() + pos, take, outs.data());
-        timing.on_batch(take, stalls);
-        pos += take;
-        since_boundary += take;
-        if (interval != 0 && since_boundary >= interval) on_boundary();
-      }
-    }
-  }
-  cache->finish();
-
-  // One clock: the driver's stall accounting and the backend's cycle
-  // counter must agree (total = accesses + stalls is a CI-gated record
-  // invariant; a new non-access clock advance would break it here, next
-  // to its cause, rather than in the bench-JSON gate).
-  const std::uint64_t cycles = timing.total_cycles();
-  PCAL_ASSERT_MSG(cycles == cache->cycles(),
-                  "driver clock " << cycles << " != backend clock "
-                                  << cache->cycles());
-  const std::uint64_t num_units = cache->num_units();
-
-  SimResult r;
-  r.workload = source.name();
-  r.config_label = hierarchy ? hconfig.describe() : topo.describe();
-  r.granularity = config_.granularity;
-  r.policy = config_.policy;
-  r.accesses = timing.accesses();
-  r.total_cycles = cycles;
-  r.stall_cycles = timing.stall_cycles();
-  r.mshr_stall_cycles = contention.totals().mshr;
-  r.port_stall_cycles = contention.totals().port;
-  r.bw_stall_cycles = contention.totals().bw;
-  r.breakeven_cycles = topo.breakeven_cycles;
-  r.reindex_updates_applied = cache->indexing_updates();
-  r.cache_stats = cache->stats();
-  if (hierarchy) {
-    for (std::size_t i = 0; i < hier->num_levels(); ++i) {
-      r.level_stats.push_back(hier->level_stats(i));
-      r.level_units.push_back(hier->level_units(i));
-    }
-  } else {
-    r.level_stats.push_back(cache->stats());
-    r.level_units.push_back(num_units);
-  }
-
-  std::vector<UnitActivity> activity(num_units);
-  std::vector<double> residency(num_units);
-  r.units.resize(num_units);
-  for (std::uint64_t u = 0; u < num_units; ++u) {
-    UnitResult& ur = r.units[u];
-    const UnitActivity a = cache->unit_activity(u);
-    activity[u] = a;
-    ur.accesses = a.accesses;
-    ur.sleep_cycles = a.sleep_cycles;
-    ur.sleep_residency = cache->unit_residency(u);
-    ur.useful_idleness_count = a.useful_idleness_count;
-    ur.sleep_episodes = a.sleep_episodes;
-    ur.drowsy_cycles = a.drowsy_cycles;
-    ur.gated_episodes = a.gated_episodes;
-    residency[u] = ur.sleep_residency;
-  }
-
+  // The single stream is the 1-core system of the run engine.
+  SimResult r = MultiCoreSystem(one_core_system(config_))
+                    .run({&source}, lut, observer, config_.batch_size,
+                         config_.force_scalar_loop)
+                    .system;
   if (uses_legacy_pricing(config_)) {
-    // The paper-calibrated bank model, bit-identical to pre-PR-3 runs.
-    std::vector<BankActivity> bank_activity(num_units);
-    for (std::uint64_t u = 0; u < num_units; ++u)
-      bank_activity[u] = {activity[u].accesses, activity[u].sleep_cycles,
-                          activity[u].sleep_episodes};
+    // The paper-calibrated bank model re-prices the same per-unit
+    // activity.
+    std::vector<BankActivity> activity;
+    activity.reserve(r.units.size());
+    for (const UnitResult& u : r.units)
+      activity.push_back({u.accesses, u.sleep_cycles, u.sleep_episodes});
     const EnergyModel model(config_.tech, config_.cache,
                             effective_partition(config_));
-    r.energy = EnergyAccounting(model).price_run(bank_activity, cycles);
-  } else if (!hierarchy) {
-    const UnitEnergyModel model(config_.energy_params, config_.tech, topo);
-    r.energy = price_unit_run(model, activity, cycles);
-  } else {
-    // Price each level with its own unit model and add the reports; the
-    // baseline is the never-sleeping monolithic stack of the same
-    // levels.  Leakage is priced over the stall-stretched wall clock.
-    std::size_t offset = 0;
-    for (std::size_t i = 0; i < hconfig.levels.size(); ++i) {
-      const std::uint64_t n = hier->level_units(i);
-      const std::vector<UnitActivity> slice(
-          activity.begin() + static_cast<std::ptrdiff_t>(offset),
-          activity.begin() + static_cast<std::ptrdiff_t>(offset + n));
-      const UnitEnergyModel model(config_.energy_params, config_.tech,
-                                  hconfig.levels[i].topology);
-      r.energy += price_unit_run(model, slice, cycles);
-      offset += n;
-    }
-  }
-
-  if (lut != nullptr) {
-    const CacheLifetimeEvaluator evaluator(*lut);
-    r.lifetime = evaluator.evaluate(residency);
-    for (std::uint64_t u = 0; u < num_units; ++u)
-      r.units[u].lifetime_years = r.lifetime->banks[u].lifetime_years;
-  }
-
-  if (observer) {
-    IntervalSnapshot snap;
-    snap.interval = 0;
-    snap.cycles = cycles;
-    snap.updates_applied = r.reindex_updates_applied;
-    snap.final_snapshot = true;
-    snap.accesses = timing.accesses();
-    snap.stall_cycles = timing.stall_cycles();
-    snap.stats = &cache->stats();
-    snap.cache = cache.get();
-    fill_unit_states(snap);
-    observer(snap);
+    r.energy = EnergyAccounting(model).price_run(activity, r.total_cycles);
   }
   return r;
 }

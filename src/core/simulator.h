@@ -1,18 +1,22 @@
-// The trace-driven power-managed-cache simulator.
+// The trace-driven power-managed-cache simulator: the single-stream
+// front end of the run engine.
 //
 // Drives a TraceSource through any ManagedCache backend (monolithic,
 // banked, line-grain, way-grain — selected by SimConfig::granularity and
 // built via make_managed_cache; optionally wrapped in the drowsy/gated
-// hybrid, and optionally stacked over further levels into an N-level
-// HierarchicalCache with per-level inclusion policies), firing
-// re-indexing updates on a configurable cadence (the paper piggybacks
-// them on cache flushes that happen anyway; here the cadence is the
-// number of updates spread evenly over the run).  Produces the complete
-// set of per-run observables the paper's evaluation reports: per-unit
-// useful idleness, energy saving vs a monolithic baseline, and — given
-// an aging LUT — the cache lifetime.
+// hybrid, and optionally stacked over further levels with per-level
+// inclusion policies), firing re-indexing updates on a configurable
+// cadence (the paper piggybacks them on cache flushes that happen
+// anyway; here the cadence is the number of updates spread evenly over
+// the run).  Produces the complete set of per-run observables the
+// paper's evaluation reports: per-unit useful idleness, energy saving vs
+// a monolithic baseline, and — given an aging LUT — the cache lifetime.
 //
-// Timing: the driver runs on the latency-aware clock of core/timing.h.
+// Simulator::run owns no loop of its own: it runs the 1-core system of
+// one_core_system() (core/multicore.h) — L1..L(n-1) private, the last
+// level as that core's "LLC" — and returns the engine's system result.
+//
+// Timing: the engine runs on the latency-aware clock of core/timing.h.
 // Every access consumes one base cycle plus the stall its outcome
 // reports (per-level hit latency, miss penalty, wakeup cost); stalls
 // advance the global clock with no access consumed, so SimResult carries
@@ -22,10 +26,11 @@
 // engine bit for bit.
 //
 // Energy pricing: single-level gated monolithic/bank runs keep the
-// legacy paper-calibrated EnergyAccounting path bit for bit; every other
-// configuration (line, way, drowsy hybrid, hierarchies) is priced by the
-// per-unit model in power/unit_energy.h, so SimResult::energy is nonzero
-// and parameterized at every granularity (see docs/ENERGY_MODEL.md).
+// legacy paper-calibrated EnergyAccounting path bit for bit (applied
+// here, to the run's per-unit activity); every other configuration
+// (line, way, drowsy hybrid, hierarchies) keeps the engine's per-unit
+// model in power/unit_energy.h, so SimResult::energy is nonzero and
+// parameterized at every granularity (see docs/ENERGY_MODEL.md).
 #pragma once
 
 #include <cstdint>
@@ -102,18 +107,18 @@ struct SimConfig {
   bool force_unit_pricing = false;
 
   /// Accesses handed to ManagedCache::access_batch per call on the
-  /// batched hot path (clamped to [1, 65536] by the driver).  The
-  /// driver splits batches at re-indexing / observer boundaries, so
+  /// batched hot path (clamped to [1, 65536] by the engine).  The
+  /// engine splits batches at re-indexing / observer boundaries, so
   /// every batch size produces bit-identical results — this knob is
   /// purely about throughput.
   std::uint64_t batch_size = 256;
 
-  /// Baseline / diagnostic knob: drive the run through the scalar
-  /// access() loop even where the batched path applies.  Runs with
-  /// contention enabled always take the scalar loop (resource events
-  /// replay one access at a time on the stretched clock).  Results are
-  /// bit-identical either way; bench/micro_ops.cc uses this to measure
-  /// the batching win.
+  /// Baseline / diagnostic knob: drive the run through the per-access
+  /// loop even where the batched path applies.  Only single-level runs
+  /// without contention take the batched path; hierarchies and runs
+  /// with contention enabled always route one access at a time.
+  /// Results are bit-identical either way; bench/micro_ops.cc uses this
+  /// to measure the batching win.
   bool force_scalar_loop = false;
 
   /// The lower levels that are actually enabled (non-zero-sized).
@@ -219,16 +224,10 @@ struct SimResult {
   std::size_t num_levels() const { return level_stats.size(); }
 };
 
-/// Streaming view of a run in flight, handed to the interval observer at
-/// every update boundary and once more after the run finishes.  Mid-run
-/// snapshots may read `stats` and `cache->cycles()`/`num_units()`;
-/// residency queries on `cache` are only valid when `final` is true (the
-/// backend has finished by then).
 /// Power-state census of one contiguous run of units at a snapshot
 /// boundary: which (core, level) the units belong to, where they sit in
 /// the engine's concatenated unit vector, and how many are awake /
-/// drowsy / gated right now.  The uniform shape across Simulator and
-/// MultiCoreSystem observers: a single-core run reports one group per
+/// drowsy / gated right now.  A single-core run reports one group per
 /// hierarchy level with core == -1; a multi-core run reports every
 /// private level of every core plus the shared LLC (core == -1).
 struct UnitGroupStates {
@@ -243,6 +242,9 @@ struct UnitGroupStates {
   CacheStats stats;
 };
 
+/// Streaming view of a run in flight, handed to the interval observer at
+/// every update boundary and once more after the run finishes: the
+/// clock, the CPU-facing tag-store statistics and the per-group census.
 struct IntervalSnapshot {
   std::uint64_t interval = 0;  // 1-based boundary index; 0 on the final call
   std::uint64_t cycles = 0;
@@ -257,8 +259,8 @@ struct IntervalSnapshot {
   /// Cumulative accesses consumed and stall cycles charged so far.
   std::uint64_t accesses = 0;
   std::uint64_t stall_cycles = 0;
+  /// Core 0's CPU-facing level (the single-stream run's L1).
   const CacheStats* stats = nullptr;
-  const ManagedCache* cache = nullptr;
   /// Per-(core, level) power-state census, in unit-vector order, and the
   /// flat per-unit states it was counted from.  Both point at buffers
   /// the engine reuses between boundaries: valid only for the duration

@@ -14,7 +14,7 @@
 //     power-gated — the same constants power/unit_energy.h documents).
 //   - WakeDepth classifies that wakeup: backends report how deep the
 //     serving unit was sleeping when the access arrived.
-//   - TimingModel is the driver-side accumulator: the Simulator feeds it
+//   - TimingModel is the driver-side accumulator: the run engine feeds it
 //     every access outcome's stall and it yields total cycles, stall
 //     cycles and the average access latency for SimResult.
 //

@@ -158,8 +158,8 @@ TEST(BatchedSimulatorEquivalence, StaticIndexingObserverCadence) {
 }
 
 TEST(BatchedSimulatorEquivalence, HierarchyTakesDefaultBatchPath) {
-  // A two-level stack has no batched override — the inherited default
-  // must replay the routed scalar path unchanged.
+  // A two-level stack routes one access at a time whatever the batch
+  // size — the knob must not reach its results.
   SimConfig cfg = base_config(Granularity::kBank, PowerPolicy::kGated, 0);
   cfg = two_level_variant(cfg, 32 * 1024);
   const RunArtifacts scalar = run_once(cfg, 40000, true, 256);

@@ -1,11 +1,12 @@
-// HierarchicalCache: the N-level composition with inclusion policies.
+// N-level hierarchies: route_access's inclusion-policy streams over
+// test-owned backends, and multi-level Simulator runs.
 //
-// Contracts: a 1-level hierarchy is the bare backend bit for bit; absent
-// or zero-size lower levels mean single-level results, bit for bit; a
-// non-inclusive level's access stream is exactly its upper neighbour's
-// miss stream on the same global clock; exclusive/victim levels consume
-// the eviction stream; inclusive levels add back-invalidation flush
-// coupling; and the unit vector concatenates the levels in order.
+// Contracts: absent or zero-size lower levels mean single-level results,
+// bit for bit; a non-inclusive level's access stream is exactly its
+// upper neighbour's miss stream on the same global clock;
+// exclusive/victim levels consume the eviction stream; inclusive levels
+// add back-invalidation flush coupling; and the unit vector concatenates
+// the levels in order.
 #include "core/hierarchy.h"
 
 #include <gtest/gtest.h>
@@ -13,9 +14,9 @@
 #include "bank/banked_cache.h"
 #include "core/experiment.h"
 #include "core/simulator.h"
+#include "route_chain.h"
 #include "trace/trace.h"
 #include "trace/workloads.h"
-#include "util/error.h"
 
 namespace pcal {
 namespace {
@@ -32,13 +33,11 @@ CacheTopology small_topology(std::uint64_t size_bytes,
   return topo;
 }
 
-HierarchyConfig two_level(const CacheTopology& l1, const CacheTopology& l2,
-                          InclusionPolicy inclusion =
-                              InclusionPolicy::kNonInclusive) {
-  HierarchyConfig config;
-  config.levels.push_back({l1, InclusionPolicy::kNonInclusive});
-  config.levels.push_back({l2, inclusion});
-  return config;
+std::vector<LevelConfig> two_level(const CacheTopology& l1,
+                                   const CacheTopology& l2,
+                                   InclusionPolicy inclusion =
+                                       InclusionPolicy::kNonInclusive) {
+  return {{l1, InclusionPolicy::kNonInclusive}, {l2, inclusion}};
 }
 
 Trace workload_trace(const char* name, std::uint64_t accesses) {
@@ -46,106 +45,77 @@ Trace workload_trace(const char* name, std::uint64_t accesses) {
   return Trace::materialize(src);
 }
 
-void drive(ManagedCache& cache, const Trace& trace) {
+void drive(RouteChain& chain, const Trace& trace) {
   for (std::size_t i = 0; i < trace.size(); ++i)
-    cache.access(trace[i].address, trace[i].kind == AccessKind::kWrite);
-  cache.finish();
+    chain.access(trace[i].address, trace[i].kind == AccessKind::kWrite);
+  chain.finish();
 }
 
 TEST(Hierarchy, L2StreamIsTheL1MissStream) {
-  HierarchicalCache hier(
+  RouteChain chain(
       two_level(small_topology(4096, 4), small_topology(32768, 4)));
 
   const Trace trace = workload_trace("cjpeg", 60'000);
-  drive(hier, trace);
+  drive(chain, trace);
 
-  EXPECT_EQ(hier.stats().accesses, trace.size());
-  EXPECT_EQ(hier.level_stats(1).accesses, hier.stats().misses);
-  EXPECT_GT(hier.level_stats(1).accesses, 0u);
+  EXPECT_EQ(chain.stats(0).accesses, trace.size());
+  EXPECT_EQ(chain.stats(1).accesses, chain.stats(0).misses);
+  EXPECT_GT(chain.stats(1).accesses, 0u);
   // A 8x larger L2 behind a small L1 must catch some of its misses.
-  EXPECT_GT(hier.level_stats(1).hit_rate(), 0.0);
+  EXPECT_GT(chain.stats(1).hit_rate(), 0.0);
   // Both levels live on the global clock.
-  EXPECT_EQ(hier.cycles(), trace.size());
-  EXPECT_EQ(hier.level(1).cycles(), trace.size());
-  // Units concatenate: L1's 4 banks then L2's 4 banks.
-  EXPECT_EQ(hier.num_units(), 8u);
-  EXPECT_EQ(hier.l1_units(), 4u);
+  EXPECT_EQ(chain.level(0).cycles(), trace.size());
+  EXPECT_EQ(chain.level(1).cycles(), trace.size());
+  // L1's 4 banks and L2's 4 banks (a run concatenates them:
+  // SimulatorRunReportsAllLevels).
+  EXPECT_EQ(chain.level(0).num_units(), 4u);
+  EXPECT_EQ(chain.level(1).num_units(), 4u);
 }
 
 TEST(Hierarchy, ThreeLevelsChainTheMissStreams) {
-  HierarchyConfig config;
-  config.levels.push_back(
-      {small_topology(4096, 4), InclusionPolicy::kNonInclusive});
-  config.levels.push_back(
-      {small_topology(16384, 4), InclusionPolicy::kNonInclusive});
-  config.levels.push_back(
-      {small_topology(65536, 4), InclusionPolicy::kNonInclusive});
-  HierarchicalCache hier(config);
+  RouteChain chain({{small_topology(4096, 4), InclusionPolicy::kNonInclusive},
+                    {small_topology(16384, 4), InclusionPolicy::kNonInclusive},
+                    {small_topology(65536, 4), InclusionPolicy::kNonInclusive}});
 
   const Trace trace = workload_trace("dijkstra", 80'000);
-  drive(hier, trace);
+  drive(chain, trace);
 
-  ASSERT_EQ(hier.num_levels(), 3u);
+  ASSERT_EQ(chain.num_levels(), 3u);
   // Each level consumes exactly its upper neighbour's miss stream ...
-  EXPECT_EQ(hier.level_stats(1).accesses, hier.level_stats(0).misses);
-  EXPECT_EQ(hier.level_stats(2).accesses, hier.level_stats(1).misses);
-  EXPECT_GT(hier.level_stats(2).accesses, 0u);
+  EXPECT_EQ(chain.stats(1).accesses, chain.stats(0).misses);
+  EXPECT_EQ(chain.stats(2).accesses, chain.stats(1).misses);
+  EXPECT_GT(chain.stats(2).accesses, 0u);
   // ... and every level stays on the global clock.
-  for (std::size_t i = 0; i < 3; ++i)
-    EXPECT_EQ(hier.level(i).cycles(), trace.size());
-  EXPECT_EQ(hier.num_units(), 12u);
-}
-
-TEST(Hierarchy, OneLevelHierarchyEqualsBareBackend) {
-  // The 1-level degeneracy: the hierarchy wrapper adds nothing.
-  CacheTopology topo = small_topology(8192, 4);
-  topo.indexing = IndexingKind::kProbing;
-  HierarchyConfig config;
-  config.levels.push_back({topo, InclusionPolicy::kNonInclusive});
-  HierarchicalCache hier(config);
-  auto bare = make_managed_cache(topo);
-
-  const Trace trace = workload_trace("sha", 60'000);
-  for (std::size_t i = 0; i < trace.size(); ++i) {
-    const bool w = trace[i].kind == AccessKind::kWrite;
-    const AccessOutcome a = hier.access(trace[i].address, w);
-    const AccessOutcome b = bare->access(trace[i].address, w);
-    ASSERT_EQ(a.hit, b.hit);
-    ASSERT_EQ(a.physical_unit, b.physical_unit);
-    ASSERT_EQ(a.stall_cycles, b.stall_cycles);
+  std::uint64_t units = 0;
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(chain.level(i).cycles(), trace.size());
+    units += chain.level(i).num_units();
   }
-  hier.finish();
-  bare->finish();
-
-  EXPECT_EQ(hier.stats().hits, bare->stats().hits);
-  EXPECT_EQ(hier.cycles(), bare->cycles());
-  ASSERT_EQ(hier.num_units(), bare->num_units());
-  for (std::uint64_t u = 0; u < bare->num_units(); ++u)
-    EXPECT_DOUBLE_EQ(hier.unit_residency(u), bare->unit_residency(u));
+  EXPECT_EQ(units, 12u);
 }
 
 TEST(Hierarchy, L2SleepsMoreThanItWouldStandalone) {
   // The L2 only wakes for L1 misses, so with a filter in front its
   // residency must beat the same cache absorbing the full stream.
   const CacheTopology l2 = small_topology(32768, 4);
-  HierarchicalCache hier(two_level(small_topology(8192, 4), l2));
+  RouteChain chain(two_level(small_topology(8192, 4), l2));
   auto standalone = make_managed_cache(l2);
 
   const Trace trace = workload_trace("sha", 80'000);
   for (std::size_t i = 0; i < trace.size(); ++i) {
     const bool w = trace[i].kind == AccessKind::kWrite;
-    hier.access(trace[i].address, w);
+    chain.access(trace[i].address, w);
     standalone->access(trace[i].address, w);
   }
-  hier.finish();
+  chain.finish();
   standalone->finish();
 
-  double hier_l2 = 0.0, alone = 0.0;
+  double chained = 0.0, alone = 0.0;
   for (std::uint64_t u = 0; u < 4; ++u) {
-    hier_l2 += hier.unit_residency(hier.l1_units() + u);
+    chained += chain.level(1).unit_residency(u);
     alone += standalone->unit_residency(u);
   }
-  EXPECT_GT(hier_l2, alone);
+  EXPECT_GT(chained, alone);
 }
 
 // The ISSUE's degeneracy: a zero-size lower level means single-level,
@@ -280,31 +250,27 @@ TEST(Hierarchy, InclusiveFlushCouplingBackInvalidatesTheUpperLevel) {
   // Flushing an inclusive level invalidates content its upper neighbour
   // may still hold, so the update cascade flushes the neighbour too —
   // even one that does not rotate itself.
-  CacheTopology l1 = small_topology(8192, 4);  // static: never rotates
-  CacheTopology l2 = small_topology(65536, 4);
-  l2.indexing = IndexingKind::kProbing;        // rotates on update
-
-  HierarchicalCache inclusive(
-      two_level(l1, l2, InclusionPolicy::kInclusive));
-  HierarchicalCache noninclusive(
-      two_level(l1, l2, InclusionPolicy::kNonInclusive));
-
-  const Trace trace = workload_trace("cjpeg", 30'000);
-  for (std::size_t i = 0; i < trace.size(); ++i) {
-    const bool w = trace[i].kind == AccessKind::kWrite;
-    inclusive.access(trace[i].address, w);
-    noninclusive.access(trace[i].address, w);
+  SimConfig base = paper_config(8192, 16, 4);
+  base.indexing = IndexingKind::kStatic;  // L1 never rotates
+  base.reindex_updates = 1;
+  SimResult r[2];
+  int i = 0;
+  for (const InclusionPolicy inclusion :
+       {InclusionPolicy::kInclusive, InclusionPolicy::kNonInclusive}) {
+    SimConfig two = with_lower_level(base, 64 * 1024, 4, 24, inclusion);
+    two.lower_levels[0].topology.indexing = IndexingKind::kProbing;
+    SyntheticTraceSource src(make_mediabench_workload("cjpeg"), 30'000);
+    r[i++] = Simulator(two).run(src);
   }
-  inclusive.update_indexing();
-  noninclusive.update_indexing();
-  inclusive.finish();
-  noninclusive.finish();
+  const SimResult& inclusive = r[0];
+  const SimResult& noninclusive = r[1];
 
   // Both flush the rotating L2; only the inclusive link drags L1 along.
-  EXPECT_EQ(inclusive.level_stats(1).flushes, 1u);
-  EXPECT_EQ(noninclusive.level_stats(1).flushes, 1u);
-  EXPECT_EQ(inclusive.level_stats(0).flushes, 1u);
-  EXPECT_EQ(noninclusive.level_stats(0).flushes, 0u);
+  EXPECT_EQ(inclusive.reindex_updates_applied, 1u);
+  EXPECT_EQ(inclusive.level_stats[1].flushes, 1u);
+  EXPECT_EQ(noninclusive.level_stats[1].flushes, 1u);
+  EXPECT_EQ(inclusive.level_stats[0].flushes, 1u);
+  EXPECT_EQ(noninclusive.level_stats[0].flushes, 0u);
 }
 
 TEST(Hierarchy, InclusiveEvictionBackInvalidatesOnlyTheVictimLine) {
@@ -316,13 +282,11 @@ TEST(Hierarchy, InclusiveEvictionBackInvalidatesOnlyTheVictimLine) {
   // unrelated resident line (C) proves nothing else was dropped.
   const CacheTopology l1 = small_topology(8192, 1);  // 512 lines
   const CacheTopology l2 = small_topology(4096, 1);  // 256 lines
-  HierarchicalCache inclusive(
-      two_level(l1, l2, InclusionPolicy::kInclusive));
-  HierarchicalCache control(
-      two_level(l1, l2, InclusionPolicy::kNonInclusive));
+  RouteChain inclusive(two_level(l1, l2, InclusionPolicy::kInclusive));
+  RouteChain control(two_level(l1, l2, InclusionPolicy::kNonInclusive));
 
   const std::uint64_t A = 0, B = 4096, C = 16;
-  for (HierarchicalCache* c : {&inclusive, &control}) {
+  for (RouteChain* c : {&inclusive, &control}) {
     c->access(A, false);
     c->access(C, false);
     c->access(B, false);  // evicts A from L2 set 0
@@ -330,72 +294,70 @@ TEST(Hierarchy, InclusiveEvictionBackInvalidatesOnlyTheVictimLine) {
     c->access(A, false);  // inclusive: back-invalidated, so L1 misses
     c->finish();
   }
-  EXPECT_EQ(inclusive.level_stats(0).flushes, 0u);
-  EXPECT_EQ(inclusive.level_stats(0).hits, 1u);  // C only
-  EXPECT_EQ(control.level_stats(0).hits, 2u);    // C and A
+  EXPECT_EQ(inclusive.stats(0).flushes, 0u);
+  EXPECT_EQ(inclusive.stats(0).hits, 1u);  // C only
+  EXPECT_EQ(control.stats(0).hits, 2u);    // C and A
   // The re-fetch of A goes back down to L2 on the inclusive stack.
-  EXPECT_EQ(inclusive.level_stats(1).accesses,
-            control.level_stats(1).accesses + 1);
+  EXPECT_EQ(inclusive.stats(1).accesses, control.stats(1).accesses + 1);
 }
 
 TEST(Hierarchy, VictimLevelConsumesExactlyTheEvictionStream) {
   const CacheTopology l1 = small_topology(4096, 4);
   const CacheTopology vc = small_topology(16384, 4);
-  HierarchicalCache hier(two_level(l1, vc, InclusionPolicy::kVictim));
+  RouteChain chain(two_level(l1, vc, InclusionPolicy::kVictim));
   auto reference = make_managed_cache(l1);
 
   const Trace trace = workload_trace("dijkstra", 60'000);
   std::uint64_t evictions = 0, dirty_evictions = 0;
   for (std::size_t i = 0; i < trace.size(); ++i) {
     const bool w = trace[i].kind == AccessKind::kWrite;
-    hier.access(trace[i].address, w);
+    chain.access(trace[i].address, w);
     const AccessOutcome out = reference->access(trace[i].address, w);
     if (!out.hit && out.evicted) {
       ++evictions;
       if (out.writeback) ++dirty_evictions;
     }
   }
-  hier.finish();
+  chain.finish();
   reference->finish();
 
   // The victim level was referenced once per L1 eviction — never for
   // hits or victimless (cold) misses — and dirty victims arrive as
   // writes.
   EXPECT_GT(evictions, 0u);
-  EXPECT_EQ(hier.level_stats(1).accesses, evictions);
-  EXPECT_LT(hier.level_stats(1).accesses, hier.stats().misses);
+  EXPECT_EQ(chain.stats(1).accesses, evictions);
+  EXPECT_LT(chain.stats(1).accesses, chain.stats(0).misses);
   // Clocks still agree: unreferenced cycles idle.
-  EXPECT_EQ(hier.level(1).cycles(), trace.size());
+  EXPECT_EQ(chain.level(1).cycles(), trace.size());
 }
 
 TEST(Hierarchy, ExclusiveLevelProbesColdMissesAndInstallsVictims) {
   const CacheTopology l1 = small_topology(4096, 4);
   const CacheTopology l2 = small_topology(16384, 4);
-  HierarchicalCache hier(two_level(l1, l2, InclusionPolicy::kExclusive));
+  RouteChain chain(two_level(l1, l2, InclusionPolicy::kExclusive));
   auto reference = make_managed_cache(l1);
 
   const Trace trace = workload_trace("dijkstra", 60'000);
   std::uint64_t evictions = 0;
   for (std::size_t i = 0; i < trace.size(); ++i) {
     const bool w = trace[i].kind == AccessKind::kWrite;
-    hier.access(trace[i].address, w);
+    chain.access(trace[i].address, w);
     const AccessOutcome out = reference->access(trace[i].address, w);
     if (!out.hit && out.evicted) ++evictions;
   }
-  hier.finish();
+  chain.finish();
   reference->finish();
 
   // Every L1 miss references the exclusive level exactly once (install
   // or probe), so its access count equals the L1 miss count — but only
   // the eviction stream *fills* it: probes allocate nothing, so the
   // level never holds more lines than were evicted from above.
-  EXPECT_EQ(hier.level_stats(1).accesses, hier.stats().misses);
-  EXPECT_GT(hier.level_stats(1).accesses, 0u);
-  const auto& l2_backend =
-      dynamic_cast<const BankedCache&>(hier.level(1));
+  EXPECT_EQ(chain.stats(1).accesses, chain.stats(0).misses);
+  EXPECT_GT(chain.stats(1).accesses, 0u);
+  const auto& l2_backend = dynamic_cast<const BankedCache&>(chain.level(1));
   EXPECT_GT(evictions, 0u);
   EXPECT_LE(l2_backend.cache().valid_lines(), evictions);
-  EXPECT_EQ(hier.level(1).cycles(), trace.size());
+  EXPECT_EQ(chain.level(1).cycles(), trace.size());
 }
 
 TEST(Hierarchy, ExclusiveAndNonInclusiveHoldDifferentContent) {
@@ -408,18 +370,15 @@ TEST(Hierarchy, ExclusiveAndNonInclusiveHoldDifferentContent) {
   CacheTopology l1 = small_topology(4096, 4);
   l1.cache.ways = 4;
   const CacheTopology l2 = small_topology(16384, 4);
-  HierarchicalCache exclusive(
-      two_level(l1, l2, InclusionPolicy::kExclusive));
-  HierarchicalCache noninclusive(
-      two_level(l1, l2, InclusionPolicy::kNonInclusive));
+  RouteChain exclusive(two_level(l1, l2, InclusionPolicy::kExclusive));
+  RouteChain noninclusive(two_level(l1, l2, InclusionPolicy::kNonInclusive));
 
   SyntheticTraceSource src(make_hotspot_workload(64 * 1024), 60'000);
   const Trace trace = Trace::materialize(src);
   drive(exclusive, trace);
   drive(noninclusive, trace);
 
-  EXPECT_NE(exclusive.level_stats(1).hits,
-            noninclusive.level_stats(1).hits);
+  EXPECT_NE(exclusive.stats(1).hits, noninclusive.stats(1).hits);
 }
 
 TEST(Hierarchy, HybridPolicyComposesPerLevel) {
@@ -438,16 +397,6 @@ TEST(Hierarchy, HybridPolicyComposesPerLevel) {
     l2_drowsy += r.units[u].drowsy_cycles;
   EXPECT_GT(l2_drowsy, 0u);
   EXPECT_GT(r.energy.partitioned.leakage_drowsy_pj, 0.0);
-}
-
-TEST(Hierarchy, RejectsEmptyAndZeroSizeLevels) {
-  HierarchyConfig empty;
-  EXPECT_THROW({ HierarchicalCache cache(empty); }, ConfigError);
-  HierarchyConfig zero;
-  CacheTopology dead = small_topology(8192, 4);
-  dead.cache.size_bytes = 0;
-  zero.levels.push_back({dead, InclusionPolicy::kNonInclusive});
-  EXPECT_THROW({ HierarchicalCache cache(zero); }, ConfigError);
 }
 
 }  // namespace

@@ -12,8 +12,8 @@
 #include "bank/line_managed_cache.h"
 #include "cache/cache.h"
 #include "core/enum_strings.h"
-#include "core/hierarchy.h"
 #include "core/monolithic_cache.h"
+#include "route_chain.h"
 #include "trace/trace.h"
 #include "trace/workloads.h"
 #include "util/error.h"
@@ -245,7 +245,7 @@ TEST(Factory, RoundTripAllCombinations) {
 
 // ---- advance_idle edge cases, at every granularity ----
 //
-// Every backend (the drowsy hybrid wrapper and a two-level hierarchy
+// Every backend (the drowsy hybrid wrapper and a two-level routed chain
 // included) must treat a zero-cycle advance as a no-op, reject time
 // advancing after finish(), and turn an idle-only run into full sleep
 // residency.
@@ -262,14 +262,13 @@ std::vector<CacheTopology> all_backend_topologies() {
   return topos;
 }
 
-std::unique_ptr<ManagedCache> hierarchy_backend() {
-  HierarchyConfig config;
-  config.levels.push_back(
-      {base_topology(Granularity::kBank), InclusionPolicy::kNonInclusive});
+/// A two-level routed chain: L1 over a 32kB L2, both bank-grain.
+RouteChain two_level_chain() {
   CacheTopology l2 = base_topology(Granularity::kBank);
   l2.cache.size_bytes = 32 * 1024;
-  config.levels.push_back({l2, InclusionPolicy::kNonInclusive});
-  return std::make_unique<HierarchicalCache>(config);
+  return RouteChain(
+      {{base_topology(Granularity::kBank), InclusionPolicy::kNonInclusive},
+       {l2, InclusionPolicy::kNonInclusive}});
 }
 
 TEST(AdvanceIdle, ZeroCycleAdvanceIsANoOp) {
@@ -280,10 +279,11 @@ TEST(AdvanceIdle, ZeroCycleAdvanceIsANoOp) {
     cache->advance_idle(0);
     EXPECT_EQ(cache->cycles(), before) << topo.describe();
   }
-  auto hier = hierarchy_backend();
-  hier->access(0x40, false);
-  hier->advance_idle(0);
-  EXPECT_EQ(hier->cycles(), 1u);
+  RouteChain chain = two_level_chain();
+  chain.access(0x40, false);
+  chain.advance_idle(0);
+  for (std::size_t i = 0; i < chain.num_levels(); ++i)
+    EXPECT_EQ(chain.level(i).cycles(), 1u) << "level " << i;
 }
 
 TEST(AdvanceIdle, RejectedAfterFinish) {
@@ -295,10 +295,11 @@ TEST(AdvanceIdle, RejectedAfterFinish) {
     EXPECT_THROW(cache->advance_idle(1), Error) << topo.describe();
     EXPECT_THROW(cache->access(0x40, false), Error) << topo.describe();
   }
-  auto hier = hierarchy_backend();
-  hier->access(0x40, false);
-  hier->finish();
-  EXPECT_THROW(hier->advance_idle(1), Error);
+  RouteChain chain = two_level_chain();
+  chain.access(0x40, false);
+  chain.finish();
+  EXPECT_THROW(chain.advance_idle(1), Error);
+  EXPECT_THROW(chain.access(0x40, false), Error);
 }
 
 TEST(AdvanceIdle, IdleOnlyRunSleepsFullyAtEveryGranularity) {
@@ -326,13 +327,15 @@ TEST(AdvanceIdle, IdleOnlyRunSleepsFullyAtEveryGranularity) {
       }
     }
   }
-  auto hier = hierarchy_backend();
-  hier->advance_idle(kIdle);
-  hier->finish();
+  RouteChain chain = two_level_chain();
+  chain.advance_idle(kIdle);
+  chain.finish();
   const double expected = static_cast<double>(kIdle - 24) /
                           static_cast<double>(kIdle);
-  for (std::uint64_t u = 0; u < hier->num_units(); ++u)
-    EXPECT_DOUBLE_EQ(hier->unit_residency(u), expected) << "unit " << u;
+  for (std::size_t i = 0; i < chain.num_levels(); ++i)
+    for (std::uint64_t u = 0; u < chain.level(i).num_units(); ++u)
+      EXPECT_DOUBLE_EQ(chain.level(i).unit_residency(u), expected)
+          << "level " << i << " unit " << u;
 }
 
 TEST(Factory, RejectsInvalidTopology) {

@@ -3,7 +3,8 @@
 //   1. the 1-core degeneracy: one unpartitioned core over the shared LLC
 //      reproduces the single-stream Simulator — whose config is the
 //      core's levels with the LLC appended — bit for bit (cycles, label,
-//      per-unit stats, energy, lifetime);
+//      per-unit stats, energy, lifetime, and the priced timeline
+//      artifact byte for byte), multiprogrammed sources included;
 //   2. scheduling independence: identical multi-core SweepJobs produce
 //      identical outcomes on the SweepRunner pool (CMake registers this
 //      binary at the default width, PCAL_SWEEP_THREADS=1 and =8);
@@ -15,9 +16,14 @@
 //      between a fully shared and a way-partitioned LLC.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <sstream>
+
+#include "api/timeline.h"
 #include "core/experiment.h"
 #include "core/multicore.h"
 #include "core/sweep.h"
+#include "trace/multiprogram.h"
 #include "trace/workloads.h"
 #include "util/error.h"
 
@@ -92,21 +98,38 @@ void expect_identical(const SimResult& a, const SimResult& b) {
   EXPECT_DOUBLE_EQ(a.lifetime_years(), b.lifetime_years());
 }
 
-TEST(MultiCore, OneCoreUnpartitionedEqualsSimulator) {
+std::string timeline_json(const api::TimelineRecorder& recorder) {
+  std::ostringstream os;
+  recorder.write_json(os);
+  return os.str();
+}
+
+/// Runs one input through the single-stream Simulator (config: the
+/// paper L1 with the LLC appended) and through the 1-core system of
+/// make_multicore, each observed by a timeline recorder priced from its
+/// own config, and expects the two runs to be indistinguishable.
+void expect_one_core_equals_simulator(
+    const std::function<std::unique_ptr<TraceSource>()>& make_source) {
   const SimConfig base = base_config();
   const LevelConfig llc = make_llc(base);
 
   SimConfig single = base;
   single.lower_levels.push_back(llc);
-  auto src_a = source_for("cjpeg");
-  const SimResult a = Simulator(single).run(*src_a, &aging().lut());
+  api::TimelineRecorder timeline_a;
+  timeline_a.price_with(single);
+  auto src_a = make_source();
+  const SimResult a = Simulator(single).run(*src_a, &aging().lut(),
+                                            timeline_a.observer());
 
   const MultiCoreConfig mc = make_multicore(base, 1, llc, 0);
-  auto src_b = source_for("cjpeg");
-  const MultiCoreResult b =
-      MultiCoreSystem(mc).run({src_b.get()}, &aging().lut());
+  api::TimelineRecorder timeline_b;
+  timeline_b.price_with(mc);
+  auto src_b = make_source();
+  const MultiCoreResult b = MultiCoreSystem(mc).run(
+      {src_b.get()}, &aging().lut(), timeline_b.observer());
 
   expect_identical(a, b.system);
+  EXPECT_EQ(timeline_json(timeline_a), timeline_json(timeline_b));
 
   // The single core owns everything.
   ASSERT_EQ(b.cores.size(), 1u);
@@ -114,6 +137,22 @@ TEST(MultiCore, OneCoreUnpartitionedEqualsSimulator) {
   EXPECT_EQ(b.cores[0].llc_stats.accesses, a.level_stats.back().accesses);
   EXPECT_DOUBLE_EQ(b.cores[0].energy.partitioned.total_pj(),
                    a.energy.partitioned.total_pj());
+}
+
+TEST(MultiCore, OneCoreUnpartitionedEqualsSimulator) {
+  {
+    SCOPED_TRACE("cjpeg");
+    expect_one_core_equals_simulator([] { return source_for("cjpeg"); });
+  }
+  {
+    // A multiprogrammed source: the update interval snaps to its
+    // quantum, so every flush lands on a context switch.
+    SCOPED_TRACE("multiprog:cjpeg+sha@7000");
+    expect_one_core_equals_simulator([] {
+      return std::make_unique<MultiProgramSource>(
+          parse_multiprogram_spec("cjpeg+sha@7000", 32 * 1024), 200'000);
+    });
+  }
 }
 
 TEST(MultiCore, SweepJobsAreSchedulingIndependent) {

@@ -83,6 +83,31 @@ def test_emitted_timelines_validate():
         assert cores == [-1, 0, 1], mc["groups"]
 
 
+def test_one_core_run_reports_the_single_stream_census():
+    # A 1-core multi-core run is the single-stream run: every group,
+    # private levels included, carries core -1.
+    with tempfile.TemporaryDirectory() as tmp:
+        doc = json.load(open(emit(tmp, "one.json", dict(MC_RUN, cores=1,
+                                                        llc_ways_per_core=0))))
+    assert [g["core"] for g in doc["groups"]] == [-1, -1], doc["groups"]
+    assert ctj.semantic_checks(doc) == []
+
+
+def test_census_core_ids_are_semantic():
+    def groups(*cores):  # private groups at level 0, the last at level 1
+        last = len(cores) - 1
+        return [{"core": c, "level": int(i == last), "first_unit": i,
+                 "units": 1} for i, c in enumerate(cores)]
+    assert ctj.census_core_checks(groups(-1, -1)) == []
+    assert ctj.census_core_checks(groups(0, 1, -1)) == []
+    # A lone core 0 is a one-core run reporting a core id.
+    assert ctj.census_core_checks(groups(0, -1))
+    # Out-of-order cores, a private -1, and a non-LLC last group.
+    assert ctj.census_core_checks(groups(1, 0, -1))
+    assert ctj.census_core_checks(groups(0, -1, 1, -1))
+    assert ctj.census_core_checks(groups(0, 1))
+
+
 def good_doc():
     with tempfile.TemporaryDirectory() as tmp:
         return json.load(open(emit(tmp, "t.json", RUN)))

@@ -169,18 +169,27 @@ TEST(Simulator, ObserverStreamsIntervalSnapshots) {
   cfg.reindex_updates = 7;
 
   std::uint64_t boundaries = 0, updates_seen = 0, finals = 0;
-  std::uint64_t last_cycles = 0;
+  std::uint64_t last_cycles = 0, census_units = 0;
   const SimResult r = Simulator(cfg).run(
       src, nullptr, [&](const IntervalSnapshot& snap) {
         ASSERT_NE(snap.stats, nullptr);
-        ASSERT_NE(snap.cache, nullptr);
+        ASSERT_NE(snap.groups, nullptr);
+        ASSERT_NE(snap.unit_states, nullptr);
+        // One single-stream group tiles every unit and carries the
+        // snapshot's own tag-store statistics.
+        ASSERT_EQ(snap.groups->size(), 1u);
+        const UnitGroupStates& g = snap.groups->front();
+        EXPECT_EQ(g.core, -1);
+        EXPECT_EQ(g.units, snap.unit_states->size());
+        EXPECT_EQ(g.awake + g.drowsy + g.gated, g.units);
+        EXPECT_EQ(g.stats.accesses, snap.stats->accesses);
+        census_units = g.units;
         EXPECT_GE(snap.cycles, last_cycles);
         last_cycles = snap.cycles;
         if (snap.final_snapshot) {
           ++finals;
           EXPECT_EQ(snap.cycles, 100'000u);
-          // The backend has finished: residency queries are valid here.
-          EXPECT_GE(snap.cache->avg_residency(), 0.0);
+          EXPECT_EQ(g.stats.accesses, 100'000u);
         } else {
           ++boundaries;
           if (snap.fired_update) ++updates_seen;
@@ -191,6 +200,7 @@ TEST(Simulator, ObserverStreamsIntervalSnapshots) {
   EXPECT_EQ(r.reindex_updates_applied, 7u);
   EXPECT_GE(boundaries, 7u);
   EXPECT_EQ(finals, 1u);
+  EXPECT_EQ(census_units, r.units.size());
 }
 
 TEST(Simulator, ObserverOnStaticRunUsesDefaultCadence) {

@@ -14,6 +14,7 @@
 #include "core/experiment.h"
 #include "core/managed_cache.h"
 #include "core/simulator.h"
+#include "route_chain.h"
 #include "trace/trace.h"
 #include "trace/workloads.h"
 
@@ -198,27 +199,25 @@ TEST(Timing, HierarchyStallsSumTheReferencedLevels) {
   cfg.lower_levels[0].topology.latency.hit_cycles = 2;
   cfg.lower_levels[0].topology.latency.miss_cycles = 30;
 
-  HierarchyConfig hc;
-  hc.levels.push_back(
-      {cfg.topology(/*breakeven=*/32), InclusionPolicy::kNonInclusive});
-  hc.levels.push_back(cfg.lower_levels[0]);
-  HierarchicalCache hier(hc);
+  RouteChain chain({{cfg.topology(/*breakeven=*/32),
+                     InclusionPolicy::kNonInclusive},
+                    cfg.lower_levels[0]});
 
   SyntheticTraceSource src(make_mediabench_workload("dijkstra"), 40'000);
   const Trace trace = Trace::materialize(src);
   std::uint64_t l1_hits = 0, l2_hits = 0, l2_misses = 0;
   std::uint64_t stalls = 0;
   for (std::size_t i = 0; i < trace.size(); ++i) {
-    const AccessOutcome out = hier.access(
+    const AccessOutcome out = chain.access(
         trace[i].address, trace[i].kind == AccessKind::kWrite);
     stalls += out.stall_cycles;
     if (out.hit)
       ++l1_hits;
-    hier.advance_idle(out.stall_cycles);
+    chain.advance_idle(out.stall_cycles);
   }
-  hier.finish();
-  l2_hits = hier.level_stats(1).hits;
-  l2_misses = hier.level_stats(1).misses;
+  chain.finish();
+  l2_hits = chain.stats(1).hits;
+  l2_misses = chain.stats(1).misses;
 
   // No wakeup latencies configured, so the decomposition is exact.
   EXPECT_EQ(stalls, 8 * (l2_hits + l2_misses) + 2 * l2_hits +

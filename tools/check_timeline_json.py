@@ -22,6 +22,10 @@ Validation is two-layered:
        with the string's letter census;
      - group rows tile the unit vector contiguously (first_unit of row
        k+1 == first_unit + units of row k, starting at 0);
+     - the census core ids: a single-stream (one-core) timeline
+       reports every group with core -1; a multi-core timeline lists
+       cores 0..N-1 (N >= 2) at each private depth and only its last
+       group, the shared LLC, has core -1;
      - interval cycle counts are non-decreasing and span_cycles match
        their differences; exactly the last record is final.
 
@@ -113,11 +117,38 @@ def schema_validate(doc, schema):
             for e in validator.iter_errors(doc)]
 
 
+def census_core_checks(groups):
+    """The engine's core-id rule for the group table."""
+    cores = [g["core"] for g in groups]
+    if all(c == -1 for c in cores):
+        return []  # single stream: every group is core -1
+    errors = []
+    if cores[-1] != -1:
+        errors.append("multi-core timeline: last group (the shared LLC) "
+                      "has core %d, expected -1" % cores[-1])
+    depths = {}
+    for i, g in enumerate(groups[:-1]):
+        if g["core"] == -1:
+            errors.append("group %d: core -1 before the last group (only "
+                          "the shared LLC is core -1)" % i)
+        depths.setdefault(g["level"], []).append(g["core"])
+    widths = {len(ids) for ids in depths.values()}
+    for level, ids in sorted(depths.items()):
+        if ids != list(range(len(ids))) or len(ids) < 2:
+            errors.append("level %d lists cores %s; a multi-core private "
+                          "depth lists cores 0..N-1 with N >= 2 (a "
+                          "one-core run reports core -1)" % (level, ids))
+    if len(widths) > 1:
+        errors.append("private depths list different core counts %s"
+                      % sorted(widths))
+    return errors
+
+
 def semantic_checks(doc):
     """Cross-member invariants the schema language cannot express.
     Assumes schema validation already passed."""
-    errors = []
     groups = doc["groups"]
+    errors = census_core_checks(groups) if groups else []
     next_unit = 0
     for i, g in enumerate(groups):
         if g["first_unit"] != next_unit:
