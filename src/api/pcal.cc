@@ -140,14 +140,7 @@ GridRun run_grid(const GridSpec& spec, const GridOptions& options) {
   std::vector<SweepJob> sweep_jobs;
   sweep_jobs.reserve(out.jobs.size());
   for (std::size_t i = 0; i < out.jobs.size(); ++i) {
-    const GridJob& job = out.jobs[i];
-    SweepJob j;
-    j.config = job.config;
-    j.make_source = job.make_source;
-    j.label = spec.job_label(job);
-    j.lut = lut;
-    j.multicore = job.multicore;
-    j.core_sources = job.core_sources;
+    SweepJob j = spec.sweep_job(out.jobs[i], lut);
     if (options.make_observer) j.observer = options.make_observer(i);
     sweep_jobs.push_back(std::move(j));
   }

@@ -1000,6 +1000,18 @@ std::string GridSpec::job_label(const GridJob& job) const {
   return out;
 }
 
+SweepJob GridSpec::sweep_job(const GridJob& job, const AgingLut* lut) const {
+  SweepJob j;
+  j.config = job.config;
+  j.make_source = job.make_source;
+  if (!job.multicore) j.shared_source = job.workload;
+  j.label = job_label(job);
+  j.lut = lut;
+  j.multicore = job.multicore;
+  j.core_sources = job.core_sources;
+  return j;
+}
+
 TextTable GridSpec::render_table(
     const std::vector<GridJob>& jobs,
     const std::vector<SweepOutcome>& outcomes) const {

@@ -20,10 +20,12 @@
 // expand() walks the cross-product in *declaration order* (the first
 // axis is the outermost loop — exactly a bench's loop nest) and yields
 // one runnable job per grid point: a SimConfig plus a TraceSourceFactory
-// for the SweepRunner.  Synthetic workloads regenerate per job; .pct
-// trace workloads open one BinaryTraceSource mapping per worker; text
-// trace workloads are loaded once and replayed through per-job
-// SharedTraceSource views.
+// for the SweepRunner.  sweep_job() keys every single-stream point by its
+// workload value, so the runner's lockstep cohorts generate each
+// synthetic stream once per cohort rather than once per job; .pct trace
+// workloads open one BinaryTraceSource mapping per source; text trace
+// workloads are loaded once and replayed through SharedTraceSource
+// views.
 //
 // An optional [table] section declares a pivot rendering of the results
 // (rows axis × columns axis × metric cells, mean-reduced over the
@@ -179,6 +181,13 @@ class GridSpec {
   /// workload=cjpeg") — the SweepJob::label pcalsweep and the api facade
   /// attach, so failure reports name grid points identically everywhere.
   std::string job_label(const GridJob& job) const;
+
+  /// The SweepJob of one expanded point — the one conversion pcalsweep
+  /// and the api facade share: config, factories, job_label(), `lut`,
+  /// and for a single-stream point the workload value as its
+  /// shared_source key (accesses and footprint are grid-wide, so the
+  /// value names the stream).
+  SweepJob sweep_job(const GridJob& job, const AgingLut* lut) const;
 
  private:
   GridSpec() = default;

@@ -45,6 +45,22 @@ void add_delta(CacheStats& into, const CacheStats& before,
   into.flushed_dirty += after.flushed_dirty - before.flushed_dirty;
 }
 
+/// The contention model's level shapes: every core's private stack
+/// (core-major) with the shared LLC last — so LLC MSHRs, ports and fill
+/// bandwidth are genuinely shared across cores while private resources
+/// stay per core.
+std::vector<ContentionLevelShape> system_contention_shapes(
+    const MultiCoreConfig& config) {
+  std::vector<ContentionLevelShape> shapes;
+  shapes.reserve(config.cores.size() * config.cores.front().levels.size() +
+                 1);
+  for (const MultiCoreConfig::Core& core : config.cores)
+    for (const LevelConfig& level : core.levels)
+      shapes.push_back(contention_shape_of(level.topology));
+  shapes.push_back(contention_shape_of(config.llc.topology));
+  return shapes;
+}
+
 /// `report` scaled by `f` — how the shared LLC's energy is apportioned
 /// to cores by their access share.
 EnergyReport scale_report(const EnergyReport& report, double f) {
@@ -147,90 +163,116 @@ MultiCoreSystem::MultiCoreSystem(MultiCoreConfig config)
   config_.validate();
 }
 
-MultiCoreResult MultiCoreSystem::run(
-    const std::vector<TraceSource*>& sources, const AgingLut* lut,
-    const IntervalObserver& observer) const {
-  return run(sources, lut, observer, kBatchSize, false);
-}
-
-MultiCoreResult MultiCoreSystem::run(
-    const std::vector<TraceSource*>& sources, const AgingLut* lut,
-    const IntervalObserver& observer, std::uint64_t batch_size,
-    bool force_scalar_loop) const {
-  const std::size_t num_cores = config_.cores.size();
-  PCAL_CONFIG_CHECK(sources.size() == num_cores,
-                    "got " << sources.size() << " trace sources for "
-                           << num_cores << " cores");
-  for (TraceSource* source : sources)
-    PCAL_CONFIG_CHECK(source != nullptr, "null trace source");
-  const std::size_t depth = config_.cores.front().levels.size();
-  const bool one_core = num_cores == 1;
-
-  // Finite-resource contention over the whole system: one model whose
-  // levels are every core's private stack (core-major) with the shared
-  // LLC last — so LLC MSHRs, ports and fill bandwidth are genuinely
-  // shared across cores while private resources stay per core.
-  std::vector<ContentionLevelShape> shapes;
-  shapes.reserve(num_cores * depth + 1);
-  for (const MultiCoreConfig::Core& core : config_.cores)
-    for (const LevelConfig& level : core.levels)
-      shapes.push_back(contention_shape_of(level.topology));
-  shapes.push_back(contention_shape_of(config_.llc.topology));
-  ContentionModel contention(std::move(shapes));
-
-  // Loop choice: one core issuing straight into a single level, with no
-  // resource to arbitrate per access, takes the batched loop below.
-  const bool batched = one_core && depth == 0 && !contention.enabled() &&
-                       !force_scalar_loop;
-  const std::size_t fetch =
-      batched ? static_cast<std::size_t>(std::min<std::uint64_t>(
-                    std::max<std::uint64_t>(batch_size, 1), kMaxDriverBatch))
-              : kBatchSize;
-
-  // Per-core runtime state: the private backends plus the routing chain
-  // route_access walks — the private levels with the shared LLC
-  // appended.
+/// Everything one run keeps between accesses: the per-core runtime, the
+/// shared LLC, the clock, the contention model, the flush plan, the
+/// boundary counters and the snapshot buffers.  step() is the per-access
+/// body; feed() takes one fetched batch of a one-core run, through the
+/// batched chunk loop or step() by step().  SystemRun::drive() feeds
+/// them, so one stream can feed several runs in lockstep.
+struct SystemRun::State {
+  /// Per-core runtime state: the private backends plus the routing chain
+  /// route_access walks — the private levels with the shared LLC
+  /// appended — and the core's attribution counters.
   struct CoreRt {
     std::vector<std::unique_ptr<ManagedCache>> levels;
     std::vector<RoutedLevel> route;
-    TraceSource* source = nullptr;
     std::uint64_t offset = 0;
     std::uint64_t quantum = 0;  // the source's boundary_hint; 0 = none
-    std::vector<MemAccess> batch;
-    std::size_t batch_n = 0;
-    std::size_t batch_i = 0;
-    bool done = false;
     std::uint64_t accesses = 0;
     std::uint64_t stalls = 0;
     CacheStats llc_stats;
   };
 
-  std::unique_ptr<ManagedCache> llc = make_managed_cache(config_.llc.topology);
-  const bool partitioned = config_.partitioned();
+  State(const MultiCoreConfig& config, const std::vector<TraceSource*>& sources,
+        const AgingLut* lut, const IntervalObserver& observer,
+        std::uint64_t batch_size, bool force_scalar_loop);
+
+  void feed(const MemAccess* batch, std::size_t n, AccessOutcome* outs);
+  void step(std::size_t k, const MemAccess& a);
+  void on_boundary();
+  void notify(std::uint64_t index, bool fired, bool final_snapshot);
+  bool at_context_switch() const;
+  MultiCoreResult finish();
+
+  const MultiCoreConfig config;
+  const std::vector<TraceSource*> sources;
+  const AgingLut* const lut;
+  const IntervalObserver observer;
+  const std::size_t num_cores;
+  const std::size_t depth;
+  ContentionModel contention;
+  // Loop choice: one core issuing straight into a single level, with no
+  // resource to arbitrate per access, takes the batched loop (feed()).
+  const bool batched;
+  // Accesses per TraceSource::next_batch call, and the batched loop's
+  // chunk ceiling.
+  const std::size_t fetch;
+  std::unique_ptr<ManagedCache> llc;
+  const bool partitioned;
+  std::vector<CoreRt> rt;
+  std::uint64_t update_interval = 0;
+  std::uint64_t interval = 0;  // boundary cadence (updates or observer)
+  // The flush plan of one update: per core, which private levels flush.
+  std::vector<std::vector<char>> flush;
+  TimingModel timing;
+  std::uint64_t since_boundary = 0;
+  std::uint64_t boundary_index = 0;
+  std::uint64_t updates_applied = 0;
+  std::size_t mask_owner;  // core whose LLC way mask is installed
+  // Snapshot buffers, reused across boundaries (observers must copy what
+  // they keep).
+  std::vector<UnitGroupStates> snap_groups;
+  std::vector<UnitPowerState> snap_states;
+};
+
+SystemRun::State::State(const MultiCoreConfig& cfg,
+                        const std::vector<TraceSource*>& srcs,
+                        const AgingLut* aging, const IntervalObserver& obs,
+                        std::uint64_t batch_size, bool force_scalar_loop)
+    : config(cfg),
+      sources(srcs),
+      lut(aging),
+      observer(obs),
+      num_cores(config.cores.size()),
+      depth(config.cores.front().levels.size()),
+      contention(system_contention_shapes(config)),
+      batched(num_cores == 1 && depth == 0 && !contention.enabled() &&
+              !force_scalar_loop),
+      fetch(batched ? static_cast<std::size_t>(std::min<std::uint64_t>(
+                          std::max<std::uint64_t>(batch_size, 1),
+                          kMaxDriverBatch))
+                    : kBatchSize),
+      llc(make_managed_cache(config.llc.topology)),
+      partitioned(config.partitioned()),
+      rt(num_cores),
+      mask_owner(num_cores) {
+  PCAL_CONFIG_CHECK(sources.size() == num_cores,
+                    "got " << sources.size() << " trace sources for "
+                           << num_cores << " cores");
+  for (TraceSource* source : sources)
+    PCAL_CONFIG_CHECK(source != nullptr, "null trace source");
   if (partitioned)
     PCAL_CONFIG_CHECK(llc->set_alloc_way_mask(~std::uint64_t{0}),
                       "LLC topology '"
-                          << config_.llc.topology.describe()
+                          << config.llc.topology.describe()
                           << "' has no way-organized tag store; way "
                              "partitioning needs monolithic, bank or way "
                              "granularity");
 
-  std::vector<CoreRt> rt(num_cores);
   std::uint64_t total_hint = 0;
   bool all_hints = true;
   for (std::size_t k = 0; k < num_cores; ++k) {
     CoreRt& c = rt[k];
-    c.source = sources[k];
-    c.source->reset();
-    c.offset = k * config_.address_stride;
-    c.quantum = c.source->boundary_hint().value_or(0);
-    c.batch.resize(fetch);
-    for (const LevelConfig& level : config_.cores[k].levels) {
+    TraceSource* source = sources[k];
+    source->reset();
+    c.offset = k * config.address_stride;
+    c.quantum = source->boundary_hint().value_or(0);
+    for (const LevelConfig& level : config.cores[k].levels) {
       c.levels.push_back(make_managed_cache(level.topology));
       c.route.push_back({c.levels.back().get(), level.inclusion});
     }
-    c.route.push_back({llc.get(), config_.llc.inclusion});
-    const auto hint = c.source->size_hint();
+    c.route.push_back({llc.get(), config.llc.inclusion});
+    const auto hint = source->size_hint();
     total_hint += hint.value_or(0);
     all_hints = all_hints && hint.has_value();
   }
@@ -239,14 +281,13 @@ MultiCoreResult MultiCoreSystem::run(
   // size hints of all sources.  Static indexing never rotates, so a run
   // with no rotating level fires no (pointless) flushes — the
   // conventional cache does not flush for aging.
-  bool any_rotates = config_.llc.topology.rotates();
-  for (const MultiCoreConfig::Core& core : config_.cores)
+  bool any_rotates = config.llc.topology.rotates();
+  for (const MultiCoreConfig::Core& core : config.cores)
     for (const LevelConfig& level : core.levels)
       any_rotates = any_rotates || level.topology.rotates();
-  std::uint64_t update_interval = 0;
-  if (any_rotates && config_.reindex_updates > 0 && all_hints &&
-      total_hint > config_.reindex_updates)
-    update_interval = total_hint / (config_.reindex_updates + 1);
+  if (any_rotates && config.reindex_updates > 0 && all_hints &&
+      total_hint > config.reindex_updates)
+    update_interval = total_hint / (config.reindex_updates + 1);
   // Context-switch alignment (the paper's zero-overhead piggybacking),
   // the single-stream rule: one core whose source has a natural boundary
   // — a multiprogrammed stream's quantum — gets the interval rounded
@@ -255,10 +296,10 @@ MultiCoreResult MultiCoreSystem::run(
   // cannot be aligned to without starving the update budget; those stay
   // on the even spread.
   const std::uint64_t quantum = rt.front().quantum;
-  if (one_core && update_interval != 0 && quantum > 0 &&
+  if (num_cores == 1 && update_interval != 0 && quantum > 0 &&
       update_interval >= quantum)
     update_interval -= update_interval % quantum;
-  std::uint64_t interval = update_interval;
+  interval = update_interval;
   if (interval == 0 && observer && all_hints)
     interval =
         std::max<std::uint64_t>(1, total_hint / kDefaultObserverIntervals);
@@ -268,205 +309,172 @@ MultiCoreResult MultiCoreSystem::run(
   // inclusive back-invalidation cascade climbs from the shared LLC into
   // each core's last private level, then upward within each private
   // stack.
-  const bool llc_rotates = config_.llc.topology.rotates();
-  std::vector<std::vector<char>> flush(num_cores);
+  flush.resize(num_cores);
   for (std::size_t k = 0; k < num_cores; ++k) {
-    const std::vector<LevelConfig>& levels = config_.cores[k].levels;
+    const std::vector<LevelConfig>& levels = config.cores[k].levels;
     flush[k].resize(levels.size(), 0);
     for (std::size_t i = 0; i < levels.size(); ++i)
       flush[k][i] = levels[i].topology.rotates() ? 1 : 0;
-    if (depth > 0 && llc_rotates &&
-        config_.llc.inclusion == InclusionPolicy::kInclusive)
+    if (depth > 0 && config.llc.topology.rotates() &&
+        config.llc.inclusion == InclusionPolicy::kInclusive)
       flush[k].back() = 1;
     for (std::size_t i = levels.size(); i-- > 1;)
       if (flush[k][i] && levels[i].inclusion == InclusionPolicy::kInclusive)
         flush[k][i - 1] = 1;
   }
-  const auto fire_update = [&] {
+}
+
+// A boundary is a context switch when any core's multiprogrammed source
+// sits exactly on one of its quantum boundaries.
+bool SystemRun::State::at_context_switch() const {
+  for (const CoreRt& c : rt)
+    if (c.quantum > 0 && c.accesses > 0 && c.accesses % c.quantum == 0)
+      return true;
+  return false;
+}
+
+// The group table is one row per (depth, core) private level plus the
+// shared LLC, in the depth-major unit order the result reports; one core
+// reports every row with core == -1, the single-stream convention.
+void SystemRun::State::notify(std::uint64_t index, bool fired,
+                              bool final_snapshot) {
+  snap_groups.clear();
+  snap_states.clear();
+  const auto census = [&](const ManagedCache& cache, int core,
+                          std::uint64_t level) {
+    UnitGroupStates g;
+    g.core = core;
+    g.level = level;
+    g.first_unit = snap_states.size();
+    g.units = cache.num_units();
+    g.stats = cache.stats();
+    for (std::uint64_t u = 0; u < g.units; ++u) {
+      const UnitPowerState s = cache.unit_state(u);
+      snap_states.push_back(s);
+      if (s == UnitPowerState::kAwake)
+        ++g.awake;
+      else if (s == UnitPowerState::kDrowsy)
+        ++g.drowsy;
+      else
+        ++g.gated;
+    }
+    snap_groups.push_back(g);
+  };
+  for (std::size_t d = 0; d < depth; ++d)
+    for (std::size_t k = 0; k < num_cores; ++k)
+      census(*rt[k].levels[d], num_cores == 1 ? -1 : static_cast<int>(k), d);
+  census(*llc, -1, depth);
+
+  IntervalSnapshot snap;
+  snap.interval = index;
+  snap.cycles = llc->cycles();
+  snap.updates_applied = updates_applied;
+  snap.fired_update = fired;
+  snap.final_snapshot = final_snapshot;
+  snap.context_switch = !final_snapshot && at_context_switch();
+  snap.accesses = timing.accesses();
+  snap.stall_cycles = timing.stall_cycles();
+  snap.stats = &rt.front().route.front().cache->stats();
+  snap.groups = &snap_groups;
+  snap.unit_states = &snap_states;
+  observer(snap);
+}
+
+// Everything that happens at an update/observer boundary, shared by both
+// loops: fire the re-indexing update while budget remains, then hand the
+// observer its snapshot.
+void SystemRun::State::on_boundary() {
+  since_boundary = 0;
+  ++boundary_index;
+  bool fired = false;
+  if (update_interval != 0 && updates_applied < config.reindex_updates) {
     for (std::size_t k = 0; k < num_cores; ++k)
       for (std::size_t i = 0; i < rt[k].levels.size(); ++i)
         if (flush[k][i]) rt[k].levels[i]->update_indexing();
-    if (llc_rotates) llc->update_indexing();
-  };
+    if (config.llc.topology.rotates()) llc->update_indexing();
+    ++updates_applied;
+    fired = true;
+  }
+  if (observer) notify(boundary_index, fired, false);
+}
 
-  // A boundary is a context switch when any core's multiprogrammed
-  // source sits exactly on one of its quantum boundaries.
-  const auto at_context_switch = [&] {
-    for (const CoreRt& c : rt)
-      if (c.quantum > 0 && c.accesses > 0 && c.accesses % c.quantum == 0)
-        return true;
-    return false;
-  };
+void SystemRun::State::feed(const MemAccess* batch, std::size_t n,
+                             AccessOutcome* outs) {
+  if (!batched) {
+    for (std::size_t i = 0; i < n; ++i) step(0, batch[i]);
+    return;
+  }
+  // Whole chunks through the backend's struct-of-arrays access_batch,
+  // split exactly at boundaries so updates and snapshots land on the
+  // same access positions as the per-access loop; outcomes, statistics
+  // and residencies are bit-identical between the two
+  // (tests/batched_access_test.cc pins it).
+  CoreRt& c = rt.front();
+  for (std::size_t pos = 0; pos < n;) {
+    std::size_t take = std::min(n - pos, fetch);
+    if (interval != 0)
+      take = std::min<std::uint64_t>(take, interval - since_boundary);
+    const CacheStats llc_before = llc->stats();
+    const std::uint64_t stalls = llc->access_batch(batch + pos, take, outs);
+    add_delta(c.llc_stats, llc_before, llc->stats());
+    timing.on_batch(take, stalls);
+    c.accesses += take;
+    c.stalls += stalls;
+    pos += take;
+    since_boundary += take;
+    if (interval != 0 && since_boundary >= interval) on_boundary();
+  }
+}
 
-  // The global clock: one issued access per cycle plus its stalls;
-  // unreferenced levels (and every other core) idle, so every backend's
-  // cycle counter stays in lockstep with the TimingModel.  With
-  // all-zero latencies no stall ever occurs (the idealized engine).
-  TimingModel timing;
-  std::uint64_t since_boundary = 0;
-  std::uint64_t boundary_index = 0;
-  std::uint64_t updates_applied = 0;
-
-  // Snapshot buffers, reused across boundaries (observers must copy what
-  // they keep).  The group table is one row per (depth, core) private
-  // level plus the shared LLC, in the depth-major unit order the result
-  // reports; one core reports every row with core == -1, the
-  // single-stream convention.
-  std::vector<UnitGroupStates> snap_groups;
-  std::vector<UnitPowerState> snap_states;
-  const auto notify = [&](std::uint64_t index, bool fired,
-                          bool final_snapshot) {
-    snap_groups.clear();
-    snap_states.clear();
-    const auto census = [&](const ManagedCache& cache, int core,
-                            std::uint64_t level) {
-      UnitGroupStates g;
-      g.core = core;
-      g.level = level;
-      g.first_unit = snap_states.size();
-      g.units = cache.num_units();
-      g.stats = cache.stats();
-      for (std::uint64_t u = 0; u < g.units; ++u) {
-        const UnitPowerState s = cache.unit_state(u);
-        snap_states.push_back(s);
-        if (s == UnitPowerState::kAwake)
-          ++g.awake;
-        else if (s == UnitPowerState::kDrowsy)
-          ++g.drowsy;
-        else
-          ++g.gated;
-      }
-      snap_groups.push_back(g);
-    };
-    for (std::size_t d = 0; d < depth; ++d)
-      for (std::size_t k = 0; k < num_cores; ++k)
-        census(*rt[k].levels[d], one_core ? -1 : static_cast<int>(k), d);
-    census(*llc, -1, depth);
-
-    IntervalSnapshot snap;
-    snap.interval = index;
-    snap.cycles = llc->cycles();
-    snap.updates_applied = updates_applied;
-    snap.fired_update = fired;
-    snap.final_snapshot = final_snapshot;
-    snap.context_switch = !final_snapshot && at_context_switch();
-    snap.accesses = timing.accesses();
-    snap.stall_cycles = timing.stall_cycles();
-    snap.stats = &rt.front().route.front().cache->stats();
-    snap.groups = &snap_groups;
-    snap.unit_states = &snap_states;
-    observer(snap);
-  };
-
-  // Everything that happens at an update/observer boundary, shared by
-  // both loops: fire the re-indexing update while budget remains, then
-  // hand the observer its snapshot.
-  const auto on_boundary = [&] {
-    since_boundary = 0;
-    ++boundary_index;
-    bool fired = false;
-    if (update_interval != 0 && updates_applied < config_.reindex_updates) {
-      fire_update();
-      ++updates_applied;
-      fired = true;
-    }
-    if (observer) notify(boundary_index, fired, false);
-  };
-
-  if (batched) {
-    // Whole chunks through the backend's struct-of-arrays access_batch,
-    // split exactly at boundaries so updates and snapshots land on the
-    // same access positions as the per-access loop; outcomes, statistics
-    // and residencies are bit-identical between the two
-    // (tests/batched_access_test.cc pins it).
-    CoreRt& c = rt.front();
-    std::vector<AccessOutcome> outs(fetch);
-    while (const std::size_t n = c.source->next_batch(c.batch.data(), fetch)) {
-      for (std::size_t pos = 0; pos < n;) {
-        std::size_t take = n - pos;
-        if (interval != 0)
-          take = std::min<std::uint64_t>(take, interval - since_boundary);
-        const CacheStats llc_before = llc->stats();
-        const std::uint64_t stalls =
-            llc->access_batch(c.batch.data() + pos, take, outs.data());
-        add_delta(c.llc_stats, llc_before, llc->stats());
-        timing.on_batch(take, stalls);
-        c.accesses += take;
-        c.stalls += stalls;
-        pos += take;
-        since_boundary += take;
-        if (interval != 0 && since_boundary >= interval) on_boundary();
-      }
-    }
-  } else {
-    std::size_t live = num_cores;
-    std::size_t mask_owner = num_cores;  // sentinel: force the first switch
-    while (live > 0) {
-      for (std::size_t k = 0; k < num_cores; ++k) {
-        CoreRt& c = rt[k];
-        if (c.done) continue;
-        const std::uint64_t weight = config_.cores[k].ipc_weight;
-        for (std::uint64_t slot = 0; slot < weight; ++slot) {
-          if (c.batch_i >= c.batch_n) {
-            c.batch_n = c.source->next_batch(c.batch.data(), fetch);
-            c.batch_i = 0;
-            if (c.batch_n == 0) {
-              c.done = true;
-              --live;
-              break;
-            }
-          }
-          const MemAccess a = c.batch[c.batch_i++];
-          if (partitioned && mask_owner != k) {
-            llc->set_alloc_way_mask(config_.cores[k].llc_way_mask);
-            mask_owner = k;
-          }
-          const CacheStats llc_before = llc->stats();
-          const AccessOutcome out =
-              route_access(c.route.data(), c.route.size(),
-                           a.address + c.offset,
-                           a.kind == AccessKind::kWrite);
-          add_delta(c.llc_stats, llc_before, llc->stats());
-          std::uint64_t stall = out.stall_cycles;
-          if (contention.enabled()) {
-            // Replay the routed chain's level trace through the shared
-            // resource model at the access's position on the stretched
-            // clock: private events map to this core's slots, the last
-            // level to the shared LLC slot.  Latency stalls land before
-            // resource arbitration (the fill is in flight while the core
-            // stalls), and each event sees the stalls charged so far.
-            const std::uint64_t now = timing.total_cycles();
-            for (std::uint8_t e = 0; e < out.num_events; ++e) {
-              const LevelEvent& le = out.events[e];
-              ContentionEvent ev;
-              ev.level = le.level < depth ? k * depth + le.level
-                                          : num_cores * depth;
-              ev.unit = le.unit;
-              ev.address = le.address;
-              ev.miss = !le.hit;
-              ev.writeback = le.writeback;
-              stall += contention.on_event(ev, now + stall).total();
-            }
-          }
-          // Every other core's private levels idle this cycle (the LLC
-          // was advanced inside route_access, referenced or idle).
-          for (std::size_t j = 0; j < num_cores; ++j) {
-            if (j == k) continue;
-            for (auto& level : rt[j].levels) level->advance_idle(1);
-          }
-          if (stall != 0) {
-            for (CoreRt& other : rt)
-              for (auto& level : other.levels) level->advance_idle(stall);
-            llc->advance_idle(stall);
-          }
-          timing.on_access(stall);
-          ++c.accesses;
-          c.stalls += stall;
-          if (interval != 0 && ++since_boundary >= interval) on_boundary();
-        }
-      }
+void SystemRun::State::step(std::size_t k, const MemAccess& a) {
+  CoreRt& c = rt[k];
+  if (partitioned && mask_owner != k) {
+    llc->set_alloc_way_mask(config.cores[k].llc_way_mask);
+    mask_owner = k;
+  }
+  const CacheStats llc_before = llc->stats();
+  const AccessOutcome out =
+      route_access(c.route.data(), c.route.size(), a.address + c.offset,
+                   a.kind == AccessKind::kWrite);
+  add_delta(c.llc_stats, llc_before, llc->stats());
+  std::uint64_t stall = out.stall_cycles;
+  if (contention.enabled()) {
+    // Replay the routed chain's level trace through the shared resource
+    // model at the access's position on the stretched clock: private
+    // events map to this core's slots, the last level to the shared LLC
+    // slot.  Latency stalls land before resource arbitration (the fill
+    // is in flight while the core stalls), and each event sees the
+    // stalls charged so far.
+    const std::uint64_t now = timing.total_cycles();
+    for (std::uint8_t e = 0; e < out.num_events; ++e) {
+      const LevelEvent& le = out.events[e];
+      ContentionEvent ev;
+      ev.level = le.level < depth ? k * depth + le.level : num_cores * depth;
+      ev.unit = le.unit;
+      ev.address = le.address;
+      ev.miss = !le.hit;
+      ev.writeback = le.writeback;
+      stall += contention.on_event(ev, now + stall).total();
     }
   }
+  // Every other core's private levels idle this cycle (the LLC was
+  // advanced inside route_access, referenced or idle).
+  for (std::size_t j = 0; j < num_cores; ++j) {
+    if (j == k) continue;
+    for (auto& level : rt[j].levels) level->advance_idle(1);
+  }
+  if (stall != 0) {
+    for (CoreRt& other : rt)
+      for (auto& level : other.levels) level->advance_idle(stall);
+    llc->advance_idle(stall);
+  }
+  timing.on_access(stall);
+  ++c.accesses;
+  c.stalls += stall;
+  if (interval != 0 && ++since_boundary >= interval) on_boundary();
+}
+
+MultiCoreResult SystemRun::State::finish() {
   for (CoreRt& c : rt)
     for (auto& level : c.levels) level->finish();
   llc->finish();
@@ -504,9 +512,9 @@ MultiCoreResult MultiCoreSystem::run(
   for (std::size_t k = 0; k < num_cores; ++k)
     r.workload += (k ? "+" : "") + sources[k]->name();
   const CacheTopology& l1 = depth > 0
-                                ? config_.cores.front().levels.front().topology
-                                : config_.llc.topology;
-  r.config_label = config_.describe();
+                                ? config.cores.front().levels.front().topology
+                                : config.llc.topology;
+  r.config_label = config.describe();
   r.granularity = l1.granularity;
   r.policy = l1.policy;
   r.accesses = timing.accesses();
@@ -563,18 +571,17 @@ MultiCoreResult MultiCoreSystem::run(
         activity.begin() + static_cast<std::ptrdiff_t>(offset),
         activity.begin() + static_cast<std::ptrdiff_t>(offset + n));
     offset += n;
-    const UnitEnergyModel model(config_.energy_params, config_.tech,
-                                topology);
+    const UnitEnergyModel model(config.energy_params, config.tech, topology);
     const EnergyReport report = price_unit_run(model, slice, cycles);
     r.energy += report;
     return report;
   };
   for (std::size_t d = 0; d < depth; ++d)
     for (std::size_t k = 0; k < num_cores; ++k)
-      core_private[k] += price_slice(config_.cores[k].levels[d].topology,
+      core_private[k] += price_slice(config.cores[k].levels[d].topology,
                                      rt[k].levels[d]->num_units());
   const EnergyReport llc_report =
-      price_slice(config_.llc.topology, llc->num_units());
+      price_slice(config.llc.topology, llc->num_units());
 
   if (lut != nullptr) {
     const CacheLifetimeEvaluator evaluator(*lut);
@@ -593,7 +600,7 @@ MultiCoreResult MultiCoreSystem::run(
     cr.workload = sources[k]->name();
     cr.accesses = c.accesses;
     cr.stall_cycles = c.stalls;
-    cr.llc_way_mask = config_.cores[k].llc_way_mask;
+    cr.llc_way_mask = config.cores[k].llc_way_mask;
     for (std::size_t d = 0; d < depth; ++d)
       cr.level_stats.push_back(c.levels[d]->stats());
     cr.llc_stats = c.llc_stats;
@@ -614,6 +621,89 @@ MultiCoreResult MultiCoreSystem::run(
     result.cores.push_back(std::move(cr));
   }
   return result;
+}
+
+SystemRun::SystemRun(std::unique_ptr<State> state) : state_(std::move(state)) {}
+SystemRun::SystemRun(SystemRun&&) noexcept = default;
+SystemRun::~SystemRun() = default;
+
+void SystemRun::drive(const std::vector<SystemRun*>& runs) {
+  PCAL_ASSERT_MSG(!runs.empty(), "SystemRun::drive needs a run");
+  const std::vector<TraceSource*>& sources = runs.front()->state_->sources;
+  std::size_t fetch = 0;
+  for (const SystemRun* run : runs) {
+    PCAL_ASSERT_MSG(run->state_->sources == sources,
+                    "lockstep runs must share their trace sources");
+    fetch = std::max(fetch, run->state_->fetch);
+  }
+
+  if (sources.size() == 1) {
+    // One stream: each fetched batch goes to every run in turn, so the
+    // stream is produced once however many runs consume it.  A run splits
+    // a batch into its own chunks, so the fetch size never shows in its
+    // results.
+    std::vector<MemAccess> batch(fetch);
+    std::vector<AccessOutcome> outs(fetch);
+    while (const std::size_t n =
+               sources.front()->next_batch(batch.data(), fetch))
+      for (SystemRun* run : runs)
+        run->state_->feed(batch.data(), n, outs.data());
+    return;
+  }
+
+  // Two or more cores: weighted round-robin over the cores' own streams
+  // (core k takes ipc_weight consecutive accesses per round; a core
+  // whose stream ends drops out of the rotation).
+  PCAL_ASSERT_MSG(runs.size() == 1,
+                  "only single-stream runs can share a stream");
+  State& s = *runs.front()->state_;
+  struct Cursor {
+    std::vector<MemAccess> batch;
+    std::size_t n = 0;
+    std::size_t i = 0;
+    bool done = false;
+  };
+  std::vector<Cursor> cursors(s.num_cores);
+  for (Cursor& c : cursors) c.batch.resize(fetch);
+  std::size_t live = s.num_cores;
+  while (live > 0) {
+    for (std::size_t k = 0; k < s.num_cores; ++k) {
+      Cursor& c = cursors[k];
+      if (c.done) continue;
+      const std::uint64_t weight = s.config.cores[k].ipc_weight;
+      for (std::uint64_t slot = 0; slot < weight; ++slot) {
+        if (c.i >= c.n) {
+          c.n = sources[k]->next_batch(c.batch.data(), fetch);
+          c.i = 0;
+          if (c.n == 0) {
+            c.done = true;
+            --live;
+            break;
+          }
+        }
+        s.step(k, c.batch[c.i++]);
+      }
+    }
+  }
+}
+
+MultiCoreResult SystemRun::finish() { return state_->finish(); }
+
+MultiCoreResult MultiCoreSystem::run(
+    const std::vector<TraceSource*>& sources, const AgingLut* lut,
+    const IntervalObserver& observer) const {
+  SystemRun run = start(sources, lut, observer, kBatchSize, false);
+  SystemRun::drive({&run});
+  return run.finish();
+}
+
+SystemRun MultiCoreSystem::start(const std::vector<TraceSource*>& sources,
+                                 const AgingLut* lut,
+                                 const IntervalObserver& observer,
+                                 std::uint64_t batch_size,
+                                 bool force_scalar_loop) const {
+  return SystemRun(std::make_unique<SystemRun::State>(
+      config_, sources, lut, observer, batch_size, force_scalar_loop));
 }
 
 MultiCoreConfig one_core_system(const SimConfig& config) {

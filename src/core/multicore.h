@@ -63,6 +63,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -144,6 +145,8 @@ struct MultiCoreResult {
   std::vector<CoreResult> cores;
 };
 
+class SystemRun;
+
 class MultiCoreSystem {
  public:
   /// Validates the config (throws ConfigError).
@@ -162,14 +165,50 @@ class MultiCoreSystem {
   const MultiCoreConfig& config() const { return config_; }
 
  private:
-  // Simulator::run forwards SimConfig::batch_size and force_scalar_loop,
-  // the knobs of the batched single-level loop.
+  // Simulator::start forwards SimConfig::batch_size and
+  // force_scalar_loop, the knobs of the batched single-level loop.
   friend class Simulator;
-  MultiCoreResult run(const std::vector<TraceSource*>& sources,
-                      const AgingLut* lut, const IntervalObserver& observer,
-                      std::uint64_t batch_size, bool force_scalar_loop) const;
+  /// Sets up a run (resets the sources; throws ConfigError when they do
+  /// not match the cores) without issuing any access.
+  SystemRun start(const std::vector<TraceSource*>& sources,
+                  const AgingLut* lut, const IntervalObserver& observer,
+                  std::uint64_t batch_size, bool force_scalar_loop) const;
 
   MultiCoreConfig config_;
+};
+
+/// One MultiCoreSystem run in flight: the per-core runtime (private
+/// backends, routing chains, attribution counters), the shared LLC, the
+/// timing and contention models, the flush plan, the boundary counters
+/// and the snapshot buffers.  MultiCoreSystem::run and Simulator::run
+/// are start, drive(), finish(); a lockstep cohort (core/sweep.h) holds
+/// one run per member and drives them together.  The run borrows its
+/// sources, lut and observer's captures: they must outlive finish().
+class SystemRun {
+ public:
+  SystemRun(SystemRun&&) noexcept;
+  ~SystemRun();
+
+  /// The fetch loop: drains the runs' sources through every run.  All
+  /// runs must share the same sources.  With one source (single-core
+  /// runs) each fetched batch goes to every run in turn, so K runs cost
+  /// one pass over the stream, and each result is bit-identical to
+  /// driving that run alone.  With one source per core (two or more
+  /// cores) `runs` must hold exactly one run, whose cores take turns in
+  /// weighted round-robin order.  Exceptions from a source, a backend or
+  /// an observer propagate; the runs are then unusable.
+  static void drive(const std::vector<SystemRun*>& runs);
+
+  /// Finishes every level and returns the priced result; the observer
+  /// sees its final snapshot here.  Call once, after drive().
+  MultiCoreResult finish();
+
+ private:
+  friend class MultiCoreSystem;
+  struct State;
+  explicit SystemRun(std::unique_ptr<State> state);
+
+  std::unique_ptr<State> state_;
 };
 
 /// The 1-core system of a single-stream config — what Simulator::run

@@ -134,11 +134,21 @@ std::uint64_t Simulator::breakeven_cycles() const {
 
 SimResult Simulator::run(TraceSource& source, const AgingLut* lut,
                          const IntervalObserver& observer) const {
+  SystemRun run = start(source, lut, observer);
+  SystemRun::drive({&run});
+  return finish(run);
+}
+
+SystemRun Simulator::start(TraceSource& source, const AgingLut* lut,
+                           const IntervalObserver& observer) const {
   // The single stream is the 1-core system of the run engine.
-  SimResult r = MultiCoreSystem(one_core_system(config_))
-                    .run({&source}, lut, observer, config_.batch_size,
-                         config_.force_scalar_loop)
-                    .system;
+  return MultiCoreSystem(one_core_system(config_))
+      .start({&source}, lut, observer, config_.batch_size,
+             config_.force_scalar_loop);
+}
+
+SimResult Simulator::finish(SystemRun& run) const {
+  SimResult r = run.finish().system;
   if (uses_legacy_pricing(config_)) {
     // The paper-calibrated bank model re-prices the same per-unit
     // activity.

@@ -271,6 +271,8 @@ struct IntervalSnapshot {
 
 using IntervalObserver = std::function<void(const IntervalSnapshot&)>;
 
+class SystemRun;  // core/multicore.h
+
 class Simulator {
  public:
   explicit Simulator(SimConfig config);
@@ -282,6 +284,16 @@ class Simulator {
   /// and once after the run completes.
   SimResult run(TraceSource& source, const AgingLut* lut = nullptr,
                 const IntervalObserver& observer = {}) const;
+
+  /// run() in three steps, for lockstep runs over one shared stream:
+  /// start() one run per simulator on the same `source`, feed them all
+  /// with SystemRun::drive(), then finish() each with the simulator that
+  /// started it.  Every result is bit-identical to that simulator's
+  /// run().  Arguments are borrowed as by run() and must outlive
+  /// finish().
+  SystemRun start(TraceSource& source, const AgingLut* lut = nullptr,
+                  const IntervalObserver& observer = {}) const;
+  SimResult finish(SystemRun& run) const;
 
   const SimConfig& config() const { return config_; }
 

@@ -5,7 +5,9 @@
 #include <chrono>
 #include <cstdlib>
 #include <deque>
+#include <map>
 #include <mutex>
+#include <string>
 #include <thread>
 
 #include "util/error.h"
@@ -22,26 +24,28 @@ struct alignas(64) WorkerAccum {
   std::uint64_t accesses = 0;
   std::uint64_t intervals = 0;
   std::uint64_t steals = 0;
+  std::uint64_t sources = 0;
 };
 
-/// One worker's job queue.  The mutex guards only the deque ops (a few
-/// pointer moves); the simulation work itself runs lock-free.
+/// One worker's queue of work units (indices into the run's unit list).
+/// The mutex guards only the deque ops (a few pointer moves); the
+/// simulation work itself runs lock-free.
 struct WorkerQueue {
   std::mutex mu;
-  std::deque<std::size_t> jobs;
+  std::deque<std::size_t> units;
 
   bool pop_front(std::size_t* out) {
     std::lock_guard<std::mutex> lock(mu);
-    if (jobs.empty()) return false;
-    *out = jobs.front();
-    jobs.pop_front();
+    if (units.empty()) return false;
+    *out = units.front();
+    units.pop_front();
     return true;
   }
   bool steal_back(std::size_t* out) {
     std::lock_guard<std::mutex> lock(mu);
-    if (jobs.empty()) return false;
-    *out = jobs.back();
-    jobs.pop_back();
+    if (units.empty()) return false;
+    *out = units.back();
+    units.pop_back();
     return true;
   }
 };
@@ -76,24 +80,35 @@ class DeadlineCheckedSource final : public TraceSource {
   std::unique_ptr<TraceSource> inner_;
 };
 
-/// One attempt of one job.  Throws on failure; on success the outcome's
-/// result/cores/intervals are filled in.
-void run_attempt(const SweepJob& job, bool deadline_armed,
-                 SweepOutcome* out) {
-  // Chain the streaming accumulator in front of any user observer so
-  // interval counts land in this job's slot without locking; the
-  // deadline poll makes every interval boundary a cancellation point.
-  IntervalObserver observer = [&](const IntervalSnapshot& snap) {
+/// The observer a job runs under: the streaming accumulator chained in
+/// front of any user observer, so interval counts land in the job's slot
+/// without locking; the deadline poll makes every interval boundary a
+/// cancellation point.
+IntervalObserver counting_observer(const SweepJob& job, SweepOutcome* out) {
+  return [&job, out](const IntervalSnapshot& snap) {
     throw_if_job_deadline_exceeded("interval boundary");
     ++out->intervals;
     if (job.observer) job.observer(snap);
   };
-  const auto guard = [&](std::unique_ptr<TraceSource> source)
-      -> std::unique_ptr<TraceSource> {
-    PCAL_ASSERT_MSG(source != nullptr, "TraceSourceFactory returned null");
-    if (!deadline_armed) return source;
-    return std::make_unique<DeadlineCheckedSource>(std::move(source));
-  };
+}
+
+/// Builds one source from `factory`, counted in the worker's
+/// accumulator and deadline-polled when a deadline is armed.
+std::unique_ptr<TraceSource> build_source(const TraceSourceFactory& factory,
+                                          bool deadline_armed,
+                                          WorkerAccum* accum) {
+  std::unique_ptr<TraceSource> source = factory();
+  PCAL_ASSERT_MSG(source != nullptr, "TraceSourceFactory returned null");
+  ++accum->sources;
+  if (!deadline_armed) return source;
+  return std::make_unique<DeadlineCheckedSource>(std::move(source));
+}
+
+/// One attempt of one job.  Throws on failure; on success the outcome's
+/// result/cores/intervals are filled in.
+void run_attempt(const SweepJob& job, bool deadline_armed, SweepOutcome* out,
+                 WorkerAccum* accum) {
+  const IntervalObserver observer = counting_observer(job, out);
   if (job.multicore) {
     PCAL_ASSERT_MSG(
         job.core_sources.size() == job.multicore->cores.size(),
@@ -103,7 +118,7 @@ void run_attempt(const SweepJob& job, bool deadline_armed,
     for (const TraceSourceFactory& factory : job.core_sources) {
       PCAL_ASSERT_MSG(factory != nullptr,
                       "multi-core SweepJob has a null source factory");
-      owned.push_back(guard(factory()));
+      owned.push_back(build_source(factory, deadline_armed, accum));
       sources.push_back(owned.back().get());
     }
     MultiCoreResult mc =
@@ -114,7 +129,8 @@ void run_attempt(const SweepJob& job, bool deadline_armed,
   }
   PCAL_ASSERT_MSG(job.make_source != nullptr,
                   "SweepJob needs a TraceSourceFactory");
-  const std::unique_ptr<TraceSource> source = guard(job.make_source());
+  const std::unique_ptr<TraceSource> source =
+      build_source(job.make_source, deadline_armed, accum);
   out->result = Simulator(job.config).run(*source, job.lut, observer);
 }
 
@@ -131,7 +147,7 @@ bool run_job(const SweepJob& job, const JobPolicy& policy, SweepOutcome* out,
     bool transient = false;
     try {
       if (policy.deadline_ms > 0) arm_job_deadline(policy.deadline_ms);
-      run_attempt(job, policy.deadline_ms > 0, out);
+      run_attempt(job, policy.deadline_ms > 0, out, accum);
       clear_job_deadline();
       accum->accesses += out->result.accesses;
       accum->intervals += out->intervals;
@@ -169,6 +185,108 @@ bool run_job(const SweepJob& job, const JobPolicy& policy, SweepOutcome* out,
     ++accum->failed;
     return false;
   }
+}
+
+/// The run's work units, in order of their first job: a lone job, or a
+/// cohort — runnable single-stream jobs sharing a non-empty
+/// shared_source key, in job order, at most `cap` of them.
+std::vector<std::vector<std::size_t>> make_units(
+    const std::vector<SweepJob>& jobs, const std::vector<std::size_t>& runnable,
+    std::size_t cap) {
+  std::vector<std::vector<std::size_t>> units;
+  std::map<std::string, std::size_t> open;  // key -> its newest cohort
+  for (const std::size_t i : runnable) {
+    const SweepJob& job = jobs[i];
+    if (!job.shared_source.empty() && !job.multicore) {
+      const auto it = open.find(job.shared_source);
+      if (it != open.end() && units[it->second].size() < cap) {
+        units[it->second].push_back(i);
+        continue;
+      }
+      open[job.shared_source] = units.size();
+    }
+    units.push_back({i});
+  }
+  return units;
+}
+
+/// Runs a cohort's members in lockstep over one source built from the
+/// first member's factory: each fetched batch goes to every member's
+/// engine in turn.  Fills the outcome slot of every member it finishes
+/// or times out and hands it to `complete`; returns, in job order, the
+/// members that must run solo instead — those whose config fails
+/// validation, and after any non-deadline exception every unfinished
+/// member (with a fresh slot).
+std::vector<std::size_t> run_cohort(
+    const std::vector<SweepJob>& jobs, const std::vector<std::size_t>& unit,
+    const JobPolicy& policy, std::vector<SweepOutcome>& outcomes,
+    WorkerAccum* accum,
+    const std::function<void(std::size_t, bool)>& complete) {
+  std::vector<std::size_t> solo;
+  std::vector<std::size_t> members;
+  std::vector<Simulator> sims;
+  for (const std::size_t i : unit) {
+    try {
+      sims.emplace_back(jobs[i].config);
+      members.push_back(i);
+    } catch (...) {
+      solo.push_back(i);  // fails again, identically, on its own
+    }
+  }
+  const std::size_t k = members.size();
+  if (k == 0) return solo;
+
+  const bool deadline = policy.deadline_ms > 0;
+  if (deadline) arm_job_deadline(policy.deadline_ms * k);
+  std::size_t finished = 0;
+  bool rerun = false;
+  try {
+    const std::unique_ptr<TraceSource> source =
+        build_source(jobs[members.front()].make_source, deadline, accum);
+    std::vector<SystemRun> runs;
+    runs.reserve(k);
+    for (std::size_t m = 0; m < k; ++m) {
+      const SweepJob& job = jobs[members[m]];
+      SweepOutcome& out = outcomes[members[m]];
+      out.label = job.label;
+      out.attempts = 1;
+      runs.push_back(
+          sims[m].start(*source, job.lut, counting_observer(job, &out)));
+    }
+    std::vector<SystemRun*> lockstep;
+    for (SystemRun& run : runs) lockstep.push_back(&run);
+    SystemRun::drive(lockstep);
+    for (; finished < k; ++finished)
+      outcomes[members[finished]].result =
+          sims[finished].finish(runs[finished]);
+  } catch (const JobTimeoutError& e) {
+    // The deadline covers the whole cohort: its unfinished members time
+    // out, and like any timed-out job are never retried.
+    for (std::size_t m = finished; m < k; ++m) {
+      SweepOutcome& out = outcomes[members[m]];
+      out.error = std::current_exception();
+      out.error_what = e.what();
+      out.timed_out = true;
+    }
+  } catch (...) {
+    rerun = true;
+  }
+  clear_job_deadline();
+
+  for (std::size_t m = 0; m < k; ++m) {
+    SweepOutcome& out = outcomes[members[m]];
+    if (rerun && m >= finished) {
+      out = SweepOutcome{};
+      solo.push_back(members[m]);
+      continue;
+    }
+    accum->accesses += out.result.accesses;
+    accum->intervals += out.intervals;
+    if (!out.ok()) ++accum->failed;
+    complete(members[m], out.ok());
+  }
+  std::sort(solo.begin(), solo.end());
+  return solo;
 }
 
 }  // namespace
@@ -211,9 +329,14 @@ std::vector<SweepOutcome> SweepRunner::run(const std::vector<SweepJob>& jobs,
       runnable.push_back(i);
   }
 
-  const std::size_t num_workers = std::max<std::size_t>(
-      1, std::min<std::size_t>(threads_, std::max<std::size_t>(
-                                             1, runnable.size())));
+  // Cohorts hold at most runnable / workers members, so even a grid
+  // over one stream keeps every worker busy.
+  const std::size_t width = std::max<std::size_t>(
+      1, std::min<std::size_t>(threads_, runnable.size()));
+  const std::vector<std::vector<std::size_t>> units = make_units(
+      jobs, runnable, std::max<std::size_t>(1, runnable.size() / width));
+  const std::size_t num_workers =
+      std::max<std::size_t>(1, std::min(width, units.size()));
   std::vector<WorkerAccum> accums(num_workers);
 
   // An OnFailure::kAbort policy raises this flag on the first permanent
@@ -223,10 +346,23 @@ std::vector<SweepOutcome> SweepRunner::run(const std::vector<SweepJob>& jobs,
   std::atomic<bool> abort_flag{false};
   const bool abort_on_failure =
       options.policy.on_failure == OnFailure::kAbort;
+  const auto aborted = [&] {
+    return abort_on_failure && abort_flag.load(std::memory_order_acquire);
+  };
+
+  // A job's outcome slot is final: raise the abort flag on failure, then
+  // report the job to the checkpoint sink.
+  const std::function<void(std::size_t, bool)> complete =
+      [&](std::size_t job_idx, bool ok) {
+        if (!ok && abort_on_failure)
+          abort_flag.store(true, std::memory_order_release);
+        if (options.checkpoint != nullptr)
+          options.checkpoint->on_job_complete(job_idx, outcomes[job_idx]);
+      };
 
   const auto dispatch = [&](std::size_t job_idx, WorkerAccum* accum) {
     SweepOutcome* out = &outcomes[job_idx];
-    if (abort_on_failure && abort_flag.load(std::memory_order_acquire)) {
+    if (aborted()) {
       out->label = jobs[job_idx].label;
       out->cancelled = true;
       out->error_what = "cancelled: sweep aborted by an earlier job failure";
@@ -234,39 +370,49 @@ std::vector<SweepOutcome> SweepRunner::run(const std::vector<SweepJob>& jobs,
       ++accum->failed;
       return;
     }
-    const bool ok = run_job(jobs[job_idx], options.policy, out, accum);
-    if (!ok && abort_on_failure)
-      abort_flag.store(true, std::memory_order_release);
-    if (options.checkpoint != nullptr)
-      options.checkpoint->on_job_complete(job_idx, *out);
+    complete(job_idx, run_job(jobs[job_idx], options.policy, out, accum));
+  };
+
+  // A cohort that has not started when an abort is raised is cancelled
+  // whole; one that has started finishes, and its solo re-runs are
+  // dispatched (and cancelled) job by job.
+  const auto run_unit = [&](const std::vector<std::size_t>& unit,
+                            WorkerAccum* accum) {
+    if (unit.size() == 1 || aborted()) {
+      for (const std::size_t i : unit) dispatch(i, accum);
+      return;
+    }
+    for (const std::size_t i :
+         run_cohort(jobs, unit, options.policy, outcomes, accum, complete))
+      dispatch(i, accum);
   };
 
   if (num_workers == 1) {
     // Inline serial path: the reference the parallel path must match.
-    for (const std::size_t i : runnable) dispatch(i, &accums[0]);
+    for (const auto& unit : units) run_unit(unit, &accums[0]);
   } else {
-    // Deal jobs round-robin so every worker starts with a similar mix of
+    // Deal units round-robin so every worker starts with a similar mix of
     // the grid (adjacent jobs tend to share a workload, hence a cost).
     std::vector<WorkerQueue> queues(num_workers);
-    for (std::size_t k = 0; k < runnable.size(); ++k)
-      queues[k % num_workers].jobs.push_back(runnable[k]);
+    for (std::size_t u = 0; u < units.size(); ++u)
+      queues[u % num_workers].units.push_back(u);
 
     auto worker = [&](std::size_t w) {
-      std::size_t job_idx = 0;
+      std::size_t unit = 0;
       for (;;) {
-        if (queues[w].pop_front(&job_idx)) {
-          dispatch(job_idx, &accums[w]);
+        if (queues[w].pop_front(&unit)) {
+          run_unit(units[unit], &accums[w]);
           continue;
         }
         // Own queue drained: steal from the back of a victim's.
         bool stole = false;
         for (std::size_t k = 1; k < num_workers && !stole; ++k) {
           const std::size_t victim = (w + k) % num_workers;
-          stole = queues[victim].steal_back(&job_idx);
+          stole = queues[victim].steal_back(&unit);
         }
-        if (!stole) return;  // every queue empty — jobs never re-enter
+        if (!stole) return;  // every queue empty — units never re-enter
         ++accums[w].steals;
-        dispatch(job_idx, &accums[w]);
+        run_unit(units[unit], &accums[w]);
       }
     };
 
@@ -287,6 +433,7 @@ std::vector<SweepOutcome> SweepRunner::run(const std::vector<SweepJob>& jobs,
     stats_.total_accesses += a.accesses;
     stats_.intervals_observed += a.intervals;
     stats_.steals += a.steals;
+    stats_.sources_built += a.sources;
   }
   return outcomes;
 }

@@ -5,10 +5,17 @@
 // driver makes bench wall-clock, not simulation fidelity, the bottleneck.
 // SweepRunner executes an arbitrary set of (SimConfig, workload) jobs on a
 // work-stealing thread pool and merges the SimResults deterministically:
-// outcomes are stored by job index and every job is a self-contained
-// Simulator::run over its own TraceSource instance, so the merged result
-// vector is identical to a serial run regardless of thread count or
-// scheduling order.
+// outcomes are stored by job index and every job's result equals its own
+// Simulator::run, so the merged result vector is identical to a serial
+// run regardless of thread count or scheduling order.
+//
+// Lockstep cohorts: single-stream jobs that name the same stream
+// (SweepJob::shared_source) run together over ONE source — each batch is
+// generated once and handed to every member's engine in turn — so a grid
+// of C configs over W workloads generates W streams, not C x W, holding
+// one batch in memory rather than a trace (the one-pass, many-
+// configurations idea of Mattson et al.'s stack simulation).  Each
+// member's result is bit-identical to its solo run.
 //
 // Per-interval observer callbacks stream into per-worker accumulators
 // (each worker writes only its own cache-line-padded slot — no shared
@@ -28,12 +35,13 @@
 namespace pcal {
 
 /// Builds a fresh TraceSource for one job.  Called on the worker thread
-/// that runs the job, exactly once per SweepRunner::run — jobs must not
-/// share mutable sources, so the factory is the unit of workload identity.
-/// The factory itself must be safe to *invoke* from any worker thread
-/// (it is copied with the job; captured state it reads must be immutable
-/// or owned per-job), and the returned source is owned and destroyed by
-/// the worker that ran the job.
+/// that runs the job, once per attempt — jobs never share a mutable
+/// source except inside a lockstep cohort, which calls only its first
+/// member's factory (see SweepJob::shared_source).  The factory itself
+/// must be safe to *invoke* from any worker thread (it is copied with
+/// the job; captured state it reads must be immutable or owned per-job),
+/// and the returned source is owned and destroyed by the worker that
+/// ran the job.
 using TraceSourceFactory = std::function<std::unique_ptr<TraceSource>()>;
 
 /// One independent simulation of the sweep grid.
@@ -45,6 +53,14 @@ using TraceSourceFactory = std::function<std::unique_ptr<TraceSource>()>;
 struct SweepJob {
   SimConfig config;
   TraceSourceFactory make_source;
+  /// Stream identity for lockstep cohorts.  Single-stream jobs with the
+  /// same non-empty key share one source built from the first member's
+  /// factory, so the key must name the stream exactly: equal keys must
+  /// mean factories that produce identical access sequences (GridSpec
+  /// keys its points by workload value; accesses and footprint are
+  /// grid-wide).  Empty — the default — runs the job solo over its own
+  /// source.  Ignored for multi-core jobs.
+  std::string shared_source;
   /// Optional human-readable identity ("cache_size=8192 banks=4
   /// workload=cjpeg") copied into the outcome so failure reports name
   /// the offending config.
@@ -120,6 +136,13 @@ enum class OnFailure {
 };
 
 /// Per-job fault-isolation policy of one SweepRunner::run.
+///
+/// Cohorts follow the same policy, member by member: a member whose
+/// SimConfig fails validation runs solo (and fails exactly as it would
+/// alone); any other exception inside a cohort re-runs its unfinished
+/// members solo under this policy, as a retry would; a cohort of K
+/// members runs under K x deadline_ms, and on expiry its unfinished
+/// members fail timed_out and are never retried.
 struct JobPolicy {
   /// Total attempts per job (>= 1).  Only TransientError is retried —
   /// config and parse errors are deterministic and would fail again.
@@ -168,7 +191,10 @@ struct SweepStats {
   unsigned threads = 0;
   std::uint64_t total_accesses = 0;      // sum of SimResult::accesses
   std::uint64_t intervals_observed = 0;  // observer callbacks fired
-  std::uint64_t steals = 0;              // jobs taken from another worker
+  std::uint64_t steals = 0;              // units taken from another worker
+  /// TraceSources built: one per solo attempt (per core for multi-core
+  /// jobs) and one per cohort.
+  std::uint64_t sources_built = 0;
   double wall_seconds = 0.0;
 
   double accesses_per_second() const {
@@ -180,11 +206,17 @@ struct SweepStats {
 
 /// Work-stealing thread pool over independent Simulator runs.
 ///
-/// Jobs are dealt round-robin into per-worker deques; a worker drains its
-/// own deque from the front and, when empty, steals from the back of a
-/// victim's.  With `num_threads() == 1` (or a single job) everything runs
-/// inline on the calling thread — the exact serial path the determinism
-/// tests compare against.
+/// The runnable (non-skipped) jobs form work units: a lone job, or a
+/// cohort of jobs sharing a shared_source key, in job order.  A cohort
+/// holds at most max(1, runnable / workers) members, so a grid over one
+/// stream still fills every worker while table4 (216 jobs over 18
+/// streams) at 2 workers keeps its 18 whole cohorts.  Units are ordered
+/// by their first job index and dealt round-robin into per-worker
+/// deques; a worker drains its own deque from the front and, when empty,
+/// steals a whole unit from the back of a victim's.  With
+/// `num_threads() == 1` (or a single unit) everything runs inline on the
+/// calling thread — the exact serial path the determinism tests compare
+/// against.
 ///
 /// Thread-safety: a SweepRunner instance is driven from one caller
 /// thread; run() blocks that thread until every job has completed and
@@ -194,13 +226,14 @@ struct SweepStats {
 /// on the worker that ran it, and outcomes are written to distinct
 /// pre-sized slots.
 ///
-/// Determinism guarantee: outcomes are stored by job index and every job
-/// is a self-contained Simulator::run over its own source, so the
-/// returned vector is bit-identical to a serial run regardless of thread
-/// count, stealing order, or scheduling — pinned by sweep_test (1/2/8
-/// threads), the backend_parity_test degeneracy suite (1 and 8 threads),
-/// and CI's 1-vs-8-worker diffs of the table4 and drowsy_comparison
-/// grids.  Only SweepStats (wall clock, steal counts) may differ between
+/// Determinism guarantee: outcomes are stored by job index and every
+/// job's result equals its own Simulator::run, in a cohort or alone, so
+/// the returned vector is bit-identical to a serial run regardless of
+/// thread count, cohort split, stealing order, or scheduling — pinned by
+/// sweep_test (1/2/8 threads, cohorts vs keyless solo runs), the
+/// backend_parity_test degeneracy suite (1 and 8 threads), and CI's
+/// 1-vs-8-worker and spec-vs-bench diffs of the table4 grid.  Only
+/// SweepStats (wall clock, steal and source counts) may differ between
 /// runs.
 class SweepRunner {
  public:
@@ -209,7 +242,10 @@ class SweepRunner {
 
   /// Runs every job; returns outcomes in job order.  An exception thrown
   /// by one job (source factory or simulation) is captured into that
-  /// job's outcome and does not affect the others or the pool.
+  /// job's outcome and does not affect the others or the pool.  The
+  /// checkpoint sink hears each completed job once, cohort members
+  /// included; an OnFailure::kAbort policy cancels every unit (cohorts
+  /// whole) that has not started.
   std::vector<SweepOutcome> run(const std::vector<SweepJob>& jobs);
 
   /// As above with per-run fault-isolation and checkpointing options.

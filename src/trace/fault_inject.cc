@@ -163,4 +163,12 @@ TraceSourceFactory wrap_with_fault(TraceSourceFactory inner,
   };
 }
 
+void arm_fault(SweepJob& job, const FaultSpec& spec) {
+  job.shared_source.clear();
+  if (job.multicore && !job.core_sources.empty())
+    job.core_sources[0] = wrap_with_fault(job.core_sources[0], spec);
+  else if (job.make_source)
+    job.make_source = wrap_with_fault(job.make_source, spec);
+}
+
 }  // namespace pcal

@@ -87,4 +87,10 @@ class FaultInjectingTraceSource final : public TraceSource {
 TraceSourceFactory wrap_with_fault(TraceSourceFactory inner,
                                    const FaultSpec& spec);
 
+/// Arms `spec`'s fault on `job`'s trace stream (the first core's for a
+/// multi-core job) and makes the job run solo: in a lockstep cohort the
+/// stream would come from another member's unwrapped factory, so the
+/// fault would never fire.
+void arm_fault(SweepJob& job, const FaultSpec& spec);
+
 }  // namespace pcal

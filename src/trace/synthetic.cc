@@ -166,8 +166,7 @@ std::uint64_t SyntheticTraceSource::gen_address(std::size_t i) {
   return s.range_begin;
 }
 
-std::optional<MemAccess> SyntheticTraceSource::next() {
-  if (produced_ >= num_accesses_) return std::nullopt;
+inline MemAccess SyntheticTraceSource::step() {
   if (in_window_ == spec_.window_len) {
     in_window_ = 0;
     begin_window(++window_);
@@ -188,6 +187,19 @@ std::optional<MemAccess> SyntheticTraceSource::next() {
                               ? AccessKind::kWrite
                               : AccessKind::kRead;
   return MemAccess{addr, kind};
+}
+
+std::optional<MemAccess> SyntheticTraceSource::next() {
+  if (produced_ >= num_accesses_) return std::nullopt;
+  return step();
+}
+
+std::size_t SyntheticTraceSource::next_batch(MemAccess* out,
+                                             std::size_t max) {
+  const std::uint64_t left = num_accesses_ - produced_;
+  const std::size_t n = left < max ? static_cast<std::size_t>(left) : max;
+  for (std::size_t i = 0; i < n; ++i) out[i] = step();
+  return n;
 }
 
 std::vector<double> measure_window_idleness(TraceSource& source,

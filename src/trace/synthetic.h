@@ -88,6 +88,7 @@ class SyntheticTraceSource final : public TraceSource {
   SyntheticTraceSource(WorkloadSpec spec, std::uint64_t num_accesses);
 
   std::optional<MemAccess> next() override;
+  std::size_t next_batch(MemAccess* out, std::size_t max) override;
   void reset() override;
   std::optional<std::uint64_t> size_hint() const override {
     return num_accesses_;
@@ -97,6 +98,10 @@ class SyntheticTraceSource final : public TraceSource {
   const WorkloadSpec& spec() const { return spec_; }
 
  private:
+  /// Produces the next access (the caller checks the budget) — the one
+  /// per-access step next() and next_batch() share.
+  MemAccess step();
+
   struct StreamState {
     std::uint64_t cursor = 0;          // sequential/strided position (bytes)
     std::unique_ptr<ZipfSampler> zipf; // lazily built for kZipf

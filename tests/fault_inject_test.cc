@@ -21,9 +21,11 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <sstream>
 #include <vector>
 
 #include "core/experiment.h"
+#include "core/grid_spec.h"
 #include "trace/synthetic.h"
 #include "trace/workloads.h"
 #include "util/error.h"
@@ -298,6 +300,67 @@ TEST(JobPolicy, FailureCarriesLabelAndWhatString) {
   EXPECT_EQ(outcomes[1].label, "banks=4");
   EXPECT_NE(outcomes[1].error_what.find("injected"), std::string::npos)
       << outcomes[1].error_what;
+}
+
+TEST(FaultIsolation, InjectedJobOfAKeyedGridRunsSolo) {
+  // GridSpec keys every point by its workload, so the grid runs as
+  // lockstep cohorts.  arm_fault must take its job out of its cohort:
+  // exactly that job fails (or retries), with the error, label and
+  // attempt count of the same fault in an all-solo run.
+  std::istringstream text(R"([grid]
+name = keyed
+accesses = 20000
+[sweep]
+cache_size = 8192, 16384
+banks = 2, 4, 8, 16
+workload = cjpeg, sha
+)");
+  const GridSpec spec = GridSpec::parse(text);
+  const std::vector<GridJob> points = spec.expand();
+  for (const std::uint64_t target : {0u, 6u, 13u}) {
+    for (const FaultMode mode : {FaultMode::kThrow, FaultMode::kTransient}) {
+      FaultSpec fault;
+      fault.job = target;
+      fault.at_access = 5000;
+      fault.mode = mode;
+      const auto grid = [&](bool keyed) {
+        std::vector<SweepJob> jobs;
+        for (std::size_t i = 0; i < points.size(); ++i) {
+          SweepJob job = spec.sweep_job(points[i], nullptr);
+          if (!keyed) job.shared_source.clear();
+          if (i == fault.job) arm_fault(job, fault);
+          jobs.push_back(std::move(job));
+        }
+        return jobs;
+      };
+      SweepRunOptions options;
+      options.policy.max_attempts = 2;
+      const std::vector<SweepOutcome> solo =
+          SweepRunner(1).run(grid(false), options);
+      for (unsigned threads : {1u, 2u, 0u}) {
+        SCOPED_TRACE("job " + std::to_string(target) + " threads " +
+                     std::to_string(threads));
+        SweepRunner runner(threads);
+        const std::vector<SweepOutcome> got = runner.run(grid(true), options);
+        ASSERT_EQ(got.size(), solo.size());
+        for (std::size_t i = 0; i < got.size(); ++i) {
+          EXPECT_EQ(got[i].ok(), solo[i].ok()) << i;
+          EXPECT_EQ(got[i].error_what, solo[i].error_what) << i;
+          EXPECT_EQ(got[i].label, solo[i].label) << i;
+          EXPECT_EQ(got[i].attempts, solo[i].attempts) << i;
+          EXPECT_EQ(got[i].result.accesses, solo[i].result.accesses) << i;
+        }
+        if (mode == FaultMode::kThrow) {
+          EXPECT_FALSE(got[target].ok());
+          EXPECT_EQ(runner.last_stats().failed_jobs, 1u);
+        } else {
+          EXPECT_TRUE(got[target].ok());
+          EXPECT_EQ(got[target].attempts, 2u);
+          EXPECT_EQ(runner.last_stats().failed_jobs, 0u);
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

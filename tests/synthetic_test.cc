@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
+#include <vector>
 
+#include "trace/workloads.h"
 #include "util/error.h"
 
 namespace pcal {
@@ -207,6 +210,44 @@ TEST(Synthetic, ValidationCatchesBadSpecs) {
   spec = one_stream_spec(StreamPattern::kZipf);
   spec.write_fraction = -0.1;
   EXPECT_THROW(SyntheticTraceSource(spec, 10), ConfigError);
+}
+
+TEST(Synthetic, NextBatchMatchesNextAtEveryBatchSize) {
+  // next() and next_batch() share one per-access step: every batch size
+  // replays next()'s exact sequence, from the start and after reset()
+  // (also a reset mid-stream).  10007 accesses is no multiple of any
+  // batch size, so the final short batch is exercised too.
+  std::vector<WorkloadSpec> specs = all_mediabench_workloads();
+  specs.push_back(make_uniform_workload(16384));
+  specs.push_back(make_streaming_workload(16384));
+  specs.push_back(make_hotspot_workload(16384));
+  constexpr std::uint64_t kAccesses = 10007;
+  for (const WorkloadSpec& spec : specs) {
+    SyntheticTraceSource reference(spec, kAccesses);
+    std::vector<MemAccess> want;
+    while (auto a = reference.next()) want.push_back(*a);
+    ASSERT_EQ(want.size(), kAccesses) << spec.name;
+    for (const std::size_t batch : {1u, 7u, 256u, 4096u}) {
+      SCOPED_TRACE(spec.name + " batch " + std::to_string(batch));
+      SyntheticTraceSource source(spec, kAccesses);
+      std::vector<MemAccess> buf(batch);
+      const auto drain = [&] {
+        std::vector<MemAccess> got;
+        while (const std::size_t n = source.next_batch(buf.data(), batch))
+          got.insert(got.end(), buf.begin(),
+                     buf.begin() + static_cast<std::ptrdiff_t>(n));
+        return got;
+      };
+      EXPECT_EQ(drain(), want);
+      EXPECT_EQ(source.next_batch(buf.data(), batch), 0u);
+      source.reset();
+      EXPECT_EQ(drain(), want);
+      source.reset();
+      source.next_batch(buf.data(), batch);  // part of the stream ...
+      source.reset();                        // ... then start over
+      EXPECT_EQ(drain(), want);
+    }
+  }
 }
 
 TEST(MeasureWindowIdleness, CountsUntouchedRegions) {

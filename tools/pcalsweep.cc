@@ -400,21 +400,8 @@ int main(int argc, char** argv) {
     std::vector<SweepJob> sweep_jobs;
     sweep_jobs.reserve(slice.size());
     for (const std::size_t g : slice) {
-      SweepJob j;
-      j.config = jobs[g].config;
-      j.make_source = jobs[g].make_source;
-      j.multicore = jobs[g].multicore;
-      j.core_sources = jobs[g].core_sources;
-      j.lut = &lut;
-      j.label = coords_of(spec, jobs[g]);
-      if (fault && fault->job == g) {
-        // Arm the injected fault on this job's trace stream (first
-        // core's stream for a multi-core job).
-        if (j.multicore && !j.core_sources.empty())
-          j.core_sources[0] = wrap_with_fault(j.core_sources[0], *fault);
-        else if (j.make_source)
-          j.make_source = wrap_with_fault(j.make_source, *fault);
-      }
+      SweepJob j = spec.sweep_job(jobs[g], &lut);
+      if (fault && fault->job == g) arm_fault(j, *fault);
       sweep_jobs.push_back(std::move(j));
     }
 
@@ -641,7 +628,8 @@ int main(int argc, char** argv) {
               << " jobs on " << stats.threads << " threads, "
               << TextTable::num(stats.wall_seconds, 2) << "s, "
               << TextTable::num(stats.accesses_per_second() / 1e6, 1)
-              << "M accesses/s\n";
+              << "M accesses/s, " << stats.sources_built
+              << " trace sources built\n";
     if (failed > 0) {
       std::cerr << "[pcalsweep] " << failed << " of " << outcomes.size()
                 << " jobs failed\n";
