@@ -23,8 +23,9 @@
 #include <string>
 #include <vector>
 
-#include "bank/banked_cache.h"
+#include "bank/decoder.h"
 #include "bench_common.h"
+#include "core/managed_cache.h"
 #include "core/simulator.h"
 #include "trace/binary_trace.h"
 #include "trace/trace.h"
@@ -35,8 +36,9 @@
 namespace pcal {
 namespace {
 
-BankedCacheConfig bc_config(IndexingKind kind, std::uint64_t banks) {
-  BankedCacheConfig c;
+CacheTopology bc_config(IndexingKind kind, std::uint64_t banks) {
+  CacheTopology c;
+  c.granularity = Granularity::kBank;
   c.cache.size_bytes = 8192;
   c.cache.line_bytes = 16;
   c.partition.num_banks = banks;
@@ -65,12 +67,12 @@ BENCHMARK(BM_DecoderDecode)
     ->Arg(static_cast<int>(IndexingKind::kScrambling));
 
 void BM_BankedCacheAccess(benchmark::State& state) {
-  BankedCache bc(bc_config(IndexingKind::kProbing,
-                           static_cast<std::uint64_t>(state.range(0))));
+  auto bc = make_managed_cache(bc_config(
+      IndexingKind::kProbing, static_cast<std::uint64_t>(state.range(0))));
   std::uint64_t x = 1;
   for (auto _ : state) {
     x = x * 6364136223846793005ull + 1442695040888963407ull;
-    benchmark::DoNotOptimize(bc.access((x >> 20) % 65536, (x & 1) != 0));
+    benchmark::DoNotOptimize(bc->access((x >> 20) % 65536, (x & 1) != 0));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }

@@ -3,14 +3,9 @@
 #include <algorithm>
 #include <sstream>
 
-#include "bank/banked_cache.h"
-#include "bank/block_control.h"
-#include "bank/line_managed_cache.h"
-#include "bank/way_grain_cache.h"
-#include "core/drowsy_cache.h"
 #include "core/enum_strings.h"
-#include "core/monolithic_cache.h"
 #include "util/error.h"
+#include "util/stats.h"
 
 namespace pcal {
 
@@ -29,6 +24,8 @@ void CacheTopology::validate() const {
   if (granularity == Granularity::kBank || granularity == Granularity::kWay)
     partition.validate(cache);
   PCAL_CONFIG_CHECK(breakeven_cycles > 0, "breakeven time must be positive");
+  PCAL_CONFIG_CHECK(gate_cycles() >= breakeven_cycles,
+                    "gate threshold must not precede the drowsy threshold");
   contention.validate();
 }
 
@@ -60,9 +57,288 @@ std::string CacheTopology::describe() const {
   return os.str();
 }
 
+// ---- Unit maps ----
+//
+// A unit map turns a logical set index (CacheConfig::set_index_of) into a
+// Slot — the physical set the tag store serves plus the logical and
+// physical unit bases — and refines a base with the way the tag store
+// served into the power-managed unit.  Every map is a bijection on sets
+// for a fixed mapping state, so hit/miss behaviour between two updates is
+// that of the unpartitioned cache: only *where* a line lives, and so which
+// unit pays for it, depends on the granularity.
+//
+// The maps are plain value types built once per call (access, probe,
+// access_batch); the batched loop is instantiated once per map, so no
+// per-access dispatch remains inside it.
+
+// Monolithic: the whole array is one unit and never re-maps (an update
+// is a plain flush).  Its single Block Control counter almost never
+// saturates under real traffic — the paper's reference point: no useful
+// idleness, nominal aging, zero savings.
+struct ManagedCache::MonolithicMap {
+  static Slot decode(std::uint64_t set) { return {set, 0, 0}; }
+  static std::uint64_t unit(std::uint64_t, std::uint64_t) { return 0; }
+};
+
+// Bank (paper Fig. 1 + Fig. 2): the bank decoder D splits the n-bit index
+// into p MSBs (the logical bank) and n-p LSBs (the line in the bank), and
+// routes the logical bank through the time-varying f() (IndexingPolicy).
+// Each of the M uniform banks is one unit, with its own Block Control
+// counter.  An update advances f() and flushes the cache, exactly as the
+// paper requires ("every time the indexing is updated the entire cache
+// content becomes unusable and a cache flush is required") — in
+// deployment it piggybacks on flushes that happen anyway (context
+// switches).
+struct ManagedCache::BankMap {
+  const BankDecoder& decoder;
+  Slot decode(std::uint64_t set) const {
+    const DecodedIndex d = decoder.decode(set);
+    return {d.physical_set, d.logical_bank, d.physical_bank};
+  }
+  static std::uint64_t unit(std::uint64_t bank, std::uint64_t) {
+    return bank;
+  }
+};
+
+// Way (per-way sleep within each bank): between the paper's banks and
+// reference [7]'s lines for set-associative caches.  Bank selection and
+// re-indexing are the bank map's; each of a bank's W way-columns is a
+// unit (bank * W + way), where the way is whatever way the tag store
+// served — the hitting way, or the LRU victim on a miss.  A working set
+// that fits in a fraction of the associativity lets the remaining
+// columns sleep without the per-line sleep transistors of the line map.
+// Degeneracy: a direct-mapped cache (W = 1) has one way per set, so the
+// unit is the physical bank and this map reproduces the bank map bit for
+// bit (tests/way_grain_test.cc).
+struct ManagedCache::WayMap {
+  BankMap bank;
+  std::uint64_t ways;
+  Slot decode(std::uint64_t set) const { return bank.decode(set); }
+  std::uint64_t unit(std::uint64_t bank_index, std::uint64_t way) const {
+    return bank_index * ways + way;
+  }
+};
+
+// Line (reference [7], "Dynamic Indexing: Concurrent Leakage and Aging
+// Optimization for Caches", which the DATE'11 paper coarsens to banks):
+// every set is a unit with its own breakeven counter, and re-indexing
+// rotates the entire n-bit index, not just its p MSBs — a probing
+// counter added mod L, or an n-bit LFSR pattern XORed in.  Idleness is
+// harvested and balanced at the finest grain, which makes it the
+// aging-optimal upper bound; but it needs per-line sleep transistors and
+// control inside the SRAM array, which is exactly what the paper's
+// bank-level scheme avoids.
+struct ManagedCache::LineMap {
+  std::uint64_t add, xr, mask;
+  Slot decode(std::uint64_t set) const {
+    const std::uint64_t physical = ((set + add) & mask) ^ xr;
+    return {physical, set, physical};
+  }
+  static std::uint64_t unit(std::uint64_t set, std::uint64_t) { return set; }
+};
+
+template <class F>
+decltype(auto) ManagedCache::with_unit_map(F&& f) const {
+  switch (topology_.granularity) {
+    case Granularity::kMonolithic:
+      break;
+    case Granularity::kBank:
+      return f(BankMap{*decoder_});
+    case Granularity::kWay:
+      return f(WayMap{BankMap{*decoder_}, topology_.cache.ways});
+    case Granularity::kLine:
+      return f(LineMap{line_add_, line_xor_, topology_.cache.num_sets() - 1});
+  }
+  return f(MonolithicMap{});
+}
+
+namespace {
+
+const CacheTopology& validated(const CacheTopology& topology) {
+  topology.validate();
+  return topology;
+}
+
+}  // namespace
+
+ManagedCache::ManagedCache(const CacheTopology& topology)
+    : topology_(validated(topology)),
+      cache_(topology.cache),
+      control_(topology.num_units(), topology.breakeven_cycles),
+      gate_cycles_(topology.gate_cycles()) {
+  switch (topology.granularity) {
+    case Granularity::kMonolithic:
+      break;
+    case Granularity::kBank:
+    case Granularity::kWay:
+      decoder_.emplace(topology.cache, topology.partition,
+                       make_indexing_policy(topology.indexing,
+                                            topology.partition.num_banks,
+                                            topology.indexing_seed));
+      break;
+    case Granularity::kLine:
+      if (topology.indexing == IndexingKind::kScrambling)
+        lfsr_.emplace(std::min(24u, topology.cache.index_bits() + 8u),
+                      topology.indexing_seed);
+      break;
+  }
+}
+
+// The one per-access body.  The wakeup is classified after the tag-store
+// access at every granularity: the tag store never touches Block Control,
+// and the way map needs the served way to know which unit woke.
+template <bool kChecked, class Map>
+inline void ManagedCache::serve(const Map& map, const Slot& slot,
+                                std::uint64_t tag, std::uint64_t address,
+                                bool is_write, bool allocate,
+                                AccessOutcome& o) {
+  const CacheAccessResult r =
+      allocate ? cache_.access(tag, slot.set, is_write, address)
+               : cache_.probe(tag, slot.set);
+  const std::uint64_t unit = map.unit(slot.physical, r.way);
+  std::uint64_t gap;
+  if constexpr (kChecked) {
+    gap = control_.idle_gap(unit, cycle_);
+  } else {
+    const std::uint64_t nf = control_.next_free(unit);
+    gap = cycle_ >= nf ? cycle_ - nf : 0;
+  }
+  o.hit = r.hit;
+  o.writeback = r.writeback;
+  o.evicted = r.evicted;
+  o.victim_address = r.victim_address;
+  o.logical_unit = map.unit(slot.logical, r.way);
+  o.physical_unit = unit;
+  // A busy unit has gap 0, and the breakeven is positive, so it never
+  // counts as woken (BlockControl::is_sleeping).
+  o.woke_unit = gap >= control_.breakeven_cycles();
+  o.wake = classify_wake(o.woke_unit, gap, gate_cycles_);
+  o.stall_cycles = topology_.latency.event_stall(r.hit, o.wake);
+  o.num_events = 0;
+  o.add_event(0, r.hit, r.writeback, unit, address);
+  if constexpr (kChecked)
+    control_.on_access(unit, cycle_);
+  else
+    control_.record_access(unit, cycle_);
+  ++cycle_;
+}
+
+AccessOutcome ManagedCache::serve_one(std::uint64_t address, bool is_write,
+                                      bool allocate) {
+  PCAL_ASSERT_MSG(!finished_, "cache already finished");
+  const CacheConfig& cc = topology_.cache;
+  AccessOutcome out;
+  with_unit_map([&](const auto& map) {
+    serve<true>(map, map.decode(cc.set_index_of(address)),
+                cc.tag_of(address), address, is_write, allocate, out);
+  });
+  return out;
+}
+
+AccessOutcome ManagedCache::access(std::uint64_t address, bool is_write) {
+  return serve_one(address, is_write, /*allocate=*/true);
+}
+
+AccessOutcome ManagedCache::probe(std::uint64_t address) {
+  return serve_one(address, /*is_write=*/false, /*allocate=*/false);
+}
+
+// Batched hot loop, two stages per chunk: (1) tag extraction and the unit
+// map's decode for the whole chunk — the mapping only moves on
+// update_indexing(), which the driver never fires mid-batch — then (2)
+// the shared per-access body per element, with Block Control via the
+// assert-free record_access.  One invariant check per batch; each
+// access's stall self-advances the clock, so every statistic matches the
+// per-access path bit for bit.
+template <class Map>
+std::uint64_t ManagedCache::run_batch(const Map& map,
+                                      const MemAccess* accesses,
+                                      std::size_t n, AccessOutcome* out) {
+  constexpr std::size_t kChunk = 256;
+  std::uint64_t tags[kChunk];
+  Slot slots[kChunk];
+  const CacheConfig& cc = topology_.cache;
+  std::uint64_t stalls = 0;
+  for (std::size_t base = 0; base < n; base += kChunk) {
+    const std::size_t m = std::min(kChunk, n - base);
+    for (std::size_t j = 0; j < m; ++j) {
+      const std::uint64_t address = accesses[base + j].address;
+      tags[j] = cc.tag_of(address);
+      slots[j] = map.decode(cc.set_index_of(address));
+    }
+    for (std::size_t j = 0; j < m; ++j) {
+      const MemAccess& a = accesses[base + j];
+      AccessOutcome& o = out[base + j];
+      serve<false>(map, slots[j], tags[j], a.address,
+                   a.kind == AccessKind::kWrite, /*allocate=*/true, o);
+      cycle_ += o.stall_cycles;
+      stalls += o.stall_cycles;
+    }
+  }
+  return stalls;
+}
+
+std::uint64_t ManagedCache::access_batch(const MemAccess* accesses,
+                                         std::size_t n, AccessOutcome* out) {
+  PCAL_ASSERT_MSG(!finished_, "cache already finished");
+  return with_unit_map([&](const auto& map) {
+    return run_batch(map, accesses, n, out);
+  });
+}
+
+bool ManagedCache::invalidate_line(std::uint64_t address) {
+  const CacheConfig& cc = topology_.cache;
+  const std::uint64_t set = with_unit_map([&](const auto& map) {
+    return map.decode(cc.set_index_of(address)).set;
+  });
+  return cache_.invalidate(cc.tag_of(address), set);
+}
+
+bool ManagedCache::set_alloc_way_mask(std::uint64_t mask) {
+  if (topology_.granularity == Granularity::kLine) return false;
+  cache_.set_alloc_way_mask(mask);
+  return true;
+}
+
+std::uint64_t ManagedCache::update_indexing() {
+  PCAL_ASSERT_MSG(!finished_, "cache already finished");
+  const std::uint64_t line_mask = topology_.cache.num_sets() - 1;
+  switch (topology_.granularity) {
+    case Granularity::kMonolithic:
+      break;
+    case Granularity::kBank:
+    case Granularity::kWay:
+      decoder_->update();
+      break;
+    case Granularity::kLine:
+      if (topology_.indexing == IndexingKind::kProbing)
+        line_add_ = (line_add_ + 1) & line_mask;
+      else if (topology_.indexing == IndexingKind::kScrambling)
+        line_xor_ = lfsr_->step() & line_mask;
+      break;
+  }
+  ++updates_;
+  return cache_.flush();
+}
+
+void ManagedCache::advance_idle(std::uint64_t cycles) {
+  PCAL_ASSERT_MSG(!finished_, "cache already finished");
+  cycle_ += cycles;
+}
+
+void ManagedCache::finish() {
+  if (finished_) return;
+  control_.finish(cycle_);
+  finished_ = true;
+}
+
+double ManagedCache::unit_residency(std::uint64_t unit) const {
+  PCAL_ASSERT_MSG(finished_, "call finish() first");
+  return control_.sleep_residency(unit, cycle_);
+}
+
 double ManagedCache::avg_residency() const {
   const std::uint64_t n = num_units();
-  if (n == 0) return 0.0;
   double sum = 0.0;
   for (std::uint64_t i = 0; i < n; ++i) sum += unit_residency(i);
   return sum / static_cast<double>(n);
@@ -70,80 +346,48 @@ double ManagedCache::avg_residency() const {
 
 double ManagedCache::min_residency() const {
   const std::uint64_t n = num_units();
-  if (n == 0) return 0.0;
   double lo = unit_residency(0);
   for (std::uint64_t i = 1; i < n; ++i)
     lo = std::min(lo, unit_residency(i));
   return lo;
 }
 
-UnitActivity unit_activity_from(const BlockControl& control,
-                                std::uint64_t unit) {
+// Sleep is split at the gate threshold: of an idle interval of length
+// len, min(len, gate) - breakeven cycles are drowsy (if len > breakeven)
+// and len - gate are gated (if len > gate).  Under the gated policy the
+// gate equals the breakeven, so drowsy_cycles == 0 and gated_episodes ==
+// sleep_episodes exactly.
+UnitActivity ManagedCache::unit_activity(std::uint64_t unit) const {
+  PCAL_ASSERT_MSG(finished_, "call finish() first");
   UnitActivity a;
-  a.accesses = control.accesses(unit);
-  a.sleep_cycles = control.sleep_cycles(unit);
-  a.sleep_episodes = control.sleep_episodes(unit);
-  a.useful_idleness_count = control.useful_idleness_count(unit);
-  a.drowsy_cycles = 0;
-  a.gated_episodes = a.sleep_episodes;
+  a.accesses = control_.accesses(unit);
+  a.sleep_cycles = control_.sleep_cycles(unit);
+  a.sleep_episodes = control_.sleep_episodes(unit);
+  a.useful_idleness_count = control_.useful_idleness_count(unit);
+  const IntervalAccumulator& iv = control_.intervals(unit);
+  const std::uint64_t gated = iv.sleep_cycles(gate_cycles_);
+  PCAL_ASSERT(gated <= a.sleep_cycles);
+  a.drowsy_cycles = a.sleep_cycles - gated;
+  a.gated_episodes = iv.intervals_above(gate_cycles_);
   return a;
 }
 
-UnitPowerState unit_state_from(const BlockControl& control,
-                               std::uint64_t unit, std::uint64_t cycle,
-                               std::uint64_t gate_cycles) {
-  const std::uint64_t gap = control.idle_gap(unit, cycle);
-  if (gap < control.breakeven_cycles()) return UnitPowerState::kAwake;
-  if (gap >= gate_cycles) return UnitPowerState::kGated;
+const IntervalAccumulator& ManagedCache::unit_intervals(
+    std::uint64_t unit) const {
+  PCAL_ASSERT_MSG(finished_, "call finish() first");
+  return control_.intervals(unit);
+}
+
+UnitPowerState ManagedCache::unit_state(std::uint64_t unit) const {
+  const std::uint64_t gap = control_.idle_gap(unit, cycle_);
+  if (gap < control_.breakeven_cycles()) return UnitPowerState::kAwake;
+  if (gap >= gate_cycles_) return UnitPowerState::kGated;
   return UnitPowerState::kDrowsy;
 }
 
-namespace {
-
-std::unique_ptr<ManagedCache> make_gated_backend(
-    const CacheTopology& topology) {
-  switch (topology.granularity) {
-    case Granularity::kMonolithic:
-      return std::make_unique<MonolithicCache>(topology);
-    case Granularity::kBank: {
-      BankedCacheConfig bc;
-      bc.cache = topology.cache;
-      bc.partition = topology.partition;
-      bc.indexing = topology.indexing;
-      bc.indexing_seed = topology.indexing_seed;
-      bc.breakeven_cycles = topology.breakeven_cycles;
-      bc.gate_cycles = topology.gate_cycles();
-      bc.latency = topology.latency;
-      return std::make_unique<BankedCache>(bc);
-    }
-    case Granularity::kLine: {
-      LineManagedConfig lc;
-      lc.cache = topology.cache;
-      lc.indexing = topology.indexing;
-      lc.indexing_seed = topology.indexing_seed;
-      lc.breakeven_cycles = topology.breakeven_cycles;
-      lc.gate_cycles = topology.gate_cycles();
-      lc.latency = topology.latency;
-      return std::make_unique<LineManagedCache>(lc);
-    }
-    case Granularity::kWay:
-      return std::make_unique<WayGrainCache>(topology);
-  }
-  throw ConfigError("unknown granularity");
-}
-
-}  // namespace
-
 std::unique_ptr<ManagedCache> make_managed_cache(
     const CacheTopology& topology) {
-  topology.validate();
-  std::unique_ptr<ManagedCache> base = make_gated_backend(topology);
-  // A zero drowsy window normalizes to the bare gated backend, so
-  // "window disabled == state-destructive backend" holds bit for bit.
-  if (topology.drowsy_active())
-    return std::make_unique<DrowsyHybridCache>(
-        std::move(base), topology.breakeven_cycles, topology.gate_cycles());
-  return base;
+  return std::make_unique<ManagedCache>(topology);
 }
 
 }  // namespace pcal

@@ -1,34 +1,36 @@
-// The polymorphic power-managed-cache API.
+// The power-managed cache: one class for every architecture.
 //
 // The paper's evaluation is a comparison across architectures that differ
 // only in the *granularity* at which idleness is harvested and re-indexed:
 // the monolithic cache (no management), the paper's uniformly partitioned
-// banks, and the per-line scheme of its reference [7].  ManagedCache is the
-// one interface all of them implement, so a single run engine
-// (core/multicore.h) can run any of them from a CacheTopology
-// description — the same shape as make_indexing_policy, one level up.
+// banks, and the per-line scheme of its reference [7].  ManagedCache is all
+// of them: one tag store (CacheModel), one Block Control over the
+// topology's power-management units, one clock, and one per-access body
+// that access(), probe() and access_batch() share.  The only
+// per-granularity code is a *unit map* (core/managed_cache.cc): the rule
+// that turns a logical set index into the physical set the tag store
+// serves and the unit that pays for it.
 //
 // A "unit" is the architecture's power-management granule: the whole cache
 // (monolithic), one bank, one way-column of a bank (way-grain), or one
 // line.  All residency / activity queries are per-unit; aggregate helpers
 // are derived from them.
 //
-// Concrete backends keep their richer native APIs (BankedCache exposes its
-// decoder, LineManagedCache its rotation state); the interface uses the
-// non-virtual-interface pattern for access() so those native entry points
-// — which predate this API and return backend-specific outcome structs —
-// stay intact.
+// The power policy is not a separate layer either: every unit sleeps
+// after `breakeven_cycles` idle cycles and counts as power-gated after
+// CacheTopology::gate_cycles().  The gated policy is the case where the
+// two thresholds coincide, so the drowsy hybrid is a property of the same
+// class, not a wrapper around it.
 //
 // ## Ownership, thread-safety and determinism (the API contract)
 //
-// - make_managed_cache returns a uniquely-owned backend; the topology is
+// - make_managed_cache returns a uniquely-owned cache; the topology is
 //   copied into it, so the CacheTopology may be destroyed afterwards.
-//   DrowsyHybridCache owns its wrapped backend.
 // - A ManagedCache instance is NOT thread-safe: all mutating calls
 //   (access, update_indexing, advance_idle, finish) must come from one
 //   thread at a time.  Distinct instances share no mutable state, which is
 //   what lets SweepRunner drive one instance per worker with no locks.
-// - Every backend is deterministic: the same topology and the same access
+// - Every cache is deterministic: the same topology and the same access
 //   sequence produce bit-identical outcomes, statistics and residencies,
 //   on any machine and regardless of what other instances are doing.
 // - Query order: residency/activity/interval queries are only valid after
@@ -36,10 +38,14 @@
 //   finish() is idempotent.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 
+#include "bank/block_control.h"
+#include "bank/decoder.h"
 #include "bank/partition_config.h"
 #include "cache/cache.h"
 #include "cache/cache_config.h"
@@ -47,12 +53,13 @@
 #include "core/timing.h"
 #include "indexing/index_policy.h"
 #include "trace/access.h"
+#include "util/lfsr.h"
 
 namespace pcal {
 
-class IntervalAccumulator;
-
-/// Power-management granularity of a cache architecture.
+/// Power-management granularity of a cache architecture: which unit map
+/// ManagedCache runs (the maps and their rationale are documented in
+/// core/managed_cache.cc).
 enum class Granularity : std::uint8_t {
   kMonolithic = 0,  // one unit: the whole cache (no partitioning)
   kBank = 1,        // the paper's M uniform banks
@@ -75,7 +82,7 @@ enum class PowerPolicy : std::uint8_t {
 /// One level's slice of a routed access: which level was referenced,
 /// at what address, which physical unit served it, and whether it hit /
 /// shed a dirty victim.  route_access (core/hierarchy.h) records one per
-/// referenced level; a bare backend's access records its single level 0
+/// referenced level; a bare cache's access records its single level 0
 /// event.  This is what the contention layer (core/contention.h) replays
 /// — each event claims that level's ports / MSHRs / edge bandwidth.
 struct LevelEvent {
@@ -116,9 +123,9 @@ struct AccessOutcome {
   /// lower level consumes.
   bool evicted = false;
   std::uint64_t victim_address = 0;
-  /// Per-level event trace (see LevelEvent).  Backends leave it empty;
-  /// the access()/probe() wrappers synthesize the single level 0 event,
-  /// and route_access overwrites it with the full chain.
+  /// Per-level event trace (see LevelEvent).  access(), probe() and
+  /// access_batch() record the single level 0 event; route_access
+  /// overwrites it with the full chain.
   std::uint8_t num_events = 0;
   LevelEvent events[kMaxTraceLevels];
 
@@ -164,10 +171,11 @@ inline char to_char(UnitPowerState s) {
 
 /// Per-unit activity facts, valid after finish().
 ///
-/// `sleep_cycles`/`sleep_episodes` count *any* low-power state.  Under
-/// PowerPolicy::kGated every episode power-gates, so `drowsy_cycles` is 0
-/// and `gated_episodes == sleep_episodes`; the drowsy hybrid splits sleep
-/// into a state-preserving drowsy share and the gated remainder.
+/// `sleep_cycles`/`sleep_episodes` count *any* low-power state (idle
+/// time past the breakeven).  Sleep is always split at the gate
+/// threshold: the share before it is drowsy, the remainder gated.  Under
+/// PowerPolicy::kGated the gate threshold equals the breakeven, so
+/// `drowsy_cycles` is 0 and `gated_episodes == sleep_episodes`.
 struct UnitActivity {
   std::uint64_t accesses = 0;
   std::uint64_t sleep_cycles = 0;
@@ -180,7 +188,7 @@ struct UnitActivity {
   std::uint64_t gated_episodes = 0;
 };
 
-/// Complete description of one cache architecture: what every backend
+/// Complete description of one cache architecture: what a ManagedCache
 /// needs to construct itself.  `partition` is consulted at kBank and kWay
 /// granularity; `indexing` selects the time-varying mapping f() (kStatic
 /// disables rotation at any granularity).
@@ -197,7 +205,8 @@ struct CacheTopology {
   PowerPolicy policy = PowerPolicy::kGated;
   /// kDrowsyHybrid only: additional idle cycles a unit dwells at the
   /// drowsy voltage before it is power-gated.  0 disables the drowsy
-  /// window (the hybrid then *is* the gated backend, bit for bit).
+  /// window (the gate threshold is then the breakeven: the gated policy,
+  /// bit for bit).
   std::uint64_t drowsy_window_cycles = 0;
   /// Event costs of this level in stall cycles (core/timing.h).  The
   /// all-zero default keeps the idealized one-access-per-cycle clock.
@@ -235,24 +244,20 @@ struct CacheTopology {
   std::string describe() const;
 };
 
-/// Abstract power-managed cache: one access consumed per cycle, explicit
-/// re-indexing updates, per-unit idleness bookkeeping.
+
+/// The power-managed cache: one access consumed per cycle, explicit
+/// re-indexing updates, per-unit idleness bookkeeping, at any granularity
+/// and power policy.
 ///
 /// Thread-safety: instances are confined to one thread at a time (see the
 /// file comment); const queries after finish() may be read concurrently.
 class ManagedCache {
  public:
-  virtual ~ManagedCache() = default;
+  /// Validates `topology` (throws ConfigError) and builds its cache.
+  explicit ManagedCache(const CacheTopology& topology);
 
-  /// Simulates one access at the next cycle (non-virtual interface; the
-  /// backends' native access methods remain available on the concrete
-  /// types).
-  AccessOutcome access(std::uint64_t address, bool is_write) {
-    AccessOutcome out = do_access(address, is_write);
-    if (out.num_events == 0)
-      out.add_event(0, out.hit, out.writeback, out.physical_unit, address);
-    return out;
-  }
+  /// Simulates one access at the next cycle.
+  AccessOutcome access(std::uint64_t address, bool is_write);
 
   /// Simulates one lookup at the next cycle *without allocating on a
   /// miss*: the serving unit is activated exactly as for access() (it
@@ -260,13 +265,10 @@ class ManagedCache {
   /// and stall cycles count), but a missing line stays absent — nothing
   /// is installed, nothing evicted.  This is the exclusive hierarchy's
   /// probe path (core/hierarchy.h): the probed line, if found,
-  /// conceptually moves up rather than filling this level.
-  AccessOutcome probe(std::uint64_t address) {
-    AccessOutcome out = do_probe(address);
-    if (out.num_events == 0)
-      out.add_event(0, out.hit, out.writeback, out.physical_unit, address);
-    return out;
-  }
+  /// conceptually moves up rather than filling this level.  At way grain
+  /// a probe miss touches no way; the tag store reports way 0, so the
+  /// cost lands on the set's first way-column.
+  AccessOutcome probe(std::uint64_t address);
 
   /// Simulates `n` accesses in one call, writing one outcome per access
   /// into `out` (caller-owned, length >= n).  Semantically identical to
@@ -276,135 +278,141 @@ class ManagedCache {
   ///
   /// — each access's stall advances the clock before the next access is
   /// served, so sleep/wake classification, statistics and residencies
-  /// are bit-identical to the scalar loop at every batch size.  The
-  /// default does exactly that loop (every backend is correct from day
-  /// one); the concrete backends override do_access_batch with batched
-  /// implementations over their struct-of-arrays unit state.  One
-  /// caveat for `out` reuse across calls: entries of events[] at and
-  /// past num_events are unspecified (the scalar path zero-fills them,
-  /// the batched paths may leave stale data).
+  /// are bit-identical to the per-access loop at every batch size.  The
+  /// loop is compiled once per unit map and checks its invariants once
+  /// per batch rather than per access.  One caveat for `out` reuse
+  /// across calls: entries of events[] at and past num_events are
+  /// unspecified.
   ///
-  /// Returns the batch's summed stall_cycles — accumulated in-register
-  /// by the batched backends, so the driver's clock never has to re-read
-  /// the strided outcome array.
+  /// Returns the batch's summed stall_cycles, accumulated in-register so
+  /// the driver's clock never has to re-read the strided outcome array.
   std::uint64_t access_batch(const MemAccess* accesses, std::size_t n,
-                             AccessOutcome* out) {
-    return do_access_batch(accesses, n, out);
-  }
+                             AccessOutcome* out);
 
   /// Fires the update signal: advances the time-varying indexing and
   /// flushes the cache.  Returns the number of dirty lines written back.
-  virtual std::uint64_t update_indexing() = 0;
+  std::uint64_t update_indexing();
 
   /// Advances time by `cycles` with no access: every unit idles.  This is
   /// how a hierarchy keeps a lower level on the global clock while the
   /// upper level absorbs hits (L2 cycles == L1 cycles, so L2 residencies
   /// and leakage are priced against real time, not its access count).
-  virtual void advance_idle(std::uint64_t cycles) = 0;
+  void advance_idle(std::uint64_t cycles);
 
   /// Finalizes idle-interval bookkeeping; call when the trace ends.
   /// Residency/activity queries are only valid afterwards.  Idempotent.
-  virtual void finish() = 0;
+  void finish();
 
   /// Cycles simulated so far (accesses consumed + idle cycles advanced).
-  virtual std::uint64_t cycles() const = 0;
+  std::uint64_t cycles() const { return cycle_; }
 
   /// Number of independently power-managed units.
-  virtual std::uint64_t num_units() const = 0;
+  std::uint64_t num_units() const { return control_.num_banks(); }
 
   /// Sleep residency of one physical unit over the simulated time.
-  virtual double unit_residency(std::uint64_t unit) const = 0;
+  double unit_residency(std::uint64_t unit) const;
 
   /// Mean / worst-case unit residency (worst case limits lifetime).
-  virtual double avg_residency() const;
-  virtual double min_residency() const;
+  double avg_residency() const;
+  double min_residency() const;
 
   /// Tag-store statistics (hits, misses, writebacks, flushes).
-  virtual const CacheStats& stats() const = 0;
+  const CacheStats& stats() const { return cache_.stats(); }
 
   /// Number of re-indexing updates applied so far.
-  virtual std::uint64_t indexing_updates() const = 0;
+  std::uint64_t indexing_updates() const { return updates_; }
 
   /// Per-unit activity for energy accounting; valid after finish().
-  virtual UnitActivity unit_activity(std::uint64_t unit) const = 0;
+  UnitActivity unit_activity(std::uint64_t unit) const;
 
-  /// One unit's raw idle-interval histogram.  This is what lets policy
-  /// layers (the drowsy hybrid) and energy models re-slice idleness at
-  /// thresholds other than the breakeven the backend ran with.
-  virtual const IntervalAccumulator& unit_intervals(
-      std::uint64_t unit) const = 0;
+  /// One unit's raw idle-interval histogram, valid after finish().  This
+  /// is what lets energy models re-slice idleness at thresholds other
+  /// than the ones the cache ran with.
+  const IntervalAccumulator& unit_intervals(std::uint64_t unit) const;
 
   /// Instantaneous power state of one unit at the current cycle — what
   /// the interval observer samples for the power-state timeline.  Valid
   /// at any point of the run (unlike the post-finish() activity
-  /// queries).  The default covers backends with no idleness tracking;
-  /// every concrete backend derives the state from its Block Control
-  /// idle gap via unit_state_from below.
-  virtual UnitPowerState unit_state(std::uint64_t /*unit*/) const {
-    return UnitPowerState::kAwake;
-  }
+  /// queries): below the breakeven the unit is awake, at or past the
+  /// gate threshold it has power-gated, in between it is drowsy.
+  UnitPowerState unit_state(std::uint64_t unit) const;
 
   /// Restricts *allocation* (miss-victim choice) to the tag-store ways
   /// whose mask bit is set; hits are still served from any way, so a
   /// line resident outside the mask is found and touched — standard
   /// way-partitioning semantics, used by the multi-core shared LLC for
-  /// QoS isolation (core/multicore.h).  Returns false when the backend
-  /// has no way-organized tag store to mask (per-line management);
-  /// passing the full mask (~0) restores unrestricted allocation.
-  virtual bool set_alloc_way_mask(std::uint64_t /*mask*/) { return false; }
+  /// QoS isolation (core/multicore.h).  Returns false at line grain,
+  /// whose units are sets, not way-organized columns; passing the full
+  /// mask (~0) restores unrestricted allocation.
+  bool set_alloc_way_mask(std::uint64_t mask);
 
   /// Drops the line containing `address` from the tag store if resident:
-  /// a pure tag-store operation — no cycle is consumed, no unit wakes, no
-  /// statistics move, and a dirty line is dropped without a writeback
-  /// (the inclusive back-invalidation approximation, documented in
-  /// core/hierarchy.h).  Returns true iff a line was invalidated.  The
-  /// default covers backends with no tag store to drop from.
-  virtual bool invalidate_line(std::uint64_t /*address*/) { return false; }
+  /// a pure tag-store operation — the same mapping as an access, but no
+  /// cycle is consumed, no unit wakes, no statistics move, and a dirty
+  /// line is dropped without a writeback (the inclusive back-invalidation
+  /// approximation, documented in core/hierarchy.h).  Returns true iff a
+  /// line was invalidated.
+  bool invalidate_line(std::uint64_t address);
+
+  /// Read-only view of the tag store (occupancy diagnostics).
+  const CacheModel& cache() const { return cache_; }
 
  private:
-  virtual AccessOutcome do_access(std::uint64_t address, bool is_write) = 0;
-  virtual AccessOutcome do_probe(std::uint64_t address) = 0;
+  /// One decoded set index: the physical set the tag store serves and
+  /// the logical/physical unit bases the unit map refines with the
+  /// served way.
+  struct Slot {
+    std::uint64_t set;
+    std::uint64_t logical;
+    std::uint64_t physical;
+  };
 
-  /// Batched access body behind access_batch().  The default loops over
-  /// the scalar NVI path — correct for every backend, so a new one is
-  /// batch-capable before it grows its own loop.
-  virtual std::uint64_t do_access_batch(const MemAccess* accesses,
-                                        std::size_t n, AccessOutcome* out) {
-    std::uint64_t stalls = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      out[i] = access(accesses[i].address,
-                      accesses[i].kind == AccessKind::kWrite);
-      if (out[i].stall_cycles != 0) advance_idle(out[i].stall_cycles);
-      stalls += out[i].stall_cycles;
-    }
-    return stalls;
-  }
+  /// The four unit maps, defined and documented in managed_cache.cc.
+  struct MonolithicMap;
+  struct BankMap;
+  struct WayMap;
+  struct LineMap;
+
+  /// Calls `f` with the topology's unit map (one switch per call).
+  template <class F>
+  decltype(auto) with_unit_map(F&& f) const;
+
+  /// The one per-access body.  kChecked: Block Control's per-access
+  /// asserts (access/probe); otherwise the batched loop's assert-free
+  /// bookkeeping.
+  template <bool kChecked, class Map>
+  void serve(const Map& map, const Slot& slot, std::uint64_t tag,
+             std::uint64_t address, bool is_write, bool allocate,
+             AccessOutcome& out);
+
+  AccessOutcome serve_one(std::uint64_t address, bool is_write,
+                          bool allocate);
+
+  template <class Map>
+  std::uint64_t run_batch(const Map& map, const MemAccess* accesses,
+                          std::size_t n, AccessOutcome* out);
+
+  CacheTopology topology_;
+  CacheModel cache_;
+  BlockControl control_;
+  std::uint64_t gate_cycles_;
+  /// Bank and way grain: the p-MSB decode through f().
+  std::optional<BankDecoder> decoder_;
+  /// Line grain: the full-index rotation, physical set =
+  /// ((logical + line_add_) mod L) XOR line_xor_.  Probing advances the
+  /// addend, scrambling draws the XOR pattern from the LFSR.
+  std::uint64_t line_add_ = 0;
+  std::uint64_t line_xor_ = 0;
+  std::optional<GaloisLfsr> lfsr_;
+  std::uint64_t cycle_ = 0;
+  std::uint64_t updates_ = 0;
+  bool finished_ = false;
 };
 
-/// Builds the backend for a topology: MonolithicCache, BankedCache,
-/// LineManagedCache or WayGrainCache — wrapped in a DrowsyHybridCache when
-/// the topology's drowsy window is active (a zero window returns the bare
-/// gated backend, which is the degeneracy the parity tests pin).  Throws
-/// ConfigError on invalid topologies.
+/// Builds the cache for a topology — every granularity and power policy
+/// is the one ManagedCache class.  Throws ConfigError on invalid
+/// topologies.
 std::unique_ptr<ManagedCache> make_managed_cache(
     const CacheTopology& topology);
-
-class BlockControl;
-
-/// Extracts one unit's activity from a BlockControl.  Every backend
-/// tracks idleness with one; this is the shared unit_activity() body.
-/// Pure-gated semantics: all sleep is gated (drowsy_cycles = 0,
-/// gated_episodes = sleep_episodes).
-UnitActivity unit_activity_from(const BlockControl& control,
-                                std::uint64_t unit);
-
-/// Classifies one unit's instantaneous state from its Block Control idle
-/// gap at `cycle`: below the control's breakeven it is awake, at or past
-/// `gate_cycles` it has power-gated, in between it is drowsy.  The shared
-/// unit_state() body of every backend (gate_cycles == breakeven — the
-/// pure gated policy — never yields kDrowsy).
-UnitPowerState unit_state_from(const BlockControl& control,
-                               std::uint64_t unit, std::uint64_t cycle,
-                               std::uint64_t gate_cycles);
 
 }  // namespace pcal

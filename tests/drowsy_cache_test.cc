@@ -1,16 +1,16 @@
-// DrowsyHybridCache: drowsy-then-gate power management.
+// The drowsy hybrid policy: drowsy-then-gate power management.
 //
-// Two contracts matter: (1) a disabled drowsy window degenerates to the
-// state-destructive (gated) backend bit for bit — the factory returns
-// the bare backend and the Simulator prices it identically; (2) with an
-// active window, the drowsy/gated decomposition of every unit's sleep is
-// exactly the interval arithmetic re-sliced at the gate threshold.
-#include "core/drowsy_cache.h"
-
+// Two contracts matter: (1) a disabled drowsy window is the
+// state-destructive (gated) policy bit for bit — the gate threshold is
+// then the breakeven, so the split of sleep at it leaves no drowsy share;
+// (2) with an active window, the drowsy/gated decomposition of every
+// unit's sleep is exactly the interval arithmetic re-sliced at the gate
+// threshold.
 #include <gtest/gtest.h>
 
 #include "core/enum_strings.h"
 #include "core/experiment.h"
+#include "core/managed_cache.h"
 #include "core/simulator.h"
 #include "trace/trace.h"
 #include "trace/workloads.h"
@@ -36,29 +36,61 @@ Trace make_trace(std::uint64_t accesses) {
   return Trace::materialize(src);
 }
 
-TEST(DrowsyHybrid, ZeroWindowNormalizesToGatedBackend) {
-  CacheTopology topo = base_topology();
-  topo.policy = PowerPolicy::kDrowsyHybrid;
-  topo.drowsy_window_cycles = 0;
-  auto cache = make_managed_cache(topo);
-  // The factory must return the bare gated backend, not a wrapper.
-  EXPECT_EQ(dynamic_cast<DrowsyHybridCache*>(cache.get()), nullptr);
+// The identity the policy fold rests on: a zero-window drowsy run and a
+// gated run report identical activity at every granularity, with no
+// drowsy share and every sleep episode power-gated.  Periodic idle gaps
+// let even the monolithic unit sleep.
+TEST(DrowsyHybrid, ZeroWindowIsTheGatedPolicy) {
+  const Trace trace = make_trace(30'000);
+  for (Granularity g : {Granularity::kMonolithic, Granularity::kBank,
+                        Granularity::kWay, Granularity::kLine}) {
+    CacheTopology gated = base_topology();
+    gated.granularity = g;
+    gated.cache.ways = g == Granularity::kWay ? 2 : 1;
+    CacheTopology drowsy0 = gated;
+    drowsy0.policy = PowerPolicy::kDrowsyHybrid;
+    drowsy0.drowsy_window_cycles = 0;
+    ASSERT_EQ(drowsy0.gate_cycles(), drowsy0.breakeven_cycles);
+
+    auto a = make_managed_cache(gated);
+    auto b = make_managed_cache(drowsy0);
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+      const bool w = trace[i].kind == AccessKind::kWrite;
+      a->access(trace[i].address, w);
+      b->access(trace[i].address, w);
+      if (i % 1'000 == 999) {
+        a->advance_idle(100);
+        b->advance_idle(100);
+      }
+      if (i % 7'000 == 6'999) {
+        a->update_indexing();
+        b->update_indexing();
+      }
+    }
+    a->finish();
+    b->finish();
+    std::uint64_t episodes = 0;
+    for (std::uint64_t u = 0; u < a->num_units(); ++u) {
+      const UnitActivity x = a->unit_activity(u);
+      const UnitActivity y = b->unit_activity(u);
+      EXPECT_EQ(x.accesses, y.accesses);
+      EXPECT_EQ(x.sleep_cycles, y.sleep_cycles);
+      EXPECT_EQ(x.sleep_episodes, y.sleep_episodes);
+      EXPECT_DOUBLE_EQ(x.useful_idleness_count, y.useful_idleness_count);
+      EXPECT_EQ(x.drowsy_cycles, y.drowsy_cycles);
+      EXPECT_EQ(x.gated_episodes, y.gated_episodes);
+      EXPECT_EQ(y.drowsy_cycles, 0u) << to_string(g) << " unit " << u;
+      EXPECT_EQ(y.gated_episodes, y.sleep_episodes)
+          << to_string(g) << " unit " << u;
+      episodes += y.sleep_episodes;
+    }
+    EXPECT_GT(episodes, 0u) << to_string(g);
+  }
 }
 
-TEST(DrowsyHybrid, ActiveWindowBuildsWrapper) {
-  CacheTopology topo = base_topology();
-  topo.policy = PowerPolicy::kDrowsyHybrid;
-  topo.drowsy_window_cycles = 64;
-  auto cache = make_managed_cache(topo);
-  auto* hybrid = dynamic_cast<DrowsyHybridCache*>(cache.get());
-  ASSERT_NE(hybrid, nullptr);
-  EXPECT_EQ(hybrid->drowsy_threshold(), 24u);
-  EXPECT_EQ(hybrid->gate_threshold(), 88u);
-}
-
-// The wrapper is transparent to everything but the drowsy split: same
-// outcome stream, stats, residencies as the bare backend.
-TEST(DrowsyHybrid, DecoratorIsTransparentToAccessStream) {
+// The window is transparent to everything but the drowsy split: same
+// outcome stream, stats, residencies as the gated policy.
+TEST(DrowsyHybrid, WindowIsTransparentToAccessStream) {
   CacheTopology gated = base_topology();
   CacheTopology drowsy = gated;
   drowsy.policy = PowerPolicy::kDrowsyHybrid;
@@ -99,10 +131,9 @@ TEST(DrowsyHybrid, DecompositionMatchesIntervalArithmetic) {
     cache->access(trace[i].address, trace[i].kind == AccessKind::kWrite);
   cache->finish();
 
-  auto* hybrid = dynamic_cast<DrowsyHybridCache*>(cache.get());
-  ASSERT_NE(hybrid, nullptr);
-  const std::uint64_t d = hybrid->drowsy_threshold();
-  const std::uint64_t g = hybrid->gate_threshold();
+  const std::uint64_t d = topo.breakeven_cycles;
+  const std::uint64_t g = topo.gate_cycles();
+  ASSERT_EQ(g, d + topo.drowsy_window_cycles);
   bool saw_drowsy = false;
   for (std::uint64_t u = 0; u < cache->num_units(); ++u) {
     const UnitActivity a = cache->unit_activity(u);
@@ -115,8 +146,10 @@ TEST(DrowsyHybrid, DecompositionMatchesIntervalArithmetic) {
     EXPECT_LE(a.drowsy_cycles, a.sleep_cycles);
     if (a.drowsy_cycles > 0) saw_drowsy = true;
     // Gated residency is the deep slice of the total sleep residency.
-    EXPECT_LE(hybrid->unit_gated_residency(u),
-              cache->unit_residency(u) + 1e-12);
+    const double gated_residency =
+        static_cast<double>(iv.sleep_cycles(g)) /
+        static_cast<double>(cache->cycles());
+    EXPECT_LE(gated_residency, cache->unit_residency(u) + 1e-12);
   }
   EXPECT_TRUE(saw_drowsy);
 }

@@ -11,7 +11,6 @@
 
 #include <gtest/gtest.h>
 
-#include "bank/banked_cache.h"
 #include "core/experiment.h"
 #include "core/simulator.h"
 #include "route_chain.h"
@@ -354,9 +353,8 @@ TEST(Hierarchy, ExclusiveLevelProbesColdMissesAndInstallsVictims) {
   // level never holds more lines than were evicted from above.
   EXPECT_EQ(chain.stats(1).accesses, chain.stats(0).misses);
   EXPECT_GT(chain.stats(1).accesses, 0u);
-  const auto& l2_backend = dynamic_cast<const BankedCache&>(chain.level(1));
   EXPECT_GT(evictions, 0u);
-  EXPECT_LE(l2_backend.cache().valid_lines(), evictions);
+  EXPECT_LE(chain.level(1).cache().valid_lines(), evictions);
   EXPECT_EQ(chain.level(1).cycles(), trace.size());
 }
 

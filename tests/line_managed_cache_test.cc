@@ -1,15 +1,20 @@
-#include "bank/line_managed_cache.h"
-
+// Line-grain ManagedCache: reference [7]'s per-line management with
+// full-index dynamic indexing, driven through the factory.
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "core/managed_cache.h"
+#include "trace/synthetic.h"
 #include "trace/workloads.h"
 #include "util/error.h"
 
 namespace pcal {
 namespace {
 
-LineManagedConfig config_1k(IndexingKind kind) {
-  LineManagedConfig c;
+CacheTopology config_1k(IndexingKind kind) {
+  CacheTopology c;
+  c.granularity = Granularity::kLine;
   c.cache.size_bytes = 1024;
   c.cache.line_bytes = 16;  // 64 lines
   c.indexing = kind;
@@ -18,67 +23,67 @@ LineManagedConfig config_1k(IndexingKind kind) {
 }
 
 TEST(LineManaged, HitsAndUnits) {
-  LineManagedCache lm(config_1k(IndexingKind::kStatic));
-  EXPECT_EQ(lm.num_units(), 64u);
-  EXPECT_FALSE(lm.access(0x100, false).hit);
-  EXPECT_TRUE(lm.access(0x100, false).hit);
-  EXPECT_EQ(lm.cycles(), 2u);
+  auto lm = make_managed_cache(config_1k(IndexingKind::kStatic));
+  EXPECT_EQ(lm->num_units(), 64u);
+  EXPECT_FALSE(lm->access(0x100, false).hit);
+  EXPECT_TRUE(lm->access(0x100, false).hit);
+  EXPECT_EQ(lm->cycles(), 2u);
 }
 
 TEST(LineManaged, ProbingRotatesWholeIndex) {
-  LineManagedCache lm(config_1k(IndexingKind::kProbing));
-  const auto r0 = lm.access(0x100, false);  // logical set 16
-  EXPECT_EQ(r0.logical_set, 16u);
-  EXPECT_EQ(r0.physical_set, 16u);
-  lm.update_indexing();
-  const auto r1 = lm.access(0x100, false);
-  EXPECT_EQ(r1.physical_set, 17u);  // +1 mod 64
+  auto lm = make_managed_cache(config_1k(IndexingKind::kProbing));
+  const AccessOutcome r0 = lm->access(0x100, false);  // logical set 16
+  EXPECT_EQ(r0.logical_unit, 16u);
+  EXPECT_EQ(r0.physical_unit, 16u);
+  lm->update_indexing();
+  const AccessOutcome r1 = lm->access(0x100, false);
+  EXPECT_EQ(r1.physical_unit, 17u);  // +1 mod 64
   // Wrap-around at the top line.
-  const auto r2 = lm.access(63u << 4, false);  // logical set 63
-  EXPECT_EQ(r2.physical_set, 0u);
+  const AccessOutcome r2 = lm->access(63u << 4, false);  // logical set 63
+  EXPECT_EQ(r2.physical_unit, 0u);
 }
 
 TEST(LineManaged, UpdateFlushes) {
-  LineManagedCache lm(config_1k(IndexingKind::kProbing));
-  lm.access(0x100, true);
-  EXPECT_EQ(lm.update_indexing(), 1u);  // the dirty line flushes
-  EXPECT_FALSE(lm.access(0x100, false).hit);
+  auto lm = make_managed_cache(config_1k(IndexingKind::kProbing));
+  lm->access(0x100, true);
+  EXPECT_EQ(lm->update_indexing(), 1u);  // the dirty line flushes
+  EXPECT_FALSE(lm->access(0x100, false).hit);
 }
 
 TEST(LineManaged, ScramblingIsPerSetPermutation) {
-  LineManagedCache lm(config_1k(IndexingKind::kScrambling));
+  auto lm = make_managed_cache(config_1k(IndexingKind::kScrambling));
   for (int u = 0; u < 5; ++u) {
     std::vector<bool> seen(64, false);
     for (std::uint64_t s = 0; s < 64; ++s) {
-      const auto r = lm.access(s << 4, false);
-      EXPECT_LT(r.physical_set, 64u);
-      EXPECT_FALSE(seen[r.physical_set]);
-      seen[r.physical_set] = true;
+      const AccessOutcome r = lm->access(s << 4, false);
+      EXPECT_LT(r.physical_unit, 64u);
+      EXPECT_FALSE(seen[r.physical_unit]);
+      seen[r.physical_unit] = true;
     }
-    lm.update_indexing();
+    lm->update_indexing();
   }
 }
 
 TEST(LineManaged, ResidencyPerLine) {
-  LineManagedConfig cfg = config_1k(IndexingKind::kStatic);
+  CacheTopology cfg = config_1k(IndexingKind::kStatic);
   cfg.breakeven_cycles = 4;
-  LineManagedCache lm(cfg);
+  auto lm = make_managed_cache(cfg);
   // Hammer one line; all others idle.
-  for (int i = 0; i < 1000; ++i) lm.access(0x0, false);
-  lm.finish();
-  EXPECT_NEAR(lm.line_residency(0), 0.0, 1e-9);
-  EXPECT_NEAR(lm.line_residency(1), (1000.0 - 4.0) / 1000.0, 1e-9);
-  EXPECT_NEAR(lm.min_residency(), 0.0, 1e-9);
-  EXPECT_GT(lm.avg_residency(), 0.97);
+  for (int i = 0; i < 1000; ++i) lm->access(0x0, false);
+  lm->finish();
+  EXPECT_NEAR(lm->unit_residency(0), 0.0, 1e-9);
+  EXPECT_NEAR(lm->unit_residency(1), (1000.0 - 4.0) / 1000.0, 1e-9);
+  EXPECT_NEAR(lm->min_residency(), 0.0, 1e-9);
+  EXPECT_GT(lm->avg_residency(), 0.97);
 }
 
 TEST(LineManaged, WokeLineFlag) {
-  LineManagedConfig cfg = config_1k(IndexingKind::kStatic);
+  CacheTopology cfg = config_1k(IndexingKind::kStatic);
   cfg.breakeven_cycles = 3;
-  LineManagedCache lm(cfg);
-  lm.access(0x0, false);
-  for (int i = 0; i < 6; ++i) lm.access(0x10, false);
-  EXPECT_TRUE(lm.access(0x0, false).woke_line);
+  auto lm = make_managed_cache(cfg);
+  lm->access(0x0, false);
+  for (int i = 0; i < 6; ++i) lm->access(0x10, false);
+  EXPECT_TRUE(lm->access(0x0, false).woke_unit);
 }
 
 TEST(LineManaged, FineGrainBeatsCoarseOnResidency) {
@@ -87,25 +92,31 @@ TEST(LineManaged, FineGrainBeatsCoarseOnResidency) {
   // bank-level residency of the hot banks ~0, line-level average high.
   auto spec = make_hotspot_workload(8192, 1.0, 1.0);  // all banks active
   SyntheticTraceSource src(spec, 200'000);
-  LineManagedConfig cfg;
+  CacheTopology cfg;
+  cfg.granularity = Granularity::kLine;
   cfg.cache.size_bytes = 8192;
   cfg.cache.line_bytes = 16;
   cfg.indexing = IndexingKind::kStatic;
   cfg.breakeven_cycles = 28;
-  LineManagedCache lm(cfg);
+  auto lm = make_managed_cache(cfg);
   while (auto a = src.next())
-    lm.access(a->address, a->kind == AccessKind::kWrite);
-  lm.finish();
+    lm->access(a->address, a->kind == AccessKind::kWrite);
+  lm->finish();
   // Zipf streams concentrate on a few lines per bank: most lines sleep.
-  EXPECT_GT(lm.avg_residency(), 0.5);
+  EXPECT_GT(lm->avg_residency(), 0.5);
 }
 
 TEST(LineManaged, RejectsAfterFinish) {
-  LineManagedCache lm(config_1k(IndexingKind::kStatic));
-  lm.access(0, false);
-  lm.finish();
-  EXPECT_THROW(lm.access(0, false), Error);
-  EXPECT_THROW(lm.update_indexing(), Error);
+  auto lm = make_managed_cache(config_1k(IndexingKind::kStatic));
+  lm->access(0, false);
+  lm->finish();
+  EXPECT_THROW(lm->access(0, false), Error);
+  EXPECT_THROW(lm->update_indexing(), Error);
+}
+
+TEST(LineManaged, HasNoWayMaskToSet) {
+  auto lm = make_managed_cache(config_1k(IndexingKind::kStatic));
+  EXPECT_FALSE(lm->set_alloc_way_mask(~std::uint64_t{0}));
 }
 
 }  // namespace

@@ -1,22 +1,25 @@
-// Backend parity and factory tests for the polymorphic ManagedCache API.
+// Parity and factory tests for ManagedCache.
 //
-// The unified interface must be a zero-cost veneer: driving a backend
-// through ManagedCache must reproduce the concrete class's outcome stream
-// bit for bit.  These tests pin that contract for all three granularities,
-// plus the factory over the full Granularity x IndexingKind matrix.
+// Each unit map must reproduce an independent reference built in the test
+// from the plain components — a CacheModel behind the identity map, the
+// paper's BankDecoder, or reference [7]'s full-index rotation — bit for
+// bit, across re-indexing updates.  The factory is exercised over the full
+// Granularity x IndexingKind matrix.
 #include "core/managed_cache.h"
 
 #include <gtest/gtest.h>
 
-#include "bank/banked_cache.h"
-#include "bank/line_managed_cache.h"
+#include <algorithm>
+
+#include "bank/block_control.h"
+#include "bank/decoder.h"
 #include "cache/cache.h"
 #include "core/enum_strings.h"
-#include "core/monolithic_cache.h"
 #include "route_chain.h"
 #include "trace/trace.h"
 #include "trace/workloads.h"
 #include "util/error.h"
+#include "util/lfsr.h"
 
 namespace pcal {
 namespace {
@@ -123,87 +126,130 @@ TEST(BackendParity, MonolithicMatchesCacheModel) {
   EXPECT_EQ(mc.num_units(), 1u);
 }
 
-// kBank must reproduce BankedCache outcomes on the same trace, including
-// across re-indexing updates.
-TEST(BackendParity, BankMatchesBankedCache) {
-  const CacheTopology topo = base_topology(Granularity::kBank);
-  const Trace trace = make_trace(20'000);
+/// A reference power-managed cache assembled from the plain components:
+/// a tag store, one Block Control counter per unit, and a caller-supplied
+/// set -> (physical set, unit) mapping.
+struct Reference {
+  CacheModel cache;
+  BlockControl control;
+  std::uint64_t cycle = 0;
 
-  BankedCacheConfig bc;
-  bc.cache = topo.cache;
-  bc.partition = topo.partition;
-  bc.indexing = topo.indexing;
-  bc.indexing_seed = topo.indexing_seed;
-  bc.breakeven_cycles = topo.breakeven_cycles;
-  BankedCache reference(bc);
+  Reference(const CacheTopology& topo, std::uint64_t units)
+      : cache(topo.cache), control(units, topo.breakeven_cycles) {}
 
-  auto unified = make_managed_cache(topo);
-  ManagedCache& mc = *unified;
-
-  for (std::size_t i = 0; i < trace.size(); ++i) {
-    const bool is_write = trace[i].kind == AccessKind::kWrite;
-    const BankedAccessOutcome want =
-        reference.access(trace[i].address, is_write);
-    const AccessOutcome got = mc.access(trace[i].address, is_write);
-    ASSERT_EQ(got.hit, want.hit) << "access " << i;
-    ASSERT_EQ(got.writeback, want.writeback) << "access " << i;
-    ASSERT_EQ(got.logical_unit, want.logical_bank) << "access " << i;
-    ASSERT_EQ(got.physical_unit, want.physical_bank) << "access " << i;
-    ASSERT_EQ(got.woke_unit, want.woke_bank) << "access " << i;
-    if (i % 5'000 == 4'999) {
-      EXPECT_EQ(mc.update_indexing(), reference.update_indexing());
-    }
+  AccessOutcome access(std::uint64_t address, bool is_write,
+                       std::uint64_t physical_set, std::uint64_t logical,
+                       std::uint64_t physical) {
+    const CacheConfig& cc = cache.config();
+    AccessOutcome out;
+    out.logical_unit = logical;
+    out.physical_unit = physical;
+    out.woke_unit = control.is_sleeping(physical, cycle);
+    const CacheAccessResult r =
+        cache.access(cc.tag_of(address), physical_set, is_write, address);
+    out.hit = r.hit;
+    out.writeback = r.writeback;
+    control.on_access(physical, cycle++);
+    return out;
   }
-  reference.finish();
-  mc.finish();
-  EXPECT_EQ(mc.indexing_updates(), reference.indexing_updates());
-  EXPECT_EQ(mc.stats().hits, reference.cache().stats().hits);
-  EXPECT_EQ(mc.stats().flushes, reference.cache().stats().flushes);
-  ASSERT_EQ(mc.num_units(), 4u);
-  for (std::uint64_t b = 0; b < 4; ++b) {
-    EXPECT_DOUBLE_EQ(mc.unit_residency(b), reference.bank_residency(b));
-    const UnitActivity a = mc.unit_activity(b);
-    EXPECT_EQ(a.accesses, reference.block_control().accesses(b));
-    EXPECT_EQ(a.sleep_cycles, reference.block_control().sleep_cycles(b));
-    EXPECT_EQ(a.sleep_episodes,
-              reference.block_control().sleep_episodes(b));
+};
+
+void expect_same_units(const ManagedCache& mc, const Reference& ref) {
+  ASSERT_EQ(mc.num_units(), ref.control.num_banks());
+  for (std::uint64_t u = 0; u < mc.num_units(); ++u) {
+    EXPECT_DOUBLE_EQ(mc.unit_residency(u),
+                     ref.control.sleep_residency(u, ref.cycle));
+    const UnitActivity a = mc.unit_activity(u);
+    EXPECT_EQ(a.accesses, ref.control.accesses(u));
+    EXPECT_EQ(a.sleep_cycles, ref.control.sleep_cycles(u));
+    EXPECT_EQ(a.sleep_episodes, ref.control.sleep_episodes(u));
   }
 }
 
-// kLine must reproduce LineManagedCache outcomes on the same trace.
-TEST(BackendParity, LineMatchesLineManagedCache) {
-  const CacheTopology topo = base_topology(Granularity::kLine);
+// kBank must reproduce the paper's decoder in front of a plain tag store,
+// including across re-indexing updates.
+TEST(BackendParity, BankMatchesDecoderReference) {
   const Trace trace = make_trace(20'000);
+  for (IndexingKind kind :
+       {IndexingKind::kProbing, IndexingKind::kScrambling}) {
+    CacheTopology topo = base_topology(Granularity::kBank);
+    topo.indexing = kind;
+    Reference ref(topo, topo.partition.num_banks);
+    BankDecoder decoder(topo.cache, topo.partition,
+                        make_indexing_policy(kind, topo.partition.num_banks,
+                                             topo.indexing_seed));
+    auto mc = make_managed_cache(topo);
 
-  LineManagedConfig lc;
-  lc.cache = topo.cache;
-  lc.indexing = topo.indexing;
-  lc.indexing_seed = topo.indexing_seed;
-  lc.breakeven_cycles = topo.breakeven_cycles;
-  LineManagedCache reference(lc);
-
-  auto unified = make_managed_cache(topo);
-  ManagedCache& mc = *unified;
-
-  for (std::size_t i = 0; i < trace.size(); ++i) {
-    const bool is_write = trace[i].kind == AccessKind::kWrite;
-    const LineAccessOutcome want =
-        reference.access(trace[i].address, is_write);
-    const AccessOutcome got = mc.access(trace[i].address, is_write);
-    ASSERT_EQ(got.hit, want.hit) << "access " << i;
-    ASSERT_EQ(got.writeback, want.writeback) << "access " << i;
-    ASSERT_EQ(got.logical_unit, want.logical_set) << "access " << i;
-    ASSERT_EQ(got.physical_unit, want.physical_set) << "access " << i;
-    ASSERT_EQ(got.woke_unit, want.woke_line) << "access " << i;
-    if (i % 4'000 == 3'999) {
-      EXPECT_EQ(mc.update_indexing(), reference.update_indexing());
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+      const bool is_write = trace[i].kind == AccessKind::kWrite;
+      const DecodedIndex d =
+          decoder.decode(topo.cache.set_index_of(trace[i].address));
+      const AccessOutcome want =
+          ref.access(trace[i].address, is_write, d.physical_set,
+                     d.logical_bank, d.physical_bank);
+      const AccessOutcome got = mc->access(trace[i].address, is_write);
+      ASSERT_EQ(got.hit, want.hit) << "access " << i;
+      ASSERT_EQ(got.writeback, want.writeback) << "access " << i;
+      ASSERT_EQ(got.logical_unit, want.logical_unit) << "access " << i;
+      ASSERT_EQ(got.physical_unit, want.physical_unit) << "access " << i;
+      ASSERT_EQ(got.woke_unit, want.woke_unit) << "access " << i;
+      if (i % 5'000 == 4'999) {
+        decoder.update();
+        EXPECT_EQ(mc->update_indexing(), ref.cache.flush());
+      }
     }
+    ref.control.finish(ref.cycle);
+    mc->finish();
+    EXPECT_EQ(mc->indexing_updates(), decoder.policy().updates());
+    EXPECT_EQ(mc->stats().hits, ref.cache.stats().hits);
+    EXPECT_EQ(mc->stats().flushes, ref.cache.stats().flushes);
+    expect_same_units(*mc, ref);
   }
-  reference.finish();
-  mc.finish();
-  ASSERT_EQ(mc.num_units(), reference.num_units());
-  EXPECT_DOUBLE_EQ(mc.avg_residency(), reference.avg_residency());
-  EXPECT_DOUBLE_EQ(mc.min_residency(), reference.min_residency());
+}
+
+// kLine must reproduce reference [7]'s full-index rotation in front of a
+// plain tag store: probing adds an update counter to the whole index mod
+// L, scrambling XORs in an LFSR pattern drawn at each update.
+TEST(BackendParity, LineMatchesRotationReference) {
+  const Trace trace = make_trace(20'000);
+  for (IndexingKind kind :
+       {IndexingKind::kProbing, IndexingKind::kScrambling}) {
+    CacheTopology topo = base_topology(Granularity::kLine);
+    topo.indexing = kind;
+    const std::uint64_t sets = topo.cache.num_sets();
+    Reference ref(topo, sets);
+    GaloisLfsr lfsr(std::min(24u, topo.cache.index_bits() + 8u),
+                    topo.indexing_seed);
+    std::uint64_t counter = 0, pattern = 0;
+    auto mc = make_managed_cache(topo);
+
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+      const bool is_write = trace[i].kind == AccessKind::kWrite;
+      const std::uint64_t logical =
+          topo.cache.set_index_of(trace[i].address);
+      const std::uint64_t physical = kind == IndexingKind::kProbing
+                                         ? (logical + counter) % sets
+                                         : logical ^ pattern;
+      const AccessOutcome want =
+          ref.access(trace[i].address, is_write, physical, logical, physical);
+      const AccessOutcome got = mc->access(trace[i].address, is_write);
+      ASSERT_EQ(got.hit, want.hit) << "access " << i;
+      ASSERT_EQ(got.writeback, want.writeback) << "access " << i;
+      ASSERT_EQ(got.logical_unit, want.logical_unit) << "access " << i;
+      ASSERT_EQ(got.physical_unit, want.physical_unit) << "access " << i;
+      ASSERT_EQ(got.woke_unit, want.woke_unit) << "access " << i;
+      if (i % 4'000 == 3'999) {
+        ++counter;
+        pattern = lfsr.step() % sets;
+        EXPECT_EQ(mc->update_indexing(), ref.cache.flush());
+      }
+    }
+    ref.control.finish(ref.cycle);
+    mc->finish();
+    EXPECT_EQ(mc->indexing_updates(), counter);
+    EXPECT_EQ(mc->stats().hits, ref.cache.stats().hits);
+    expect_same_units(*mc, ref);
+  }
 }
 
 // Every Granularity x IndexingKind combination constructs, runs, updates
@@ -245,8 +291,8 @@ TEST(Factory, RoundTripAllCombinations) {
 
 // ---- advance_idle edge cases, at every granularity ----
 //
-// Every backend (the drowsy hybrid wrapper and a two-level routed chain
-// included) must treat a zero-cycle advance as a no-op, reject time
+// Every granularity (the drowsy hybrid policy and a two-level routed
+// chain included) must treat a zero-cycle advance as a no-op, reject time
 // advancing after finish(), and turn an idle-only run into full sleep
 // residency.
 

@@ -138,7 +138,7 @@ TEST(Simulator, LineGranularityRunsThroughSameEngine) {
 }
 
 TEST(Simulator, MonolithicGranularityMatchesBankedM1) {
-  // The MonolithicCache backend must reproduce what the banked engine
+  // The monolithic unit map must reproduce what the banked engine
   // produced for M = 1 (how the monolithic reference used to be modeled).
   auto spec = make_mediabench_workload("cjpeg");
   SyntheticTraceSource src(spec, 150'000);

@@ -1,15 +1,13 @@
-// WayGrainCache: per-way power management within each bank.
+// Way-grain ManagedCache: per-way power management within each bank.
 //
-// The load-bearing contract is the degeneracy the ISSUE pins: with a
-// direct-mapped cache (one way per bank set) the way-grain backend must
-// reproduce BankedCache bit for bit — same outcome stream, same tag-store
-// stats, same per-unit activity and residencies.
-#include "bank/way_grain_cache.h"
-
+// The load-bearing contract is the degeneracy of the way unit map: with a
+// direct-mapped cache (one way per bank set) the way-grain cache must
+// reproduce the bank-grain cache bit for bit — same outcome stream, same
+// tag-store stats, same per-unit activity and residencies.
 #include <gtest/gtest.h>
 
-#include "bank/banked_cache.h"
 #include "core/experiment.h"
+#include "core/managed_cache.h"
 #include "core/simulator.h"
 #include "trace/trace.h"
 #include "trace/workloads.h"
@@ -41,47 +39,40 @@ TEST(WayGrain, UnitCountIsBanksTimesWays) {
   EXPECT_EQ(cache->num_units(), 16u);
 }
 
-// The degeneracy parity: 1 way/bank == BankedCache, bit for bit.
+// The degeneracy parity: 1 way/bank == the bank grain, bit for bit.
 TEST(WayGrain, DirectMappedMatchesBankedBitForBit) {
   const CacheTopology topo = way_topology(1);
+  CacheTopology bank_topo = topo;
+  bank_topo.granularity = Granularity::kBank;
   const Trace trace = make_trace(30'000);
 
-  BankedCacheConfig bc;
-  bc.cache = topo.cache;
-  bc.partition = topo.partition;
-  bc.indexing = topo.indexing;
-  bc.indexing_seed = topo.indexing_seed;
-  bc.breakeven_cycles = topo.breakeven_cycles;
-  BankedCache reference(bc);
-
-  auto unified = make_managed_cache(topo);
-  ManagedCache& mc = *unified;
-  ASSERT_NE(dynamic_cast<WayGrainCache*>(&mc), nullptr);
+  auto reference = make_managed_cache(bank_topo);
+  auto mc = make_managed_cache(topo);
 
   for (std::size_t i = 0; i < trace.size(); ++i) {
     const bool is_write = trace[i].kind == AccessKind::kWrite;
-    const BankedAccessOutcome want =
-        reference.access(trace[i].address, is_write);
-    const AccessOutcome got = mc.access(trace[i].address, is_write);
+    const AccessOutcome want = reference->access(trace[i].address, is_write);
+    const AccessOutcome got = mc->access(trace[i].address, is_write);
     ASSERT_EQ(got.hit, want.hit) << "access " << i;
     ASSERT_EQ(got.writeback, want.writeback) << "access " << i;
-    ASSERT_EQ(got.logical_unit, want.logical_bank) << "access " << i;
-    ASSERT_EQ(got.physical_unit, want.physical_bank) << "access " << i;
-    ASSERT_EQ(got.woke_unit, want.woke_bank) << "access " << i;
+    ASSERT_EQ(got.logical_unit, want.logical_unit) << "access " << i;
+    ASSERT_EQ(got.physical_unit, want.physical_unit) << "access " << i;
+    ASSERT_EQ(got.woke_unit, want.woke_unit) << "access " << i;
+    ASSERT_EQ(got.wake, want.wake) << "access " << i;
     if (i % 5'000 == 4'999) {
-      ASSERT_EQ(mc.update_indexing(), reference.update_indexing());
+      ASSERT_EQ(mc->update_indexing(), reference->update_indexing());
     }
   }
-  reference.finish();
-  mc.finish();
-  EXPECT_EQ(mc.stats().hits, reference.cache().stats().hits);
-  EXPECT_EQ(mc.stats().writebacks, reference.cache().stats().writebacks);
-  EXPECT_EQ(mc.indexing_updates(), reference.indexing_updates());
-  ASSERT_EQ(mc.num_units(), reference.num_units());
-  for (std::uint64_t u = 0; u < mc.num_units(); ++u) {
-    EXPECT_DOUBLE_EQ(mc.unit_residency(u), reference.unit_residency(u));
-    const UnitActivity a = mc.unit_activity(u);
-    const UnitActivity b = reference.unit_activity(u);
+  reference->finish();
+  mc->finish();
+  EXPECT_EQ(mc->stats().hits, reference->stats().hits);
+  EXPECT_EQ(mc->stats().writebacks, reference->stats().writebacks);
+  EXPECT_EQ(mc->indexing_updates(), reference->indexing_updates());
+  ASSERT_EQ(mc->num_units(), reference->num_units());
+  for (std::uint64_t u = 0; u < mc->num_units(); ++u) {
+    EXPECT_DOUBLE_EQ(mc->unit_residency(u), reference->unit_residency(u));
+    const UnitActivity a = mc->unit_activity(u);
+    const UnitActivity b = reference->unit_activity(u);
     EXPECT_EQ(a.accesses, b.accesses);
     EXPECT_EQ(a.sleep_cycles, b.sleep_cycles);
     EXPECT_EQ(a.sleep_episodes, b.sleep_episodes);
