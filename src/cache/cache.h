@@ -1,10 +1,10 @@
 // Behavioral cache model.
 //
 // A set-indexed tag store with optional associativity (LRU replacement) and
-// write-back dirty tracking.  The banked wrapper in src/bank supplies
-// *physical* set indices after dynamic re-indexing, so the access entry
-// point takes (tag, set) rather than a raw address; address-based access is
-// provided for monolithic use.
+// write-back dirty tracking.  ManagedCache's unit maps supply *physical*
+// set indices after dynamic re-indexing, so the access entry point takes
+// (tag, set) rather than a raw address; address-based access is provided
+// for unmapped use.
 #pragma once
 
 #include <cstdint>

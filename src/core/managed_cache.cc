@@ -196,7 +196,7 @@ inline void ManagedCache::serve(const Map& map, const Slot& slot,
       allocate ? cache_.access(tag, slot.set, is_write, address)
                : cache_.probe(tag, slot.set);
   const std::uint64_t unit = map.unit(slot.physical, r.way);
-  std::uint64_t gap;
+  std::uint64_t gap = 0;  // idle cycles before this access
   if constexpr (kChecked) {
     gap = control_.idle_gap(unit, cycle_);
   } else {

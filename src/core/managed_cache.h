@@ -16,11 +16,10 @@
 // line.  All residency / activity queries are per-unit; aggregate helpers
 // are derived from them.
 //
-// The power policy is not a separate layer either: every unit sleeps
-// after `breakeven_cycles` idle cycles and counts as power-gated after
+// The power policy is two thresholds, not code: every unit sleeps after
+// `breakeven_cycles` idle cycles and counts as power-gated after
 // CacheTopology::gate_cycles().  The gated policy is the case where the
-// two thresholds coincide, so the drowsy hybrid is a property of the same
-// class, not a wrapper around it.
+// two coincide; the drowsy hybrid's window separates them.
 //
 // ## Ownership, thread-safety and determinism (the API contract)
 //
@@ -243,7 +242,6 @@ struct CacheTopology {
   /// Human-readable label, e.g. "8kB/16B/DM M=4 probing".
   std::string describe() const;
 };
-
 
 /// The power-managed cache: one access consumed per cycle, explicit
 /// re-indexing updates, per-unit idleness bookkeeping, at any granularity

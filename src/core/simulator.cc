@@ -184,7 +184,7 @@ SimConfig line_grain_variant(const SimConfig& config) {
   line.granularity = Granularity::kLine;
   // Per-line transition energy is tiny, so the breakeven is a property of
   // the line-level sleep hardware, not of the bank energy model; 28 is the
-  // reference [7] operating point (LineManagedConfig's default).
+  // reference [7] operating point.
   if (line.breakeven_override == 0) line.breakeven_override = 28;
   return line;
 }

@@ -1,14 +1,14 @@
 // The trace-driven power-managed-cache simulator: the single-stream
 // front end of the run engine.
 //
-// Drives a TraceSource through any ManagedCache backend (monolithic,
-// banked, line-grain, way-grain — selected by SimConfig::granularity and
-// built via make_managed_cache; optionally wrapped in the drowsy/gated
-// hybrid, and optionally stacked over further levels with per-level
-// inclusion policies), firing re-indexing updates on a configurable
-// cadence (the paper piggybacks them on cache flushes that happen
-// anyway; here the cadence is the number of updates spread evenly over
-// the run).  Produces the complete set of per-run observables the
+// Drives a TraceSource through a ManagedCache at any granularity
+// (monolithic, banked, line-grain, way-grain — selected by
+// SimConfig::granularity and built via make_managed_cache) under either
+// power policy (gated or the drowsy hybrid), optionally stacked over
+// further levels with per-level inclusion policies, firing re-indexing
+// updates on a configurable cadence (the paper piggybacks them on cache
+// flushes that happen anyway; here the cadence is the number of updates
+// spread evenly over the run).  Produces the complete set of per-run observables the
 // paper's evaluation reports: per-unit useful idleness, energy saving vs
 // a monolithic baseline, and — given an aging LUT — the cache lifetime.
 //

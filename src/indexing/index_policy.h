@@ -2,8 +2,8 @@
 //
 // The decoder extracts the p MSBs of the cache index as the *logical* bank
 // number; an IndexingPolicy maps it to a *physical* bank.  Every `update()`
-// changes the mapping (and requires a cache flush, handled by the
-// simulator / BankedCache).  A policy must always be a permutation of
+// changes the mapping (and requires a cache flush, handled by
+// ManagedCache::update_indexing).  A policy must always be a permutation of
 // [0, M): every logical bank maps to exactly one physical bank, or lines
 // would collide after remapping.
 #pragma once

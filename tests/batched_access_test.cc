@@ -170,7 +170,7 @@ TEST(BatchedSimulatorEquivalence, HierarchyTakesDefaultBatchPath) {
   }
 }
 
-// ---- backend-level: raw access_batch vs the scalar NVI loop ----
+// ---- cache-level: raw access_batch vs the per-access loop ----
 
 CacheTopology backend_topology(Granularity g, PowerPolicy policy,
                                std::uint64_t drowsy_window) {

@@ -114,10 +114,5 @@ TEST(LineManaged, RejectsAfterFinish) {
   EXPECT_THROW(lm->update_indexing(), Error);
 }
 
-TEST(LineManaged, HasNoWayMaskToSet) {
-  auto lm = make_managed_cache(config_1k(IndexingKind::kStatic));
-  EXPECT_FALSE(lm->set_alloc_way_mask(~std::uint64_t{0}));
-}
-
 }  // namespace
 }  // namespace pcal

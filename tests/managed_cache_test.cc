@@ -209,7 +209,9 @@ TEST(BackendParity, BankMatchesDecoderReference) {
 
 // kLine must reproduce reference [7]'s full-index rotation in front of a
 // plain tag store: probing adds an update counter to the whole index mod
-// L, scrambling XORs in an LFSR pattern drawn at each update.
+// L, scrambling XORs in an LFSR pattern drawn at each update.  The LFSR's
+// low index bits stay zero for its first steps, so the run updates often
+// enough to reach nonzero patterns.
 TEST(BackendParity, LineMatchesRotationReference) {
   const Trace trace = make_trace(20'000);
   for (IndexingKind kind :
@@ -221,6 +223,7 @@ TEST(BackendParity, LineMatchesRotationReference) {
     GaloisLfsr lfsr(std::min(24u, topo.cache.index_bits() + 8u),
                     topo.indexing_seed);
     std::uint64_t counter = 0, pattern = 0;
+    bool scrambled = false;
     auto mc = make_managed_cache(topo);
 
     for (std::size_t i = 0; i < trace.size(); ++i) {
@@ -238,11 +241,15 @@ TEST(BackendParity, LineMatchesRotationReference) {
       ASSERT_EQ(got.logical_unit, want.logical_unit) << "access " << i;
       ASSERT_EQ(got.physical_unit, want.physical_unit) << "access " << i;
       ASSERT_EQ(got.woke_unit, want.woke_unit) << "access " << i;
-      if (i % 4'000 == 3'999) {
+      if (i % 1'000 == 999) {
         ++counter;
         pattern = lfsr.step() % sets;
+        scrambled = scrambled || pattern != 0;
         EXPECT_EQ(mc->update_indexing(), ref.cache.flush());
       }
+    }
+    if (kind == IndexingKind::kScrambling) {
+      EXPECT_TRUE(scrambled);
     }
     ref.control.finish(ref.cycle);
     mc->finish();

@@ -81,23 +81,35 @@ TEST(WayGrain, DirectMappedMatchesBankedBitForBit) {
   }
 }
 
-// Set-associative: accesses are attributed to (bank, way) units, nothing
-// is lost, and the unit index always decomposes consistently.
+// Set-associative: each access is attributed to a way-column of the bank
+// the bank grain would serve it from, nothing is lost, and every
+// (bank, way) unit of a fully used cache serves accesses.
 TEST(WayGrain, AssociativeAttributionConserved) {
   const CacheTopology topo = way_topology(4);
+  CacheTopology bank_topo = topo;
+  bank_topo.granularity = Granularity::kBank;
   const Trace trace = make_trace(30'000);
   auto cache = make_managed_cache(topo);
+  auto banked = make_managed_cache(bank_topo);
 
   for (std::size_t i = 0; i < trace.size(); ++i) {
-    const AccessOutcome out = cache->access(
-        trace[i].address, trace[i].kind == AccessKind::kWrite);
+    const bool is_write = trace[i].kind == AccessKind::kWrite;
+    const AccessOutcome out = cache->access(trace[i].address, is_write);
+    const AccessOutcome bank = banked->access(trace[i].address, is_write);
     ASSERT_LT(out.physical_unit, topo.num_units());
+    ASSERT_EQ(out.hit, bank.hit) << "access " << i;
+    ASSERT_EQ(out.physical_unit / topo.cache.ways, bank.physical_unit)
+        << "access " << i;
+    ASSERT_EQ(out.logical_unit / topo.cache.ways, bank.logical_unit)
+        << "access " << i;
   }
   cache->finish();
 
   std::uint64_t total = 0;
   for (std::uint64_t u = 0; u < cache->num_units(); ++u) {
-    total += cache->unit_activity(u).accesses;
+    const std::uint64_t accesses = cache->unit_activity(u).accesses;
+    EXPECT_GT(accesses, 0u) << "unit " << u;
+    total += accesses;
     EXPECT_GE(cache->unit_residency(u), 0.0);
     EXPECT_LE(cache->unit_residency(u), 1.0);
   }
