@@ -32,7 +32,6 @@
 
 #include "api/pcal.h"
 #include "api/timeline.h"
-#include "core/run_assembly.h"
 
 namespace {
 
@@ -284,17 +283,9 @@ PyObject* py_run(PyObject*, PyObject* args, PyObject* kwargs) {
   try {
     pcal::api::RunOptions options;
     options.aging = aging != 0;
-    // The recorder is priced from the assembled config up front; the
-    // facade re-assembles internally, deterministically.
     pcal::api::TimelineRecorder recorder;
     if (timeline != nullptr) {
-      pcal::RunAssembly asmb;
-      for (const auto& [key, value] : rc.entries()) asmb.set(key, value);
-      pcal::RunAssembly::Assembled assembled = asmb.assemble();
-      if (assembled.multicore)
-        recorder.price_with(*assembled.multicore);
-      else
-        recorder.price_with(assembled.config);
+      recorder.price_with(rc);
       options.observer = recorder.observer();
     }
 

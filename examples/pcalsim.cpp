@@ -5,78 +5,22 @@
 // idleness, energy breakdown, lifetime, cache statistics.
 //
 // Usage:
-//   pcalsim <config.ini> [section.key=value ...]
+//   pcalsim <config.ini> [section.key=value ...] [--timeline out.json]
 //   pcalsim --example            # print an annotated example config
 //
-// Example config:
-//   [workload]
-//   name = rijndael_i        # a MediaBench name, or uniform/streaming/
-//                            # hotspot, or trace:<path>
-//   accesses = 2000000
-//   [cache]
-//   size = 8k
-//   line = 16
-//   ways = 1
-//   [partition]
-//   granularity = bank       # monolithic | bank | line | way
-//   banks = 4
-//   indexing = probing       # static | probing | scrambling
-//   updates = 16
-//   policy = gated           # gated | drowsy
-//   drowsy_window = 0        # extra idle cycles at the drowsy voltage
-//   [latency]                # stall cycles (0 = idealized clock)
-//   hit = 0
-//   miss = 0
-//   drowsy_wake = 0
-//   gated_wake = 0
-//   [contention]             # finite L1 resources (0 = unlimited; see
-//   mshrs = 0                # docs/CONTENTION.md)
-//   ports = 0                # access ports per bank
-//   bandwidth = 0            # fill bytes per cycle toward the next level
-//   mshr_latency = 32        # cycles an MSHR stays allocated per miss
-//   port_cycles = 1          # bank busy cycles per access
-//   [l2]                     # optional second level (size 0 = disabled)
-//   size = 0
-//   banks = 4
-//   granularity = bank
-//   breakeven = 64
-//   inclusion = noninclusive # noninclusive | inclusive | exclusive | victim
-//   hit_latency = 0
-//   miss_latency = 0
-//   mshrs = 0                # per-level resources ([contention] shapes L1)
-//   ports = 0
-//   bandwidth = 0
-//   [l3]                     # optional third level (same keys as [l2])
-//   size = 0
-//   [multiprogram]           # optional: interleave several programs in
-//   programs = cjpeg+sha     # round-robin quanta (overrides [workload]
-//   quantum = 100000         # name); boundaries align re-indexing
-//   stride = 1m              # per-program address-space offset
-//   [multicore]              # optional: N copies of the stack above a
-//   cores = 0                # shared LLC (see docs/MULTICORE.md)
-//   llc_size = 64k           # required when cores > 0
-//   llc_ways = 8
-//   llc_banks = 4
-//   llc_breakeven = 64
-//   llc_ways_per_core = 0    # > 0 way-partitions the LLC per core
-//   llc_mshrs = 0            # finite shared-LLC resources (0 = unlimited)
-//   llc_ports = 0
-//   llc_bandwidth = 0
-//   [core1]                  # optional per-core workload override
-//   workload = streaming
+// README.md ("Running one simulation") lists every accepted section.key,
+// the shared run-assembly key it maps to, and its default.  The INI is
+// read by the strict reader pcalsweep's specs use (util/config_file.h),
+// and the run goes through api::run, the path pcal.run takes.
 #include <algorithm>
 #include <iostream>
-#include <memory>
 #include <sstream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "api/pcal.h"
 #include "api/timeline.h"
-#include "core/experiment.h"
-#include "core/multicore.h"
-#include "core/run_assembly.h"
-#include "trace/multiprogram.h"
-#include "trace/trace_io.h"
 #include "util/config_file.h"
 #include "util/error.h"
 #include "util/string_util.h"
@@ -144,49 +88,156 @@ size = 0
 # workload = streaming
 )";
 
-std::unique_ptr<TraceSource> make_named_source(const ConfigFile& cfg,
-                                               const std::string& name,
-                                               std::uint64_t accesses) {
-  const std::uint64_t footprint =
-      cfg.get_u64("workload", "footprint", 64 * 1024);
-  if (starts_with(name, "trace:"))
-    return std::make_unique<Trace>(load_trace_file(name.substr(6)));
-  if (starts_with(name, "multiprog:"))
-    return std::make_unique<MultiProgramSource>(
-        parse_multiprogram_spec(name.substr(10), footprint), accesses);
-  WorkloadSpec spec;
-  if (name == "uniform")
-    spec = make_uniform_workload(footprint);
-  else if (name == "streaming")
-    spec = make_streaming_workload(footprint);
-  else if (name == "hotspot")
-    spec = make_hotspot_workload(footprint);
-  else
-    spec = make_mediabench_workload(name);
-  return std::make_unique<SyntheticTraceSource>(spec, accesses);
+/// One accepted INI key and the shared run-assembly key
+/// (core/run_assembly.h) it stages.  Besides these, [l2]/[l3] take
+/// `size` and every kL3Defaults key as l2_<key>/l3_<key>, and [core<k>]
+/// takes `workload` as core<k>_workload.  The [multiprogram] keys have no
+/// run key of their own: they compose the workload (stage_ini()).
+struct IniKey {
+  const char* section;
+  const char* key;
+  const char* run_key;
+};
+
+constexpr IniKey kIniKeys[] = {
+    {"workload", "name", "workload"},
+    {"workload", "accesses", "accesses"},
+    {"workload", "footprint", "footprint"},
+    {"cache", "size", "cache_size"},
+    {"cache", "line", "line_size"},
+    {"cache", "ways", "ways"},
+    {"partition", "granularity", "granularity"},
+    {"partition", "banks", "banks"},
+    {"partition", "indexing", "indexing"},
+    {"partition", "updates", "updates"},
+    {"partition", "breakeven", "breakeven"},
+    {"partition", "policy", "policy"},
+    {"partition", "drowsy_window", "drowsy_window"},
+    {"latency", "hit", "hit_latency"},
+    {"latency", "miss", "miss_latency"},
+    {"latency", "drowsy_wake", "drowsy_wake"},
+    {"latency", "gated_wake", "gated_wake"},
+    {"contention", "mshrs", "mshrs"},
+    {"contention", "ports", "ports"},
+    {"contention", "bandwidth", "bandwidth"},
+    {"contention", "mshr_latency", "mshr_latency"},
+    {"contention", "port_cycles", "port_cycles"},
+    {"multiprogram", "programs", nullptr},
+    {"multiprogram", "quantum", nullptr},
+    {"multicore", "cores", "cores"},
+    {"multicore", "llc_size", "llc_size"},
+    {"multicore", "inclusion", "llc_inclusion"},
+    {"multicore", "llc_ways", "llc_ways"},
+    {"multicore", "llc_banks", "llc_banks"},
+    {"multicore", "llc_breakeven", "llc_breakeven"},
+    {"multicore", "llc_ways_per_core", "llc_ways_per_core"},
+    {"multicore", "llc_mshrs", "llc_mshrs"},
+    {"multicore", "llc_ports", "llc_ports"},
+    {"multicore", "llc_bandwidth", "llc_bandwidth"},
+};
+
+/// The INI's sections; [core<k>] pins core k's workload.
+const std::vector<std::string> kSections = {
+    "workload", "cache", "partition",    "latency",   "contention",
+    "l2",       "l3",    "multiprogram", "multicore", "core<k>"};
+
+/// pcalsim's defaults where they differ from the shared ones; staged
+/// first, so any INI entry replaces them.
+constexpr std::pair<const char*, const char*> kDefaults[] = {
+    {"cache_size", "8k"}, {"workload", "rijndael_i"}};
+
+/// pcalsim's [l3] defaults.  RunAssembly's L3 inherits the resolved L2,
+/// but an [l3] here does not inherit [l2]: every [l3] key the INI leaves
+/// unset is staged at the L2 default, or, for geometry and wakeup
+/// latencies, at the L1 value ([l1_section] l1_key when set).
+struct L3Default {
+  const char* key;
+  const char* value;
+  const char* l1_section = nullptr;
+  const char* l1_key = nullptr;
+};
+
+constexpr L3Default kL3Defaults[] = {
+    {"line", "16", "cache", "line"},
+    {"ways", "1", "cache", "ways"},
+    {"drowsy_wake", "0", "latency", "drowsy_wake"},
+    {"gated_wake", "0", "latency", "gated_wake"},
+    {"granularity", "bank"},
+    {"banks", "4"},
+    {"indexing", "static"},
+    {"breakeven", "64"},
+    {"policy", "gated"},
+    {"drowsy_window", "0"},
+    {"hit_latency", "0"},
+    {"miss_latency", "0"},
+    {"mshrs", "0"},
+    {"ports", "0"},
+    {"bandwidth", "0"},
+    {"inclusion", "noninclusive"},
+};
+
+const ConfigEntry* find_entry(const std::vector<ConfigEntry>& entries,
+                              const std::string& section,
+                              const std::string& key) {
+  for (const ConfigEntry& e : entries)
+    if (e.section == section && e.key == key) return &e;
+  return nullptr;
 }
 
-std::unique_ptr<TraceSource> make_source(const ConfigFile& cfg,
-                                         std::uint64_t accesses) {
-  // A [multiprogram] section overrides the [workload] name with an
-  // interleaved multi-program stream; its quantum boundaries feed the
-  // simulator's context-switch-aligned re-indexing.
-  const std::string programs =
-      cfg.get_string("multiprogram", "programs", "");
-  if (!programs.empty()) {
-    std::string spec = programs;
-    std::replace(spec.begin(), spec.end(), ',', '+');
-    MultiProgramConfig mp = parse_multiprogram_spec(
-        spec, cfg.get_u64("workload", "footprint", 64 * 1024));
-    mp.quantum_accesses =
-        cfg.get_u64("multiprogram", "quantum", mp.quantum_accesses);
-    mp.address_stride =
-        cfg.get_u64("multiprogram", "stride", mp.address_stride);
-    mp.validate();
-    return std::make_unique<MultiProgramSource>(std::move(mp), accesses);
+/// The run key `e` stages, "" for the [multiprogram] keys; throws
+/// ParseError naming the file, line, section and key of a key the
+/// section does not accept.
+std::string run_key(const ConfigEntry& e, const std::string& path) {
+  std::string valid;
+  if (e.section == "l2" || e.section == "l3") {
+    if (e.key == "size") return e.section + "_size";
+    valid = "size";
+    for (const L3Default& d : kL3Defaults) {
+      if (e.key == d.key) return e.section + "_" + e.key;
+      valid += std::string(" ") + d.key;
+    }
+  } else if (starts_with(e.section, "core")) {  // [core<k>]
+    if (e.key == "workload") return e.section + "_workload";
+    valid = "workload";
+  } else {
+    for (const IniKey& k : kIniKeys) {
+      if (e.section != k.section) continue;
+      if (e.key == k.key) return k.run_key ? k.run_key : "";
+      valid += (valid.empty() ? "" : " ") + std::string(k.key);
+    }
   }
-  return make_named_source(
-      cfg, cfg.get_string("workload", "name", "rijndael_i"), accesses);
+  throw ParseError(path + " " + e.where + ": unknown key '" + e.key +
+                   "' in [" + e.section + "] (valid: " + valid + ")");
+}
+
+/// Maps the INI entries onto the shared run-assembly keys, after
+/// pcalsim's own defaults.
+api::RunConfig stage_ini(const std::vector<ConfigEntry>& entries,
+                         const std::string& path) {
+  api::RunConfig rc;
+  for (const auto& [key, value] : kDefaults) rc.set(key, value);
+  for (const L3Default& d : kL3Defaults) {
+    if (find_entry(entries, "l3", d.key)) continue;
+    const ConfigEntry* l1 =
+        d.l1_section ? find_entry(entries, d.l1_section, d.l1_key) : nullptr;
+    rc.set(std::string("l3_") + d.key, l1 ? l1->value : d.value);
+  }
+  for (const ConfigEntry& e : entries) {
+    const std::string key = run_key(e, path);
+    if (!key.empty()) rc.set(key, e.value);
+  }
+  // A [multiprogram] program list replaces the workload with an
+  // interleaved multiprog: stream, whose quantum boundaries align
+  // re-indexing to context switches.
+  const ConfigEntry* programs = find_entry(entries, "multiprogram", "programs");
+  if (programs && !programs->value.empty()) {
+    std::string spec = programs->value;
+    std::replace(spec.begin(), spec.end(), ',', '+');
+    if (const ConfigEntry* q = find_entry(entries, "multiprogram", "quantum"))
+      spec += "@" + q->value;
+    rc.set("workload", "multiprog:" + spec);
+  }
+  return rc;
 }
 
 std::string hex_mask(std::uint64_t mask) {
@@ -195,33 +246,9 @@ std::string hex_mask(std::uint64_t mask) {
   return os.str();
 }
 
-/// The [multicore] run path: N copies of the configured stack over a
-/// shared LLC, per-core workloads from [core<k>] sections.
-int run_multicore(const ConfigFile& cfg, MultiCoreConfig mc,
-                  std::uint64_t num_cores, std::uint64_t accesses,
-                  const std::string& timeline_path) {
-  const std::string default_name =
-      cfg.get_string("workload", "name", "rijndael_i");
-  std::vector<std::unique_ptr<TraceSource>> owned;
-  std::vector<TraceSource*> sources;
-  for (std::uint64_t k = 0; k < num_cores; ++k) {
-    const std::string name = cfg.get_string(
-        "core" + std::to_string(k), "workload", default_name);
-    owned.push_back(make_named_source(cfg, name, accesses));
-    sources.push_back(owned.back().get());
-  }
-
-  api::TimelineRecorder recorder;
-  IntervalObserver observer;
-  if (!timeline_path.empty()) {
-    recorder.price_with(mc);
-    observer = recorder.observer();
-  }
-
-  const MultiCoreResult mr = MultiCoreSystem(std::move(mc))
-                                 .run(sources, &api::shared_aging().lut(),
-                                      observer);
-  const SimResult& r = mr.system;
+/// The multi-core report: system totals, one row per core, the LLC.
+void print_multicore(const api::RunOutput& out) {
+  const SimResult& r = out.result;
 
   std::cout << "pcalsim: " << r.workload << " on " << r.config_label
             << "\n"
@@ -238,8 +265,8 @@ int run_multicore(const ConfigFile& cfg, MultiCoreConfig mc,
   TextTable cores({"core", "workload", "accesses", "stalls", "L1 hit",
                    "LLC acc", "LLC hit", "way mask", "energy (pJ)",
                    "idleness"});
-  for (std::size_t k = 0; k < mr.cores.size(); ++k) {
-    const CoreResult& c = mr.cores[k];
+  for (std::size_t k = 0; k < out.cores.size(); ++k) {
+    const CoreResult& c = out.cores[k];
     cores.add_row({std::to_string(k), c.workload,
                    std::to_string(c.accesses),
                    std::to_string(c.stall_cycles),
@@ -263,13 +290,70 @@ int run_multicore(const ConfigFile& cfg, MultiCoreConfig mc,
             << "system idleness: " << TextTable::pct(r.avg_residency(), 2)
             << " %, lifetime " << TextTable::num(r.lifetime_years(), 3)
             << " years\n";
+}
 
-  if (!timeline_path.empty()) {
-    recorder.set_run_label(r.workload + " on " + r.config_label);
-    recorder.write_json_file(timeline_path);
-    std::cerr << "pcalsim: timeline written to " << timeline_path << "\n";
+/// The single-stream report: per-unit table, every level, energy.
+void print_single(const SimResult& r) {
+  std::cout << "pcalsim: " << r.workload << " on " << r.config_label
+            << "\n"
+            << "accesses: " << r.accesses
+            << ", breakeven: " << r.breakeven_cycles << " cycles"
+            << ", re-indexing updates: " << r.reindex_updates_applied
+            << "\n"
+            << "cycles: " << r.total_cycles << " total, "
+            << r.stall_cycles << " stalled, avg access latency "
+            << TextTable::num(r.avg_access_latency(), 3) << "\n";
+  if (r.mshr_stall_cycles + r.port_stall_cycles + r.bw_stall_cycles > 0)
+    std::cout << "contention stalls: mshr " << r.mshr_stall_cycles
+              << ", port " << r.port_stall_cycles << ", bandwidth "
+              << r.bw_stall_cycles << "\n";
+  std::cout << "\n";
+
+  // At line granularity there are hundreds of units; cap the table.
+  const std::size_t shown = std::min<std::size_t>(r.units.size(), 32);
+  TextTable units({"unit", "accesses", "sleep residency",
+                   "idle intervals > BE", "sleep episodes",
+                   "lifetime (y)"});
+  for (std::size_t u = 0; u < shown; ++u) {
+    const UnitResult& ur = r.units[u];
+    units.add_row({std::to_string(u), std::to_string(ur.accesses),
+                   TextTable::pct(ur.sleep_residency, 2),
+                   TextTable::pct(ur.useful_idleness_count, 2),
+                   std::to_string(ur.sleep_episodes),
+                   TextTable::num(ur.lifetime_years, 3)});
   }
-  return 0;
+  units.render(std::cout);
+  if (shown < r.units.size())
+    std::cout << "... (" << r.units.size() - shown << " more units)\n";
+
+  std::cout << "\ncache: hit rate "
+            << TextTable::num(r.cache_stats.hit_rate(), 4) << " ("
+            << r.cache_stats.hits << " hits, " << r.cache_stats.misses
+            << " misses, " << r.cache_stats.writebacks
+            << " writebacks, " << r.cache_stats.flushes << " flushes)\n";
+  for (std::size_t lvl = 1; lvl < r.num_levels(); ++lvl) {
+    const CacheStats& s = r.level_stats[lvl];
+    std::cout << "L" << (lvl + 1) << ": hit rate "
+              << TextTable::num(s.hit_rate(), 4) << " (" << s.accesses
+              << " accesses, " << s.hits << " hits, " << s.misses
+              << " misses)\n";
+  }
+
+  const EnergyBreakdown& e = r.energy.partitioned;
+  std::cout << "energy (pJ): dynamic " << TextTable::num(e.dynamic_pj, 0)
+            << ", leakage active "
+            << TextTable::num(e.leakage_active_pj, 0)
+            << ", leakage drowsy "
+            << TextTable::num(e.leakage_drowsy_pj, 0)
+            << ", leakage gated/retention "
+            << TextTable::num(e.leakage_retention_pj, 0)
+            << ", transitions " << TextTable::num(e.transition_pj, 0)
+            << "\n"
+            << "saving vs monolithic baseline: "
+            << TextTable::pct(r.energy_saving(), 2) << " %\n"
+            << "cache lifetime: " << TextTable::num(r.lifetime_years(), 3)
+            << " years (limiting bank "
+            << (r.lifetime ? r.lifetime->limiting_bank : 0) << ")\n";
 }
 
 }  // namespace
@@ -303,107 +387,10 @@ int main(int argc, char** argv) {
     return 2;
   }
   try {
-    ConfigFile cfg = ConfigFile::load(args[0]);
-    for (std::size_t i = 1; i < args.size(); ++i)
-      cfg.apply_override(args[i]);
-
-    // Translate the INI sections into the shared key -> config path
-    // (core/run_assembly.h) pcalsweep and the api facade use.  Every
-    // value is passed explicitly with pcalsim's own ConfigFile default,
-    // so pcalsim keeps its documented defaults (an [l3] does NOT
-    // inherit [l2] here) while the application/validation code is the
-    // shared one.  Staged through api::RunConfig so validation reports
-    // every problem at once, not just the first.
-    api::RunConfig rc;
-    const auto set_num = [&](const std::string& key, std::uint64_t v) {
-      rc.set(key, std::to_string(v));
-    };
-    rc.set("granularity",
-           cfg.get_string("partition", "granularity", "bank"));
-    set_num("cache_size", cfg.get_u64("cache", "size", 8192));
-    set_num("line_size", cfg.get_u64("cache", "line", 16));
-    set_num("ways", cfg.get_u64("cache", "ways", 1));
-    set_num("banks", cfg.get_u64("partition", "banks", 4));
-    rc.set("indexing", cfg.get_string("partition", "indexing", "probing"));
-    set_num("updates", cfg.get_u64("partition", "updates", 16));
-    // 0 = derive the breakeven from the energy model; line-grain sleep
-    // hardware usually wants an explicit value (e.g. 28).
-    set_num("breakeven", cfg.get_u64("partition", "breakeven", 0));
-    rc.set("policy", cfg.get_string("partition", "policy", "gated"));
-    set_num("drowsy_window", cfg.get_u64("partition", "drowsy_window", 0));
-    // The L1 latency point; all-zero (the default) keeps the idealized
-    // one-access-per-cycle clock.  Wakeup latencies are shared by every
-    // level unless a level overrides them.
-    set_num("hit_latency", cfg.get_u64("latency", "hit", 0));
-    set_num("miss_latency", cfg.get_u64("latency", "miss", 0));
-    set_num("drowsy_wake", cfg.get_u64("latency", "drowsy_wake", 0));
-    set_num("gated_wake", cfg.get_u64("latency", "gated_wake", 0));
-    // Finite L1 resources (core/contention.h); all-zero limits keep the
-    // run bit-identical to a config without a [contention] section.
-    set_num("mshrs", cfg.get_u64("contention", "mshrs", 0));
-    set_num("ports", cfg.get_u64("contention", "ports", 0));
-    set_num("bandwidth", cfg.get_u64("contention", "bandwidth", 0));
-    set_num("mshr_latency", cfg.get_u64("contention", "mshr_latency", 32));
-    set_num("port_cycles", cfg.get_u64("contention", "port_cycles", 1));
-    // Optional lower levels: [l2] / [l3], size = 0 disables a level.
-    for (const std::string section : {"l2", "l3"}) {
-      if (cfg.get_u64(section, "size", 0) == 0) continue;
-      const std::string p = section + "_";
-      const auto lvl_num = [&](const char* key, std::uint64_t v) {
-        rc.set(p + key, std::to_string(v));
-      };
-      lvl_num("size", cfg.get_u64(section, "size", 0));
-      rc.set(p + "inclusion",
-             cfg.get_string(section, "inclusion", "noninclusive"));
-      // Geometry and wakeup latencies default to the L1 values staged
-      // above (the documented make_level inheritance).
-      lvl_num("line",
-              cfg.get_u64(section, "line", cfg.get_u64("cache", "line", 16)));
-      lvl_num("ways",
-              cfg.get_u64(section, "ways", cfg.get_u64("cache", "ways", 1)));
-      rc.set(p + "granularity",
-             cfg.get_string(section, "granularity", "bank"));
-      lvl_num("banks", cfg.get_u64(section, "banks", 4));
-      rc.set(p + "indexing", cfg.get_string(section, "indexing", "static"));
-      lvl_num("breakeven", cfg.get_u64(section, "breakeven", 64));
-      rc.set(p + "policy", cfg.get_string(section, "policy", "gated"));
-      lvl_num("drowsy_window", cfg.get_u64(section, "drowsy_window", 0));
-      lvl_num("hit_latency", cfg.get_u64(section, "hit_latency", 0));
-      lvl_num("miss_latency", cfg.get_u64(section, "miss_latency", 0));
-      lvl_num("drowsy_wake",
-              cfg.get_u64(section, "drowsy_wake",
-                          cfg.get_u64("latency", "drowsy_wake", 0)));
-      lvl_num("gated_wake",
-              cfg.get_u64(section, "gated_wake",
-                          cfg.get_u64("latency", "gated_wake", 0)));
-      // Per-level resource limits; the timing scalars are shared with
-      // the [contention] section (one resource technology).
-      lvl_num("mshrs", cfg.get_u64(section, "mshrs", 0));
-      lvl_num("ports", cfg.get_u64(section, "ports", 0));
-      lvl_num("bandwidth", cfg.get_u64(section, "bandwidth", 0));
-    }
-
-    const std::uint64_t accesses =
-        cfg.get_u64("workload", "accesses", 2'000'000);
-    set_num("accesses", accesses);
-
-    const std::uint64_t num_cores = cfg.get_u64("multicore", "cores", 0);
-    if (num_cores > 0) {
-      set_num("cores", num_cores);
-      set_num("llc_size", cfg.get_u64("multicore", "llc_size", 0));
-      rc.set("llc_inclusion",
-             cfg.get_string("multicore", "inclusion", "noninclusive"));
-      set_num("llc_ways", cfg.get_u64("multicore", "llc_ways", 8));
-      set_num("llc_banks", cfg.get_u64("multicore", "llc_banks", 4));
-      set_num("llc_breakeven",
-              cfg.get_u64("multicore", "llc_breakeven", 64));
-      set_num("llc_ways_per_core",
-              cfg.get_u64("multicore", "llc_ways_per_core", 0));
-      set_num("llc_mshrs", cfg.get_u64("multicore", "llc_mshrs", 0));
-      set_num("llc_ports", cfg.get_u64("multicore", "llc_ports", 0));
-      set_num("llc_bandwidth",
-              cfg.get_u64("multicore", "llc_bandwidth", 0));
-    }
+    const std::vector<std::string> overrides(args.begin() + 1, args.end());
+    const std::vector<ConfigEntry> entries =
+        load_config(args[0], {args[0], kSections, {}}, overrides);
+    const api::RunConfig rc = stage_ini(entries, args[0]);
 
     // Structured pre-flight: every bad key/value and every invalid
     // combination reported at once (api::RunConfig::validate), instead
@@ -420,89 +407,21 @@ int main(int argc, char** argv) {
       return 1;
     }
 
-    RunAssembly asmb;
-    for (const auto& [key, value] : rc.entries()) asmb.set(key, value);
-    RunAssembly::Assembled assembled = asmb.assemble();
-    if (assembled.multicore)
-      return run_multicore(cfg, std::move(*assembled.multicore), num_cores,
-                           accesses, timeline_path);
-    const SimConfig& sim = assembled.config;
-
-    auto source = make_source(cfg, accesses);
-
     api::TimelineRecorder recorder;
-    IntervalObserver observer;
+    api::RunOptions options;
     if (!timeline_path.empty()) {
-      recorder.price_with(sim);
-      observer = recorder.observer();
+      recorder.price_with(rc);
+      options.observer = recorder.observer();
     }
-
-    const SimResult r =
-        Simulator(sim).run(*source, &api::shared_aging().lut(), observer);
-
-    std::cout << "pcalsim: " << r.workload << " on " << r.config_label
-              << "\n"
-              << "accesses: " << r.accesses
-              << ", breakeven: " << r.breakeven_cycles << " cycles"
-              << ", re-indexing updates: " << r.reindex_updates_applied
-              << "\n"
-              << "cycles: " << r.total_cycles << " total, "
-              << r.stall_cycles << " stalled, avg access latency "
-              << TextTable::num(r.avg_access_latency(), 3) << "\n";
-    if (r.mshr_stall_cycles + r.port_stall_cycles + r.bw_stall_cycles > 0)
-      std::cout << "contention stalls: mshr " << r.mshr_stall_cycles
-                << ", port " << r.port_stall_cycles << ", bandwidth "
-                << r.bw_stall_cycles << "\n";
-    std::cout << "\n";
-
-    // At line granularity there are hundreds of units; cap the table.
-    const std::size_t shown = std::min<std::size_t>(r.units.size(), 32);
-    TextTable units({"unit", "accesses", "sleep residency",
-                     "idle intervals > BE", "sleep episodes",
-                     "lifetime (y)"});
-    for (std::size_t u = 0; u < shown; ++u) {
-      const UnitResult& ur = r.units[u];
-      units.add_row({std::to_string(u), std::to_string(ur.accesses),
-                     TextTable::pct(ur.sleep_residency, 2),
-                     TextTable::pct(ur.useful_idleness_count, 2),
-                     std::to_string(ur.sleep_episodes),
-                     TextTable::num(ur.lifetime_years, 3)});
-    }
-    units.render(std::cout);
-    if (shown < r.units.size())
-      std::cout << "... (" << r.units.size() - shown << " more units)\n";
-
-    std::cout << "\ncache: hit rate "
-              << TextTable::num(r.cache_stats.hit_rate(), 4) << " ("
-              << r.cache_stats.hits << " hits, " << r.cache_stats.misses
-              << " misses, " << r.cache_stats.writebacks
-              << " writebacks, " << r.cache_stats.flushes << " flushes)\n";
-    for (std::size_t lvl = 1; lvl < r.num_levels(); ++lvl) {
-      const CacheStats& s = r.level_stats[lvl];
-      std::cout << "L" << (lvl + 1) << ": hit rate "
-                << TextTable::num(s.hit_rate(), 4) << " (" << s.accesses
-                << " accesses, " << s.hits << " hits, " << s.misses
-                << " misses)\n";
-    }
-
-    const EnergyBreakdown& e = r.energy.partitioned;
-    std::cout << "energy (pJ): dynamic " << TextTable::num(e.dynamic_pj, 0)
-              << ", leakage active "
-              << TextTable::num(e.leakage_active_pj, 0)
-              << ", leakage drowsy "
-              << TextTable::num(e.leakage_drowsy_pj, 0)
-              << ", leakage gated/retention "
-              << TextTable::num(e.leakage_retention_pj, 0)
-              << ", transitions " << TextTable::num(e.transition_pj, 0)
-              << "\n"
-              << "saving vs monolithic baseline: "
-              << TextTable::pct(r.energy_saving(), 2) << " %\n"
-              << "cache lifetime: " << TextTable::num(r.lifetime_years(), 3)
-              << " years (limiting bank "
-              << (r.lifetime ? r.lifetime->limiting_bank : 0) << ")\n";
+    const api::RunOutput out = api::run(rc, options);
+    if (out.cores.empty())
+      print_single(out.result);
+    else
+      print_multicore(out);
 
     if (!timeline_path.empty()) {
-      recorder.set_run_label(r.workload + " on " + r.config_label);
+      recorder.set_run_label(out.result.workload + " on " +
+                             out.result.config_label);
       recorder.write_json_file(timeline_path);
       std::cerr << "pcalsim: timeline written to " << timeline_path << "\n";
     }

@@ -25,6 +25,20 @@ RunAssembly assemble_from(const RunConfig& config) {
   return asmb;
 }
 
+/// Why a core<k>_workload entry names no core of a run with `cores`
+/// cores, or "" when it does — the sweep grid's rule for a cores axis,
+/// applied to one run.  (RunAssembly accepts any k: a sweep's 1-core
+/// points carry the cores axis's core1_workload.)
+std::string missing_core(int core, std::uint64_t cores) {
+  if (static_cast<std::uint64_t>(core) < cores) return "";
+  if (cores == 0)
+    return "names core " + std::to_string(core) +
+           "; the run is single-stream (cores = 0)";
+  return "names core " + std::to_string(core) + "; the run has " +
+         std::to_string(cores) + " cores (indices 0.." +
+         std::to_string(cores - 1) + ")";
+}
+
 }  // namespace
 
 std::string describe(const std::vector<ConfigIssue>& issues) {
@@ -82,14 +96,26 @@ std::vector<ConfigIssue> RunConfig::validate() const {
     }
   };
   if (!asmb.workload().empty()) check_workload("workload", asmb.workload());
-  for (const auto& [core, workload] : asmb.core_workloads())
-    check_workload("core" + std::to_string(core) + "_workload", workload);
+  for (const auto& [core, workload] : asmb.core_workloads()) {
+    const std::string key = "core" + std::to_string(core) + "_workload";
+    const std::string missing = missing_core(core, asmb.cores());
+    if (!missing.empty())
+      issues.push_back({key, workload, missing});
+    else
+      check_workload(key, workload);
+  }
   return issues;
 }
 
 RunOutput run(const RunConfig& config, const RunOptions& options) {
   RunAssembly asmb = assemble_from(config);
   RunAssembly::Assembled assembled = asmb.assemble();
+  for (const auto& [core, workload] : asmb.core_workloads()) {
+    const std::string missing = missing_core(core, asmb.cores());
+    if (!missing.empty())
+      throw ConfigError("key 'core" + std::to_string(core) +
+                        "_workload': " + missing);
+  }
   const std::uint64_t accesses = asmb.accesses();
   const std::string workload =
       asmb.workload().empty() ? kDefaultWorkload : asmb.workload();

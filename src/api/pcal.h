@@ -5,8 +5,9 @@
 // shares (core/run_assembly.h): a RunConfig is an ordered bag of entries,
 // validate() turns mistakes into structured ConfigIssue records instead
 // of exceptions (every problem reported, not just the first), run()
-// executes one configuration through the same Simulator/MultiCoreSystem
-// path pcalsim takes, and run_grid() executes a declarative sweep spec
+// executes one configuration on the Simulator/MultiCoreSystem engine
+// (pcalsim's path: pcalsim maps its INI onto a RunConfig and calls
+// run()), and run_grid() executes a declarative sweep spec
 // through the same GridSpec + SweepRunner path pcalsweep takes —
 // GridRun::result_row() reproduces pcalsweep's BENCH JSON result rows
 // byte for byte, which is what the bindings' parity tests pin.
@@ -65,8 +66,9 @@ class RunConfig {
 
   /// Checks every entry and the assembled whole without throwing:
   /// unknown keys, malformed values, invalid combinations (e.g. cores
-  /// without llc_size) and unresolvable workloads each yield one
-  /// ConfigIssue.  Empty result == run() will not throw a config error.
+  /// without llc_size, or a core<k>_workload for a core the run does not
+  /// have) and unresolvable workloads each yield one ConfigIssue.  Empty
+  /// result == run() will not throw a config error.
   std::vector<ConfigIssue> validate() const;
 
  private:
@@ -94,8 +96,9 @@ struct RunOutput {
 /// Runs one configuration end to end: workload resolution exactly as the
 /// sweep grid ("workload" entry; default "uniform"), single-stream
 /// Simulator or — when `cores` > 0 — MultiCoreSystem with per-core
-/// workload overrides.  Throws ConfigError / ParseError on invalid
-/// configs (pre-flight with validate() for structured errors).
+/// workload overrides (core<k>_workload, k < cores).  Throws ConfigError
+/// / ParseError on invalid configs (pre-flight with validate() for
+/// structured errors).
 RunOutput run(const RunConfig& config, const RunOptions& options = {});
 
 struct GridOptions {

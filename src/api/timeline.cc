@@ -4,7 +4,9 @@
 #include <ostream>
 #include <utility>
 
+#include "api/pcal.h"
 #include "core/bench_record.h"
+#include "core/run_assembly.h"
 #include "util/error.h"
 
 namespace pcal::api {
@@ -20,6 +22,16 @@ void TimelineRecorder::price_with(const SimConfig& config) {
   // The system Simulator::run executes, so the groups line up with its
   // census by construction.
   price_with(one_core_system(config));
+}
+
+void TimelineRecorder::price_with(const RunConfig& config) {
+  RunAssembly asmb;
+  for (const auto& [key, value] : config.entries()) asmb.set(key, value);
+  const RunAssembly::Assembled assembled = asmb.assemble();
+  if (assembled.multicore)
+    price_with(*assembled.multicore);
+  else
+    price_with(assembled.config);
 }
 
 void TimelineRecorder::price_with(const MultiCoreConfig& config) {

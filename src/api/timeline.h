@@ -34,6 +34,8 @@
 
 namespace pcal::api {
 
+class RunConfig;
+
 /// One row of the artifact's group table: a contiguous run of units and
 /// the (core, level) that owns it, copied from the engine's census
 /// (core == -1: a single-core run's level, or the shared LLC).
@@ -98,6 +100,9 @@ class TimelineRecorder {
   /// executes).  Optional — an unpriced recorder emits energy_est_pj = 0.
   void price_with(const SimConfig& config);
   void price_with(const MultiCoreConfig& config);
+  /// As above, for the system api::run() executes for `config`; throws
+  /// ConfigError / ParseError on an invalid config.
+  void price_with(const RunConfig& config);
 
   const std::string& run_label() const { return run_label_; }
   /// Renames the artifact; callers often know the best name (workload,

@@ -4,11 +4,27 @@
 #include <sstream>
 
 #include "core/managed_cache.h"
+#include "core/timing.h"
 #include "util/error.h"
 
 namespace pcal {
 
+void ContentionParams::check_mshrs(std::uint64_t n) {
+  PCAL_CONFIG_CHECK(n <= kMaxMshrs,
+                    "at most " << kMaxMshrs << " MSHRs, got " << n);
+}
+
+void ContentionParams::check_ports(std::uint64_t n) {
+  PCAL_CONFIG_CHECK(n <= kMaxPortsPerBank,
+                    "at most " << kMaxPortsPerBank << " ports per bank, got "
+                               << n);
+}
+
 void ContentionParams::validate() const {
+  check_mshrs(mshrs);
+  check_ports(ports);
+  LatencyParams::check_cycles(mshr_latency_cycles);
+  LatencyParams::check_cycles(port_cycles);
   PCAL_CONFIG_CHECK(mshrs == 0 || mshr_latency_cycles > 0,
                     "finite MSHRs need a positive mshr_latency_cycles");
   PCAL_CONFIG_CHECK(ports == 0 || port_cycles > 0,

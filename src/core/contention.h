@@ -72,7 +72,16 @@ struct ContentionParams {
     return mshrs > 0 || ports > 0 || bytes_per_cycle > 0;
   }
 
-  /// Finite resources need positive hold times; throws ConfigError.
+  /// Caps on what one key can cost: the MSHR file is scanned on every
+  /// miss, and the port table holds ports x banks entries.
+  static constexpr std::uint64_t kMaxMshrs = 256;
+  static constexpr std::uint64_t kMaxPortsPerBank = 16;
+  /// Throw ConfigError past kMaxMshrs / kMaxPortsPerBank.
+  static void check_mshrs(std::uint64_t n);
+  static void check_ports(std::uint64_t n);
+
+  /// The caps above, hold times within LatencyParams::kMaxEventCycles,
+  /// and positive hold times for finite resources; throws ConfigError.
   void validate() const;
 
   /// Compact label, e.g. "mshr4/p2x4/bw8"; empty when !enabled() so

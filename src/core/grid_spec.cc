@@ -14,6 +14,7 @@
 #include "trace/synthetic.h"
 #include "trace/trace_io.h"
 #include "trace/workloads.h"
+#include "util/config_file.h"
 #include "util/error.h"
 #include "util/string_util.h"
 
@@ -79,15 +80,6 @@ std::string valid_axes_hint() {
   out += "core<k>_workload";
   return out;
 }
-
-/// One "key = value" line of the spec, tagged with where it came from
-/// ("line 12" or "override '...'") for error messages.
-struct RawEntry {
-  std::string section;
-  std::string key;
-  std::string value;
-  std::string where;
-};
 
 [[noreturn]] void fail(const std::string& where, const std::string& msg) {
   throw ParseError("sweep spec " + where + ": " + msg);
@@ -401,98 +393,21 @@ std::vector<std::vector<double>> parse_paper_matrix(
 GridSpec GridSpec::parse(std::istream& is, const std::string& default_name,
                          const std::vector<std::string>& overrides) {
   // ---- phase 1: raw ordered entries, strict on structure ----
-  std::vector<RawEntry> entries;
-  std::string line, section;
-  std::size_t lineno = 0;
-  while (std::getline(is, line)) {
-    ++lineno;
-    const std::string where = "line " + std::to_string(lineno);
-    std::string_view t = trim(line);
-    // Trailing comments after values are NOT stripped (a trace path may
-    // contain '#'); comments must start the line.
-    if (t.empty() || t.front() == '#' || t.front() == ';') continue;
-    if (t.front() == '[') {
-      if (t.back() != ']' || t.size() < 3)
-        fail(where, "malformed section header");
-      section = std::string(trim(t.substr(1, t.size() - 2)));
-      if (section != "grid" && section != "sweep" && section != "table" &&
-          section != "paper" && section != "timeline" && section != "filter")
-        fail(where, "unknown section [" + section +
-                        "] (expected [grid], [sweep], [table], [paper], "
-                        "[timeline] or [filter])");
-      continue;
-    }
-    if (section == "filter") {
-      // [filter] lines are whole `key OP value` expressions, not
-      // key = value pairs ('=' may be part of the operator); keep the
-      // trimmed line in `key` and parse it in phase 2 once the axes
-      // exist.  The generic duplicate check below then rejects a filter
-      // line repeated verbatim.
-      RawEntry e;
-      e.section = section;
-      e.key = std::string(t);
-      e.where = where;
-      for (const RawEntry& prev : entries)
-        if (prev.section == e.section && prev.key == e.key)
-          fail(where, "duplicate filter '" + e.key + "' (first defined at " +
-                          prev.where + ")");
-      entries.push_back(std::move(e));
-      continue;
-    }
-    const std::size_t eq = t.find('=');
-    if (eq == std::string_view::npos) fail(where, "expected 'key = value'");
-    if (section.empty())
-      fail(where, "key before any [section] header");
-    RawEntry e;
-    e.section = section;
-    e.key = std::string(trim(t.substr(0, eq)));
-    e.value = std::string(trim(t.substr(eq + 1)));
-    e.where = where;
-    if (e.key.empty()) fail(where, "empty key");
-    for (const RawEntry& prev : entries)
-      if (prev.section == e.section && prev.key == e.key)
-        fail(where, "duplicate key '" + e.section + "." + e.key +
-                        "' (first defined at " + prev.where + ")");
-    entries.push_back(std::move(e));
-  }
-
-  // ---- overrides: replace in place, or append as a new entry ----
-  for (const std::string& o : overrides) {
-    const std::string where = "override '" + o + "'";
-    const std::size_t eq = o.find('=');
-    const std::size_t dot = o.find('.');
-    if (eq == std::string::npos || dot == std::string::npos || dot > eq)
-      fail(where, "override must look like section.key=value");
-    RawEntry e;
-    e.section = std::string(trim(std::string_view(o).substr(0, dot)));
-    e.key = std::string(trim(std::string_view(o).substr(dot + 1, eq - dot - 1)));
-    e.value = std::string(trim(std::string_view(o).substr(eq + 1)));
-    e.where = where;
-    if (e.section != "grid" && e.section != "sweep" && e.section != "table" &&
-        e.section != "paper" && e.section != "timeline" &&
-        e.section != "filter")
-      fail(where, "unknown section '" + e.section + "'");
-    // A filter override ("filter.banks<=8=") carries the expression split
-    // at its first '='; phase 2 reassembles it, so nothing special here
-    // beyond letting it append (filters have no notion of replacement).
-    bool replaced = false;
-    for (RawEntry& prev : entries) {
-      if (prev.section == e.section && prev.key == e.key) {
-        prev.value = e.value;
-        prev.where = where;
-        replaced = true;
-        break;
-      }
-    }
-    if (!replaced) entries.push_back(std::move(e));
-  }
+  static const ConfigSyntax kSyntax{
+      "sweep spec",
+      {"grid", "sweep", "table", "paper", "timeline", "filter"},
+      // [filter] lines are whole `key OP value` expressions ('=' may be
+      // part of the operator), parsed below once the axes exist.  An
+      // override ("filter.banks<=8") arrives split at its first '='.
+      {"filter"}};
+  const std::vector<ConfigEntry> entries = read_config(is, kSyntax, overrides);
 
   // ---- phase 2: typed sections ----
   GridSpec spec;
   spec.name_ = default_name;
   spec.accesses_ = kDefaultTraceAccesses;
 
-  for (const RawEntry& e : entries) {
+  for (const ConfigEntry& e : entries) {
     if (e.section != "grid") continue;
     if (e.key == "name") {
       if (!is_valid_grid_name(e.value))
@@ -531,7 +446,7 @@ GridSpec GridSpec::parse(std::istream& is, const std::string& default_name,
     }
   }
 
-  for (const RawEntry& e : entries) {
+  for (const ConfigEntry& e : entries) {
     if (e.section != "timeline") continue;
     if (e.key == "dir") {
       if (e.value.empty()) fail(e.where, "timeline dir must be non-empty");
@@ -541,7 +456,7 @@ GridSpec GridSpec::parse(std::istream& is, const std::string& default_name,
     }
   }
 
-  for (const RawEntry& e : entries) {
+  for (const ConfigEntry& e : entries) {
     if (e.section != "sweep") continue;
     GridAxis axis;
     axis.key = e.key;
@@ -665,7 +580,7 @@ GridSpec GridSpec::parse(std::istream& is, const std::string& default_name,
                         spec.describe_axes() + ")");
   }
 
-  for (const RawEntry& e : entries) {
+  for (const ConfigEntry& e : entries) {
     if (e.section != "filter") continue;
     // Overrides arrive split at their first '=' ("filter.banks<=8" ->
     // key "banks<", value "8"); file lines arrive whole in `key`.
@@ -755,7 +670,7 @@ GridSpec GridSpec::parse(std::istream& is, const std::string& default_name,
     }
   }
 
-  for (const RawEntry& e : entries) {
+  for (const ConfigEntry& e : entries) {
     if (e.section != "table") continue;
     spec.has_table_ = true;
     TableSpec& t = spec.table_;
@@ -799,7 +714,7 @@ GridSpec GridSpec::parse(std::istream& is, const std::string& default_name,
     if (t.row_header.empty()) t.row_header = t.rows;
   }
 
-  for (const RawEntry& e : entries) {
+  for (const ConfigEntry& e : entries) {
     if (e.section != "paper") continue;
     if (!spec.has_table_)
       fail(e.where, "[paper] values need a [table] section to attach to");

@@ -34,10 +34,11 @@
 // examples/table4.sweep reproduces bench_table4_banks byte for byte.
 // Without [table], render_table() lists one row per job.
 //
-// Parsing is strict where ConfigFile is lenient: unknown sections,
-// unknown keys, duplicate keys, malformed ranges and empty axes are all
-// rejected with the offending line number — a silently ignored typo in a
-// grid axis would quietly simulate the wrong design space.
+// Parsing is strict: the shared reader (util/config_file.h) rejects
+// unknown sections and duplicate keys, and unknown keys, malformed ranges
+// and empty axes are rejected here, all with the offending line number —
+// a silently ignored typo in a grid axis would quietly simulate the
+// wrong design space.
 #pragma once
 
 #include <cstdint>

@@ -26,6 +26,7 @@ void CacheTopology::validate() const {
   PCAL_CONFIG_CHECK(breakeven_cycles > 0, "breakeven time must be positive");
   PCAL_CONFIG_CHECK(gate_cycles() >= breakeven_cycles,
                     "gate threshold must not precede the drowsy threshold");
+  latency.validate();
   contention.validate();
 }
 

@@ -1,61 +1,28 @@
 #include "core/run_assembly.h"
 
-#include <cmath>
-
 #include "core/enum_strings.h"
 #include "util/error.h"
 #include "util/string_util.h"
 
 namespace pcal {
 
-std::uint64_t parse_config_number(const std::string& s,
-                                  const std::string& where) {
-  const std::string t{trim(s)};
-  if (!t.empty() && t.front() != '-') {
-    try {
-      std::size_t consumed = 0;
-      const std::uint64_t out = std::stoull(t, &consumed, 0);
-      if (consumed == t.size()) return out;
-      if (consumed + 1 == t.size()) {
-        const char suffix = t[consumed];
-        const std::uint64_t mult =
-            (suffix == 'k' || suffix == 'K')   ? 1024
-            : (suffix == 'm' || suffix == 'M') ? 1024 * 1024
-                                               : 0;
-        if (mult != 0) {
-          if (out > UINT64_MAX / mult)
-            throw ParseError(where + ": '" + s + "' overflows 64 bits");
-          return out * mult;
-        }
-      }
-    } catch (const ParseError&) {
-      throw;
-    } catch (const std::exception&) {
-    }
-  }
-  throw ParseError(where + ": '" + s + "' is not a non-negative integer");
-}
+namespace {
 
-double parse_config_real(const std::string& s, const std::string& where) {
-  const std::string t{trim(s)};
+/// A number with a single-key constraint (`check` throws ConfigError),
+/// reported against the key it was set through so every front-end names
+/// the key; assemble() still validates the whole config.
+std::uint64_t checked_number(const std::string& value, const std::string& where,
+                             void (*check)(std::uint64_t)) {
+  const std::uint64_t v = parse_config_number(value, where);
   try {
-    std::size_t consumed = 0;
-    const double v = std::stod(t, &consumed);
-    if (consumed == t.size() && std::isfinite(v) && v >= 0.0) return v;
-  } catch (const std::exception&) {
+    check(v);
+  } catch (const ConfigError& e) {
+    throw ConfigError(where + ": " + e.what());
   }
-  throw ParseError(where + ": '" + s +
-                   "' is not a finite non-negative real number");
+  return v;
 }
 
-bool parse_config_bool(const std::string& s, const std::string& where) {
-  const std::string lower = to_lower(std::string(trim(s)));
-  if (lower == "true" || lower == "1" || lower == "yes" || lower == "on")
-    return true;
-  if (lower == "false" || lower == "0" || lower == "no" || lower == "off")
-    return false;
-  throw ParseError(where + ": '" + s + "' is not a boolean");
-}
+}  // namespace
 
 int core_workload_index(const std::string& key) {
   if (!starts_with(key, "core")) return -1;
@@ -76,6 +43,9 @@ bool RunAssembly::set_level(LevelStage& level, const std::string& suffix,
                             const std::string& value,
                             const std::string& where) {
   const auto number = [&] { return parse_config_number(value, where); };
+  const auto cycles = [&] {
+    return checked_number(value, where, &LatencyParams::check_cycles);
+  };
   if (suffix == "size")
     level.size = number();
   else if (suffix == "line")
@@ -95,17 +65,17 @@ bool RunAssembly::set_level(LevelStage& level, const std::string& suffix,
   else if (suffix == "drowsy_window")
     level.drowsy_window = number();
   else if (suffix == "hit_latency")
-    level.hit_latency = number();
+    level.hit_latency = cycles();
   else if (suffix == "miss_latency")
-    level.miss_latency = number();
+    level.miss_latency = cycles();
   else if (suffix == "drowsy_wake")
-    level.drowsy_wake = number();
+    level.drowsy_wake = cycles();
   else if (suffix == "gated_wake")
-    level.gated_wake = number();
+    level.gated_wake = cycles();
   else if (suffix == "mshrs")
-    level.mshrs = number();
+    level.mshrs = checked_number(value, where, &ContentionParams::check_mshrs);
   else if (suffix == "ports")
-    level.ports = number();
+    level.ports = checked_number(value, where, &ContentionParams::check_ports);
   else if (suffix == "bandwidth")
     level.bandwidth = number();
   else if (suffix == "inclusion")
@@ -119,25 +89,19 @@ void RunAssembly::set(const std::string& key, const std::string& value,
                       const std::string& where) {
   const auto number = [&] { return parse_config_number(value, where); };
   const auto real = [&] { return parse_config_real(value, where); };
-  // The L1 geometry's single-key constraints are checked here, where the
-  // key is set, so every front-end reports them against the key;
-  // assemble() still validates the whole config.
-  const auto geometry = [&](void (*check)(std::uint64_t)) {
-    const std::uint64_t v = number();
-    try {
-      check(v);
-    } catch (const ConfigError& e) {
-      throw ConfigError(where + ": " + e.what());
-    }
-    return v;
+  // Single-key constraints (L1 geometry, what one key can cost) are
+  // checked here, where the key is set.
+  const auto checked = [&](void (*check)(std::uint64_t)) {
+    return checked_number(value, where, check);
   };
+  const auto cycles = [&] { return checked(&LatencyParams::check_cycles); };
   // ---- flat L1/global keys (the legacy sweep-axis vocabulary) ----
   if (key == "cache_size")
-    config.cache.size_bytes = geometry(&CacheConfig::check_size);
+    config.cache.size_bytes = checked(&CacheConfig::check_size);
   else if (key == "line_size")
-    config.cache.line_bytes = geometry(&CacheConfig::check_line);
+    config.cache.line_bytes = checked(&CacheConfig::check_line);
   else if (key == "ways")
-    config.cache.ways = geometry(&CacheConfig::check_ways);
+    config.cache.ways = checked(&CacheConfig::check_ways);
   else if (key == "banks")
     config.partition.num_banks = number();
   else if (key == "updates")
@@ -149,23 +113,23 @@ void RunAssembly::set(const std::string& key, const std::string& value,
   else if (key == "seed")
     config.indexing_seed = number();
   else if (key == "hit_latency")
-    config.latency.hit_cycles = number();
+    config.latency.hit_cycles = cycles();
   else if (key == "miss_latency")
-    config.latency.miss_cycles = number();
+    config.latency.miss_cycles = cycles();
   else if (key == "drowsy_wake")
-    config.latency.drowsy_wake_cycles = number();
+    config.latency.drowsy_wake_cycles = cycles();
   else if (key == "gated_wake")
-    config.latency.gated_wake_cycles = number();
+    config.latency.gated_wake_cycles = cycles();
   else if (key == "mshrs")
-    config.contention.mshrs = number();
+    config.contention.mshrs = checked(&ContentionParams::check_mshrs);
   else if (key == "ports")
-    config.contention.ports = number();
+    config.contention.ports = checked(&ContentionParams::check_ports);
   else if (key == "bandwidth")
     config.contention.bytes_per_cycle = number();
   else if (key == "mshr_latency")
-    config.contention.mshr_latency_cycles = number();
+    config.contention.mshr_latency_cycles = cycles();
   else if (key == "port_cycles")
-    config.contention.port_cycles = number();
+    config.contention.port_cycles = cycles();
   else if (key == "energy_drowsy_leak")
     config.energy_params.drowsy_leak_fraction = real();
   else if (key == "energy_gated_leak")
@@ -206,9 +170,9 @@ void RunAssembly::set(const std::string& key, const std::string& value,
   else if (key == "llc_ways_per_core")
     llc_ways_per_core_ = number();
   else if (key == "llc_mshrs")
-    llc_mshrs_ = number();
+    llc_mshrs_ = checked(&ContentionParams::check_mshrs);
   else if (key == "llc_ports")
-    llc_ports_ = number();
+    llc_ports_ = checked(&ContentionParams::check_ports);
   else if (key == "llc_bandwidth")
     llc_bandwidth_ = number();
   else if (key == "llc_inclusion")

@@ -22,8 +22,8 @@
 // override narrows it.
 //
 // A front-end that must keep different *defaults* (pcalsim's [l3] does
-// not inherit [l2]) passes every value explicitly — the application path
-// is shared, the default policy stays the front-end's.
+// not inherit [l2]) stages those values explicitly — the application
+// path is shared, the default policy stays the front-end's.
 #pragma once
 
 #include <cstdint>
@@ -33,19 +33,9 @@
 
 #include "core/multicore.h"
 #include "core/simulator.h"
+#include "util/config_file.h"
 
 namespace pcal {
-
-/// Unsigned integer with an optional k/M byte multiplier ("8k" = 8192).
-/// Throws ParseError("<where>: ...") on anything else.
-std::uint64_t parse_config_number(const std::string& s,
-                                  const std::string& where);
-
-/// Finite non-negative real number ("0.25"); "inf"/"nan" are rejected.
-double parse_config_real(const std::string& s, const std::string& where);
-
-/// "true/1/yes/on" or "false/0/no/off", case-insensitive.
-bool parse_config_bool(const std::string& s, const std::string& where);
 
 /// "core<k>_workload" keys pin one core of a multi-core run to its own
 /// workload; returns the core index, or -1 for any other key.

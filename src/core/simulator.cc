@@ -64,6 +64,7 @@ void SimConfig::validate() const {
       granularity == Granularity::kWay)
     partition.validate(cache);
   energy_params.validate();
+  latency.validate();
   contention.validate();
   for (const LevelConfig& level : lower_levels)
     if (level.enabled()) level.topology.validate();

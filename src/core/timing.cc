@@ -2,6 +2,8 @@
 
 #include <sstream>
 
+#include "util/error.h"
+
 namespace pcal {
 
 const char* to_string(WakeDepth depth) {
@@ -20,6 +22,18 @@ std::string LatencyParams::describe() const {
   if (drowsy_wake_cycles != 0 || gated_wake_cycles != 0)
     os << "/w" << drowsy_wake_cycles << ":" << gated_wake_cycles;
   return os.str();
+}
+
+void LatencyParams::check_cycles(std::uint64_t cycles) {
+  PCAL_CONFIG_CHECK(cycles <= kMaxEventCycles,
+                    "an event costs at most " << kMaxEventCycles
+                                              << " cycles, got " << cycles);
+}
+
+void LatencyParams::validate() const {
+  for (const std::uint64_t cycles :
+       {hit_cycles, miss_cycles, drowsy_wake_cycles, gated_wake_cycles})
+    check_cycles(cycles);
 }
 
 double TimingModel::avg_access_latency() const {

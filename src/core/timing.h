@@ -49,6 +49,11 @@ const char* to_string(WakeDepth depth);
 /// Per-level event costs in stall cycles beyond the one base cycle every
 /// access consumes.  All-zero (the default) is the idealized clock.
 struct LatencyParams {
+  /// The cap on any one event's cost, here and in ContentionParams'
+  /// hold times.  At 2^20 cycles per event a six-level access needs
+  /// about 2^39 accesses before the 64-bit clock can overflow.
+  static constexpr std::uint64_t kMaxEventCycles = std::uint64_t{1} << 20;
+
   /// Extra cycles a hit in this level costs.
   std::uint64_t hit_cycles = 0;
   /// Penalty when this level misses: the request leaves the level — to
@@ -75,6 +80,11 @@ struct LatencyParams {
   /// Compact label suffix ("h1/m8/w1:3"); empty when zero() — so config
   /// labels of untimed runs are unchanged.
   std::string describe() const;
+
+  /// Throws ConfigError when one event's cost exceeds kMaxEventCycles.
+  static void check_cycles(std::uint64_t cycles);
+  /// check_cycles() on every field.
+  void validate() const;
 };
 
 /// Classifies a wakeup.  `idle_gap` is the serving unit's idle cycles

@@ -1,138 +1,187 @@
 #include "util/config_file.h"
 
+#include <cmath>
 #include <fstream>
-#include <sstream>
 
 #include "util/error.h"
 #include "util/string_util.h"
 
 namespace pcal {
+namespace {
 
-ConfigFile ConfigFile::parse(std::istream& is) {
-  ConfigFile cfg;
-  std::string line;
-  std::string section;
+/// True iff `section` is one of the dialect's sections; "core<k>"
+/// matches "core" followed by one to six decimal digits.
+bool section_exists(const ConfigSyntax& syntax, const std::string& section) {
+  constexpr std::string_view kIndex = "<k>";
+  for (const std::string_view name : syntax.sections) {
+    if (section == name) return true;
+    if (name.size() <= kIndex.size() ||
+        name.substr(name.size() - kIndex.size()) != kIndex)
+      continue;
+    const std::string_view prefix = name.substr(0, name.size() - kIndex.size());
+    if (!starts_with(section, prefix)) continue;
+    const std::string_view index =
+        std::string_view(section).substr(prefix.size());
+    if (!index.empty() && index.size() <= 6 &&
+        index.find_first_not_of("0123456789") == std::string_view::npos)
+      return true;
+  }
+  return false;
+}
+
+/// "[grid], [sweep] or [filter]".
+std::string sections_hint(const ConfigSyntax& syntax) {
+  std::string out;
+  const std::size_t n = syntax.sections.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i > 0) out += i + 1 == n ? " or " : ", ";
+    out += "[" + syntax.sections[i] + "]";
+  }
+  return out;
+}
+
+}  // namespace
+
+std::vector<ConfigEntry> read_config(
+    std::istream& is, const ConfigSyntax& syntax,
+    const std::vector<std::string>& overrides) {
+  const auto fail = [&](const std::string& where, const std::string& msg) {
+    throw ParseError(syntax.source + " " + where + ": " + msg);
+  };
+  const auto check_section = [&](const std::string& where,
+                                 const std::string& section) {
+    if (!section_exists(syntax, section))
+      fail(where, "unknown section [" + section + "] (expected " +
+                      sections_hint(syntax) + ")");
+  };
+  std::vector<ConfigEntry> entries;
+  const auto find = [&](const ConfigEntry& e) -> ConfigEntry* {
+    for (ConfigEntry& prev : entries)
+      if (prev.section == e.section && prev.key == e.key) return &prev;
+    return nullptr;
+  };
+
+  // ---- the file: ordered entries, strict on structure ----
+  std::string line, section;
+  bool expressions = false;
   std::size_t lineno = 0;
   while (std::getline(is, line)) {
     ++lineno;
+    const std::string where = "line " + std::to_string(lineno);
     const std::string_view t = trim(line);
     if (t.empty() || t.front() == '#' || t.front() == ';') continue;
     if (t.front() == '[') {
       if (t.back() != ']' || t.size() < 3)
-        throw ParseError("config line " + std::to_string(lineno) +
-                         ": malformed section header");
+        fail(where, "malformed section header");
       section = std::string(trim(t.substr(1, t.size() - 2)));
+      check_section(where, section);
+      expressions = false;
+      for (const std::string& s : syntax.expression_sections)
+        expressions = expressions || s == section;
       continue;
     }
-    const std::size_t eq = t.find('=');
-    if (eq == std::string_view::npos)
-      throw ParseError("config line " + std::to_string(lineno) +
-                       ": expected 'key = value'");
-    const std::string key{trim(t.substr(0, eq))};
-    const std::string value{trim(t.substr(eq + 1))};
-    if (key.empty())
-      throw ParseError("config line " + std::to_string(lineno) +
-                       ": empty key");
-    cfg.values_[section][key] = value;
+    ConfigEntry e;
+    e.section = section;
+    e.where = where;
+    if (expressions) {
+      e.key = std::string(t);
+      if (const ConfigEntry* prev = find(e))
+        fail(where, "duplicate [" + section + "] line '" + e.key +
+                        "' (first defined at " + prev->where + ")");
+    } else {
+      const std::size_t eq = t.find('=');
+      if (eq == std::string_view::npos) fail(where, "expected 'key = value'");
+      if (section.empty()) fail(where, "key before any [section] header");
+      e.key = std::string(trim(t.substr(0, eq)));
+      e.value = std::string(trim(t.substr(eq + 1)));
+      if (e.key.empty()) fail(where, "empty key");
+      if (const ConfigEntry* prev = find(e))
+        fail(where, "duplicate key '" + section + "." + e.key +
+                        "' (first defined at " + prev->where + ")");
+    }
+    entries.push_back(std::move(e));
   }
-  return cfg;
+
+  // ---- overrides: replace in place, or append as a new entry ----
+  for (const std::string& o : overrides) {
+    const std::string where = "override '" + o + "'";
+    const std::size_t eq = o.find('=');
+    const std::size_t dot = o.find('.');
+    if (eq == std::string::npos || dot == std::string::npos || dot > eq)
+      fail(where, "override must look like section.key=value");
+    const std::string_view text = o;
+    ConfigEntry e;
+    e.section = std::string(trim(text.substr(0, dot)));
+    e.key = std::string(trim(text.substr(dot + 1, eq - dot - 1)));
+    e.value = std::string(trim(text.substr(eq + 1)));
+    e.where = where;
+    check_section(where, e.section);
+    if (e.key.empty()) fail(where, "empty key");
+    if (ConfigEntry* prev = find(e)) {
+      prev->value = e.value;
+      prev->where = where;
+    } else {
+      entries.push_back(std::move(e));
+    }
+  }
+  return entries;
 }
 
-ConfigFile ConfigFile::load(const std::string& path) {
+std::vector<ConfigEntry> load_config(
+    const std::string& path, const ConfigSyntax& syntax,
+    const std::vector<std::string>& overrides) {
   std::ifstream f(path);
   if (!f) throw ParseError("cannot open config file: " + path);
-  return parse(f);
+  return read_config(f, syntax, overrides);
 }
 
-bool ConfigFile::has(const std::string& section,
-                     const std::string& key) const {
-  const auto s = values_.find(section);
-  return s != values_.end() && s->second.count(key) > 0;
-}
-
-std::optional<std::string> ConfigFile::get(const std::string& section,
-                                           const std::string& key) const {
-  const auto s = values_.find(section);
-  if (s == values_.end()) return std::nullopt;
-  const auto k = s->second.find(key);
-  if (k == s->second.end()) return std::nullopt;
-  return k->second;
-}
-
-std::string ConfigFile::get_string(const std::string& section,
-                                   const std::string& key,
-                                   const std::string& fallback) const {
-  return get(section, key).value_or(fallback);
-}
-
-std::uint64_t ConfigFile::get_u64(const std::string& section,
-                                  const std::string& key,
-                                  std::uint64_t fallback) const {
-  const auto v = get(section, key);
-  if (!v) return fallback;
-  try {
-    std::size_t consumed = 0;
-    const std::uint64_t out = std::stoull(*v, &consumed, 0);
-    // Allow a trailing k/M multiplier (e.g. "8k" bytes).
-    if (consumed == v->size()) return out;
-    if (consumed + 1 == v->size()) {
-      const char suffix = (*v)[consumed];
-      if (suffix == 'k' || suffix == 'K') return out * 1024;
-      if (suffix == 'm' || suffix == 'M') return out * 1024 * 1024;
+std::uint64_t parse_config_number(const std::string& s,
+                                  const std::string& where) {
+  const std::string t{trim(s)};
+  if (!t.empty() && t.front() != '-') {
+    try {
+      std::size_t consumed = 0;
+      const std::uint64_t out = std::stoull(t, &consumed, 0);
+      if (consumed == t.size()) return out;
+      if (consumed + 1 == t.size()) {
+        const char suffix = t[consumed];
+        const std::uint64_t mult =
+            (suffix == 'k' || suffix == 'K')   ? 1024
+            : (suffix == 'm' || suffix == 'M') ? 1024 * 1024
+                                               : 0;
+        if (mult != 0) {
+          if (out > UINT64_MAX / mult)
+            throw ParseError(where + ": '" + s + "' overflows 64 bits");
+          return out * mult;
+        }
+      }
+    } catch (const ParseError&) {
+      throw;
+    } catch (const std::exception&) {
     }
-  } catch (const std::exception&) {
   }
-  throw ParseError("config value [" + section + "]." + key + " = '" + *v +
-                   "' is not an integer");
+  throw ParseError(where + ": '" + s + "' is not a non-negative integer");
 }
 
-double ConfigFile::get_double(const std::string& section,
-                              const std::string& key,
-                              double fallback) const {
-  const auto v = get(section, key);
-  if (!v) return fallback;
+double parse_config_real(const std::string& s, const std::string& where) {
+  const std::string t{trim(s)};
   try {
     std::size_t consumed = 0;
-    const double out = std::stod(*v, &consumed);
-    if (consumed == v->size()) return out;
+    const double v = std::stod(t, &consumed);
+    if (consumed == t.size() && std::isfinite(v) && v >= 0.0) return v;
   } catch (const std::exception&) {
   }
-  throw ParseError("config value [" + section + "]." + key + " = '" + *v +
-                   "' is not a number");
+  throw ParseError(where + ": '" + s +
+                   "' is not a finite non-negative real number");
 }
 
-bool ConfigFile::get_bool(const std::string& section, const std::string& key,
-                          bool fallback) const {
-  const auto v = get(section, key);
-  if (!v) return fallback;
-  const std::string lower = to_lower(*v);
+bool parse_config_bool(const std::string& s, const std::string& where) {
+  const std::string lower = to_lower(std::string(trim(s)));
   if (lower == "true" || lower == "1" || lower == "yes" || lower == "on")
     return true;
   if (lower == "false" || lower == "0" || lower == "no" || lower == "off")
     return false;
-  throw ParseError("config value [" + section + "]." + key + " = '" + *v +
-                   "' is not a boolean");
-}
-
-void ConfigFile::set(const std::string& section, const std::string& key,
-                     const std::string& value) {
-  values_[section][key] = value;
-}
-
-void ConfigFile::apply_override(const std::string& spec) {
-  const std::size_t eq = spec.find('=');
-  const std::size_t dot = spec.find('.');
-  if (eq == std::string::npos || dot == std::string::npos || dot > eq)
-    throw ParseError("override must look like section.key=value: " + spec);
-  set(std::string(trim(spec.substr(0, dot))),
-      std::string(trim(spec.substr(dot + 1, eq - dot - 1))),
-      std::string(trim(spec.substr(eq + 1))));
-}
-
-std::size_t ConfigFile::size() const {
-  std::size_t n = 0;
-  for (const auto& [s, kv] : values_) n += kv.size();
-  return n;
+  throw ParseError(where + ": '" + s + "' is not a boolean");
 }
 
 }  // namespace pcal

@@ -1,54 +1,73 @@
-// Minimal INI-style configuration files for the pcalsim CLI.
+// The strict sectioned INI reader behind every config file pcal reads:
+// pcalsim's INI and pcalsweep's .sweep specs.
 //
-// Format: `[section]` headers, `key = value` pairs, `#` or `;` comments,
-// blank lines ignored.  Keys are unique per section (later duplicates
-// overwrite).  Typed getters validate and fall back to defaults.
+// Format: `[section]` headers, `key = value` lines, blank lines, and
+// comment lines starting with `#` or `;`.  Trailing comments after a
+// value are NOT stripped (a trace path may contain '#').  The reader is
+// strict on structure: a malformed header, a line without '=', an empty
+// key, a key before any header, a section the caller does not list and a
+// key repeated within its section are errors naming the line.
+// Command-line overrides ("section.key=value") then replace the entry of
+// the same section and key in place, or append a new one.  Which keys a
+// section accepts, and what they mean, is the caller's business.
+//
+// The value parsers every config front-end shares live here too, so a
+// number is spelled the same way in an INI, a sweep spec and a Python
+// entry dict.
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
-#include <map>
-#include <optional>
 #include <string>
+#include <vector>
 
 namespace pcal {
 
-class ConfigFile {
- public:
-  /// Parses the stream; throws ParseError with a line number on errors.
-  static ConfigFile parse(std::istream& is);
-
-  /// Loads from a path; throws ParseError if unreadable.
-  static ConfigFile load(const std::string& path);
-
-  bool has(const std::string& section, const std::string& key) const;
-
-  /// Raw string access; nullopt if absent.
-  std::optional<std::string> get(const std::string& section,
-                                 const std::string& key) const;
-
-  std::string get_string(const std::string& section, const std::string& key,
-                         const std::string& fallback) const;
-  std::uint64_t get_u64(const std::string& section, const std::string& key,
-                        std::uint64_t fallback) const;
-  double get_double(const std::string& section, const std::string& key,
-                    double fallback) const;
-  bool get_bool(const std::string& section, const std::string& key,
-                bool fallback) const;
-
-  /// Sets/overrides a value (used for command-line overrides
-  /// "section.key=value").
-  void set(const std::string& section, const std::string& key,
-           const std::string& value);
-
-  /// Applies an override of the form "section.key=value".
-  void apply_override(const std::string& spec);
-
-  std::size_t size() const;
-
- private:
-  // section -> key -> value
-  std::map<std::string, std::map<std::string, std::string>> values_;
+/// One "key = value" entry, in file order (overrides last).
+struct ConfigEntry {
+  std::string section;
+  std::string key;
+  std::string value;
+  /// Where the entry came from, for error messages: "line 12", or
+  /// "override 'cache.size=16k'".
+  std::string where;
 };
+
+/// What one config dialect accepts structurally.
+struct ConfigSyntax {
+  /// Names the input in every error: "<source> line 12: ...".
+  std::string source;
+  /// The sections that exist.  A name ending in "<k>" ("core<k>") stands
+  /// for that prefix followed by a decimal index of up to six digits.
+  std::vector<std::string> sections;
+  /// Sections whose file lines are whole expressions rather than
+  /// key = value pairs (a sweep spec's [filter], where '=' may belong to
+  /// an operator): each line is kept, trimmed, in `key`.  Overrides of
+  /// these sections still split at their first '='.
+  std::vector<std::string> expression_sections;
+};
+
+/// Reads `is`, then applies `overrides`.  Throws ParseError
+/// "<source> <where>: <reason>" on the first structural error.
+std::vector<ConfigEntry> read_config(
+    std::istream& is, const ConfigSyntax& syntax,
+    const std::vector<std::string>& overrides = {});
+
+/// As above, from a file; throws ParseError if it cannot be opened.
+std::vector<ConfigEntry> load_config(
+    const std::string& path, const ConfigSyntax& syntax,
+    const std::vector<std::string>& overrides = {});
+
+/// Unsigned integer, decimal or 0x-hex, with an optional k/K/m/M binary
+/// multiplier ("8k" = 8192).  Throws ParseError("<where>: ...") on
+/// anything else: a sign, trailing text, or a value past 64 bits.
+std::uint64_t parse_config_number(const std::string& s,
+                                  const std::string& where);
+
+/// Finite non-negative real number ("0.25"); "inf"/"nan" are rejected.
+double parse_config_real(const std::string& s, const std::string& where);
+
+/// "true/1/yes/on" or "false/0/no/off", case-insensitive.
+bool parse_config_bool(const std::string& s, const std::string& where);
 
 }  // namespace pcal

@@ -106,6 +106,58 @@ TEST(RunConfigTest, ValidateResolvesWorkloads) {
   EXPECT_EQ(issues[0].key, "core1_workload");
 }
 
+TEST(RunConfigTest, ValidateRejectsCoreWorkloadsPastTheCoreCount) {
+  // GridSpec's rule for a cores axis, applied to one run: a
+  // core<k>_workload must name a core the run has.
+  RunConfig mc;
+  mc.set("cores", "2").set("llc_size", "64k").set("workload", "cjpeg");
+  mc.set("core7_workload", "sha");
+  std::vector<ConfigIssue> issues = mc.validate();
+  ASSERT_EQ(issues.size(), 1u) << api::describe(issues);
+  EXPECT_EQ(issues[0].key, "core7_workload");
+  EXPECT_EQ(issues[0].value, "sha");
+  EXPECT_NE(issues[0].reason.find("2 cores"), std::string::npos);
+  try {
+    api::run(mc);
+    FAIL() << "core7_workload ran on a 2-core system";
+  } catch (const ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find("core7_workload"), std::string::npos)
+        << e.what();
+  }
+
+  RunConfig single = small_config();
+  single.set("core1_workload", "sha");
+  issues = single.validate();
+  ASSERT_EQ(issues.size(), 1u) << api::describe(issues);
+  EXPECT_EQ(issues[0].key, "core1_workload");
+  EXPECT_THROW(api::run(single), ConfigError);
+}
+
+TEST(RunConfigTest, ValidateNamesTheKeyOfACostCap) {
+  // What one key can cost is bounded where the key is set.
+  RunConfig rc = small_config();
+  rc.set("miss_latency", "18446744073709551615")
+      .set("mshrs", "1M")
+      .set("ports", "17")
+      .set("mshr_latency", "2M")
+      .set("l2_gated_wake", "2M")
+      .set("llc_mshrs", "257");
+  const std::vector<ConfigIssue> issues = rc.validate();
+  ASSERT_EQ(issues.size(), 6u) << api::describe(issues);
+  const char* keys[] = {"miss_latency", "mshrs", "ports", "mshr_latency",
+                        "l2_gated_wake", "llc_mshrs"};
+  for (std::size_t i = 0; i < issues.size(); ++i) {
+    EXPECT_EQ(issues[i].key, keys[i]);
+    EXPECT_NE(issues[i].reason.find(std::string("key '") + keys[i] + "'"),
+              std::string::npos)
+        << issues[i].reason;
+  }
+  // The caps themselves are accepted.
+  RunConfig at_cap = small_config();
+  at_cap.set("miss_latency", "1M").set("mshrs", "256").set("ports", "16");
+  EXPECT_TRUE(at_cap.validate().empty()) << api::describe(at_cap.validate());
+}
+
 TEST(ApiRunTest, MatchesHandAssembledSimulatorRun) {
   const RunConfig rc = small_config();
   const api::RunOutput out = api::run(rc);

@@ -203,6 +203,29 @@ TEST(ContentionModel, DescribeAndValidate) {
   EXPECT_THROW(bad.validate(), ConfigError);
 }
 
+TEST(ContentionModel, ValidateBoundsWhatOneKeyCanCost) {
+  // Every miss scans the MSHR file and the port table holds ports x banks
+  // entries, so both counts are capped; so are the hold times.
+  ContentionParams p;
+  p.mshrs = ContentionParams::kMaxMshrs;
+  p.ports = ContentionParams::kMaxPortsPerBank;
+  p.mshr_latency_cycles = LatencyParams::kMaxEventCycles;
+  p.port_cycles = LatencyParams::kMaxEventCycles;
+  EXPECT_NO_THROW(p.validate());
+  ContentionParams bad = p;
+  bad.mshrs = ContentionParams::kMaxMshrs + 1;
+  EXPECT_THROW(bad.validate(), ConfigError);
+  bad = p;
+  bad.ports = ContentionParams::kMaxPortsPerBank + 1;
+  EXPECT_THROW(bad.validate(), ConfigError);
+  bad = p;
+  bad.mshr_latency_cycles = UINT64_MAX;
+  EXPECT_THROW(bad.validate(), ConfigError);
+  bad = p;
+  bad.port_cycles = LatencyParams::kMaxEventCycles + 1;
+  EXPECT_THROW(bad.validate(), ConfigError);
+}
+
 // ---- (a) off-switch degeneracy across all five backends ----
 
 TEST(ContentionSweep, UnlimitedResourcesMatchLegacyOnAllFiveBackends) {

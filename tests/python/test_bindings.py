@@ -62,6 +62,24 @@ def test_validate_checks_the_assembled_whole():
     assert len(issues) == 1 and issues[0]["key"] == "workload"
 
 
+def test_validate_rejects_core_workloads_past_the_core_count():
+    issues = pcal.validate({"cores": "2", "llc_size": "64k",
+                            "workload": "cjpeg", "core7_workload": "sha"})
+    assert [i["key"] for i in issues] == ["core7_workload"]
+    try:
+        pcal.run({"cores": "2", "llc_size": "64k", "workload": "cjpeg",
+                  "core7_workload": "sha", "accesses": 1000})
+    except pcal.Error as e:
+        assert "core7_workload" in str(e)
+    else:
+        raise AssertionError("core7_workload ran on a 2-core system")
+
+
+def test_validate_caps_event_costs():
+    issues = pcal.validate({"miss_latency": "18446744073709551615"})
+    assert [i["key"] for i in issues] == ["miss_latency"]
+
+
 def test_run_single():
     r = pcal.run({"cache_size": "8k", "banks": 4, "workload": "uniform",
                   "accesses": 20000})

@@ -17,6 +17,7 @@
 #include "route_chain.h"
 #include "trace/trace.h"
 #include "trace/workloads.h"
+#include "util/error.h"
 
 namespace pcal {
 namespace {
@@ -39,6 +40,30 @@ TEST(LatencyParams, EventStallComposesHitMissAndWake) {
   EXPECT_TRUE(zero.zero());
   EXPECT_EQ(zero.event_stall(false, WakeDepth::kGated), 0u);
   EXPECT_EQ(zero.describe(), "");
+}
+
+TEST(LatencyParams, ValidateCapsEveryEventCost) {
+  LatencyParams lat;
+  lat.hit_cycles = lat.miss_cycles = lat.drowsy_wake_cycles =
+      lat.gated_wake_cycles = LatencyParams::kMaxEventCycles;
+  EXPECT_NO_THROW(lat.validate());
+  for (std::uint64_t LatencyParams::*field :
+       {&LatencyParams::hit_cycles, &LatencyParams::miss_cycles,
+        &LatencyParams::drowsy_wake_cycles,
+        &LatencyParams::gated_wake_cycles}) {
+    LatencyParams bad = lat;
+    bad.*field = LatencyParams::kMaxEventCycles + 1;
+    EXPECT_THROW(bad.validate(), ConfigError);
+  }
+  // Configs built in code are checked at every level.
+  SimConfig cfg;
+  cfg.lower_levels.push_back(cfg.make_level(64 * 1024));
+  EXPECT_NO_THROW(cfg.validate());
+  cfg.lower_levels[0].topology.latency.miss_cycles = UINT64_MAX;
+  EXPECT_THROW(cfg.validate(), ConfigError);
+  cfg.lower_levels[0].topology.latency.miss_cycles = 0;
+  cfg.latency.gated_wake_cycles = LatencyParams::kMaxEventCycles + 1;
+  EXPECT_THROW(cfg.validate(), ConfigError);
 }
 
 TEST(LatencyParams, ClassifyWake) {
