@@ -13,9 +13,8 @@
 //   drowsy  the drowsy/gated hybrid over the M = 4 banks (drowsy at the
 //           breakeven, power-gated after a 128-cycle window)
 //
-// Every run is priced: the per-unit energy model (power/unit_energy.h)
-// covers the granularities and policies the legacy bank model cannot, so
-// — unlike pre-PR-3 — there is no zero-energy row at any granularity.
+// Every run is priced: the energy model (power/unit_energy.h) covers
+// every granularity and policy, so there is no zero-energy row.
 // The bench fails (exit 1) if any backend reports zero energy, and the
 // emitted BENCH_drowsy_comparison.json carries a per-backend energy
 // section next to the usual sweep stats.

@@ -22,12 +22,18 @@ struct ThermalOutcome {
 };
 
 ThermalOutcome evaluate(const SimResult& r, const SimConfig& cfg) {
-  const EnergyModel model(cfg.tech, cfg.cache, cfg.partition);
+  const UnitEnergyModel model = cfg.paper_energy_model();
   const BankThermalModel thermal;
   std::vector<double> power, residency;
   for (const auto& b : r.units) {
-    power.push_back(BankThermalModel::average_power_mw(
-        model, {b.accesses, b.sleep_cycles, b.sleep_episodes}, r.accesses));
+    UnitActivity activity;
+    activity.accesses = b.accesses;
+    activity.sleep_cycles = b.sleep_cycles;
+    activity.sleep_episodes = b.sleep_episodes;
+    activity.drowsy_cycles = b.drowsy_cycles;
+    activity.gated_episodes = b.gated_episodes;
+    power.push_back(
+        BankThermalModel::average_power_mw(model, activity, r.accesses));
     residency.push_back(b.sleep_residency);
   }
   const auto temps = thermal.temperatures(power);

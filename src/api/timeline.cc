@@ -19,9 +19,7 @@ IntervalObserver TimelineRecorder::observer() {
 }
 
 void TimelineRecorder::price_with(const SimConfig& config) {
-  // The system Simulator::run executes, so the groups line up with its
-  // census by construction.
-  price_with(one_core_system(config));
+  models_ = level_energy_models(config);
 }
 
 void TimelineRecorder::price_with(const RunConfig& config) {
@@ -35,17 +33,7 @@ void TimelineRecorder::price_with(const RunConfig& config) {
 }
 
 void TimelineRecorder::price_with(const MultiCoreConfig& config) {
-  models_.clear();
-  // Depth-major, matching the engine's census: every core's level d,
-  // then the next depth, then the shared LLC last.
-  const std::size_t depth =
-      config.cores.empty() ? 0 : config.cores.front().levels.size();
-  for (std::size_t d = 0; d < depth; ++d)
-    for (const MultiCoreConfig::Core& core : config.cores)
-      models_.emplace_back(config.energy_params, config.tech,
-                           core.levels[d].topology);
-  models_.emplace_back(config.energy_params, config.tech,
-                       config.llc.topology);
+  models_ = level_energy_models(config);
 }
 
 void TimelineRecorder::record(const IntervalSnapshot& snap) {

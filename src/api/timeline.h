@@ -10,7 +10,7 @@
 // per interval — the compact per-unit state string ("AADG...", one char
 // per unit: Awake/Drowsy/Gated), awake/drowsy/gated counts, tag-store
 // deltas, stall delta, and an optional per-group energy estimate priced
-// by the per-unit model.
+// by the models that price the run's report.
 //
 // Recording is strictly additive: attach the recorder's observer() to a
 // run and the run's results are bit-identical to an unobserved run (the
@@ -61,9 +61,9 @@ struct TimelineGroupSample {
   std::uint64_t writebacks = 0;
   /// Interval energy estimate (pJ): state-weighted leakage over the
   /// interval's span plus the dynamic cost of its accesses, priced by
-  /// the per-unit model.  An *estimate* — transition energy is not
-  /// attributable per interval — and 0 unless pricing was attached
-  /// (price_with()).
+  /// the group's level model — the one that prices the run's report.
+  /// An *estimate* — transition energy is not attributable per interval
+  /// — and 0 unless pricing was attached (price_with()).
   double energy_est_pj = 0.0;
 };
 
@@ -94,10 +94,10 @@ class TimelineRecorder {
   IntervalObserver observer();
 
   /// Attaches per-group energy pricing so records carry energy_est_pj:
-  /// one UnitEnergyModel per group-table row, derived from the run's
-  /// config: depth-major private levels then the shared LLC (a SimConfig
-  /// is priced as its one_core_system(), the system Simulator::run
-  /// executes).  Optional — an unpriced recorder emits energy_est_pj = 0.
+  /// one UnitEnergyModel per group-table row, the run's own
+  /// level_energy_models() (core/multicore.h) — the models the engine
+  /// prices the report with, in census order.  Optional — an unpriced
+  /// recorder emits energy_est_pj = 0.
   void price_with(const SimConfig& config);
   void price_with(const MultiCoreConfig& config);
   /// As above, for the system api::run() executes for `config`; throws

@@ -185,7 +185,8 @@ struct SystemRun::State {
 
   State(const MultiCoreConfig& config, const std::vector<TraceSource*>& sources,
         const AgingLut* lut, const IntervalObserver& observer,
-        std::uint64_t batch_size, bool force_scalar_loop);
+        std::uint64_t batch_size, bool force_scalar_loop,
+        std::vector<UnitEnergyModel> models);
 
   void feed(const MemAccess* batch, std::size_t n, AccessOutcome* outs);
   void step(std::size_t k, const MemAccess& a);
@@ -198,6 +199,8 @@ struct SystemRun::State {
   const std::vector<TraceSource*> sources;
   const AgingLut* const lut;
   const IntervalObserver observer;
+  // One pricing model per level, in census order (level_energy_models).
+  const std::vector<UnitEnergyModel> models;
   const std::size_t num_cores;
   const std::size_t depth;
   ContentionModel contention;
@@ -228,11 +231,13 @@ struct SystemRun::State {
 SystemRun::State::State(const MultiCoreConfig& cfg,
                         const std::vector<TraceSource*>& srcs,
                         const AgingLut* aging, const IntervalObserver& obs,
-                        std::uint64_t batch_size, bool force_scalar_loop)
+                        std::uint64_t batch_size, bool force_scalar_loop,
+                        std::vector<UnitEnergyModel> level_models)
     : config(cfg),
       sources(srcs),
       lut(aging),
       observer(obs),
+      models(std::move(level_models)),
       num_cores(config.cores.size()),
       depth(config.cores.front().levels.size()),
       contention(system_contention_shapes(config)),
@@ -249,6 +254,9 @@ SystemRun::State::State(const MultiCoreConfig& cfg,
   PCAL_CONFIG_CHECK(sources.size() == num_cores,
                     "got " << sources.size() << " trace sources for "
                            << num_cores << " cores");
+  PCAL_ASSERT_MSG(models.size() == num_cores * depth + 1,
+                  models.size() << " pricing models for "
+                                << num_cores * depth + 1 << " levels");
   for (TraceSource* source : sources)
     PCAL_CONFIG_CHECK(source != nullptr, "null trace source");
   if (partitioned)
@@ -559,29 +567,26 @@ MultiCoreResult SystemRun::State::finish() {
     residency[u] = ur.sleep_residency;
   }
 
-  // Per-(depth, core) slices priced with each level's own unit model
-  // over the stall-stretched clock, accumulated in depth-outer /
-  // core-inner order; the LLC is priced last.  The baseline is the
-  // never-sleeping monolithic stack of the same levels.
+  // Per-(depth, core) slices priced with each level's model over the
+  // stall-stretched clock, accumulated in census order (depth-outer /
+  // core-inner, the LLC last).  The baseline is the never-sleeping
+  // monolithic stack of the same levels.
   std::vector<EnergyReport> core_private(num_cores);
   std::size_t offset = 0;
-  const auto price_slice = [&](const CacheTopology& topology,
-                               std::uint64_t n) {
+  std::size_t level = 0;
+  const auto price_slice = [&](std::uint64_t n) {
     const std::vector<UnitActivity> slice(
         activity.begin() + static_cast<std::ptrdiff_t>(offset),
         activity.begin() + static_cast<std::ptrdiff_t>(offset + n));
     offset += n;
-    const UnitEnergyModel model(config.energy_params, config.tech, topology);
-    const EnergyReport report = price_unit_run(model, slice, cycles);
+    const EnergyReport report = price_unit_run(models[level++], slice, cycles);
     r.energy += report;
     return report;
   };
   for (std::size_t d = 0; d < depth; ++d)
     for (std::size_t k = 0; k < num_cores; ++k)
-      core_private[k] += price_slice(config.cores[k].levels[d].topology,
-                                     rt[k].levels[d]->num_units());
-  const EnergyReport llc_report =
-      price_slice(config.llc.topology, llc->num_units());
+      core_private[k] += price_slice(rt[k].levels[d]->num_units());
+  const EnergyReport llc_report = price_slice(llc->num_units());
 
   if (lut != nullptr) {
     const CacheLifetimeEvaluator evaluator(*lut);
@@ -692,7 +697,8 @@ MultiCoreResult SystemRun::finish() { return state_->finish(); }
 MultiCoreResult MultiCoreSystem::run(
     const std::vector<TraceSource*>& sources, const AgingLut* lut,
     const IntervalObserver& observer) const {
-  SystemRun run = start(sources, lut, observer, kBatchSize, false);
+  SystemRun run = start(sources, lut, observer, kBatchSize, false,
+                        level_energy_models(config_));
   SystemRun::drive({&run});
   return run.finish();
 }
@@ -701,9 +707,11 @@ SystemRun MultiCoreSystem::start(const std::vector<TraceSource*>& sources,
                                  const AgingLut* lut,
                                  const IntervalObserver& observer,
                                  std::uint64_t batch_size,
-                                 bool force_scalar_loop) const {
+                                 bool force_scalar_loop,
+                                 std::vector<UnitEnergyModel> models) const {
   return SystemRun(std::make_unique<SystemRun::State>(
-      config_, sources, lut, observer, batch_size, force_scalar_loop));
+      config_, sources, lut, observer, batch_size, force_scalar_loop,
+      std::move(models)));
 }
 
 MultiCoreConfig one_core_system(const SimConfig& config) {
@@ -720,6 +728,26 @@ MultiCoreConfig one_core_system(const SimConfig& config) {
   mc.tech = config.tech;
   mc.energy_params = config.energy_params;
   return mc;
+}
+
+std::vector<UnitEnergyModel> level_energy_models(
+    const MultiCoreConfig& config) {
+  std::vector<UnitEnergyModel> models;
+  const std::size_t depth =
+      config.cores.empty() ? 0 : config.cores.front().levels.size();
+  for (std::size_t d = 0; d < depth; ++d)
+    for (const MultiCoreConfig::Core& core : config.cores)
+      models.emplace_back(config.energy_params, config.tech,
+                          core.levels[d].topology);
+  models.emplace_back(config.energy_params, config.tech, config.llc.topology);
+  return models;
+}
+
+std::vector<UnitEnergyModel> level_energy_models(const SimConfig& config) {
+  std::vector<UnitEnergyModel> models =
+      level_energy_models(one_core_system(config));
+  if (config.paper_priced()) models.front() = config.paper_energy_model();
+  return models;
 }
 
 MultiCoreConfig make_multicore(const SimConfig& config,

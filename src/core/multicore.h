@@ -140,7 +140,8 @@ struct CoreResult {
 struct MultiCoreResult {
   /// System-wide observables in the single-stream shape (units
   /// depth-major as documented above; workload is the '+'-joined source
-  /// names).  Every level is priced by the per-unit model.
+  /// names).  Every level is priced once, by its level_energy_models()
+  /// entry.
   SimResult system;
   std::vector<CoreResult> cores;
 };
@@ -166,13 +167,16 @@ class MultiCoreSystem {
 
  private:
   // Simulator::start forwards SimConfig::batch_size and
-  // force_scalar_loop, the knobs of the batched single-level loop.
+  // force_scalar_loop, the knobs of the batched single-level loop, and
+  // the config's per-level pricing models.
   friend class Simulator;
   /// Sets up a run (resets the sources; throws ConfigError when they do
-  /// not match the cores) without issuing any access.
+  /// not match the cores) without issuing any access.  `models` prices
+  /// the levels, in level_energy_models() order.
   SystemRun start(const std::vector<TraceSource*>& sources,
                   const AgingLut* lut, const IntervalObserver& observer,
-                  std::uint64_t batch_size, bool force_scalar_loop) const;
+                  std::uint64_t batch_size, bool force_scalar_loop,
+                  std::vector<UnitEnergyModel> models) const;
 
   MultiCoreConfig config_;
 };
@@ -217,6 +221,17 @@ class SystemRun {
 /// is the "LLC" (L1 itself for a single-level config, leaving no private
 /// level).  Validates `config`.
 MultiCoreConfig one_core_system(const SimConfig& config);
+
+/// The energy model that prices each level of `config`, in census
+/// order: every core's level d, depth by depth, then the shared LLC.
+/// Each prices its level's topology under config.energy_params.
+std::vector<UnitEnergyModel> level_energy_models(
+    const MultiCoreConfig& config);
+
+/// The models that price the levels of one_core_system(config), the
+/// run Simulator executes: as above, except that a paper_priced()
+/// config's L1 is priced by its paper_energy_model().
+std::vector<UnitEnergyModel> level_energy_models(const SimConfig& config);
 
 /// Builds the homogeneous N-core system of a single-stream SimConfig:
 /// every core's private stack is the config's L1 (with its resolved

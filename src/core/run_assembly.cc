@@ -192,6 +192,7 @@ void RunAssembly::set(const std::string& key, const std::string& value,
     core_workloads_[core_workload_index(key)] = value;
   else
     throw ConfigError("unknown config key '" + key + "'");
+  if (starts_with(key, "energy_") && energy_key_.empty()) energy_key_ = key;
 }
 
 bool RunAssembly::knows(const std::string& key) {
@@ -309,6 +310,14 @@ RunAssembly::Assembled RunAssembly::assemble() const {
   if (l3_.size > 0) add_level(l3r, l3_.size);
 
   cfg.validate();
+  // A paper-priced run ignores energy_params: reject an energy_* key
+  // rather than quietly show it having no effect.
+  PCAL_CONFIG_CHECK(cores_ > 0 || energy_key_.empty() || !cfg.paper_priced(),
+                    "key '" << energy_key_
+                            << "' has no effect: a single-level gated "
+                               "bank or monolithic run is priced by the "
+                               "paper's bank model; set unit_pricing = true "
+                               "to price it with the energy_* parameters");
 
   Assembled out;
   out.config = cfg;

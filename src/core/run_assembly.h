@@ -73,7 +73,9 @@ class RunAssembly {
   /// order: lower levels are appended (L2 then L3, zero size = absent),
   /// the result validated, then — when cores > 0 — the shared LLC is
   /// built and the MultiCoreConfig assembled and validated.  Throws
-  /// ConfigError / ParseError on invalid combinations.
+  /// ConfigError / ParseError on invalid combinations, among them an
+  /// energy_* key on a single-stream SimConfig::paper_priced() run
+  /// (which energy_params do not price).
   Assembled assemble() const;
 
   // ---- run-level staged values (not part of the SimConfig) ----
@@ -119,6 +121,7 @@ class RunAssembly {
   std::uint64_t accesses_ = 2'000'000;
   std::uint64_t footprint_bytes_ = 64 * 1024;
   std::map<int, std::string> core_workloads_;
+  std::string energy_key_;  // the first energy_* key staged, if any
 };
 
 }  // namespace pcal

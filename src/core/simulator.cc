@@ -3,14 +3,13 @@
 #include <algorithm>
 
 #include "core/multicore.h"
-#include "power/energy_model.h"
 
 namespace pcal {
 namespace {
 
-/// The partition the energy model prices.  A monolithic cache is one bank
-/// of the full size regardless of what `partition` says (it is ignored at
-/// that granularity).
+/// The L1 topology's partition.  A monolithic cache is one bank of the
+/// full size regardless of what `partition` says (it is ignored at that
+/// granularity).
 PartitionConfig effective_partition(const SimConfig& config) {
   if (config.granularity == Granularity::kMonolithic) {
     PartitionConfig mono;
@@ -18,18 +17,6 @@ PartitionConfig effective_partition(const SimConfig& config) {
     return mono;
   }
   return config.partition;
-}
-
-/// True iff the run keeps the legacy paper-calibrated bank pricing:
-/// single-level, pure gated, monolithic or bank granularity, and not
-/// explicitly forced onto the per-unit model.  Everything else goes
-/// through the per-unit model.
-bool uses_legacy_pricing(const SimConfig& config) {
-  return !config.force_unit_pricing && !config.hierarchy_enabled() &&
-         !(config.policy == PowerPolicy::kDrowsyHybrid &&
-           config.drowsy_window_cycles > 0) &&
-         (config.granularity == Granularity::kMonolithic ||
-          config.granularity == Granularity::kBank);
 }
 
 }  // namespace
@@ -85,6 +72,22 @@ CacheTopology SimConfig::topology(std::uint64_t breakeven_cycles) const {
   return topo;
 }
 
+bool SimConfig::paper_priced() const {
+  return !force_unit_pricing && !hierarchy_enabled() &&
+         !(policy == PowerPolicy::kDrowsyHybrid &&
+           drowsy_window_cycles > 0) &&
+         (granularity == Granularity::kMonolithic ||
+          granularity == Granularity::kBank);
+}
+
+UnitEnergyModel SimConfig::paper_energy_model() const {
+  CacheTopology topo = topology(/*breakeven_cycles=*/1);
+  // The paper prices a cache as its bank partition, a monolithic one
+  // as a single bank (topology() already gives it M = 1).
+  topo.granularity = Granularity::kBank;
+  return UnitEnergyModel(EnergyParams::paper(tech), tech, topo);
+}
+
 double SimResult::avg_residency() const {
   if (units.empty()) return 0.0;
   double sum = 0.0;
@@ -114,23 +117,16 @@ Simulator::Simulator(SimConfig config) : config_(std::move(config)) {
 
 std::uint64_t Simulator::breakeven_cycles() const {
   if (config_.breakeven_override != 0) return config_.breakeven_override;
-  switch (config_.granularity) {
-    case Granularity::kMonolithic:
-    case Granularity::kBank: {
-      const EnergyModel model(config_.tech, config_.cache,
-                              effective_partition(config_));
-      return model.breakeven_cycles();
-    }
-    case Granularity::kWay:
-    case Granularity::kLine: {
-      // Per-unit sleep hardware: the honest (overhead-inclusive) gate
-      // breakeven of the unit model.
-      const UnitEnergyModel model(config_.energy_params, config_.tech,
-                                  config_.topology(/*breakeven=*/1));
-      return std::max<std::uint64_t>(1, model.gate_breakeven_cycles());
-    }
-  }
-  return 32;
+  // Bank-grain sleep hardware keeps the paper's breakeven; per-way and
+  // per-line units take the per-unit model's, sleep-network overheads
+  // included.
+  const bool bank_grain = config_.granularity == Granularity::kMonolithic ||
+                          config_.granularity == Granularity::kBank;
+  const UnitEnergyModel model =
+      bank_grain ? config_.paper_energy_model()
+                 : UnitEnergyModel(config_.energy_params, config_.tech,
+                                   config_.topology(/*breakeven=*/1));
+  return std::max<std::uint64_t>(1, model.gate_breakeven_cycles());
 }
 
 SimResult Simulator::run(TraceSource& source, const AgingLut* lut,
@@ -145,23 +141,11 @@ SystemRun Simulator::start(TraceSource& source, const AgingLut* lut,
   // The single stream is the 1-core system of the run engine.
   return MultiCoreSystem(one_core_system(config_))
       .start({&source}, lut, observer, config_.batch_size,
-             config_.force_scalar_loop);
+             config_.force_scalar_loop, level_energy_models(config_));
 }
 
 SimResult Simulator::finish(SystemRun& run) const {
-  SimResult r = run.finish().system;
-  if (uses_legacy_pricing(config_)) {
-    // The paper-calibrated bank model re-prices the same per-unit
-    // activity.
-    std::vector<BankActivity> activity;
-    activity.reserve(r.units.size());
-    for (const UnitResult& u : r.units)
-      activity.push_back({u.accesses, u.sleep_cycles, u.sleep_episodes});
-    const EnergyModel model(config_.tech, config_.cache,
-                            effective_partition(config_));
-    r.energy = EnergyAccounting(model).price_run(activity, r.total_cycles);
-  }
-  return r;
+  return run.finish().system;
 }
 
 SimConfig monolithic_variant(const SimConfig& config) {

@@ -25,12 +25,15 @@
 // latencies — the default — reproduce the idealized one-access-per-cycle
 // engine bit for bit.
 //
-// Energy pricing: single-level gated monolithic/bank runs keep the
-// legacy paper-calibrated EnergyAccounting path bit for bit (applied
-// here, to the run's per-unit activity); every other configuration
-// (line, way, drowsy hybrid, hierarchies) keeps the engine's per-unit
-// model in power/unit_energy.h, so SimResult::energy is nonzero and
-// parameterized at every granularity (see docs/ENERGY_MODEL.md).
+// Energy pricing: the engine prices every level once, with the
+// per-unit model of power/unit_energy.h.  Which parameters it uses is
+// resolved before the run (level_energy_models, core/multicore.h):
+// a SimConfig::paper_priced() run — single level, gated, monolithic or
+// bank — has its L1 priced by paper_energy_model(), the paper's bank
+// calibration; every other level (line, way, drowsy hybrid,
+// hierarchies, force_unit_pricing) by SimConfig::energy_params, so
+// SimResult::energy is nonzero at every granularity (see
+// docs/ENERGY_MODEL.md).
 #pragma once
 
 #include <cstdint>
@@ -43,7 +46,6 @@
 #include "core/hierarchy.h"
 #include "core/managed_cache.h"
 #include "core/timing.h"
-#include "power/accounting.h"
 #include "power/unit_energy.h"
 #include "trace/trace.h"
 
@@ -61,7 +63,7 @@ struct SimConfig {
   std::uint64_t indexing_seed = 1;
   TechnologyParams tech = TechnologyParams::st45();
   /// Sleep-network / drowsy-state parameters of the per-unit energy
-  /// model (ignored by the legacy single-level gated bank/mono path).
+  /// model (unused by a paper_priced() run's L1).
   EnergyParams energy_params = EnergyParams::st45();
 
   /// What the low-power state is: straight power gating (the paper) or
@@ -98,12 +100,12 @@ struct SimConfig {
   /// Override the model-derived breakeven time (0 = use the energy model).
   std::uint64_t breakeven_override = 0;
 
-  /// Price this run with the per-unit model even where the legacy bank
-  /// path would apply (single-level gated mono/bank).  Off by default —
-  /// the paper-table reproductions are calibrated against the legacy
-  /// model — but cross-backend comparisons should set it so every
-  /// column pays the same sleep-network overheads and leakage
-  /// fractions (bench/drowsy_comparison.cc does).
+  /// Price this run with energy_params even where the paper parameters
+  /// would apply (see paper_priced()).  Off by default — the
+  /// paper-table reproductions are calibrated against the paper model —
+  /// but cross-backend comparisons should set it so every column pays
+  /// the same sleep-network overheads and leakage fractions
+  /// (bench/drowsy_comparison.cc does).
   bool force_unit_pricing = false;
 
   /// Accesses handed to ManagedCache::access_batch per call on the
@@ -142,6 +144,18 @@ struct SimConfig {
 
   /// The L1 CacheTopology this config describes, with the given breakeven.
   CacheTopology topology(std::uint64_t breakeven_cycles) const;
+
+  /// True iff the L1 is priced by paper_energy_model(): a single level,
+  /// the gated policy (or a drowsy window of 0, which is the gated
+  /// policy), monolithic or bank granularity, and no force_unit_pricing.
+  /// Every other level and run is priced with energy_params.
+  bool paper_priced() const;
+
+  /// The paper's bank model of this config's L1: EnergyParams::paper(tech)
+  /// over the L1's bank partition.  A monolithic cache is priced as one
+  /// bank, so each access pays the decoder.  Meaningful at monolithic
+  /// and bank granularity, where it also derives the breakeven.
+  UnitEnergyModel paper_energy_model() const;
 };
 
 /// Per-unit observables of one run (a unit is a bank, a line, a way
@@ -195,9 +209,9 @@ struct SimResult {
   /// Per-level unit counts: `units` holds level 0's units first, then
   /// each level below in order; level_units[i] entries belong to level i.
   std::vector<std::uint64_t> level_units;
-  /// Nonzero at every granularity: legacy bank pricing for single-level
-  /// gated mono/bank runs, the per-unit model for everything else
-  /// (hierarchies price each level with its own unit model and sum).
+  /// Nonzero at every granularity: the paper parameters for a
+  /// paper_priced() run, energy_params for everything else (hierarchies
+  /// price each level with its own unit model and sum).
   EnergyReport energy;
 
   std::optional<CacheLifetimeResult> lifetime;
@@ -297,9 +311,10 @@ class Simulator {
 
   const SimConfig& config() const { return config_; }
 
-  /// The breakeven time the run will use: the override if set, the
-  /// legacy bank energy model at mono/bank granularity, the per-unit
-  /// model's gate breakeven at way/line granularity.
+  /// The breakeven time the run will use: the override if set, else
+  /// the gate breakeven of the L1's energy model — paper_energy_model()
+  /// at mono/bank granularity however the run is priced, the per-unit
+  /// model under energy_params at way/line granularity.
   std::uint64_t breakeven_cycles() const;
 
  private:

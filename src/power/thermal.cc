@@ -25,24 +25,13 @@ std::vector<double> BankThermalModel::temperatures(
   return temps;
 }
 
-double BankThermalModel::average_power_mw(const EnergyModel& model,
-                                          const BankActivity& activity,
+double BankThermalModel::average_power_mw(const UnitEnergyModel& model,
+                                          const UnitActivity& activity,
                                           std::uint64_t total_cycles) {
   if (total_cycles == 0) return 0.0;
-  const std::uint64_t bank_bytes =
-      model.partition().bank_bytes(model.cache());
-  const double t_ns =
-      static_cast<double>(total_cycles) * model.tech().clock_ns;
-  const double sleep_ns =
-      static_cast<double>(activity.sleep_cycles) * model.tech().clock_ns;
-  const double energy_pj =
-      static_cast<double>(activity.accesses) *
-          model.banked_access_energy_pj() +
-      model.leakage_mw(bank_bytes) * (t_ns - sleep_ns) +
-      model.retention_leakage_mw(bank_bytes) * sleep_ns +
-      static_cast<double>(activity.sleep_episodes) *
-          model.transition_energy_pj();
-  return energy_pj / t_ns;  // pJ / ns == mW
+  const double t_ns = static_cast<double>(total_cycles) * model.clock_ns();
+  // pJ / ns == mW
+  return model.price_unit(activity, total_cycles).total_pj() / t_ns;
 }
 
 }  // namespace pcal

@@ -10,7 +10,7 @@
 
 #include <vector>
 
-#include "power/accounting.h"
+#include "power/unit_energy.h"
 
 namespace pcal {
 
@@ -35,9 +35,10 @@ class BankThermalModel {
   std::vector<double> temperatures(
       const std::vector<double>& bank_power_mw) const;
 
-  /// Average power (mW) of one bank over a run, from its activity.
-  static double average_power_mw(const EnergyModel& model,
-                                 const BankActivity& activity,
+  /// Average power (mW) of one unit over a run, from its activity, as
+  /// `model` prices it (UnitEnergyModel::price_unit).
+  static double average_power_mw(const UnitEnergyModel& model,
+                                 const UnitActivity& activity,
                                  std::uint64_t total_cycles);
 
  private:

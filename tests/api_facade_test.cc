@@ -158,6 +158,33 @@ TEST(RunConfigTest, ValidateNamesTheKeyOfACostCap) {
   EXPECT_TRUE(at_cap.validate().empty()) << api::describe(at_cap.validate());
 }
 
+TEST(RunConfigTest, RejectsEnergyKeysOnAPaperPricedRun) {
+  // small_config() is a single-level gated bank run: the paper's bank
+  // model prices it and no energy_* key reaches that model.
+  RunConfig rc = small_config();
+  rc.set("workload", "cjpeg").set("energy_gated_leak", "0.01");
+  const std::vector<ConfigIssue> issues = rc.validate();
+  ASSERT_EQ(issues.size(), 1u) << api::describe(issues);
+  EXPECT_NE(issues[0].reason.find("key 'energy_gated_leak'"),
+            std::string::npos)
+      << issues[0].reason;
+  EXPECT_NE(issues[0].reason.find("unit_pricing = true"), std::string::npos)
+      << issues[0].reason;
+  EXPECT_THROW(api::run(rc), ConfigError);
+
+  RunConfig unit_priced = rc;
+  unit_priced.set("unit_pricing", "true");
+  EXPECT_TRUE(unit_priced.validate().empty())
+      << api::describe(unit_priced.validate());
+  RunConfig line = rc;
+  line.set("granularity", "line");
+  EXPECT_TRUE(line.validate().empty()) << api::describe(line.validate());
+  RunConfig st45 = small_config();
+  st45.set("workload", "cjpeg").set("unit_pricing", "true");
+  EXPECT_NE(api::run(unit_priced).result.energy.partitioned.total_pj(),
+            api::run(st45).result.energy.partitioned.total_pj());
+}
+
 TEST(ApiRunTest, MatchesHandAssembledSimulatorRun) {
   const RunConfig rc = small_config();
   const api::RunOutput out = api::run(rc);

@@ -92,8 +92,9 @@ TEST(BackendParitySweep, WayGrainAtOneWayEqualsBanked) {
     jobs.push_back(job_for(bank, w));
     jobs.push_back(job_for(way, w));
   }
-  // Energy intentionally differs between the paths (legacy bank pricing
-  // vs the per-unit model), so compare everything else pairwise here.
+  // Energy intentionally differs between the two (the bank run is
+  // priced by the paper's parameters, the way run by energy_params), so
+  // compare everything else pairwise here.
   SweepRunner runner;
   const std::vector<SweepOutcome> out = runner.run(jobs);
   for (std::size_t i = 0; i < out.size(); i += 2) {

@@ -1,30 +1,40 @@
-#include "power/energy_model.h"
+// The per-bank prices of UnitEnergyModel under EnergyParams::paper(st45):
+// leakage, access, gate transition and Block Control's breakeven, and
+// how they scale with cache size, line width and bank count.
+#include "power/unit_energy.h"
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
+#include "paper_model.h"
 #include "util/error.h"
 
 namespace pcal {
 namespace {
 
-EnergyModel make_model(std::uint64_t size_kb, std::uint64_t line = 16,
-                       std::uint64_t banks = 4) {
-  CacheConfig cache;
-  cache.size_bytes = size_kb * 1024;
-  cache.line_bytes = line;
-  PartitionConfig part;
-  part.num_banks = banks;
-  return EnergyModel(TechnologyParams::st45(), cache, part);
+TEST(PaperParams, IsTheSt45SetWithoutTheSleepNetwork) {
+  const TechnologyParams tech = TechnologyParams::st45();
+  const EnergyParams p = EnergyParams::paper(tech);
+  EXPECT_NO_THROW(p.validate());
+  EXPECT_EQ(p.sleep_area_leak_overhead, 0.0);
+  EXPECT_EQ(p.control_leak_uw_per_unit, 0.0);
+  EXPECT_EQ(p.gate_transition_fixed_pj, 0.0);
+  EXPECT_EQ(p.gated_leak_fraction, tech.retention_leak_fraction);
+  const EnergyParams st45 = EnergyParams::st45();
+  EXPECT_EQ(p.drowsy_leak_fraction, st45.drowsy_leak_fraction);
+  EXPECT_EQ(p.drowsy_transition_fraction, st45.drowsy_transition_fraction);
 }
 
-TEST(EnergyModel, BreakevenIsAFewTensOfCycles) {
+TEST(PaperParams, BreakevenIsAFewTensOfCycles) {
   // The paper: breakeven times "in the order of a few tens of cycles",
   // representable with 5-6 bit Block Control counters (its configurations
   // use M = 4).  The smallest banks (1kB at 8kB/M=8) leak so little that
   // their breakeven stretches to a 7-bit counter — still "a few tens".
   for (std::uint64_t size : {8u, 16u, 32u}) {
     for (std::uint64_t m : {2u, 4u, 8u}) {
-      const std::uint64_t be = make_model(size, 16, m).breakeven_cycles();
+      const std::uint64_t be =
+          paper_model(size * 1024, 16, m).gate_breakeven_cycles();
       EXPECT_GE(be, 8u) << size << "kB M=" << m;
       EXPECT_LE(be, 128u) << size << "kB M=" << m;
       if (m == 4) {
@@ -34,79 +44,74 @@ TEST(EnergyModel, BreakevenIsAFewTensOfCycles) {
   }
 }
 
-TEST(EnergyModel, LeakageGrowsSuperlinearly) {
-  const EnergyModel m = make_model(16);
-  const double l8 = m.leakage_mw(8 * 1024);
-  const double l16 = m.leakage_mw(16 * 1024);
-  const double l32 = m.leakage_mw(32 * 1024);
+TEST(PaperParams, LeakageGrowsSuperlinearly) {
+  // 8/16/32 kB banks of one 32kB cache (one tag width).
+  const double l8 = paper_model(32768, 16, 4).unit_leak_mw();
+  const double l16 = paper_model(32768, 16, 2).unit_leak_mw();
+  const double l32 = paper_model(32768, 16, 1).unit_leak_mw();
   EXPECT_GT(l16, 2.0 * l8 * 0.99);   // at least ~linear
   EXPECT_GT(l32 / l16, l16 / l8 * 0.999);  // ratio non-decreasing
   EXPECT_GT(l32, 2.0 * l16);         // strictly superlinear
 }
 
-TEST(EnergyModel, RetentionLeakageIsSmallFraction) {
-  const EnergyModel m = make_model(16);
-  const double frac = m.retention_leakage_mw(4096) / m.leakage_mw(4096);
+TEST(PaperParams, GatedLeakageIsTheRetentionFraction) {
+  const UnitEnergyModel m = paper_model(16384);
+  const double frac = m.unit_gated_mw() / m.unit_leak_mw();
   EXPECT_NEAR(frac, TechnologyParams::st45().retention_leak_fraction, 1e-12);
   EXPECT_LT(frac, 0.2);
 }
 
-TEST(EnergyModel, AccessEnergyGrowsWithSizeAndLine) {
-  const EnergyModel m16 = make_model(16, 16);
-  EXPECT_GT(m16.access_energy_pj(8192), m16.access_energy_pj(2048));
-  const EnergyModel m32line = make_model(16, 32);
-  EXPECT_GT(m32line.access_energy_pj(4096), m16.access_energy_pj(4096));
+TEST(PaperParams, AccessEnergyGrowsWithSizeAndLine) {
+  EXPECT_GT(paper_mono(8192).access_energy_pj(),
+            paper_mono(2048).access_energy_pj());
+  EXPECT_GT(paper_mono(4096, 32).access_energy_pj(),
+            paper_mono(4096, 16).access_energy_pj());
 }
 
-TEST(EnergyModel, BankedAccessCheaperThanMonolithic) {
+TEST(PaperParams, BankedAccessCheaperThanMonolithic) {
   // The whole point of partitioned access: activating one 4kB bank costs
   // less than driving the full 16kB array, decoder overhead included.
-  const EnergyModel m = make_model(16);
-  EXPECT_LT(m.banked_access_energy_pj(), m.monolithic_access_energy_pj());
+  EXPECT_LT(paper_model(16384).access_energy_pj(),
+            paper_mono(16384).access_energy_pj());
 }
 
-TEST(EnergyModel, WiringOverheadGrowsWithBanks) {
-  const double e2 = make_model(16, 16, 2).banked_access_energy_pj();
-  const double e2_ref = make_model(16, 16, 2).access_energy_pj(8 * 1024);
-  const double e16 = make_model(16, 16, 16).banked_access_energy_pj();
-  const double e16_ref = make_model(16, 16, 16).access_energy_pj(1024);
-  // Overhead factor = banked / plain bank access; grows with M.
+TEST(PaperParams, WiringOverheadGrowsWithBanks) {
+  // Overhead factor = banked / plain access of a bank-sized array;
+  // grows with M.
+  const double e2 = paper_model(16384, 16, 2).access_energy_pj();
+  const double e2_ref = paper_mono(8192).access_energy_pj();
+  const double e16 = paper_model(16384, 16, 16).access_energy_pj();
+  const double e16_ref = paper_mono(1024).access_energy_pj();
   EXPECT_GT(e16 / e16_ref, e2 / e2_ref);
 }
 
-TEST(EnergyModel, TransitionEnergyGrowsWithLineWidth) {
+TEST(PaperParams, TransitionEnergyGrowsWithLineWidth) {
   // Larger lines -> larger per-line tag reactivation cost (Table III's
   // mechanism): the 32B-line transition costs more than the 16B one even
   // though the bank capacity is identical.
-  const double t16 = make_model(16, 16).transition_energy_pj();
-  const double t32 = make_model(16, 32).transition_energy_pj();
-  EXPECT_GT(t32, t16);
+  EXPECT_GT(paper_model(16384, 32).gate_transition_pj(),
+            paper_model(16384, 16).gate_transition_pj());
 }
 
-TEST(EnergyModel, LineSizeLengthensBreakeven) {
-  EXPECT_GT(make_model(16, 32).breakeven_cycles(),
-            make_model(16, 16).breakeven_cycles());
+TEST(PaperParams, LineSizeLengthensBreakeven) {
+  EXPECT_GT(paper_model(16384, 32).gate_breakeven_cycles(),
+            paper_model(16384, 16).gate_breakeven_cycles());
 }
 
-TEST(EnergyModel, TagBytes) {
-  const EnergyModel m = make_model(16);  // 16kB/16B: 1024 lines, 18 tag bits
-  EXPECT_NEAR(m.tag_bytes(16 * 1024), 1024.0 * 18.0 / 8.0, 1e-9);
-}
-
-TEST(EnergyModel, RejectsBadTech) {
-  CacheConfig cache;
-  cache.size_bytes = 8192;
-  cache.line_bytes = 16;
-  PartitionConfig part;
+TEST(PaperParams, RejectsBadTech) {
+  const CacheTopology topo = bank_topology(8192);
   TechnologyParams tech = TechnologyParams::st45();
   tech.vdd_retention = tech.vdd + 0.1;
-  EXPECT_THROW(EnergyModel(tech, cache, part), ConfigError);
+  EXPECT_THROW(UnitEnergyModel(EnergyParams::paper(tech), tech, topo),
+               ConfigError);
   tech = TechnologyParams::st45();
   tech.retention_leak_fraction = 1.5;
-  EXPECT_THROW(EnergyModel(tech, cache, part), ConfigError);
+  EXPECT_THROW(UnitEnergyModel(EnergyParams::paper(tech), tech, topo),
+               ConfigError);
   tech = TechnologyParams::st45();
   tech.clock_ns = 0.0;
-  EXPECT_THROW(EnergyModel(tech, cache, part), ConfigError);
+  EXPECT_THROW(UnitEnergyModel(EnergyParams::paper(tech), tech, topo),
+               ConfigError);
 }
 
 }  // namespace

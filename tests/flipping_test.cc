@@ -51,7 +51,7 @@ TEST(Flipping, SymmetricInP0) {
                    effective_worst_duty(0.3, s, 1e7));
 }
 
-TEST(Flipping, EnergyAccounting) {
+TEST(Flipping, FlipEnergyPerPeriod) {
   FlippingScheme s;
   s.flip_period_s = 10.0;
   s.flip_energy_pj_per_bit = 0.5;

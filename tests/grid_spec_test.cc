@@ -552,6 +552,9 @@ workload = cjpeg
 
 TEST(GridSpecExpand, EnergyAxesApplyToEnergyParams) {
   const GridSpec spec = parse(R"(
+[grid]
+unit_pricing = true
+
 [sweep]
 energy_drowsy_leak = 0.3, 0.5
 energy_control_leak_uw = 2.5
@@ -566,6 +569,46 @@ workload = cjpeg
   EXPECT_DOUBLE_EQ(jobs[1].config.energy_params.drowsy_leak_fraction, 0.5);
   EXPECT_DOUBLE_EQ(jobs[0].config.energy_params.control_leak_uw_per_unit,
                    2.5);
+}
+
+TEST(GridSpecExpand, RejectsEnergyAxesOnPaperPricedPoints) {
+  // Default jobs (single-level gated banks) are priced by the paper's
+  // bank model, which no energy_* key reaches: both points would show
+  // the axis having no effect.
+  const GridSpec spec = parse(R"(
+[sweep]
+energy_gated_leak = 0.01, 0.04
+workload = cjpeg
+)");
+  try {
+    spec.expand(5000);
+    FAIL() << "energy axis on a paper-priced grid accepted";
+  } catch (const ConfigError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("grid point (energy_gated_leak=0.01"),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find("key 'energy_gated_leak'"), std::string::npos)
+        << what;
+    EXPECT_NE(what.find("unit_pricing = true"), std::string::npos) << what;
+  }
+  // Priced per unit — by request, or by granularity — the axis applies.
+  const GridSpec unit_priced = parse(R"(
+[grid]
+unit_pricing = true
+
+[sweep]
+energy_gated_leak = 0.01, 0.04
+workload = cjpeg
+)");
+  EXPECT_EQ(unit_priced.expand(5000).size(), 2u);
+  const GridSpec line = parse(R"(
+[sweep]
+granularity = line
+energy_gated_leak = 0.01, 0.04
+workload = cjpeg
+)");
+  EXPECT_EQ(line.expand(5000).size(), 2u);
 }
 
 TEST(GridSpecParse, RejectsBadEnumAndFloatAxisValues) {

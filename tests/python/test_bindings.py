@@ -80,6 +80,26 @@ def test_validate_caps_event_costs():
     assert [i["key"] for i in issues] == ["miss_latency"]
 
 
+def test_energy_keys_need_a_unit_priced_run():
+    # A single-level gated bank run is priced by the paper's bank model,
+    # which no energy_* key reaches: validate and run both say so.
+    cfg = {"cache_size": "8k", "banks": 4, "workload": "cjpeg",
+           "accesses": 20000, "energy_gated_leak": 0.01}
+    issues = pcal.validate(cfg)
+    assert len(issues) == 1, issues
+    assert "energy_gated_leak" in issues[0]["reason"]
+    assert "unit_pricing = true" in issues[0]["reason"]
+    try:
+        pcal.run(cfg)
+    except pcal.Error as e:
+        assert "energy_gated_leak" in str(e)
+    else:
+        raise AssertionError("pcal.run ignored energy_gated_leak")
+    assert pcal.validate(dict(cfg, unit_pricing=True)) == []
+    assert pcal.validate(dict(cfg, granularity="line")) == []
+    assert pcal.run(dict(cfg, unit_pricing=True))["energy_pj"] > 0
+
+
 def test_run_single():
     r = pcal.run({"cache_size": "8k", "banks": 4, "workload": "uniform",
                   "accesses": 20000})

@@ -50,17 +50,21 @@ TEST(Thermal, RejectsBadInput) {
 }
 
 TEST(Thermal, AveragePowerAccounting) {
-  CacheConfig cache;
-  cache.size_bytes = 8192;
-  cache.line_bytes = 16;
-  PartitionConfig part;
-  part.num_banks = 4;
-  const EnergyModel model(TechnologyParams::st45(), cache, part);
+  CacheTopology topo;
+  topo.granularity = Granularity::kBank;
+  topo.cache.size_bytes = 8192;
+  topo.cache.line_bytes = 16;
+  topo.partition.num_banks = 4;
+  const TechnologyParams tech = TechnologyParams::st45();
+  const UnitEnergyModel model(EnergyParams::paper(tech), tech, topo);
   // A bank that sleeps the whole run draws ~retention leakage only.
-  BankActivity asleep{0, 1000, 1};
+  UnitActivity asleep;
+  asleep.sleep_cycles = 1000;
+  asleep.sleep_episodes = asleep.gated_episodes = 1;
   const double p_sleep =
       BankThermalModel::average_power_mw(model, asleep, 1000);
-  BankActivity busy{1000, 0, 0};
+  UnitActivity busy;
+  busy.accesses = 1000;
   const double p_busy = BankThermalModel::average_power_mw(model, busy, 1000);
   EXPECT_GT(p_busy, 10.0 * p_sleep);
   EXPECT_GT(p_sleep, 0.0);

@@ -131,6 +131,34 @@ TEST(TimelineRecorderTest, PricingFillsEnergyEstimates) {
   EXPECT_GT(total, 0.0);
 }
 
+TEST(TimelineRecorderTest, PricesWithTheReportsModel) {
+  // A single-level gated bank run's report is priced by the paper's
+  // bank model, a unit-priced one's by energy_params: the estimates
+  // must follow the same switch.
+  RunConfig rc;
+  rc.set("cache_size", "8192")
+      .set("banks", "4")
+      .set("workload", "cjpeg")
+      .set("accesses", "40000");
+  RunConfig unit_priced = rc;
+  unit_priced.set("unit_pricing", "true");
+  const auto estimates = [](const RunConfig& config) {
+    TimelineRecorder recorder;
+    recorder.price_with(config);
+    record_run(config, &recorder);
+    std::vector<double> out;
+    for (const TimelineInterval& rec : recorder.intervals())
+      for (const TimelineGroupSample& s : rec.groups)
+        out.push_back(s.energy_est_pj);
+    return out;
+  };
+  const std::vector<double> paper = estimates(rc);
+  const std::vector<double> unit = estimates(unit_priced);
+  ASSERT_EQ(paper.size(), unit.size());
+  ASSERT_FALSE(paper.empty());
+  EXPECT_NE(paper, unit);
+}
+
 // Satellite of the uniform-observer contract: a MultiCoreSystem run
 // reports every private level of every core plus the shared LLC,
 // depth-major, through the same snapshot fields a Simulator run uses.

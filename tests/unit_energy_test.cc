@@ -71,13 +71,14 @@ TEST(UnitEnergyModel, TransitionOrdering) {
 
 TEST(UnitEnergyModel, ControlTaxGrowsWithUnitCount) {
   // Total always-on sleep-network leakage across all units must grow as
-  // the granularity refines: that is the honest cost of fine grain.
+  // the granularity refines: that is the honest cost of fine grain.  The
+  // paper parameters price the same unit with no sleep network.
   const auto total_overhead = [](const UnitEnergyModel& m) {
+    const TechnologyParams tech = TechnologyParams::st45();
     const double per_unit =
         m.unit_leak_mw() -
-        EnergyModel(TechnologyParams::st45(), m.topology().cache,
-                    PartitionConfig{1})
-            .leakage_mw(m.unit_bytes());
+        UnitEnergyModel(EnergyParams::paper(tech), tech, m.topology())
+            .unit_leak_mw();
     return per_unit * static_cast<double>(m.topology().num_units());
   };
   const double bank = total_overhead(model_for(Granularity::kBank));

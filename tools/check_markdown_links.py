@@ -4,8 +4,13 @@
 Scans the given markdown files/directories for inline links and images
 (``[text](target)`` / ``![alt](target)``) and reference definitions
 (``[label]: target``), and verifies that every *relative* target exists
-on disk (anchors are stripped; external schemes are skipped).  Exits
-nonzero listing every broken link.
+on disk (anchors are stripped; external schemes are skipped).  It also
+checks every backticked repo path (`src/...`, `tests/...`, `tools/...`,
+`examples/...`, `bench/...`, `bindings/...`, `docs/...`,
+`pcalbench/...`) against the repo root, so a doc that names a deleted
+or moved file fails; a span with a placeholder ({}*<>) is skipped, and
+a command span is checked by its first word.  Exits nonzero listing
+every broken link and stale path.
 
 Usage: check_markdown_links.py <file-or-dir> [...]
 """
@@ -16,6 +21,11 @@ import sys
 INLINE = re.compile(r"!?\[[^\]]*\]\(([^)\s]+)(?:\s+\"[^\"]*\")?\)")
 REFDEF = re.compile(r"^\s{0,3}\[[^\]]+\]:\s+(\S+)", re.MULTILINE)
 SKIP_SCHEMES = ("http://", "https://", "mailto:", "ftp://")
+CODE_SPAN = re.compile(r"`([^`\n]+)`")
+REPO_DIRS = ("src/", "tests/", "tools/", "examples/", "bench/", "bindings/",
+             "docs/", "pcalbench/")
+PLACEHOLDER = set("{}*<>")
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def markdown_files(paths):
@@ -29,7 +39,16 @@ def markdown_files(paths):
             yield path
 
 
+def repo_paths(text):
+    """Backticked repo paths in `text`, placeholders skipped."""
+    for span in CODE_SPAN.findall(text):
+        if not span.startswith(REPO_DIRS) or PLACEHOLDER & set(span):
+            continue
+        yield span.split()[0]
+
+
 def check_file(md_path):
+    """(target, missing path) for every broken link and stale repo path."""
     broken = []
     with open(md_path, encoding="utf-8") as f:
         text = f.read()
@@ -46,6 +65,10 @@ def check_file(md_path):
         resolved = os.path.normpath(os.path.join(base, rel))
         if not os.path.exists(resolved):
             broken.append((target, resolved))
+    for path in repo_paths(text):
+        resolved = os.path.join(REPO_ROOT, path)
+        if not os.path.exists(resolved):
+            broken.append(("`%s`" % path, resolved))
     return broken
 
 
