@@ -7,6 +7,8 @@ BankDecoder::BankDecoder(const CacheConfig& cache,
                          std::unique_ptr<IndexingPolicy> policy)
     : index_bits_(cache.index_bits()),
       bank_bits_(partition.bank_bits()),
+      line_bits_(index_bits_ - bank_bits_),
+      line_mask_(low_mask(line_bits_)),
       num_banks_(partition.num_banks),
       policy_(std::move(policy)) {
   cache.validate();
@@ -16,20 +18,21 @@ BankDecoder::BankDecoder(const CacheConfig& cache,
                     "indexing policy bank count " << policy_->num_banks()
                                                   << " != partition "
                                                   << num_banks_);
+  rebuild_table();
 }
 
-DecodedIndex BankDecoder::decode(std::uint64_t set_index) const {
-  PCAL_ASSERT_MSG(set_index < (std::uint64_t{1} << index_bits_),
-                  "set index out of range");
-  DecodedIndex d;
-  const unsigned line_bits = index_bits_ - bank_bits_;
-  d.line = extract_bits(set_index, 0, line_bits);
-  d.logical_bank = extract_bits(set_index, line_bits, bank_bits_);
-  d.physical_bank = policy_->map_bank(d.logical_bank);
-  PCAL_ASSERT(d.physical_bank < num_banks_);
-  d.physical_set = (d.physical_bank << line_bits) | d.line;
-  d.select_mask = one_hot_encode(d.physical_bank, num_banks_);
-  return d;
+void BankDecoder::rebuild_table() {
+  std::uint64_t seen = 0;
+  for (std::uint64_t logical = 0; logical < num_banks_; ++logical) {
+    const std::uint64_t physical = policy_->map_bank(logical);
+    PCAL_ASSERT_MSG(physical < num_banks_ && !(seen >> physical & 1),
+                    policy_->name() << " f() is not a permutation of [0, "
+                                    << num_banks_ << ") after "
+                                    << policy_->updates() << " updates: bank "
+                                    << logical << " -> " << physical);
+    seen |= std::uint64_t{1} << physical;
+    physical_bank_[logical] = physical;
+  }
 }
 
 }  // namespace pcal

@@ -5,14 +5,21 @@
 // (IndexingPolicy), and produces both the physical set index and the 1-hot
 // activation word.  This is the entire hardware addition of the paper's
 // architecture; everything else is standard memory-compiler macros.
+//
+// Between two `update` signals f() is a fixed p-bit permutation, so the
+// decoder keeps it as an M-entry table of physical banks, rebuilt from
+// the policy at construction, update() and reset().  Each rebuild checks
+// the table is a permutation of [0, M); decode() is then a bit split and
+// one table read, inline, with no call into the policy.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 
-#include "bank/one_hot.h"
 #include "bank/partition_config.h"
 #include "indexing/index_policy.h"
+#include "util/error.h"
 
 namespace pcal {
 
@@ -31,26 +38,50 @@ class BankDecoder {
               std::unique_ptr<IndexingPolicy> policy);
 
   /// Decodes an n-bit set index (as produced by CacheConfig::set_index_of).
-  DecodedIndex decode(std::uint64_t set_index) const;
+  DecodedIndex decode(std::uint64_t set_index) const {
+    PCAL_ASSERT_MSG(set_index >> index_bits_ == 0, "set index out of range");
+    DecodedIndex d;
+    d.line = set_index & line_mask_;
+    d.logical_bank = set_index >> line_bits_;
+    d.physical_bank = physical_bank_[d.logical_bank];
+    d.physical_set = (d.physical_bank << line_bits_) | d.line;
+    d.select_mask = std::uint64_t{1} << d.physical_bank;
+    return d;
+  }
 
   /// Fires the `update` signal: advances f().  The caller must flush the
   /// cache afterwards — the mapping change invalidates all resident lines.
-  void update() { policy_->update(); }
+  void update() {
+    policy_->update();
+    rebuild_table();
+  }
 
-  void reset() { policy_->reset(); }
+  void reset() {
+    policy_->reset();
+    rebuild_table();
+  }
 
+  /// Read-only: advancing the policy behind the decoder would leave its
+  /// table stale, so f() moves only through update() and reset().
   const IndexingPolicy& policy() const { return *policy_; }
-  IndexingPolicy& policy() { return *policy_; }
 
   unsigned index_bits() const { return index_bits_; }
   unsigned bank_bits() const { return bank_bits_; }
   std::uint64_t num_banks() const { return num_banks_; }
 
  private:
+  /// Re-reads f() into physical_bank_; throws pcal::Error unless it is a
+  /// permutation of [0, M).
+  void rebuild_table();
+
   unsigned index_bits_;  // n
   unsigned bank_bits_;   // p
+  unsigned line_bits_;   // n - p
+  std::uint64_t line_mask_;
   std::uint64_t num_banks_;
   std::unique_ptr<IndexingPolicy> policy_;
+  /// f() for the current update: logical bank -> physical bank.
+  std::array<std::uint64_t, PartitionConfig::kMaxBanks> physical_bank_{};
 };
 
 }  // namespace pcal

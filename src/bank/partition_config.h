@@ -16,6 +16,9 @@
 namespace pcal {
 
 struct PartitionConfig {
+  /// The paper's feasibility bound on M (wiring overhead).
+  static constexpr std::uint64_t kMaxBanks = 16;
+
   std::uint64_t num_banks = 4;  // M; must be a power of two
 
   /// p in the paper: number of bank-select bits.
@@ -34,7 +37,7 @@ struct PartitionConfig {
   void validate(const CacheConfig& cache) const {
     PCAL_CONFIG_CHECK(is_pow2(num_banks),
                       "bank count must be a power of two, got " << num_banks);
-    PCAL_CONFIG_CHECK(num_banks <= 16,
+    PCAL_CONFIG_CHECK(num_banks <= kMaxBanks,
                       "paper considers partitioning feasible only up to "
                       "M = 16 banks (wiring overhead); got " << num_banks);
     PCAL_CONFIG_CHECK(num_banks <= cache.num_sets(),

@@ -16,51 +16,8 @@ std::string CacheConfig::describe() const {
 
 CacheModel::CacheModel(const CacheConfig& config) : config_(config) {
   config_.validate();
-  ways_.resize(config_.num_sets() * config_.ways);
-}
-
-CacheAccessResult CacheModel::access(std::uint64_t tag, std::uint64_t set,
-                                     bool is_write, std::uint64_t address) {
-  PCAL_ASSERT_MSG(set < config_.num_sets(),
-                  "set " << set << " out of range " << config_.num_sets());
-  ++stats_.accesses;
-  ++lru_clock_;
-  Way* base = &ways_[set * config_.ways];
-  Way* victim = nullptr;
-  for (std::uint64_t w = 0; w < config_.ways; ++w) {
-    Way& way = base[w];
-    if (way.valid && way.tag == tag) {
-      ++stats_.hits;
-      way.lru = lru_clock_;
-      if (is_write) way.dirty = true;
-      return {true, false, w, false, 0};
-    }
-    // Only allocatable ways (the alloc mask; ways >= 64 always qualify)
-    // compete for the victim slot — hits above are mask-blind.
-    if (w < 64 && !(alloc_mask_ >> w & 1)) continue;
-    // Track the replacement victim: first invalid way wins, else oldest.
-    if (victim == nullptr) {
-      victim = &way;
-    } else if (!way.valid) {
-      if (victim->valid) victim = &way;
-    } else if (victim->valid && way.lru < victim->lru) {
-      victim = &way;
-    }
-  }
-  ++stats_.misses;
-  PCAL_ASSERT_MSG(victim != nullptr,
-                  "allocation way mask selects no way in set " << set);
-  const bool evicted = victim->valid;
-  const bool writeback = evicted && victim->dirty;
-  const std::uint64_t victim_address = evicted ? victim->address : 0;
-  if (writeback) ++stats_.writebacks;
-  victim->valid = true;
-  victim->tag = tag;
-  victim->address = address & ~(config_.line_bytes - 1);
-  victim->dirty = is_write;
-  victim->lru = lru_clock_;
-  return {false, writeback, static_cast<std::uint64_t>(victim - base),
-          evicted, victim_address};
+  num_sets_ = config_.num_sets();
+  ways_.resize(num_sets_ * config_.ways);
 }
 
 CacheAccessResult CacheModel::access_address(std::uint64_t address,
@@ -70,8 +27,8 @@ CacheAccessResult CacheModel::access_address(std::uint64_t address,
 }
 
 CacheAccessResult CacheModel::probe(std::uint64_t tag, std::uint64_t set) {
-  PCAL_ASSERT_MSG(set < config_.num_sets(),
-                  "set " << set << " out of range " << config_.num_sets());
+  PCAL_ASSERT_MSG(set < num_sets_,
+                  "set " << set << " out of range " << num_sets_);
   ++stats_.accesses;
   ++lru_clock_;
   Way* base = &ways_[set * config_.ways];
@@ -109,7 +66,7 @@ std::uint64_t CacheModel::flush() {
 }
 
 bool CacheModel::invalidate(std::uint64_t tag, std::uint64_t set) {
-  PCAL_ASSERT(set < config_.num_sets());
+  PCAL_ASSERT(set < num_sets_);
   Way* base = &ways_[set * config_.ways];
   for (std::uint64_t w = 0; w < config_.ways; ++w) {
     if (base[w].valid && base[w].tag == tag) {
@@ -121,7 +78,7 @@ bool CacheModel::invalidate(std::uint64_t tag, std::uint64_t set) {
 }
 
 bool CacheModel::contains(std::uint64_t tag, std::uint64_t set) const {
-  PCAL_ASSERT(set < config_.num_sets());
+  PCAL_ASSERT(set < num_sets_);
   const Way* base = &ways_[set * config_.ways];
   for (std::uint64_t w = 0; w < config_.ways; ++w)
     if (base[w].valid && base[w].tag == tag) return true;

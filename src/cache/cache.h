@@ -108,12 +108,59 @@ class CacheModel {
   };
 
   CacheConfig config_;
-  std::vector<Way> ways_;  // num_sets * ways, set-major
+  std::uint64_t num_sets_ = 0;  // config_.num_sets(), set at construction
+  std::vector<Way> ways_;       // num_sets * ways, set-major
   std::uint64_t lru_clock_ = 0;
   /// Allocation (victim-choice) way mask; ways >= 64 are always
   /// allocatable (the mask cannot name them).
   std::uint64_t alloc_mask_ = ~std::uint64_t{0};
   CacheStats stats_;
 };
+
+// Inline: the per-access body of every ManagedCache loop calls it.
+inline CacheAccessResult CacheModel::access(std::uint64_t tag,
+                                            std::uint64_t set, bool is_write,
+                                            std::uint64_t address) {
+  PCAL_ASSERT_MSG(set < num_sets_,
+                  "set " << set << " out of range " << num_sets_);
+  ++stats_.accesses;
+  ++lru_clock_;
+  Way* base = &ways_[set * config_.ways];
+  Way* victim = nullptr;
+  for (std::uint64_t w = 0; w < config_.ways; ++w) {
+    Way& way = base[w];
+    if (way.valid && way.tag == tag) {
+      ++stats_.hits;
+      way.lru = lru_clock_;
+      if (is_write) way.dirty = true;
+      return {true, false, w, false, 0};
+    }
+    // Only allocatable ways (the alloc mask; ways >= 64 always qualify)
+    // compete for the victim slot — hits above are mask-blind.
+    if (w < 64 && !(alloc_mask_ >> w & 1)) continue;
+    // Track the replacement victim: first invalid way wins, else oldest.
+    if (victim == nullptr) {
+      victim = &way;
+    } else if (!way.valid) {
+      if (victim->valid) victim = &way;
+    } else if (victim->valid && way.lru < victim->lru) {
+      victim = &way;
+    }
+  }
+  ++stats_.misses;
+  PCAL_ASSERT_MSG(victim != nullptr,
+                  "allocation way mask selects no way in set " << set);
+  const bool evicted = victim->valid;
+  const bool writeback = evicted && victim->dirty;
+  const std::uint64_t victim_address = evicted ? victim->address : 0;
+  if (writeback) ++stats_.writebacks;
+  victim->valid = true;
+  victim->tag = tag;
+  victim->address = address & ~(config_.line_bytes - 1);
+  victim->dirty = is_write;
+  victim->lru = lru_clock_;
+  return {false, writeback, static_cast<std::uint64_t>(victim - base),
+          evicted, victim_address};
+}
 
 }  // namespace pcal

@@ -148,7 +148,7 @@ decltype(auto) ManagedCache::with_unit_map(F&& f) const {
     case Granularity::kWay:
       return f(WayMap{BankMap{*decoder_}, topology_.cache.ways});
     case Granularity::kLine:
-      return f(LineMap{line_add_, line_xor_, topology_.cache.num_sets() - 1});
+      return f(LineMap{line_add_, line_xor_, index_mask_});
   }
   return f(MonolithicMap{});
 }
@@ -166,7 +166,10 @@ ManagedCache::ManagedCache(const CacheTopology& topology)
     : topology_(validated(topology)),
       cache_(topology.cache),
       control_(topology.num_units(), topology.breakeven_cycles),
-      gate_cycles_(topology.gate_cycles()) {
+      gate_cycles_(topology.gate_cycles()),
+      offset_bits_(topology.cache.offset_bits()),
+      tag_shift_(offset_bits_ + topology.cache.index_bits()),
+      index_mask_(low_mask(topology.cache.index_bits())) {
   switch (topology.granularity) {
     case Granularity::kMonolithic:
       break;
@@ -189,10 +192,11 @@ ManagedCache::ManagedCache(const CacheTopology& topology)
 // access at every granularity: the tag store never touches Block Control,
 // and the way map needs the served way to know which unit woke.
 template <bool kChecked, class Map>
-inline void ManagedCache::serve(const Map& map, const Slot& slot,
-                                std::uint64_t tag, std::uint64_t address,
-                                bool is_write, bool allocate,
-                                AccessOutcome& o) {
+inline std::uint64_t ManagedCache::serve(const Map& map, const Slot& slot,
+                                         std::uint64_t tag,
+                                         std::uint64_t address,
+                                         bool is_write, bool allocate,
+                                         AccessOutcome* o) {
   const CacheAccessResult r =
       allocate ? cache_.access(tag, slot.set, is_write, address)
                : cache_.probe(tag, slot.set);
@@ -204,34 +208,39 @@ inline void ManagedCache::serve(const Map& map, const Slot& slot,
     const std::uint64_t nf = control_.next_free(unit);
     gap = cycle_ >= nf ? cycle_ - nf : 0;
   }
-  o.hit = r.hit;
-  o.writeback = r.writeback;
-  o.evicted = r.evicted;
-  o.victim_address = r.victim_address;
-  o.logical_unit = map.unit(slot.logical, r.way);
-  o.physical_unit = unit;
   // A busy unit has gap 0, and the breakeven is positive, so it never
   // counts as woken (BlockControl::is_sleeping).
-  o.woke_unit = gap >= control_.breakeven_cycles();
-  o.wake = classify_wake(o.woke_unit, gap, gate_cycles_);
-  o.stall_cycles = topology_.latency.event_stall(r.hit, o.wake);
-  o.num_events = 0;
-  o.add_event(0, r.hit, r.writeback, unit, address);
+  const bool woke = gap >= control_.breakeven_cycles();
+  const WakeDepth wake = classify_wake(woke, gap, gate_cycles_);
+  const std::uint64_t stall = topology_.latency.event_stall(r.hit, wake);
+  if (o != nullptr) {
+    o->hit = r.hit;
+    o->writeback = r.writeback;
+    o->evicted = r.evicted;
+    o->victim_address = r.victim_address;
+    o->logical_unit = map.unit(slot.logical, r.way);
+    o->physical_unit = unit;
+    o->woke_unit = woke;
+    o->wake = wake;
+    o->stall_cycles = stall;
+    o->num_events = 0;
+    o->add_event(0, r.hit, r.writeback, unit, address);
+  }
   if constexpr (kChecked)
     control_.on_access(unit, cycle_);
   else
     control_.record_access(unit, cycle_);
   ++cycle_;
+  return stall;
 }
 
 AccessOutcome ManagedCache::serve_one(std::uint64_t address, bool is_write,
                                       bool allocate) {
   PCAL_ASSERT_MSG(!finished_, "cache already finished");
-  const CacheConfig& cc = topology_.cache;
   AccessOutcome out;
   with_unit_map([&](const auto& map) {
-    serve<true>(map, map.decode(cc.set_index_of(address)),
-                cc.tag_of(address), address, is_write, allocate, out);
+    serve<true>(map, map.decode(set_index_of(address)), tag_of(address),
+                address, is_write, allocate, &out);
   });
   return out;
 }
@@ -250,7 +259,8 @@ AccessOutcome ManagedCache::probe(std::uint64_t address) {
 // the shared per-access body per element, with Block Control via the
 // assert-free record_access.  One invariant check per batch; each
 // access's stall self-advances the clock, so every statistic matches the
-// per-access path bit for bit.
+// per-access path bit for bit.  Outcomes are written only when the
+// caller asked for them.
 template <class Map>
 std::uint64_t ManagedCache::run_batch(const Map& map,
                                       const MemAccess* accesses,
@@ -258,22 +268,21 @@ std::uint64_t ManagedCache::run_batch(const Map& map,
   constexpr std::size_t kChunk = 256;
   std::uint64_t tags[kChunk];
   Slot slots[kChunk];
-  const CacheConfig& cc = topology_.cache;
   std::uint64_t stalls = 0;
   for (std::size_t base = 0; base < n; base += kChunk) {
     const std::size_t m = std::min(kChunk, n - base);
     for (std::size_t j = 0; j < m; ++j) {
       const std::uint64_t address = accesses[base + j].address;
-      tags[j] = cc.tag_of(address);
-      slots[j] = map.decode(cc.set_index_of(address));
+      tags[j] = tag_of(address);
+      slots[j] = map.decode(set_index_of(address));
     }
     for (std::size_t j = 0; j < m; ++j) {
       const MemAccess& a = accesses[base + j];
-      AccessOutcome& o = out[base + j];
-      serve<false>(map, slots[j], tags[j], a.address,
-                   a.kind == AccessKind::kWrite, /*allocate=*/true, o);
-      cycle_ += o.stall_cycles;
-      stalls += o.stall_cycles;
+      const std::uint64_t stall = serve<false>(
+          map, slots[j], tags[j], a.address, a.kind == AccessKind::kWrite,
+          /*allocate=*/true, out != nullptr ? out + base + j : nullptr);
+      cycle_ += stall;
+      stalls += stall;
     }
   }
   return stalls;
@@ -288,11 +297,10 @@ std::uint64_t ManagedCache::access_batch(const MemAccess* accesses,
 }
 
 bool ManagedCache::invalidate_line(std::uint64_t address) {
-  const CacheConfig& cc = topology_.cache;
   const std::uint64_t set = with_unit_map([&](const auto& map) {
-    return map.decode(cc.set_index_of(address)).set;
+    return map.decode(set_index_of(address)).set;
   });
-  return cache_.invalidate(cc.tag_of(address), set);
+  return cache_.invalidate(tag_of(address), set);
 }
 
 bool ManagedCache::set_alloc_way_mask(std::uint64_t mask) {
@@ -303,7 +311,6 @@ bool ManagedCache::set_alloc_way_mask(std::uint64_t mask) {
 
 std::uint64_t ManagedCache::update_indexing() {
   PCAL_ASSERT_MSG(!finished_, "cache already finished");
-  const std::uint64_t line_mask = topology_.cache.num_sets() - 1;
   switch (topology_.granularity) {
     case Granularity::kMonolithic:
       break;
@@ -313,9 +320,9 @@ std::uint64_t ManagedCache::update_indexing() {
       break;
     case Granularity::kLine:
       if (topology_.indexing == IndexingKind::kProbing)
-        line_add_ = (line_add_ + 1) & line_mask;
+        line_add_ = (line_add_ + 1) & index_mask_;
       else if (topology_.indexing == IndexingKind::kScrambling)
-        line_xor_ = lfsr_->step() & line_mask;
+        line_xor_ = lfsr_->step() & index_mask_;
       break;
   }
   ++updates_;

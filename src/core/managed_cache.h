@@ -268,8 +268,7 @@ class ManagedCache {
   /// cost lands on the set's first way-column.
   AccessOutcome probe(std::uint64_t address);
 
-  /// Simulates `n` accesses in one call, writing one outcome per access
-  /// into `out` (caller-owned, length >= n).  Semantically identical to
+  /// Simulates `n` accesses in one call.  Semantically identical to
   ///
   ///   for each i: out[i] = access(a[i]);
   ///               advance_idle(out[i].stall_cycles);
@@ -278,12 +277,16 @@ class ManagedCache {
   /// served, so sleep/wake classification, statistics and residencies
   /// are bit-identical to the per-access loop at every batch size.  The
   /// loop is compiled once per unit map and checks its invariants once
-  /// per batch rather than per access.  One caveat for `out` reuse
-  /// across calls: entries of events[] at and past num_events are
-  /// unspecified.
+  /// per batch rather than per access.
+  ///
+  /// `out` is optional: given a caller-owned array of length >= n, one
+  /// outcome per access is written there (entries of events[] at and
+  /// past num_events are unspecified when it is reused across calls);
+  /// given nullptr, no outcome is written and nothing else changes.  The
+  /// run engine passes nullptr — it reads only the returned stall.
   ///
   /// Returns the batch's summed stall_cycles, accumulated in-register so
-  /// the driver's clock never has to re-read the strided outcome array.
+  /// the driver's clock never reads an outcome.
   std::uint64_t access_batch(const MemAccess* accesses, std::size_t n,
                              AccessOutcome* out);
 
@@ -375,13 +378,14 @@ class ManagedCache {
   template <class F>
   decltype(auto) with_unit_map(F&& f) const;
 
-  /// The one per-access body.  kChecked: Block Control's per-access
-  /// asserts (access/probe); otherwise the batched loop's assert-free
-  /// bookkeeping.
+  /// The one per-access body; returns the access's stall cycles and
+  /// fills `out` only when it is non-null.  kChecked: Block Control's
+  /// per-access asserts (access/probe); otherwise the batched loop's
+  /// assert-free bookkeeping.
   template <bool kChecked, class Map>
-  void serve(const Map& map, const Slot& slot, std::uint64_t tag,
-             std::uint64_t address, bool is_write, bool allocate,
-             AccessOutcome& out);
+  std::uint64_t serve(const Map& map, const Slot& slot, std::uint64_t tag,
+                      std::uint64_t address, bool is_write, bool allocate,
+                      AccessOutcome* out);
 
   AccessOutcome serve_one(std::uint64_t address, bool is_write,
                           bool allocate);
@@ -390,10 +394,22 @@ class ManagedCache {
   std::uint64_t run_batch(const Map& map, const MemAccess* accesses,
                           std::size_t n, AccessOutcome* out);
 
+  /// CacheConfig::set_index_of / tag_of over the geometry fixed at
+  /// construction: no per-access log2 or division.
+  std::uint64_t set_index_of(std::uint64_t address) const {
+    return (address >> offset_bits_) & index_mask_;
+  }
+  std::uint64_t tag_of(std::uint64_t address) const {
+    return address >> tag_shift_;
+  }
+
   CacheTopology topology_;
   CacheModel cache_;
   BlockControl control_;
   std::uint64_t gate_cycles_;
+  unsigned offset_bits_;
+  unsigned tag_shift_;  // offset bits + index bits
+  std::uint64_t index_mask_;
   /// Bank and way grain: the p-MSB decode through f().
   std::optional<BankDecoder> decoder_;
   /// Line grain: the full-index rotation, physical set =

@@ -17,8 +17,8 @@ namespace {
 /// batch_size default).
 constexpr std::size_t kBatchSize = 256;
 
-/// Ceiling on the batched loop's chunk: caps its staging buffers
-/// (MemAccess + AccessOutcome) at a few MB.
+/// Ceiling on the batched loop's chunk, and so on the one staging buffer
+/// a run or cohort keeps: 65536 MemAccess records, 1 MB.
 constexpr std::uint64_t kMaxDriverBatch = 1 << 16;
 
 /// Observer cadence for runs with no re-indexing updates.
@@ -188,7 +188,7 @@ struct SystemRun::State {
         std::uint64_t batch_size, bool force_scalar_loop,
         std::vector<UnitEnergyModel> models);
 
-  void feed(const MemAccess* batch, std::size_t n, AccessOutcome* outs);
+  void feed(const MemAccess* batch, std::size_t n);
   void step(std::size_t k, const MemAccess& a);
   void on_boundary();
   void notify(std::uint64_t index, bool fired, bool final_snapshot);
@@ -406,24 +406,25 @@ void SystemRun::State::on_boundary() {
   if (observer) notify(boundary_index, fired, false);
 }
 
-void SystemRun::State::feed(const MemAccess* batch, std::size_t n,
-                             AccessOutcome* outs) {
+void SystemRun::State::feed(const MemAccess* batch, std::size_t n) {
   if (!batched) {
     for (std::size_t i = 0; i < n; ++i) step(0, batch[i]);
     return;
   }
   // Whole chunks through the backend's struct-of-arrays access_batch,
   // split exactly at boundaries so updates and snapshots land on the
-  // same access positions as the per-access loop; outcomes, statistics
-  // and residencies are bit-identical between the two
-  // (tests/batched_access_test.cc pins it).
+  // same access positions as the per-access loop; statistics and
+  // residencies are bit-identical between the two
+  // (tests/batched_access_test.cc pins it).  Only the returned stall
+  // sum is read, so no outcome is written.
   CoreRt& c = rt.front();
   for (std::size_t pos = 0; pos < n;) {
     std::size_t take = std::min(n - pos, fetch);
     if (interval != 0)
       take = std::min<std::uint64_t>(take, interval - since_boundary);
     const CacheStats llc_before = llc->stats();
-    const std::uint64_t stalls = llc->access_batch(batch + pos, take, outs);
+    const std::uint64_t stalls =
+        llc->access_batch(batch + pos, take, /*out=*/nullptr);
     add_delta(c.llc_stats, llc_before, llc->stats());
     timing.on_batch(take, stalls);
     c.accesses += take;
@@ -648,11 +649,9 @@ void SystemRun::drive(const std::vector<SystemRun*>& runs) {
     // a batch into its own chunks, so the fetch size never shows in its
     // results.
     std::vector<MemAccess> batch(fetch);
-    std::vector<AccessOutcome> outs(fetch);
     while (const std::size_t n =
                sources.front()->next_batch(batch.data(), fetch))
-      for (SystemRun* run : runs)
-        run->state_->feed(batch.data(), n, outs.data());
+      for (SystemRun* run : runs) run->state_->feed(batch.data(), n);
     return;
   }
 

@@ -213,6 +213,37 @@ void expect_same_outcome(const AccessOutcome& s, const AccessOutcome& b,
   }
 }
 
+// Statistics and every unit's bookkeeping, after finish().
+void expect_same_bookkeeping(const ManagedCache& a, const ManagedCache& b) {
+  EXPECT_EQ(a.indexing_updates(), b.indexing_updates());
+  EXPECT_EQ(a.stats().accesses, b.stats().accesses);
+  EXPECT_EQ(a.stats().hits, b.stats().hits);
+  EXPECT_EQ(a.stats().misses, b.stats().misses);
+  EXPECT_EQ(a.stats().writebacks, b.stats().writebacks);
+  EXPECT_EQ(a.stats().flushes, b.stats().flushes);
+  EXPECT_EQ(a.stats().flushed_dirty, b.stats().flushed_dirty);
+  ASSERT_EQ(a.num_units(), b.num_units());
+  for (std::uint64_t u = 0; u < a.num_units(); ++u) {
+    EXPECT_EQ(a.unit_residency(u), b.unit_residency(u)) << "unit " << u;
+    const UnitActivity aa = a.unit_activity(u);
+    const UnitActivity ba = b.unit_activity(u);
+    EXPECT_EQ(aa.accesses, ba.accesses) << "unit " << u;
+    EXPECT_EQ(aa.sleep_cycles, ba.sleep_cycles) << "unit " << u;
+    EXPECT_EQ(aa.sleep_episodes, ba.sleep_episodes) << "unit " << u;
+    EXPECT_EQ(aa.useful_idleness_count, ba.useful_idleness_count)
+        << "unit " << u;
+    EXPECT_EQ(aa.drowsy_cycles, ba.drowsy_cycles) << "unit " << u;
+    EXPECT_EQ(aa.gated_episodes, ba.gated_episodes) << "unit " << u;
+    const IntervalAccumulator& ai = a.unit_intervals(u);
+    const IntervalAccumulator& bi = b.unit_intervals(u);
+    EXPECT_EQ(ai.interval_count(), bi.interval_count()) << "unit " << u;
+    EXPECT_EQ(ai.total_idle_cycles(), bi.total_idle_cycles()) << "unit " << u;
+    EXPECT_EQ(ai.longest(), bi.longest()) << "unit " << u;
+    EXPECT_EQ(ai.sleep_cycles(24), bi.sleep_cycles(24)) << "unit " << u;
+    EXPECT_EQ(ai.sleep_cycles(72), bi.sleep_cycles(72)) << "unit " << u;
+  }
+}
+
 TEST(AccessBatchEquivalence, OutcomesAndStatsMatchScalarLoop) {
   SyntheticTraceSource src(make_uniform_workload(48 * 1024), 20000);
   const Trace trace = Trace::materialize(src);
@@ -246,19 +277,7 @@ TEST(AccessBatchEquivalence, OutcomesAndStatsMatchScalarLoop) {
 
     scalar->finish();
     batched->finish();
-    EXPECT_EQ(scalar->stats().hits, batched->stats().hits);
-    EXPECT_EQ(scalar->stats().misses, batched->stats().misses);
-    EXPECT_EQ(scalar->stats().writebacks, batched->stats().writebacks);
-    ASSERT_EQ(scalar->num_units(), batched->num_units());
-    for (std::uint64_t u = 0; u < scalar->num_units(); ++u) {
-      EXPECT_EQ(scalar->unit_residency(u), batched->unit_residency(u));
-      const IntervalAccumulator& si = scalar->unit_intervals(u);
-      const IntervalAccumulator& bi = batched->unit_intervals(u);
-      EXPECT_EQ(si.interval_count(), bi.interval_count());
-      EXPECT_EQ(si.total_idle_cycles(), bi.total_idle_cycles());
-      EXPECT_EQ(si.longest(), bi.longest());
-      EXPECT_EQ(si.sleep_cycles(24), bi.sleep_cycles(24));
-    }
+    expect_same_bookkeeping(*scalar, *batched);
   }
 }
 
@@ -294,6 +313,51 @@ TEST(AccessBatchEquivalence, UpdateIndexingBetweenBatches) {
       EXPECT_EQ(scalar->update_indexing(), batched->update_indexing());
     }
     EXPECT_EQ(scalar->cycles(), batched->cycles());
+  }
+}
+
+TEST(AccessBatchEquivalence, NullOutcomeBufferChangesNothingElse) {
+  // The run engine reads only access_batch's returned stall sum and
+  // passes no outcome buffer.  Skipping the outcome writes must leave
+  // the stall sums, the clock, the statistics and every unit's
+  // bookkeeping exactly as a run that asked for outcomes — timed and
+  // untimed, across re-indexing updates between batches.
+  SyntheticTraceSource src(make_hotspot_workload(32 * 1024), 20000);
+  const Trace trace = Trace::materialize(src);
+  const std::vector<MemAccess>& accesses = trace.accesses();
+
+  for (const bool timed : {true, false}) {
+    for (const Variant& v : kVariants) {
+      SCOPED_TRACE(std::string(v.label) + (timed ? " timed" : " untimed"));
+      CacheTopology topo =
+          backend_topology(v.granularity, v.policy, v.drowsy_window);
+      if (!timed) topo.latency = LatencyParams{};
+      std::unique_ptr<ManagedCache> with_out = make_managed_cache(topo);
+      std::unique_ptr<ManagedCache> without = make_managed_cache(topo);
+
+      std::vector<AccessOutcome> outs(4096);
+      std::size_t pos = 0;
+      std::size_t which = 0;
+      while (pos < accesses.size()) {
+        const std::uint64_t want = kBatchSizes[which++ % 4];
+        const std::size_t take = static_cast<std::size_t>(
+            std::min<std::uint64_t>(want, accesses.size() - pos));
+        EXPECT_EQ(with_out->access_batch(accesses.data() + pos, take,
+                                         outs.data()),
+                  without->access_batch(accesses.data() + pos, take,
+                                        nullptr))
+            << "batch at " << pos;
+        EXPECT_EQ(with_out->cycles(), without->cycles()) << "batch at " << pos;
+        pos += take;
+        if (which % 3 == 0) {
+          EXPECT_EQ(with_out->update_indexing(), without->update_indexing());
+        }
+      }
+
+      with_out->finish();
+      without->finish();
+      expect_same_bookkeeping(*with_out, *without);
+    }
   }
 }
 

@@ -202,8 +202,11 @@ TEST(JobPolicy, TransientFaultWithoutRetryBudgetFails) {
   EXPECT_FALSE(outcomes[spec.job].ok());
   EXPECT_EQ(outcomes[spec.job].attempts, 1u);
   EXPECT_THROW(outcomes[spec.job].rethrow_if_error(), TransientError);
-  for (std::size_t i = 0; i < outcomes.size(); ++i)
-    if (i != spec.job) EXPECT_TRUE(outcomes[i].ok()) << i;
+  for (std::size_t i = 0; i < outcomes.size(); ++i) {
+    if (i != spec.job) {
+      EXPECT_TRUE(outcomes[i].ok()) << i;
+    }
+  }
   EXPECT_EQ(runner.last_stats().failed_jobs, 1u);
 }
 

@@ -185,7 +185,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FuzzContention,
                          ::testing::Range<std::uint64_t>(1, 17));
 
 // Batched-vs-scalar under fuzzed configs: for random architectures,
-// workloads and a random batch-size schedule, the batched driver loop
+// workloads and a random batch size, the batched driver loop
 // must reproduce the scalar loop's SimResult exactly.  (The exhaustive
 // fixed-grid version lives in tests/batched_access_test.cc; this keeps
 // the corner-finding pressure on odd bank counts, granularities, stream

@@ -2,8 +2,8 @@
 //
 // Each unit map must reproduce an independent reference built in the test
 // from the plain components — a CacheModel behind the identity map, the
-// paper's BankDecoder, or reference [7]'s full-index rotation — bit for
-// bit, across re-indexing updates.  The factory is exercised over the full
+// paper's bank split through an IndexingPolicy, or reference [7]'s
+// full-index rotation — bit for bit, across re-indexing updates.  The factory is exercised over the full
 // Granularity x IndexingKind matrix.
 #include "core/managed_cache.h"
 
@@ -12,7 +12,6 @@
 #include <algorithm>
 
 #include "bank/block_control.h"
-#include "bank/decoder.h"
 #include "cache/cache.h"
 #include "core/enum_strings.h"
 #include "route_chain.h"
@@ -167,7 +166,10 @@ void expect_same_units(const ManagedCache& mc, const Reference& ref) {
 }
 
 // kBank must reproduce the paper's decoder in front of a plain tag store,
-// including across re-indexing updates.
+// including across re-indexing updates.  The reference applies f()
+// through its own policy instance, so it shares no code with the
+// decoder's table: logical bank = set / lines-per-bank, physical set =
+// f(logical) * lines-per-bank + set mod lines-per-bank.
 TEST(BackendParity, BankMatchesDecoderReference) {
   const Trace trace = make_trace(20'000);
   for (IndexingKind kind :
@@ -175,18 +177,19 @@ TEST(BackendParity, BankMatchesDecoderReference) {
     CacheTopology topo = base_topology(Granularity::kBank);
     topo.indexing = kind;
     Reference ref(topo, topo.partition.num_banks);
-    BankDecoder decoder(topo.cache, topo.partition,
-                        make_indexing_policy(kind, topo.partition.num_banks,
-                                             topo.indexing_seed));
+    const std::unique_ptr<IndexingPolicy> policy = make_indexing_policy(
+        kind, topo.partition.num_banks, topo.indexing_seed);
+    const std::uint64_t lines = topo.partition.lines_per_bank(topo.cache);
     auto mc = make_managed_cache(topo);
 
     for (std::size_t i = 0; i < trace.size(); ++i) {
       const bool is_write = trace[i].kind == AccessKind::kWrite;
-      const DecodedIndex d =
-          decoder.decode(topo.cache.set_index_of(trace[i].address));
+      const std::uint64_t set = topo.cache.set_index_of(trace[i].address);
+      const std::uint64_t logical = set / lines;
+      const std::uint64_t physical = policy->map_bank(logical);
       const AccessOutcome want =
-          ref.access(trace[i].address, is_write, d.physical_set,
-                     d.logical_bank, d.physical_bank);
+          ref.access(trace[i].address, is_write,
+                     physical * lines + set % lines, logical, physical);
       const AccessOutcome got = mc->access(trace[i].address, is_write);
       ASSERT_EQ(got.hit, want.hit) << "access " << i;
       ASSERT_EQ(got.writeback, want.writeback) << "access " << i;
@@ -194,13 +197,13 @@ TEST(BackendParity, BankMatchesDecoderReference) {
       ASSERT_EQ(got.physical_unit, want.physical_unit) << "access " << i;
       ASSERT_EQ(got.woke_unit, want.woke_unit) << "access " << i;
       if (i % 5'000 == 4'999) {
-        decoder.update();
+        policy->update();
         EXPECT_EQ(mc->update_indexing(), ref.cache.flush());
       }
     }
     ref.control.finish(ref.cycle);
     mc->finish();
-    EXPECT_EQ(mc->indexing_updates(), decoder.policy().updates());
+    EXPECT_EQ(mc->indexing_updates(), policy->updates());
     EXPECT_EQ(mc->stats().hits, ref.cache.stats().hits);
     EXPECT_EQ(mc->stats().flushes, ref.cache.stats().flushes);
     expect_same_units(*mc, ref);
