@@ -21,6 +21,7 @@
 
 #include "api/pcal.h"
 #include "api/timeline.h"
+#include "core/run_assembly.h"
 #include "util/config_file.h"
 #include "util/error.h"
 #include "util/string_util.h"
@@ -89,10 +90,10 @@ size = 0
 )";
 
 /// One accepted INI key and the shared run-assembly key
-/// (core/run_assembly.h) it stages.  Besides these, [l2]/[l3] take
-/// `size` and every kL3Defaults key as l2_<key>/l3_<key>, and [core<k>]
-/// takes `workload` as core<k>_workload.  The [multiprogram] keys have no
-/// run key of their own: they compose the workload (stage_ini()).
+/// (core/run_assembly.h) it stages.  Besides these, [l2]/[l3] take every
+/// l2_<key>/l3_<key> run key as <key>, and [core<k>] takes `workload` as
+/// core<k>_workload.  The [multiprogram] keys have no run key of their
+/// own: they compose the workload (stage_ini()).
 struct IniKey {
   const char* section;
   const char* key;
@@ -146,36 +147,6 @@ const std::vector<std::string> kSections = {
 constexpr std::pair<const char*, const char*> kDefaults[] = {
     {"cache_size", "8k"}, {"workload", "rijndael_i"}};
 
-/// pcalsim's [l3] defaults.  RunAssembly's L3 inherits the resolved L2,
-/// but an [l3] here does not inherit [l2]: every [l3] key the INI leaves
-/// unset is staged at the L2 default, or, for geometry and wakeup
-/// latencies, at the L1 value ([l1_section] l1_key when set).
-struct L3Default {
-  const char* key;
-  const char* value;
-  const char* l1_section = nullptr;
-  const char* l1_key = nullptr;
-};
-
-constexpr L3Default kL3Defaults[] = {
-    {"line", "16", "cache", "line"},
-    {"ways", "1", "cache", "ways"},
-    {"drowsy_wake", "0", "latency", "drowsy_wake"},
-    {"gated_wake", "0", "latency", "gated_wake"},
-    {"granularity", "bank"},
-    {"banks", "4"},
-    {"indexing", "static"},
-    {"breakeven", "64"},
-    {"policy", "gated"},
-    {"drowsy_window", "0"},
-    {"hit_latency", "0"},
-    {"miss_latency", "0"},
-    {"mshrs", "0"},
-    {"ports", "0"},
-    {"bandwidth", "0"},
-    {"inclusion", "noninclusive"},
-};
-
 const ConfigEntry* find_entry(const std::vector<ConfigEntry>& entries,
                               const std::string& section,
                               const std::string& key) {
@@ -190,12 +161,11 @@ const ConfigEntry* find_entry(const std::vector<ConfigEntry>& entries,
 std::string run_key(const ConfigEntry& e, const std::string& path) {
   std::string valid;
   if (e.section == "l2" || e.section == "l3") {
-    if (e.key == "size") return e.section + "_size";
-    valid = "size";
-    for (const L3Default& d : kL3Defaults) {
-      if (e.key == d.key) return e.section + "_" + e.key;
-      valid += std::string(" ") + d.key;
-    }
+    const std::string prefix = e.section + "_";
+    if (find_config_key(prefix + e.key)) return prefix + e.key;
+    for (const ConfigKey& k : kConfigKeys)
+      if (starts_with(k.name, prefix))
+        valid += (valid.empty() ? "" : " ") + std::string(k.name + 3);
   } else if (starts_with(e.section, "core")) {  // [core<k>]
     if (e.key == "workload") return e.section + "_workload";
     valid = "workload";
@@ -214,18 +184,31 @@ std::string run_key(const ConfigEntry& e, const std::string& path) {
 /// pcalsim's own defaults.
 api::RunConfig stage_ini(const std::vector<ConfigEntry>& entries,
                          const std::string& path) {
+  std::vector<std::string> keys;  // each entry's run key
+  for (const ConfigEntry& e : entries) keys.push_back(run_key(e, path));
+  const auto staged = [&](const std::string& key) -> const std::string* {
+    for (std::size_t i = 0; i < entries.size(); ++i)
+      if (keys[i] == key) return &entries[i].value;
+    return nullptr;
+  };
+
   api::RunConfig rc;
   for (const auto& [key, value] : kDefaults) rc.set(key, value);
-  for (const L3Default& d : kL3Defaults) {
-    if (find_entry(entries, "l3", d.key)) continue;
-    const ConfigEntry* l1 =
-        d.l1_section ? find_entry(entries, d.l1_section, d.l1_key) : nullptr;
-    rc.set(std::string("l3_") + d.key, l1 ? l1->value : d.value);
+  // An [l3] does not inherit [l2]: an l3 key unset where its [l2] twin is
+  // set is staged at the value the unset l2 key would take — its default,
+  // or for geometry and wakeup latencies the L1 value.
+  for (const ConfigKey& l3 : kConfigKeys) {
+    if (!starts_with(l3.name, "l3_") || staged(l3.name)) continue;
+    const std::string l2 = std::string("l2_") + (l3.name + 3);
+    if (!staged(l2)) continue;
+    const ConfigKey* key = find_config_key(l2);
+    const std::string* value = nullptr;
+    while (key->inherits && !(value = staged(key->inherits)))
+      key = find_config_key(key->inherits);
+    rc.set(l3.name, value ? *value : key->fallback);
   }
-  for (const ConfigEntry& e : entries) {
-    const std::string key = run_key(e, path);
-    if (!key.empty()) rc.set(key, e.value);
-  }
+  for (std::size_t i = 0; i < entries.size(); ++i)
+    if (!keys[i].empty()) rc.set(keys[i], entries[i].value);
   // A [multiprogram] program list replaces the workload with an
   // interleaved multiprog: stream, whose quantum boundaries align
   // re-indexing to context switches.

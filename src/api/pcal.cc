@@ -13,10 +13,6 @@ namespace pcal::api {
 
 namespace {
 
-/// Default workload of a RunConfig without a "workload" entry — the
-/// cheapest synthetic stream, so `run(RunConfig{})` is meaningful.
-const char kDefaultWorkload[] = "uniform";
-
 /// Applies every entry to one RunAssembly; throws on the first problem
 /// (the run() path — validate() collects instead).
 RunAssembly assemble_from(const RunConfig& config) {
@@ -95,7 +91,7 @@ std::vector<ConfigIssue> RunConfig::validate() const {
       issues.push_back({key, value, e.what()});
     }
   };
-  if (!asmb.workload().empty()) check_workload("workload", asmb.workload());
+  check_workload("workload", asmb.workload());
   for (const auto& [core, workload] : asmb.core_workloads()) {
     const std::string key = "core" + std::to_string(core) + "_workload";
     const std::string missing = missing_core(core, asmb.cores());
@@ -117,8 +113,7 @@ RunOutput run(const RunConfig& config, const RunOptions& options) {
                         "_workload': " + missing);
   }
   const std::uint64_t accesses = asmb.accesses();
-  const std::string workload =
-      asmb.workload().empty() ? kDefaultWorkload : asmb.workload();
+  const std::string& workload = asmb.workload();
   const AgingLut* lut = options.aging ? &shared_aging().lut() : nullptr;
 
   RunOutput out;

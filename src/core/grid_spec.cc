@@ -26,59 +26,50 @@ namespace {
 constexpr std::size_t kMaxAxisValues = 4096;
 constexpr std::size_t kMaxJobs = 1'000'000;
 
-constexpr const char* kNumericAxes[] = {
-    "cache_size", "line_size", "ways", "banks", "updates",
-    "breakeven", "drowsy_window", "seed",
-    // Hierarchy axes: lower-level sizes (0 = level disabled) and the
-    // L2/L3 topology knobs the [grid] scalars do not cover (an l3_* axis
-    // overrides the inherited l2_* value for the L3 only).
-    "l2_size", "l3_size", "l2_drowsy_window", "l3_drowsy_window",
-    // Timing axes (core/timing.h): per-level event costs, and the wakeup
-    // latencies shared by every level.
-    "hit_latency", "miss_latency", "l2_hit_latency", "l2_miss_latency",
-    "l3_hit_latency", "l3_miss_latency", "drowsy_wake", "gated_wake",
-    // Multi-core axes: private stacks over a shared LLC (core/multicore.h).
-    "cores", "llc_size", "llc_ways_per_core",
-    // Contention axes (core/contention.h): finite resources per level,
-    // 0 = unlimited.  Bare names shape L1, l2_* the lower levels (L3
-    // inherits L2, like the other l2_* knobs), llc_* the shared LLC.
-    "mshrs", "ports", "bandwidth", "mshr_latency", "port_cycles",
-    "l2_mshrs", "l2_ports", "l2_bandwidth",
-    "llc_mshrs", "llc_ports", "llc_bandwidth"};
-constexpr const char* kStringAxes[] = {
-    "granularity", "indexing",    "policy",     "workload", "inclusion",
-    "l2_granularity", "l2_indexing", "l2_policy",
-    "l3_granularity", "l3_indexing", "l3_policy"};
-// EnergyParams axes take real-valued lists ("0.1, 0.25").
-constexpr const char* kFloatAxes[] = {
-    "energy_drowsy_leak", "energy_gated_leak", "energy_sleep_overhead",
-    "energy_control_leak_uw", "energy_gate_fixed_pj"};
-
-constexpr const char* kMetricNames[] = {
-    "idleness",  "min_idleness", "lifetime",     "energy_saving",
-    "hit_rate",  "energy_pj",    "drowsy_share", "accesses",
-    "avg_latency", "total_cycles", "stall_cycles",
-    "mshr_stall_cycles", "port_stall_cycles", "bw_stall_cycles"};
-
-bool is_numeric_axis(const std::string& key) {
-  for (const char* k : kNumericAxes)
-    if (key == k) return true;
-  return false;
+/// Keys no axis may name: a cohort's shared stream is keyed by its
+/// workload value alone, so its length and footprint are grid-wide.
+bool is_grid_wide(std::string_view key) {
+  return key == "accesses" || key == "footprint";
 }
 
-bool is_float_axis(const std::string& key) {
-  for (const char* k : kFloatAxes)
-    if (key == k) return true;
-  return false;
-}
-
-std::string valid_axes_hint() {
-  std::string out;
-  for (const char* k : kNumericAxes) out += std::string(k) + " ";
-  for (const char* k : kFloatAxes) out += std::string(k) + " ";
-  for (const char* k : kStringAxes) out += std::string(k) + " ";
-  out += "core<k>_workload";
+/// The "valid: ..." list of [sweep] (grid = false) or [grid], from the
+/// key table.
+std::string valid_keys_hint(bool grid) {
+  std::string out = grid ? "name" : "";
+  for (const ConfigKey& key : kConfigKeys)
+    if (grid ? key.type != KeyType::kWorkload : !is_grid_wide(key.name))
+      out += (out.empty() ? "" : " ") + std::string(key.name);
   return out;
+}
+
+/// The [table] metrics: a name, and how to read it off a result.
+struct GridMetric {
+  const char* name;
+  double (*value)(const SimResult&);
+};
+
+using Result = const SimResult&;
+constexpr GridMetric kMetrics[] = {
+    {"idleness", [](Result r) { return r.avg_residency(); }},
+    {"min_idleness", [](Result r) { return r.min_residency(); }},
+    {"lifetime", [](Result r) { return r.lifetime_years(); }},
+    {"energy_saving", [](Result r) { return r.energy_saving(); }},
+    {"hit_rate", [](Result r) { return r.cache_stats.hit_rate(); }},
+    {"energy_pj", [](Result r) { return r.energy.partitioned.total_pj(); }},
+    {"drowsy_share", [](Result r) { return r.drowsy_residency(); }},
+    {"accesses", [](Result r) { return double(r.accesses); }},
+    {"avg_latency", [](Result r) { return r.avg_access_latency(); }},
+    {"total_cycles", [](Result r) { return double(r.total_cycles); }},
+    {"stall_cycles", [](Result r) { return double(r.stall_cycles); }},
+    {"mshr_stall_cycles", [](Result r) { return double(r.mshr_stall_cycles); }},
+    {"port_stall_cycles", [](Result r) { return double(r.port_stall_cycles); }},
+    {"bw_stall_cycles", [](Result r) { return double(r.bw_stall_cycles); }},
+};
+
+const GridMetric* find_metric(const std::string& name) {
+  for (const GridMetric& m : kMetrics)
+    if (name == m.name) return &m;
+  return nullptr;
 }
 
 [[noreturn]] void fail(const std::string& where, const std::string& msg) {
@@ -91,15 +82,10 @@ std::uint64_t parse_number(const std::string& s, const std::string& where) {
   return parse_config_number(s, "sweep spec " + where);
 }
 
-/// Finite non-negative real number ("0.25"); used by the EnergyParams
-/// axes.  "inf"/"nan" are rejected — they would serialize as invalid
-/// JSON in the BENCH record, far from the offending spec line.
+/// Finite non-negative real number ("0.25"): "inf"/"nan" would serialize
+/// as invalid JSON in the BENCH record, far from the offending spec line.
 double parse_real(const std::string& s, const std::string& where) {
   return parse_config_real(s, "sweep spec " + where);
-}
-
-bool parse_bool(const std::string& s, const std::string& where) {
-  return parse_config_bool(s, "sweep spec " + where);
 }
 
 /// Expands one range item: "1..32 log2", "2..8 step 2", "1..4".
@@ -178,13 +164,16 @@ std::vector<std::string> expand_numeric_axis(const std::string& axis,
   return out;
 }
 
-/// Real-valued axis: plain comma lists, each item validated and kept in
-/// its original spelling (so coords and table rows read as written).
-std::vector<std::string> expand_float_axis(const std::string& axis,
-                                           const std::string& value,
-                                           const std::string& where) {
+/// An axis of reals, flags or enum spellings: a plain comma list, each
+/// item read by the key's own parser (core/run_assembly.h) and kept in its
+/// spelling, so coords and table rows read as written.
+std::vector<std::string> expand_spelled_axis(const std::string& axis,
+                                             const std::string& value,
+                                             const std::string& where) {
   std::vector<std::string> items = split_items(value, where, axis);
-  for (const std::string& item : items) parse_real(item, where);
+  RunAssembly probe;
+  for (const std::string& item : items)
+    probe.set(axis, item, "sweep spec " + where + ": axis '" + axis + "'");
   return items;
 }
 
@@ -225,23 +214,6 @@ std::vector<std::string> expand_workload_axis(const std::string& value,
     out.push_back(item);
   }
   return out;
-}
-
-/// Validates every item of an enum-valued axis via its from_string parser.
-template <typename Parser>
-std::vector<std::string> expand_enum_axis(const std::string& axis,
-                                          const std::string& value,
-                                          const std::string& where,
-                                          Parser parser) {
-  std::vector<std::string> items = split_items(value, where, axis);
-  for (const std::string& item : items) {
-    try {
-      parser(item);
-    } catch (const Error& e) {
-      fail(where, "axis '" + axis + "': " + e.what());
-    }
-  }
-  return items;
 }
 
 /// Truncating replay of a per-worker .pct mapping (TruncatedSource does
@@ -343,11 +315,9 @@ TableMetric parse_metric(const std::string& item, const std::string& where) {
     fail(where, "cell '" + item + "' wants metric[:label[:num|pct[:N]]]");
   TableMetric m;
   m.metric = std::string(trim(fields[0]));
-  bool known = false;
-  for (const char* k : kMetricNames) known = known || m.metric == k;
-  if (!known) {
+  if (!find_metric(m.metric)) {
     std::string hint;
-    for (const char* k : kMetricNames) hint += std::string(k) + " ";
+    for (const GridMetric& k : kMetrics) hint += std::string(k.name) + " ";
     fail(where, "unknown metric '" + m.metric + "' (valid: " + hint + ")");
   }
   m.label = fields.size() > 1 ? std::string(trim(fields[1])) : m.metric;
@@ -405,7 +375,9 @@ GridSpec GridSpec::parse(std::istream& is, const std::string& default_name,
   // ---- phase 2: typed sections ----
   GridSpec spec;
   spec.name_ = default_name;
-  spec.accesses_ = kDefaultTraceAccesses;
+  const RunAssembly defaults;
+  spec.accesses_ = defaults.accesses();
+  spec.footprint_bytes_ = defaults.footprint_bytes();
 
   for (const ConfigEntry& e : entries) {
     if (e.section != "grid") continue;
@@ -414,36 +386,27 @@ GridSpec GridSpec::parse(std::istream& is, const std::string& default_name,
         fail(e.where, "grid name must be [A-Za-z0-9_.-]+, got '" + e.value +
                           "'");
       spec.name_ = e.value;
-    } else if (e.key == "accesses") {
-      spec.accesses_ = parse_number(e.value, e.where);
-      if (spec.accesses_ == 0) fail(e.where, "accesses must be positive");
-    } else if (e.key == "footprint") {
-      spec.footprint_bytes_ = parse_number(e.value, e.where);
-      if (spec.footprint_bytes_ == 0)
-        fail(e.where, "footprint must be positive");
-    } else if (e.key == "unit_pricing") {
-      spec.unit_pricing_ = parse_bool(e.value, e.where);
-    } else if (e.key == "l2_banks") {
-      spec.l2_banks_ = parse_number(e.value, e.where);
-    } else if (e.key == "l2_breakeven") {
-      spec.l2_breakeven_ = parse_number(e.value, e.where);
-    } else if (e.key == "l3_banks") {
-      spec.l3_banks_ = parse_number(e.value, e.where);
-    } else if (e.key == "l3_breakeven") {
-      spec.l3_breakeven_ = parse_number(e.value, e.where);
-    } else if (e.key == "llc_banks") {
-      spec.llc_banks_ = parse_number(e.value, e.where);
-    } else if (e.key == "llc_breakeven") {
-      spec.llc_breakeven_ = parse_number(e.value, e.where);
-    } else if (e.key == "llc_ways") {
-      spec.llc_ways_ = parse_number(e.value, e.where);
-      if (spec.llc_ways_ == 0) fail(e.where, "llc_ways must be positive");
-    } else {
-      fail(e.where, "unknown [grid] key '" + e.key +
-                        "' (valid: name accesses footprint unit_pricing "
-                        "l2_banks l2_breakeven l3_banks l3_breakeven "
-                        "llc_banks llc_breakeven llc_ways)");
+      continue;
     }
+    const ConfigKey* key = find_config_key(e.key);
+    if (key == nullptr)
+      fail(e.where, "unknown [grid] key '" + e.key + "' (valid: " +
+                        valid_keys_hint(true) + ")");
+    if (key->type == KeyType::kWorkload)
+      fail(e.where, "'" + e.key + "' is an axis: declare it under [sweep]");
+    // Read and checked here, where the line is known.
+    RunAssembly probe;
+    probe.set(e.key, e.value, "sweep spec " + e.where + ": key '" + e.key +
+                                  "'");
+    if (e.key == "accesses") {
+      spec.accesses_ = probe.accesses();
+      continue;
+    }
+    if (e.key == "footprint") spec.footprint_bytes_ = probe.footprint_bytes();
+    spec.fixed_.push_back(
+        {e.key, key->type == KeyType::kCount
+                    ? std::to_string(parse_number(e.value, e.where))
+                    : e.value});
   }
 
   for (const ConfigEntry& e : entries) {
@@ -458,33 +421,26 @@ GridSpec GridSpec::parse(std::istream& is, const std::string& default_name,
 
   for (const ConfigEntry& e : entries) {
     if (e.section != "sweep") continue;
+    const ConfigKey* key = find_config_key(e.key);
+    if (key == nullptr)
+      fail(e.where, "unknown sweep axis '" + e.key + "' (valid: " +
+                        valid_keys_hint(false) + ")");
+    if (is_grid_wide(e.key))
+      fail(e.where, "'" + e.key + "' is grid-wide (a shared stream is keyed "
+                        "by its workload alone): set it under [grid]");
+    for (const GridFixed& f : spec.fixed_)
+      if (f.key == e.key)
+        fail(e.where, "key '" + e.key +
+                          "' is both fixed in [grid] and swept here");
     GridAxis axis;
     axis.key = e.key;
-    if (e.key == "workload" || core_workload_index(e.key) >= 0)
+    if (key->type == KeyType::kCount)
+      axis.values = expand_numeric_axis(e.key, e.value, e.where);
+    else if (key->type == KeyType::kWorkload)
       axis.values =
           expand_workload_axis(e.value, e.where, spec.footprint_bytes_);
-    else if (e.key == "granularity" || e.key == "l2_granularity" ||
-             e.key == "l3_granularity")
-      axis.values = expand_enum_axis(e.key, e.value, e.where,
-                                     granularity_from_string);
-    else if (e.key == "indexing" || e.key == "l2_indexing" ||
-             e.key == "l3_indexing")
-      axis.values = expand_enum_axis(e.key, e.value, e.where,
-                                     indexing_kind_from_string);
-    else if (e.key == "policy" || e.key == "l2_policy" ||
-             e.key == "l3_policy")
-      axis.values = expand_enum_axis(e.key, e.value, e.where,
-                                     power_policy_from_string);
-    else if (e.key == "inclusion")
-      axis.values = expand_enum_axis(e.key, e.value, e.where,
-                                     inclusion_policy_from_string);
-    else if (is_float_axis(e.key))
-      axis.values = expand_float_axis(e.key, e.value, e.where);
-    else if (is_numeric_axis(e.key))
-      axis.values = expand_numeric_axis(e.key, e.value, e.where);
     else
-      fail(e.where, "unknown sweep axis '" + e.key + "' (valid: " +
-                        valid_axes_hint() + ")");
+      axis.values = expand_spelled_axis(e.key, e.value, e.where);
     spec.axes_.push_back(std::move(axis));
   }
 
@@ -494,82 +450,61 @@ GridSpec GridSpec::parse(std::istream& is, const std::string& default_name,
     throw ConfigError(
         "sweep spec has no workload axis: declare `workload = ...` under "
         "[sweep]");
-  // Lower-level axes are inert without a level to apply to — a spec
-  // sweeping e.g. `inclusion` with no (nonzero) l2_size/l3_size would
-  // expand duplicate single-level jobs and quietly show the axis having
-  // no effect.
-  const auto has_enabled_level = [&] {
-    for (const char* size_key : {"l2_size", "l3_size"}) {
-      if (const GridAxis* axis = spec.find_axis(size_key))
-        for (const std::string& v : axis->values)
-          if (v != "0") return true;
-    }
+  // Scope: an axis of a level that may be absent needs that level, or it
+  // would expand duplicate jobs and quietly show the axis having no
+  // effect.  A [grid] scalar counts like a one-value axis here, but is
+  // itself exempt: a fixed key of an absent level is inert.
+  const auto declared = [&](const char* key) {
+    if (const GridAxis* axis = spec.find_axis(key)) return axis->values;
+    for (const GridFixed& f : spec.fixed_)
+      if (f.key == key) return std::vector<std::string>{f.value};
+    return std::vector<std::string>{};
+  };
+  const auto any_nonzero = [&](const char* key) {
+    for (const std::string& v : declared(key))
+      if (v != "0") return true;
     return false;
   };
-  if (!has_enabled_level()) {
-    for (const char* key :
-         {"inclusion", "l2_granularity", "l2_indexing", "l2_policy",
-          "l2_drowsy_window", "l2_hit_latency", "l2_miss_latency",
-          "l2_mshrs", "l2_ports", "l2_bandwidth"}) {
-      if (spec.find_axis(key))
-        throw ConfigError(
-            "sweep axis '" + std::string(key) +
-            "' needs a lower level: declare an l2_size (or l3_size) axis "
-            "with a nonzero value");
-    }
-  }
-  // L3 overrides are inert unless an L3 can exist.
-  const auto has_nonzero_value = [&](const char* size_key) {
-    if (const GridAxis* axis = spec.find_axis(size_key))
-      for (const std::string& v : axis->values)
-        if (v != "0") return true;
-    return false;
-  };
-  if (!has_nonzero_value("l3_size")) {
-    for (const char* key :
-         {"l3_granularity", "l3_indexing", "l3_policy", "l3_drowsy_window",
-          "l3_hit_latency", "l3_miss_latency"}) {
-      if (spec.find_axis(key))
-        throw ConfigError("sweep axis '" + std::string(key) +
-                          "' needs an l3_size axis with a nonzero value");
-    }
-  }
+  const bool has_l3 = any_nonzero("l3_size");
+  const bool has_lower = has_l3 || any_nonzero("l2_size");
   // Multi-core coupling: `cores` needs a shared LLC, and the llc_* /
   // per-core-workload axes are meaningless without `cores`.
-  if (const GridAxis* cores_axis = spec.find_axis("cores")) {
-    std::uint64_t max_cores = 0;
-    for (const std::string& v : cores_axis->values) {
-      const std::uint64_t n = parse_number(v, "axis cores");
-      if (n == 0)
+  if (const GridAxis* cores_axis = spec.find_axis("cores"))
+    for (const std::string& v : cores_axis->values)
+      if (v == "0")
         throw ConfigError("sweep axis 'cores' values must be >= 1");
-      max_cores = std::max(max_cores, n);
-    }
-    const GridAxis* llc_axis = spec.find_axis("llc_size");
-    if (!llc_axis)
+  std::uint64_t max_cores = 0;
+  for (const std::string& v : declared("cores"))
+    max_cores = std::max(max_cores, parse_number(v, "cores"));
+  if (max_cores > 0) {
+    const std::vector<std::string> llc_sizes = declared("llc_size");
+    if (llc_sizes.empty())
       throw ConfigError(
           "sweep axis 'cores' needs an llc_size axis (the shared "
           "last-level cache)");
-    for (const std::string& v : llc_axis->values)
+    for (const std::string& v : llc_sizes)
       if (v == "0")
         throw ConfigError("sweep axis 'llc_size' values must be positive");
-    for (const GridAxis& axis : spec.axes_) {
-      const int k = core_workload_index(axis.key);
-      if (k >= 0 && static_cast<std::uint64_t>(k) >= max_cores)
-        throw ConfigError("sweep axis '" + axis.key + "' names core " +
-                          std::to_string(k) + "; the cores axis peaks at " +
-                          std::to_string(max_cores) + " cores (indices 0.." +
-                          std::to_string(max_cores - 1) + ")");
-    }
-  } else {
-    for (const char* key : {"llc_size", "llc_ways_per_core", "llc_mshrs",
-                            "llc_ports", "llc_bandwidth"})
-      if (spec.find_axis(key))
-        throw ConfigError("sweep axis '" + std::string(key) +
-                          "' needs a cores axis");
-    for (const GridAxis& axis : spec.axes_)
-      if (core_workload_index(axis.key) >= 0)
-        throw ConfigError("sweep axis '" + axis.key +
-                          "' needs a cores axis");
+  }
+  for (const GridAxis& axis : spec.axes_) {
+    const std::string& k = axis.key;
+    if (((starts_with(k, "l2_") && k != "l2_size") || k == "inclusion") &&
+        !has_lower)
+      throw ConfigError(
+          "sweep axis '" + k +
+          "' needs a lower level: declare an l2_size (or l3_size) axis "
+          "with a nonzero value");
+    if (starts_with(k, "l3_") && k != "l3_size" && !has_l3)
+      throw ConfigError("sweep axis '" + k +
+                        "' needs an l3_size axis with a nonzero value");
+    const int core = core_workload_index(k);
+    if ((starts_with(k, "llc_") || core >= 0) && max_cores == 0)
+      throw ConfigError("sweep axis '" + k + "' needs a cores axis");
+    if (core >= 0 && static_cast<std::uint64_t>(core) >= max_cores)
+      throw ConfigError("sweep axis '" + k + "' names core " +
+                        std::to_string(core) + "; the cores axis peaks at " +
+                        std::to_string(max_cores) + " cores (indices 0.." +
+                        std::to_string(max_cores - 1) + ")");
   }
   std::size_t total = 1;
   for (const GridAxis& axis : spec.axes_) {
@@ -620,8 +555,9 @@ GridSpec GridSpec::parse(std::istream& is, const std::string& default_name,
                         "' names no declared sweep axis (declared: " +
                         spec.describe_axes() + ")");
     const GridAxis& axis = spec.axes_[f.axis];
-    const bool numeric = is_numeric_axis(f.key);
-    const bool real = is_float_axis(f.key);
+    const KeyType type = find_config_key(f.key)->type;
+    const bool numeric = type == KeyType::kCount;
+    const bool real = type == KeyType::kReal;
     if (!numeric && !real && f.op != "==" && f.op != "!=")
       fail(e.where, "filter '" + expr + "': axis '" + f.key +
                         "' is non-numeric; only == and != apply");
@@ -806,6 +742,9 @@ std::vector<GridJob> GridSpec::expand(std::uint64_t num_accesses) const {
             make_workload_factory(value, num_accesses, footprint_bytes_);
   }
 
+  RunAssembly fixed;
+  for (const GridFixed& f : fixed_) fixed.set(f.key, f.value);
+
   std::vector<GridJob> jobs;
   jobs.reserve(cross_product_size());
   std::vector<std::size_t> odometer(axes_.size(), 0);
@@ -831,19 +770,10 @@ std::vector<GridJob> GridSpec::expand(std::uint64_t num_accesses) const {
     job.coords.reserve(axes_.size());
     // Stage this grid point through the shared key -> config application
     // path (core/run_assembly.h) — the same one pcalsim and the api
-    // facade use, so the vocabularies cannot drift.  The [grid] scalars
-    // seed the assembly; each axis then stages its value (axis order
-    // must not matter, which the staged assembly guarantees).
-    RunAssembly asmb;
-    asmb.config.force_unit_pricing = unit_pricing_;
-    asmb.set("l2_banks", std::to_string(l2_banks_));
-    asmb.set("l2_breakeven", std::to_string(l2_breakeven_));
-    if (l3_banks_) asmb.set("l3_banks", std::to_string(*l3_banks_));
-    if (l3_breakeven_)
-      asmb.set("l3_breakeven", std::to_string(*l3_breakeven_));
-    asmb.set("llc_banks", std::to_string(llc_banks_));
-    asmb.set("llc_breakeven", std::to_string(llc_breakeven_));
-    asmb.set("llc_ways", std::to_string(llc_ways_));
+    // facade use, so the vocabularies cannot drift: the [grid] scalars,
+    // then each axis value (axis order must not matter, which the staged
+    // assembly guarantees).
+    RunAssembly asmb = fixed;
     for (std::size_t i = 0; i < axes_.size(); ++i)
       job.coords.push_back(axes_[i].values[odometer[i]]);
     const auto fail_point = [&](const Error& e) {
@@ -888,23 +818,7 @@ std::vector<GridJob> GridSpec::expand(std::uint64_t num_accesses) const {
 }
 
 double grid_metric_value(const SimResult& r, const std::string& metric) {
-  if (metric == "idleness") return r.avg_residency();
-  if (metric == "min_idleness") return r.min_residency();
-  if (metric == "lifetime") return r.lifetime_years();
-  if (metric == "energy_saving") return r.energy_saving();
-  if (metric == "hit_rate") return r.cache_stats.hit_rate();
-  if (metric == "energy_pj") return r.energy.partitioned.total_pj();
-  if (metric == "drowsy_share") return r.drowsy_residency();
-  if (metric == "accesses") return static_cast<double>(r.accesses);
-  if (metric == "avg_latency") return r.avg_access_latency();
-  if (metric == "total_cycles") return static_cast<double>(r.total_cycles);
-  if (metric == "stall_cycles") return static_cast<double>(r.stall_cycles);
-  if (metric == "mshr_stall_cycles")
-    return static_cast<double>(r.mshr_stall_cycles);
-  if (metric == "port_stall_cycles")
-    return static_cast<double>(r.port_stall_cycles);
-  if (metric == "bw_stall_cycles")
-    return static_cast<double>(r.bw_stall_cycles);
+  if (const GridMetric* m = find_metric(metric)) return m->value(r);
   throw ConfigError("unknown table metric '" + metric + "'");
 }
 

@@ -5,9 +5,9 @@
 // them used to live as a hand-written C++ loop nest in bench/*.cc.  A
 // GridSpec declares the same grid in an INI-style file:
 //
-//   [grid]
-//   name = table4_banks
-//   accesses = 2000000
+//   [grid]                       # fixed for every job: name, accesses,
+//   name = table4_banks          # footprint, or any config key but a
+//   accesses = 2000000           # workload (core/run_assembly.h)
 //
 //   [sweep]                      # each key is one axis of the grid
 //   cache_size = 8192, 16384, 32768
@@ -34,17 +34,18 @@
 // examples/table4.sweep reproduces bench_table4_banks byte for byte.
 // Without [table], render_table() lists one row per job.
 //
-// Parsing is strict: the shared reader (util/config_file.h) rejects
-// unknown sections and duplicate keys, and unknown keys, malformed ranges
-// and empty axes are rejected here, all with the offending line number —
-// a silently ignored typo in a grid axis would quietly simulate the
-// wrong design space.
+// Both sections speak the key table's vocabulary (core/run_assembly.h):
+// a row's type decides how its axis expands and its values read.  Parsing
+// is strict: the shared reader (util/config_file.h) rejects unknown
+// sections and duplicate keys, and unknown keys, a key both fixed and
+// swept, malformed ranges and empty axes are rejected here, all with the
+// offending line number — a silently ignored typo in a grid axis would
+// quietly simulate the wrong design space.
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -61,6 +62,12 @@ namespace pcal {
 struct GridAxis {
   std::string key;
   std::vector<std::string> values;
+};
+
+/// One [grid] scalar: a config key fixed for every job of the grid.
+struct GridFixed {
+  std::string key;
+  std::string value;
 };
 
 /// One metric column group of the [table] pivot renderer.
@@ -142,8 +149,6 @@ class GridSpec {
   /// Accesses per job ([grid] accesses; trace workloads cap at the trace
   /// length).
   std::uint64_t accesses() const { return accesses_; }
-  /// [grid] unit_pricing: price every job with the per-unit model.
-  bool unit_pricing() const { return unit_pricing_; }
   /// [timeline] dir: where runners drop one power-state timeline
   /// artifact per job (docs/TIMELINE.md); empty (the default) disables
   /// timeline emission — runs and their outputs are then bit-identical
@@ -152,6 +157,10 @@ class GridSpec {
 
   const std::vector<GridAxis>& axes() const { return axes_; }
   const GridAxis* find_axis(const std::string& key) const;
+  /// The [grid] scalars that fix a config key for every job (footprint
+  /// included; name and accesses have accessors of their own), in
+  /// declaration order, counts canonicalized to decimal.
+  const std::vector<GridFixed>& fixed() const { return fixed_; }
   /// The [filter] predicates, in declaration order (empty when the spec
   /// has no [filter] section — the common case, and bit-compatible with
   /// pre-filter specs everywhere, fingerprints included).
@@ -198,19 +207,9 @@ class GridSpec {
 
   std::string name_;
   std::uint64_t accesses_ = 0;
-  std::uint64_t footprint_bytes_ = 64 * 1024;
-  bool unit_pricing_ = false;
+  std::uint64_t footprint_bytes_ = 0;
   std::string timeline_dir_;
-  std::uint64_t l2_banks_ = 4;
-  std::uint64_t l2_breakeven_ = 64;
-  /// L3 geometry scalars; unset inherits the l2_* value (back-compat
-  /// with specs written before the l3_* overrides existed).
-  std::optional<std::uint64_t> l3_banks_;
-  std::optional<std::uint64_t> l3_breakeven_;
-  /// Shared-LLC geometry of multi-core grids (a `cores` axis).
-  std::uint64_t llc_banks_ = 4;
-  std::uint64_t llc_breakeven_ = 64;
-  std::uint64_t llc_ways_ = 8;
+  std::vector<GridFixed> fixed_;
   std::vector<GridAxis> axes_;
   std::vector<GridFilter> filters_;
   bool has_table_ = false;

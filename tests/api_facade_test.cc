@@ -39,10 +39,49 @@ const char kSpec[] =
     "accesses = 20000\n";
 
 TEST(RunConfigTest, KnowsTheSharedVocabulary) {
-  EXPECT_TRUE(RunConfig::knows("cache_size"));
-  EXPECT_TRUE(RunConfig::knows("llc_ways_per_core"));
-  EXPECT_TRUE(RunConfig::knows("core3_workload"));
-  EXPECT_FALSE(RunConfig::knows("no_such_knob"));
+  // The 74 run keys every front-end has accepted, plus core<k>_workload —
+  // no more, no fewer.
+  const std::vector<std::string> flat = {
+      "cache_size", "line_size", "ways", "banks", "updates", "breakeven",
+      "drowsy_window", "seed", "hit_latency", "miss_latency", "drowsy_wake",
+      "gated_wake", "mshrs", "ports", "bandwidth", "mshr_latency",
+      "port_cycles", "energy_drowsy_leak", "energy_gated_leak",
+      "energy_sleep_overhead", "energy_control_leak_uw",
+      "energy_gate_fixed_pj", "granularity", "indexing", "policy",
+      "unit_pricing", "inclusion", "cores", "llc_size", "llc_ways",
+      "llc_banks", "llc_breakeven", "llc_ways_per_core", "llc_mshrs",
+      "llc_ports", "llc_bandwidth", "llc_inclusion", "workload", "accesses",
+      "footprint"};
+  const std::vector<std::string> level = {
+      "size", "line", "ways", "banks", "breakeven", "granularity",
+      "indexing", "policy", "drowsy_window", "hit_latency", "miss_latency",
+      "drowsy_wake", "gated_wake", "mshrs", "ports", "bandwidth",
+      "inclusion"};
+  std::vector<std::string> vocabulary = flat;
+  for (const char* prefix : {"l2_", "l3_"})
+    for (const std::string& suffix : level)
+      vocabulary.push_back(prefix + suffix);
+  ASSERT_EQ(vocabulary.size(), 74u);
+  for (const std::string& key : vocabulary)
+    EXPECT_TRUE(RunConfig::knows(key)) << key;
+  std::size_t rows = 0;
+  for (const ConfigKey& key : kConfigKeys) {
+    ++rows;
+    const bool known =
+        std::find(vocabulary.begin(), vocabulary.end(), key.name) !=
+        vocabulary.end();
+    EXPECT_TRUE(known || std::string(key.name) == "core<k>_workload")
+        << key.name;
+  }
+  EXPECT_EQ(rows, vocabulary.size() + 1);  // + the core<k>_workload family
+  for (const char* key : {"core0_workload", "core3_workload",
+                          "core123456_workload"})
+    EXPECT_TRUE(RunConfig::knows(key)) << key;
+  for (const char* key :
+       {"no_such_knob", "core<k>_workload", "core_workload", "corex_workload",
+        "core1234567_workload", "core1_workloads", "l2_", "l4_size",
+        "l2_cores", "l3_seed", "llc_line", "llc_updates", "L2_size", ""})
+    EXPECT_FALSE(RunConfig::knows(key)) << key;
 }
 
 TEST(RunConfigTest, ValidateAcceptsCleanConfig) {
@@ -89,6 +128,33 @@ TEST(RunConfigTest, ValidateNamesTheKeyOfAGeometryError) {
   EXPECT_NE(issues[2].reason.find("associativity must be a power of 2"),
             std::string::npos);
   EXPECT_EQ(api::describe({issues[0]}).find("cache_size = 3000: "), 0u);
+
+  // One check per quantity, at every level: lower levels and the LLC too.
+  RunConfig lower = small_config();
+  lower.set("l2_size", "64k").set("l3_size", "256k").set("cores", "2");
+  lower.set("llc_size", "256k");
+  lower.set("l2_ways", "3").set("l3_line", "24").set("l2_size", "33k");
+  lower.set("llc_ways", "0");
+  const std::vector<ConfigIssue> lower_issues = lower.validate();
+  ASSERT_EQ(lower_issues.size(), 4u) << api::describe(lower_issues);
+  const char* keys[] = {"l2_ways", "l3_line", "l2_size", "llc_ways"};
+  const char* reasons[] = {"associativity must be a power of 2",
+                           "line size must be a power of 2",
+                           "cache size must be a power of 2",
+                           "associativity must be a power of 2"};
+  for (std::size_t i = 0; i < lower_issues.size(); ++i) {
+    EXPECT_EQ(lower_issues[i].key, keys[i]);
+    EXPECT_NE(lower_issues[i].reason.find(std::string("key '") + keys[i] +
+                                          "'"),
+              std::string::npos)
+        << lower_issues[i].reason;
+    EXPECT_NE(lower_issues[i].reason.find(reasons[i]), std::string::npos)
+        << lower_issues[i].reason;
+  }
+  // A zero lower-level size still means "absent".
+  RunConfig absent = small_config();
+  absent.set("l2_size", "0").set("l3_size", "0");
+  EXPECT_TRUE(absent.validate().empty()) << api::describe(absent.validate());
 }
 
 TEST(RunConfigTest, ValidateResolvesWorkloads) {

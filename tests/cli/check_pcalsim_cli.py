@@ -11,7 +11,8 @@ user sees of that:
                does not inherit [l2] (its unset keys take their own
                documented defaults)
   strictness   unknown keys and sections, duplicate keys, keys before any
-               section, negative numbers, the removed
+               section, negative numbers, a bad L1 value reported once, the
+               removed
                `multiprogram.stride`, a [core<k>] without that core and a
                missing INI all fail with an error that says where
   run path     `workload.accesses` caps `trace:` replays (text and .pct),
@@ -176,6 +177,11 @@ def check_strictness(cli, example, example_text):
                 [example, "partition.updates=-1"], "updates = -1")
     path = cli.write("negative_updates.ini", "[partition]\nupdates = -1\n")
     cli.rejects("negative updates in the file", [path], "updates = -1")
+    # A bad L1 value is reported once, against its own key, not again
+    # through an [l3] key the INI never set.
+    code, _, err = cli.run([example, "cache.line=-1", "l3.size=128k"])
+    cli.check("a bad cache.line is one issue", code == 1 and
+              "line_size = -1: " in err and "l3_" not in err, err)
 
     # [multiprogram] stride has no spelling in the shared vocabulary.
     cli.rejects("multiprogram.stride override",

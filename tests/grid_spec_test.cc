@@ -448,6 +448,146 @@ workload = cjpeg
                ConfigError);
 }
 
+TEST(GridSpecParse, GridScalarsFixAnyConfigKey) {
+  // [grid] takes name, accesses, footprint and every config key but a
+  // workload; fixing a key is a one-value axis without a coordinate.
+  const GridSpec spec = parse(R"(
+[grid]
+name = fixed
+granularity = way
+ways = 4
+footprint = 16k
+unit_pricing = yes
+energy_gated_leak = 0.01
+accesses = 3000
+l3_banks = 8
+
+[sweep]
+banks = 2, 4
+workload = uniform
+)");
+  EXPECT_EQ(spec.accesses(), 3000u);
+  const std::vector<GridFixed> expected = {
+      {"granularity", "way"}, {"ways", "4"},
+      {"footprint", "16384"},  // counts canonicalize, like axis values
+      {"unit_pricing", "yes"}, {"energy_gated_leak", "0.01"},
+      {"l3_banks", "8"}};     // inert without an L3, like pcalsim's [l3]
+  ASSERT_EQ(spec.fixed().size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(spec.fixed()[i].key, expected[i].key);
+    EXPECT_EQ(spec.fixed()[i].value, expected[i].value);
+  }
+  const std::vector<GridJob> jobs = spec.expand(1000);
+  ASSERT_EQ(jobs.size(), 2u);
+  EXPECT_EQ(jobs[0].coords, (std::vector<std::string>{"2", "uniform"}));
+  for (const GridJob& job : jobs) {
+    EXPECT_EQ(job.config.granularity, Granularity::kWay);
+    EXPECT_EQ(job.config.cache.ways, 4u);
+    EXPECT_TRUE(job.config.force_unit_pricing);
+    EXPECT_DOUBLE_EQ(job.config.energy_params.gated_leak_fraction, 0.01);
+    EXPECT_TRUE(job.config.lower_levels.empty());
+  }
+
+  // A bad scalar fails at its line, naming its key.
+  try {
+    parse("[grid]\nname = x\nllc_ways = 0\n[sweep]\nworkload = cjpeg\n");
+    FAIL() << "llc_ways = 0 accepted";
+  } catch (const ConfigError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("line 3"), std::string::npos) << what;
+    EXPECT_NE(what.find("llc_ways"), std::string::npos) << what;
+  }
+  EXPECT_THROW(parse("[grid]\ngranularity = rows\n[sweep]\nworkload = sha\n"),
+               ParseError);
+  // Streams are coordinates: workloads stay axis-only.
+  EXPECT_THROW(parse("[grid]\nworkload = sha\n[sweep]\nbanks = 2\n"),
+               ParseError);
+  EXPECT_THROW(
+      parse("[grid]\ncore1_workload = sha\n[sweep]\nworkload = cjpeg\n"),
+      ParseError);
+  try {
+    parse("[grid]\nwidth = 2\n[sweep]\nworkload = cjpeg\n");
+    FAIL() << "unknown [grid] key accepted";
+  } catch (const ParseError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("unknown [grid] key 'width'"), std::string::npos)
+        << what;
+    EXPECT_NE(what.find("valid: name"), std::string::npos) << what;
+    EXPECT_NE(what.find(" llc_inclusion "), std::string::npos) << what;
+    EXPECT_EQ(what.find("workload"), std::string::npos) << what;
+  }
+}
+
+TEST(GridSpecParse, AKeyIsFixedOrSweptNotBoth) {
+  try {
+    parse("[grid]\nbanks = 4\n[sweep]\nworkload = cjpeg\nbanks = 2, 8\n");
+    FAIL() << "a key both fixed and swept accepted";
+  } catch (const ParseError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("line 5"), std::string::npos) << what;
+    EXPECT_NE(what.find("'banks'"), std::string::npos) << what;
+  }
+  // accesses and footprint stay grid-wide: a shared stream is keyed by its
+  // workload value alone.
+  EXPECT_THROW(parse("[sweep]\naccesses = 1000, 2000\nworkload = cjpeg\n"),
+               ParseError);
+  EXPECT_THROW(parse("[sweep]\nfootprint = 16k\nworkload = uniform\n"),
+               ParseError);
+  try {
+    parse("[sweep]\nl9_size = 2\nworkload = cjpeg\n");
+    FAIL() << "unknown axis accepted";
+  } catch (const ParseError& e) {
+    const std::string what = e.what();
+    for (const char* key : {" l3_mshrs ", " llc_inclusion ", " unit_pricing ",
+                            "core<k>_workload"})
+      EXPECT_NE(what.find(key), std::string::npos) << key << ": " << what;
+    EXPECT_EQ(what.find("accesses"), std::string::npos) << what;
+  }
+}
+
+TEST(GridSpecParse, ScopeCoversEveryLevelKey) {
+  // Every l2_*/l3_*/llc_* axis needs its level; inclusion a lower level.
+  for (const char* axis :
+       {"l2_ways = 2", "l2_inclusion = victim", "l2_drowsy_wake = 1",
+        "inclusion = victim"})
+    EXPECT_THROW(parse(std::string("[sweep]\n") + axis +
+                       "\nworkload = cjpeg\n"),
+                 ConfigError)
+        << axis;
+  for (const char* axis : {"l3_mshrs = 2", "l3_line = 32", "l3_banks = 8"})
+    EXPECT_THROW(parse(std::string("[sweep]\nl2_size = 32k\n") + axis +
+                       "\nworkload = cjpeg\n"),
+                 ConfigError)
+        << axis;
+  for (const char* axis : {"llc_inclusion = victim", "llc_ways = 4"})
+    EXPECT_THROW(parse(std::string("[sweep]\n") + axis +
+                       "\nworkload = cjpeg\n"),
+                 ConfigError)
+        << axis;
+  // A level fixed in [grid] counts as declared.
+  const GridSpec spec = parse(R"(
+[grid]
+l2_size = 32k
+cores = 2
+llc_size = 64k
+
+[sweep]
+l2_ways = 2, 4
+l2_inclusion = inclusive
+llc_inclusion = victim
+workload = cjpeg
+core1_workload = sha
+)");
+  const std::vector<GridJob> jobs = spec.expand(1000);
+  ASSERT_EQ(jobs.size(), 2u);
+  ASSERT_NE(jobs[1].multicore, nullptr);
+  EXPECT_EQ(jobs[1].multicore->cores[0].levels[1].topology.cache.ways, 4u);
+  EXPECT_EQ(jobs[1].multicore->cores[0].levels[1].inclusion,
+            InclusionPolicy::kInclusive);
+  EXPECT_EQ(jobs[1].multicore->llc.inclusion, InclusionPolicy::kVictim);
+  EXPECT_EQ(jobs[1].core_sources[1]()->name(), "sha");
+}
+
 TEST(GridSpecExpand, MultiprogWorkloadBuildsInterleavedSource) {
   const GridSpec spec = parse(R"(
 [grid]

@@ -149,9 +149,10 @@ void add_str(Fingerprint* fp, const std::string& s) {
 
 /// The run fingerprint: a stable 64-bit identity of the expanded
 /// cross-product — spec name, per-job accesses, every axis key and its
-/// values in declaration order.  Shard slices of the same grid share it
-/// (the shard coordinates live in the journal/record headers), so a
-/// journal or shard record can never silently seed a different grid.
+/// values in declaration order, the filters and the fixed [grid] keys.
+/// Shard slices of the same grid share it (the shard coordinates live in
+/// the journal/record headers), so a journal or shard record can never
+/// silently seed a different grid.
 std::uint64_t run_fingerprint(const GridSpec& spec, std::uint64_t accesses) {
   Fingerprint fp;
   add_str(&fp, spec.name());
@@ -169,6 +170,15 @@ std::uint64_t run_fingerprint(const GridSpec& spec, std::uint64_t accesses) {
     for (const GridFilter& f : spec.filters()) {
       add_str(&fp, f.key);
       add_str(&fp, f.op);
+      add_str(&fp, f.value);
+    }
+  }
+  // Likewise the fixed [grid] keys: a spec whose [grid] holds only name
+  // and accesses keeps its historical fingerprint.
+  if (!spec.fixed().empty()) {
+    fp.add_u64(spec.fixed().size());
+    for (const GridFixed& f : spec.fixed()) {
+      add_str(&fp, f.key);
       add_str(&fp, f.value);
     }
   }
