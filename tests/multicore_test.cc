@@ -13,7 +13,9 @@
 //   4. honest attribution: per-core accesses, stalls, level stats and
 //      energy sum to the system totals;
 //   5. the QoS effect is observable: a victim core's LLC traffic changes
-//      between a fully shared and a way-partitioned LLC.
+//      between a fully shared and a way-partitioned LLC;
+//   6. one clock: a 2-core run equals a hand replay of its weighted
+//      round-robin order over test-owned caches, unit by unit.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -24,6 +26,7 @@
 #include "core/multicore.h"
 #include "core/sweep.h"
 #include "trace/multiprogram.h"
+#include "trace/trace.h"
 #include "trace/workloads.h"
 #include "util/error.h"
 
@@ -246,6 +249,95 @@ TEST(MultiCore, PerCoreResultsSumToSystemTotals) {
   // The LLC report is split by access share, so core energies sum back.
   EXPECT_NEAR(energy, r.system.energy.partitioned.total_pj(),
               1e-6 * r.system.energy.partitioned.total_pj());
+}
+
+TEST(MultiCore, MatchesAHandReplayOnOneClock) {
+  // Two cores at ipc weights 2 and 1, each an L1 (hit 1, miss 6, gated
+  // wake 3) over a private 32kB L2, sharing a 64kB LLC.  Static indexing
+  // and no contention: no update fires and no resource stalls, so the
+  // engine's result must equal a replay that routes each access through
+  // test-owned caches in weighted round-robin order and moves time by
+  // hand — 1 + stall per access, the other core's levels idle.
+  SimConfig base = paper_config(8192, 16, 4);
+  base.indexing = IndexingKind::kStatic;
+  base.latency.hit_cycles = 1;
+  base.latency.miss_cycles = 6;
+  base.latency.gated_wake_cycles = 3;
+  base.lower_levels.push_back(base.make_level(32 * 1024));
+  MultiCoreConfig mc = make_multicore(base, 2, base.make_level(64 * 1024));
+  mc.cores[0].ipc_weight = 2;
+  mc.cores[1].ipc_weight = 1;
+
+  // Unequal lengths: core 0 drops out of the rotation first.
+  const std::uint64_t lengths[2] = {12'000, 30'000};
+  const char* names[2] = {"cjpeg", "dijkstra"};
+  auto s0 = source_for(names[0], lengths[0]);
+  auto s1 = source_for(names[1], lengths[1]);
+  const MultiCoreResult engine = MultiCoreSystem(mc).run({s0.get(), s1.get()});
+
+  std::vector<std::unique_ptr<ManagedCache>> caches;
+  std::vector<std::vector<RoutedLevel>> routes(2);
+  std::vector<Trace> traces;
+  for (std::size_t k = 0; k < 2; ++k) {
+    for (const LevelConfig& level : mc.cores[k].levels) {
+      caches.push_back(make_managed_cache(level.topology));
+      routes[k].push_back({caches.back().get(), level.inclusion});
+    }
+    auto source = source_for(names[k], lengths[k]);
+    traces.push_back(Trace::materialize(*source));
+  }
+  caches.push_back(make_managed_cache(mc.llc.topology));
+  for (std::vector<RoutedLevel>& route : routes)
+    route.push_back({caches.back().get(), mc.llc.inclusion});
+
+  std::uint64_t now = 0;
+  std::size_t pos[2] = {0, 0};
+  bool done[2] = {false, false};
+  while (!done[0] || !done[1]) {
+    for (std::size_t k = 0; k < 2; ++k) {
+      for (std::uint64_t slot = 0; !done[k] && slot < mc.cores[k].ipc_weight;
+           ++slot) {
+        if (pos[k] == traces[k].size()) {
+          done[k] = true;
+          break;
+        }
+        const MemAccess& a = traces[k].accesses()[pos[k]++];
+        const AccessOutcome out =
+            route_access(routes[k].data(), routes[k].size(),
+                         a.address + k * mc.address_stride,
+                         a.kind == AccessKind::kWrite);
+        now += 1 + out.stall_cycles;
+        for (auto& cache : caches) cache->advance_idle(now - cache->cycles());
+      }
+    }
+  }
+  for (auto& cache : caches) cache->finish();
+
+  const SimResult& r = engine.system;
+  EXPECT_EQ(r.accesses, lengths[0] + lengths[1]);
+  EXPECT_EQ(r.total_cycles, now);
+  // The engine's unit order is depth-major: both L1s, both L2s, the LLC.
+  std::vector<std::pair<const ManagedCache*, std::uint64_t>> units;
+  for (std::size_t d = 0; d < 2; ++d)
+    for (std::size_t k = 0; k < 2; ++k)
+      for (std::uint64_t u = 0; u < routes[k][d].cache->num_units(); ++u)
+        units.emplace_back(routes[k][d].cache, u);
+  for (std::uint64_t u = 0; u < caches.back()->num_units(); ++u)
+    units.emplace_back(caches.back().get(), u);
+  ASSERT_EQ(r.units.size(), units.size());
+  for (std::size_t i = 0; i < units.size(); ++i) {
+    const UnitActivity a = units[i].first->unit_activity(units[i].second);
+    EXPECT_EQ(r.units[i].accesses, a.accesses) << "unit " << i;
+    EXPECT_EQ(r.units[i].sleep_cycles, a.sleep_cycles) << "unit " << i;
+    EXPECT_EQ(r.units[i].sleep_episodes, a.sleep_episodes) << "unit " << i;
+    EXPECT_EQ(r.units[i].gated_episodes, a.gated_episodes) << "unit " << i;
+    EXPECT_EQ(r.units[i].sleep_residency,
+              units[i].first->unit_residency(units[i].second))
+        << "unit " << i;
+  }
+  // Stalls happened, and so did both kinds of L1 event.
+  EXPECT_GT(r.stall_cycles, 0u);
+  EXPECT_GT(r.level_stats.back().accesses, 0u);
 }
 
 TEST(MultiCore, PartitioningChangesTheVictimsLLCTraffic) {
