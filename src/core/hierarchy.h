@@ -6,8 +6,8 @@
 // independently-configured ManagedCache (any granularity, indexing,
 // power policy and latency point, all built through make_managed_cache),
 // and its InclusionPolicy selects which stream of its upper neighbour it
-// consumes, one event per global cycle (the single-port approximation:
-// whatever rides together in a cycle shares the port):
+// consumes, one event per cycle of the run's clock (the single-port
+// approximation: whatever rides together in a cycle shares the port):
 //
 //   kNonInclusive  the upper level's *miss* stream: an upper miss becomes
 //                  one access at the missed address, with a dirty upper
@@ -34,12 +34,13 @@
 //                  every other cycle idles.  A pure victim sink — the
 //                  maximal-idleness lower level.
 //
-// Levels that are not referenced in a cycle advance_idle(1), so every
-// level lives on the same global clock and its residencies and leakage
-// are priced against real time.  Stalls compose: an access's
-// AccessOutcome::stall_cycles is the sum over every level it actually
-// referenced (each level priced by its own CacheTopology::latency), and
-// the driver stretches the global clock by that sum.
+// Every level of a run reads the run's one clock (core/timing.h), so a
+// level an access does not reference needs no call: it idles, and its
+// residencies and leakage are priced against real time.  Stalls
+// compose: an access's AccessOutcome::stall_cycles is the sum over every
+// level it actually referenced (each level priced by its own
+// CacheTopology::latency), and the driver then advances the clock by
+// 1 + that sum.
 //
 // Known modeling asymmetries (unchanged from the two-level ancestor):
 // dirty lines written back by a *flush* leave the hierarchy without
@@ -79,14 +80,16 @@ struct RoutedLevel {
   InclusionPolicy inclusion = InclusionPolicy::kNonInclusive;
 };
 
-/// Routes one CPU access through `levels` (levels[0] faces the CPU),
-/// applying the per-level stream semantics documented above: each lower
-/// level consumes its upper neighbour's miss or eviction stream per its
-/// InclusionPolicy, unreferenced levels advance_idle(1), and the
-/// returned outcome is level 0's with stall_cycles summed over every
-/// level actually referenced.  The run engine (core/multicore.h) routes
-/// every access of a multi-level run through it: each core's private
-/// levels with the shared LLC appended as the chain's last level.
+/// Routes one CPU access through `levels` (levels[0] faces the CPU) at
+/// the clock's current cycle, applying the per-level stream semantics
+/// documented above: each lower level consumes its upper neighbour's
+/// miss or eviction stream per its InclusionPolicy, the walk stops at
+/// the first level with nothing to consume, and the returned outcome is
+/// level 0's with stall_cycles summed over every level actually
+/// referenced.  The levels must share one clock, which the caller
+/// advances afterwards.  The run engine (core/multicore.h) routes every
+/// access of a multi-level run through it: each core's private levels
+/// with the shared LLC appended as the chain's last level.
 AccessOutcome route_access(RoutedLevel* levels, std::size_t num_levels,
                            std::uint64_t address, bool is_write);
 

@@ -162,14 +162,18 @@ const CacheTopology& validated(const CacheTopology& topology) {
 
 }  // namespace
 
-ManagedCache::ManagedCache(const CacheTopology& topology)
+ManagedCache::ManagedCache(const CacheTopology& topology,
+                           const TimingModel* clock)
     : topology_(validated(topology)),
       cache_(topology.cache),
       control_(topology.num_units(), topology.breakeven_cycles),
       gate_cycles_(topology.gate_cycles()),
       offset_bits_(topology.cache.offset_bits()),
       tag_shift_(offset_bits_ + topology.cache.index_bits()),
-      index_mask_(low_mask(topology.cache.index_bits())) {
+      index_mask_(low_mask(topology.cache.index_bits())),
+      own_clock_(clock == nullptr ? std::make_unique<TimingModel>()
+                                  : nullptr),
+      clock_(clock == nullptr ? own_clock_.get() : clock) {
   switch (topology.granularity) {
     case Granularity::kMonolithic:
       break;
@@ -196,6 +200,7 @@ inline std::uint64_t ManagedCache::serve(const Map& map, const Slot& slot,
                                          std::uint64_t tag,
                                          std::uint64_t address,
                                          bool is_write, bool allocate,
+                                         std::uint64_t now,
                                          AccessOutcome* o) {
   const CacheAccessResult r =
       allocate ? cache_.access(tag, slot.set, is_write, address)
@@ -203,10 +208,10 @@ inline std::uint64_t ManagedCache::serve(const Map& map, const Slot& slot,
   const std::uint64_t unit = map.unit(slot.physical, r.way);
   std::uint64_t gap = 0;  // idle cycles before this access
   if constexpr (kChecked) {
-    gap = control_.idle_gap(unit, cycle_);
+    gap = control_.idle_gap(unit, now);
   } else {
     const std::uint64_t nf = control_.next_free(unit);
-    gap = cycle_ >= nf ? cycle_ - nf : 0;
+    gap = now >= nf ? now - nf : 0;
   }
   // A busy unit has gap 0, and the breakeven is positive, so it never
   // counts as woken (BlockControl::is_sleeping).
@@ -227,21 +232,21 @@ inline std::uint64_t ManagedCache::serve(const Map& map, const Slot& slot,
     o->add_event(0, r.hit, r.writeback, unit, address);
   }
   if constexpr (kChecked)
-    control_.on_access(unit, cycle_);
+    control_.on_access(unit, now);
   else
-    control_.record_access(unit, cycle_);
-  ++cycle_;
+    control_.record_access(unit, now);
   return stall;
 }
 
 AccessOutcome ManagedCache::serve_one(std::uint64_t address, bool is_write,
                                       bool allocate) {
-  PCAL_ASSERT_MSG(!finished_, "cache already finished");
+  PCAL_ASSERT_MSG(!finished_at_, "cache already finished");
   AccessOutcome out;
   with_unit_map([&](const auto& map) {
     serve<true>(map, map.decode(set_index_of(address)), tag_of(address),
-                address, is_write, allocate, &out);
+                address, is_write, allocate, clock_->total_cycles(), &out);
   });
+  if (own_clock_) own_clock_->on_access(0);
   return out;
 }
 
@@ -257,8 +262,10 @@ AccessOutcome ManagedCache::probe(std::uint64_t address) {
 // map's decode for the whole chunk — the mapping only moves on
 // update_indexing(), which the driver never fires mid-batch — then (2)
 // the shared per-access body per element, with Block Control via the
-// assert-free record_access.  One invariant check per batch; each
-// access's stall self-advances the clock, so every statistic matches the
+// assert-free record_access.  One invariant check per batch.  The loop
+// reads the clock once and keeps the serving cycle in a local, advanced
+// by 1 + stall per access exactly as the clock's owner advances the
+// clock between per-access calls, so every statistic matches the
 // per-access path bit for bit.  Outcomes are written only when the
 // caller asked for them.
 template <class Map>
@@ -268,6 +275,7 @@ std::uint64_t ManagedCache::run_batch(const Map& map,
   constexpr std::size_t kChunk = 256;
   std::uint64_t tags[kChunk];
   Slot slots[kChunk];
+  std::uint64_t now = clock_->total_cycles();
   std::uint64_t stalls = 0;
   for (std::size_t base = 0; base < n; base += kChunk) {
     const std::size_t m = std::min(kChunk, n - base);
@@ -280,8 +288,8 @@ std::uint64_t ManagedCache::run_batch(const Map& map,
       const MemAccess& a = accesses[base + j];
       const std::uint64_t stall = serve<false>(
           map, slots[j], tags[j], a.address, a.kind == AccessKind::kWrite,
-          /*allocate=*/true, out != nullptr ? out + base + j : nullptr);
-      cycle_ += stall;
+          /*allocate=*/true, now, out != nullptr ? out + base + j : nullptr);
+      now += 1 + stall;
       stalls += stall;
     }
   }
@@ -290,10 +298,12 @@ std::uint64_t ManagedCache::run_batch(const Map& map,
 
 std::uint64_t ManagedCache::access_batch(const MemAccess* accesses,
                                          std::size_t n, AccessOutcome* out) {
-  PCAL_ASSERT_MSG(!finished_, "cache already finished");
-  return with_unit_map([&](const auto& map) {
+  PCAL_ASSERT_MSG(!finished_at_, "cache already finished");
+  const std::uint64_t stalls = with_unit_map([&](const auto& map) {
     return run_batch(map, accesses, n, out);
   });
+  if (own_clock_) own_clock_->on_batch(n, stalls);
+  return stalls;
 }
 
 bool ManagedCache::invalidate_line(std::uint64_t address) {
@@ -310,7 +320,7 @@ bool ManagedCache::set_alloc_way_mask(std::uint64_t mask) {
 }
 
 std::uint64_t ManagedCache::update_indexing() {
-  PCAL_ASSERT_MSG(!finished_, "cache already finished");
+  PCAL_ASSERT_MSG(!finished_at_, "cache already finished");
   switch (topology_.granularity) {
     case Granularity::kMonolithic:
       break;
@@ -329,20 +339,15 @@ std::uint64_t ManagedCache::update_indexing() {
   return cache_.flush();
 }
 
-void ManagedCache::advance_idle(std::uint64_t cycles) {
-  PCAL_ASSERT_MSG(!finished_, "cache already finished");
-  cycle_ += cycles;
-}
-
 void ManagedCache::finish() {
-  if (finished_) return;
-  control_.finish(cycle_);
-  finished_ = true;
+  if (finished_at_) return;
+  finished_at_ = clock_->total_cycles();
+  control_.finish(*finished_at_);
 }
 
 double ManagedCache::unit_residency(std::uint64_t unit) const {
-  PCAL_ASSERT_MSG(finished_, "call finish() first");
-  return control_.sleep_residency(unit, cycle_);
+  PCAL_ASSERT_MSG(finished_at_, "call finish() first");
+  return control_.sleep_residency(unit, *finished_at_);
 }
 
 double ManagedCache::avg_residency() const {
@@ -366,7 +371,7 @@ double ManagedCache::min_residency() const {
 // gate equals the breakeven, so drowsy_cycles == 0 and gated_episodes ==
 // sleep_episodes exactly.
 UnitActivity ManagedCache::unit_activity(std::uint64_t unit) const {
-  PCAL_ASSERT_MSG(finished_, "call finish() first");
+  PCAL_ASSERT_MSG(finished_at_, "call finish() first");
   UnitActivity a;
   a.accesses = control_.accesses(unit);
   a.sleep_cycles = control_.sleep_cycles(unit);
@@ -382,12 +387,12 @@ UnitActivity ManagedCache::unit_activity(std::uint64_t unit) const {
 
 const IntervalAccumulator& ManagedCache::unit_intervals(
     std::uint64_t unit) const {
-  PCAL_ASSERT_MSG(finished_, "call finish() first");
+  PCAL_ASSERT_MSG(finished_at_, "call finish() first");
   return control_.intervals(unit);
 }
 
 UnitPowerState ManagedCache::unit_state(std::uint64_t unit) const {
-  const std::uint64_t gap = control_.idle_gap(unit, cycle_);
+  const std::uint64_t gap = control_.idle_gap(unit, clock_->total_cycles());
   if (gap < control_.breakeven_cycles()) return UnitPowerState::kAwake;
   if (gap >= gate_cycles_) return UnitPowerState::kGated;
   return UnitPowerState::kDrowsy;
@@ -396,6 +401,11 @@ UnitPowerState ManagedCache::unit_state(std::uint64_t unit) const {
 std::unique_ptr<ManagedCache> make_managed_cache(
     const CacheTopology& topology) {
   return std::make_unique<ManagedCache>(topology);
+}
+
+std::unique_ptr<ManagedCache> make_managed_cache(const CacheTopology& topology,
+                                                 const TimingModel& clock) {
+  return std::make_unique<ManagedCache>(topology, &clock);
 }
 
 }  // namespace pcal

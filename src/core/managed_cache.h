@@ -5,8 +5,10 @@
 // the monolithic cache (no management), the paper's uniformly partitioned
 // banks, and the per-line scheme of its reference [7].  ManagedCache is all
 // of them: one tag store (CacheModel), one Block Control over the
-// topology's power-management units, one clock, and one per-access body
-// that access(), probe() and access_batch() share.  The only
+// topology's power-management units, and one per-access body that
+// access(), probe() and access_batch() share, all on one clock — the
+// run's TimingModel (core/timing.h), which every cache of a run reads.
+// The only
 // per-granularity code is a *unit map* (core/managed_cache.cc): the rule
 // that turns a logical set index into the physical set the tag store
 // serves and the unit that pays for it.
@@ -25,16 +27,24 @@
 //
 // - make_managed_cache returns a uniquely-owned cache; the topology is
 //   copied into it, so the CacheTopology may be destroyed afterwards.
+// - Clock: built without one, a cache owns a clock and advances it as it
+//   serves — one cycle per access() or probe(), n cycles plus the
+//   batch's stalls per access_batch().  Built on a run's clock, it only
+//   reads that clock: the run advances it, so all of a run's caches are
+//   on one cycle by construction.  The clock must outlive the cache.
 // - A ManagedCache instance is NOT thread-safe: all mutating calls
-//   (access, update_indexing, advance_idle, finish) must come from one
-//   thread at a time.  Distinct instances share no mutable state, which is
-//   what lets SweepRunner drive one instance per worker with no locks.
+//   (access, update_indexing, finish) must come from one thread at a
+//   time.  The caches of one run share only its clock, and they live on
+//   one worker; distinct runs share no mutable state (each cohort member
+//   keeps its own run clock), which is what lets SweepRunner drive one
+//   run per worker with no locks.
 // - Every cache is deterministic: the same topology and the same access
-//   sequence produce bit-identical outcomes, statistics and residencies,
-//   on any machine and regardless of what other instances are doing.
+//   sequence at the same cycles produce bit-identical outcomes,
+//   statistics and residencies, on any machine and regardless of what
+//   other instances are doing.
 // - Query order: residency/activity/interval queries are only valid after
-//   finish(); access/update_indexing/advance_idle are only valid before.
-//   finish() is idempotent.
+//   finish(), and read the cycle finish() closed at; access and
+//   update_indexing are only valid before.  finish() is idempotent.
 #pragma once
 
 #include <cstddef>
@@ -251,33 +261,34 @@ struct CacheTopology {
 /// file comment); const queries after finish() may be read concurrently.
 class ManagedCache {
  public:
-  /// Validates `topology` (throws ConfigError) and builds its cache.
-  explicit ManagedCache(const CacheTopology& topology);
+  /// Validates `topology` (throws ConfigError) and builds its cache on
+  /// `clock`, a run's clock that this cache only reads; nullptr gives
+  /// the cache a clock of its own (see the file comment).
+  explicit ManagedCache(const CacheTopology& topology,
+                        const TimingModel* clock = nullptr);
 
-  /// Simulates one access at the next cycle.
+  /// Simulates one access at the clock's current cycle.
   AccessOutcome access(std::uint64_t address, bool is_write);
 
-  /// Simulates one lookup at the next cycle *without allocating on a
-  /// miss*: the serving unit is activated exactly as for access() (it
-  /// wakes if sleeping, its idle counter resets, hit/miss statistics
-  /// and stall cycles count), but a missing line stays absent — nothing
-  /// is installed, nothing evicted.  This is the exclusive hierarchy's
-  /// probe path (core/hierarchy.h): the probed line, if found,
-  /// conceptually moves up rather than filling this level.  At way grain
-  /// a probe miss touches no way; the tag store reports way 0, so the
-  /// cost lands on the set's first way-column.
+  /// Simulates one lookup at the clock's current cycle *without
+  /// allocating on a miss*: the serving unit is activated exactly as for
+  /// access() (it wakes if sleeping, its idle counter resets, hit/miss
+  /// statistics and stall cycles count), but a missing line stays absent
+  /// — nothing is installed, nothing evicted.  This is the exclusive
+  /// hierarchy's probe path (core/hierarchy.h): the probed line, if
+  /// found, conceptually moves up rather than filling this level.  At
+  /// way grain a probe miss touches no way; the tag store reports way 0,
+  /// so the cost lands on the set's first way-column.
   AccessOutcome probe(std::uint64_t address);
 
-  /// Simulates `n` accesses in one call.  Semantically identical to
-  ///
-  ///   for each i: out[i] = access(a[i]);
-  ///               advance_idle(out[i].stall_cycles);
-  ///
-  /// — each access's stall advances the clock before the next access is
-  /// served, so sleep/wake classification, statistics and residencies
-  /// are bit-identical to the per-access loop at every batch size.  The
-  /// loop is compiled once per unit map and checks its invariants once
-  /// per batch rather than per access.
+  /// Simulates `n` accesses in one call.  Access i is served at the
+  /// clock's current cycle + i + the stalls of the accesses before it,
+  /// so sleep/wake classification, statistics and residencies are
+  /// bit-identical to a per-access loop that advances the clock by
+  /// 1 + stall after each access(), at every batch size.  The clock's
+  /// owner then advances it by n + the returned stalls (a standalone
+  /// cache does so itself).  The loop is compiled once per unit map and
+  /// checks its invariants once per batch rather than per access.
   ///
   /// `out` is optional: given a caller-owned array of length >= n, one
   /// outcome per access is written there (entries of events[] at and
@@ -294,18 +305,14 @@ class ManagedCache {
   /// flushes the cache.  Returns the number of dirty lines written back.
   std::uint64_t update_indexing();
 
-  /// Advances time by `cycles` with no access: every unit idles.  This is
-  /// how a hierarchy keeps a lower level on the global clock while the
-  /// upper level absorbs hits (L2 cycles == L1 cycles, so L2 residencies
-  /// and leakage are priced against real time, not its access count).
-  void advance_idle(std::uint64_t cycles);
-
-  /// Finalizes idle-interval bookkeeping; call when the trace ends.
-  /// Residency/activity queries are only valid afterwards.  Idempotent.
+  /// Finalizes idle-interval bookkeeping at the clock's current cycle;
+  /// call when the trace ends.  Residency/activity queries are only
+  /// valid afterwards.  Idempotent.
   void finish();
 
-  /// Cycles simulated so far (accesses consumed + idle cycles advanced).
-  std::uint64_t cycles() const { return cycle_; }
+  /// The clock's current cycle: accesses consumed + stall and idle
+  /// cycles, on the run's clock or the cache's own.
+  std::uint64_t cycles() const { return clock_->total_cycles(); }
 
   /// Number of independently power-managed units.
   std::uint64_t num_units() const { return control_.num_banks(); }
@@ -378,14 +385,14 @@ class ManagedCache {
   template <class F>
   decltype(auto) with_unit_map(F&& f) const;
 
-  /// The one per-access body; returns the access's stall cycles and
-  /// fills `out` only when it is non-null.  kChecked: Block Control's
-  /// per-access asserts (access/probe); otherwise the batched loop's
-  /// assert-free bookkeeping.
+  /// The one per-access body, serving at cycle `now`; returns the
+  /// access's stall cycles and fills `out` only when it is non-null.
+  /// kChecked: Block Control's per-access asserts (access/probe);
+  /// otherwise the batched loop's assert-free bookkeeping.
   template <bool kChecked, class Map>
   std::uint64_t serve(const Map& map, const Slot& slot, std::uint64_t tag,
                       std::uint64_t address, bool is_write, bool allocate,
-                      AccessOutcome* out);
+                      std::uint64_t now, AccessOutcome* out);
 
   AccessOutcome serve_one(std::uint64_t address, bool is_write,
                           bool allocate);
@@ -418,15 +425,23 @@ class ManagedCache {
   std::uint64_t line_add_ = 0;
   std::uint64_t line_xor_ = 0;
   std::optional<GaloisLfsr> lfsr_;
-  std::uint64_t cycle_ = 0;
+  /// A standalone cache's own clock (null on a run's clock).
+  std::unique_ptr<TimingModel> own_clock_;
+  const TimingModel* clock_;
   std::uint64_t updates_ = 0;
-  bool finished_ = false;
+  /// The cycle finish() closed at; empty until then.
+  std::optional<std::uint64_t> finished_at_;
 };
 
 /// Builds the cache for a topology — every granularity and power policy
-/// is the one ManagedCache class.  Throws ConfigError on invalid
-/// topologies.
+/// is the one ManagedCache class — on a clock of its own.  Throws
+/// ConfigError on invalid topologies.
 std::unique_ptr<ManagedCache> make_managed_cache(
     const CacheTopology& topology);
+
+/// The same, on a run's `clock`, which the cache reads and never
+/// advances; `clock` must outlive the cache.
+std::unique_ptr<ManagedCache> make_managed_cache(const CacheTopology& topology,
+                                                 const TimingModel& clock);
 
 }  // namespace pcal

@@ -163,9 +163,9 @@ MultiCoreSystem::MultiCoreSystem(MultiCoreConfig config)
   config_.validate();
 }
 
-/// Everything one run keeps between accesses: the per-core runtime, the
-/// shared LLC, the clock, the contention model, the flush plan, the
-/// boundary counters and the snapshot buffers.  step() is the per-access
+/// Everything one run keeps between accesses: the run's clock, the
+/// per-core runtime, the shared LLC, the contention model, the flush
+/// plan, the boundary counters and the snapshot buffers.  step() is the per-access
 /// body; feed() takes one fetched batch of a one-core run, through the
 /// batched chunk loop or step() by step().  SystemRun::drive() feeds
 /// them, so one stream can feed several runs in lockstep.
@@ -210,6 +210,9 @@ struct SystemRun::State {
   // Accesses per TraceSource::next_batch call, and the batched loop's
   // chunk ceiling.
   const std::size_t fetch;
+  // The run's one clock: every level below is built on it, and only
+  // step() and feed() advance it.
+  TimingModel timing;
   std::unique_ptr<ManagedCache> llc;
   const bool partitioned;
   std::vector<CoreRt> rt;
@@ -217,7 +220,6 @@ struct SystemRun::State {
   std::uint64_t interval = 0;  // boundary cadence (updates or observer)
   // The flush plan of one update: per core, which private levels flush.
   std::vector<std::vector<char>> flush;
-  TimingModel timing;
   std::uint64_t since_boundary = 0;
   std::uint64_t boundary_index = 0;
   std::uint64_t updates_applied = 0;
@@ -247,7 +249,7 @@ SystemRun::State::State(const MultiCoreConfig& cfg,
                           std::max<std::uint64_t>(batch_size, 1),
                           kMaxDriverBatch))
                     : kBatchSize),
-      llc(make_managed_cache(config.llc.topology)),
+      llc(make_managed_cache(config.llc.topology, timing)),
       partitioned(config.partitioned()),
       rt(num_cores),
       mask_owner(num_cores) {
@@ -276,7 +278,7 @@ SystemRun::State::State(const MultiCoreConfig& cfg,
     c.offset = k * config.address_stride;
     c.quantum = source->boundary_hint().value_or(0);
     for (const LevelConfig& level : config.cores[k].levels) {
-      c.levels.push_back(make_managed_cache(level.topology));
+      c.levels.push_back(make_managed_cache(level.topology, timing));
       c.route.push_back({c.levels.back().get(), level.inclusion});
     }
     c.route.push_back({llc.get(), config.llc.inclusion});
@@ -375,7 +377,7 @@ void SystemRun::State::notify(std::uint64_t index, bool fired,
 
   IntervalSnapshot snap;
   snap.interval = index;
-  snap.cycles = llc->cycles();
+  snap.cycles = timing.total_cycles();
   snap.updates_applied = updates_applied;
   snap.fired_update = fired;
   snap.final_snapshot = final_snapshot;
@@ -466,17 +468,8 @@ void SystemRun::State::step(std::size_t k, const MemAccess& a) {
       stall += contention.on_event(ev, now + stall).total();
     }
   }
-  // Every other core's private levels idle this cycle (the LLC was
-  // advanced inside route_access, referenced or idle).
-  for (std::size_t j = 0; j < num_cores; ++j) {
-    if (j == k) continue;
-    for (auto& level : rt[j].levels) level->advance_idle(1);
-  }
-  if (stall != 0) {
-    for (CoreRt& other : rt)
-      for (auto& level : other.levels) level->advance_idle(stall);
-    llc->advance_idle(stall);
-  }
+  // The access and its stall pass on the one clock: every level that
+  // route_access did not reference, on this core or another, idles.
   timing.on_access(stall);
   ++c.accesses;
   c.stalls += stall;
@@ -487,20 +480,7 @@ MultiCoreResult SystemRun::State::finish() {
   for (CoreRt& c : rt)
     for (auto& level : c.levels) level->finish();
   llc->finish();
-
-  // One clock: every level of every core and the LLC must agree with
-  // the driver's stall accounting (total = accesses + stalls is a
-  // CI-gated record invariant; a new non-access clock advance would
-  // break it here, next to its cause).
   const std::uint64_t cycles = timing.total_cycles();
-  for (const CoreRt& c : rt)
-    for (const auto& level : c.levels)
-      PCAL_ASSERT_MSG(cycles == level->cycles(),
-                      "driver clock " << cycles << " != level clock "
-                                      << level->cycles());
-  PCAL_ASSERT_MSG(cycles == llc->cycles(),
-                  "driver clock " << cycles << " != LLC clock "
-                                  << llc->cycles());
 
   // Depth-major unit order: every core's L1 units, then every core's
   // L2 units, ..., then the LLC's.

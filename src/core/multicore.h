@@ -5,8 +5,8 @@
 // context switch)" — and this engine models the system those streams
 // actually run on: N cores, each with its own private cache stack (any
 // depth, including none; each level a full CacheTopology built via
-// make_managed_cache), all backed by ONE shared managed LLC, advanced on
-// a single global clock.  It is the only run loop: a single-stream
+// make_managed_cache), all backed by ONE shared managed LLC, and every
+// level reading the run's one clock.  It is the only run loop: a single-stream
 // Simulator::run is the 1-core system of one_core_system() below.
 //
 // ## Data flow (one issued access)
@@ -20,11 +20,12 @@
 // occupy disjoint address ranges (core 0 is unshifted).  The access
 // routes through the core's private levels and the appended LLC with
 // route_access (core/hierarchy.h), which defines the miss/eviction-
-// stream semantics, probe behavior and stall composition.  While core
-// k's access occupies the chain, every other core's private levels
-// advance_idle(1), and stalls advance *everything* — every level of
-// every core and the LLC live on the same clock, so leakage and
-// residency stay exact.
+// stream semantics, probe behavior and stall composition.  Then the
+// run's clock advances by 1 + the access's stall.  Every level of every
+// core and the LLC reads that one clock, so a level the access did not
+// reference — another core's, or one below the first unreferenced
+// level — idles through the access and its stall with no call, and
+// leakage and residency stay exact.
 //
 // One core with no private levels, no finite resource anywhere and no
 // forced scalar loop — a single-level Simulator run — instead hands

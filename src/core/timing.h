@@ -14,16 +14,17 @@
 //     power-gated — the same constants power/unit_energy.h documents).
 //   - WakeDepth classifies that wakeup: backends report how deep the
 //     serving unit was sleeping when the access arrived.
-//   - TimingModel is the driver-side accumulator: the run engine feeds it
-//     every access outcome's stall and it yields total cycles, stall
-//     cycles and the average access latency for SimResult.
+//   - TimingModel is the run's clock: the run engine advances it by
+//     every access and its stall, every cache of the run reads it, and
+//     it yields total cycles, stall cycles and the average access
+//     latency for SimResult.
 //
-// Stall semantics: stall cycles advance the global clock with no access
-// consumed (the driver calls ManagedCache::advance_idle), so every unit
-// at every level accumulates the stall as idle time and leakage is priced
-// against the stretched wall clock.  Whether a unit may enter a low-power
-// state during a long stall is governed by the same breakeven rule as any
-// other idleness — the model has one currency for idle time.
+// Stall semantics: stall cycles advance the run's clock with no access
+// consumed, so every unit at every level accumulates the stall as idle
+// time and leakage is priced against the stretched wall clock.  Whether
+// a unit may enter a low-power state during a long stall is governed by
+// the same breakeven rule as any other idleness — the model has one
+// currency for idle time.
 //
 // Degeneracy contract (pinned in tests/timing_test.cc and the backend
 // parity suite): all-zero LatencyParams — the default — produce zero
@@ -97,34 +98,36 @@ inline WakeDepth classify_wake(bool woke, std::uint64_t idle_gap,
   return idle_gap >= gate_cycles ? WakeDepth::kGated : WakeDepth::kDrowsy;
 }
 
-/// Driver-side clock: accumulates per-access stalls next to the access
-/// count.  One instance per Simulator::run; plain data, no threading.
+/// The run's clock: the one cycle count every cache of a run reads.
+/// Only its owner advances it — the run engine, by 1 + stall per routed
+/// access and by n + stalls per batched chunk, or a standalone cache
+/// (make_managed_cache without a clock), by each access it serves.
+/// Plain data, no threading.
 class TimingModel {
  public:
-  /// Records one consumed access and its stall.
-  void on_access(std::uint64_t stall_cycles) {
-    ++accesses_;
-    stall_cycles_ += stall_cycles;
-  }
+  /// Records one consumed access and its stall: 1 + stall_cycles cycles.
+  void on_access(std::uint64_t stall_cycles) { on_batch(1, stall_cycles); }
 
   /// Records `n` consumed accesses with `stall_cycles` total stalls in
   /// one step — numerically identical to n on_access calls, so the
   /// batched driver loop lands on the same clock as the scalar one.
+  /// n == 0 is idle time: cycles pass with no access consumed.
   void on_batch(std::uint64_t n, std::uint64_t stall_cycles) {
     accesses_ += n;
-    stall_cycles_ += stall_cycles;
+    cycles_ += n + stall_cycles;
   }
 
   std::uint64_t accesses() const { return accesses_; }
-  std::uint64_t stall_cycles() const { return stall_cycles_; }
-  /// Total simulated cycles: one per access plus every stall.
-  std::uint64_t total_cycles() const { return accesses_ + stall_cycles_; }
+  std::uint64_t stall_cycles() const { return cycles_ - accesses_; }
+  /// Total simulated cycles: one per access plus every stall — the
+  /// current cycle of every cache on this clock.
+  std::uint64_t total_cycles() const { return cycles_; }
   /// Mean cycles per access (>= 1; 0 for an empty run).
   double avg_access_latency() const;
 
  private:
   std::uint64_t accesses_ = 0;
-  std::uint64_t stall_cycles_ = 0;
+  std::uint64_t cycles_ = 0;
 };
 
 }  // namespace pcal

@@ -41,8 +41,9 @@ SimConfig base_config(Granularity g, PowerPolicy policy,
   cfg.policy = policy;
   cfg.drowsy_window_cycles = drowsy_window;
   cfg.reindex_updates = 8;
-  // Nonzero event costs so stalls flow through both loops (self-applied
-  // by the batched backends, advance_idle'd by the scalar driver).
+  // Nonzero event costs so stalls flow through both loops (folded into
+  // the batched loop's serving cycle, added to the clock by the scalar
+  // driver).
   cfg.latency.hit_cycles = 1;
   cfg.latency.miss_cycles = 6;
   cfg.latency.drowsy_wake_cycles = 2;
@@ -253,7 +254,8 @@ TEST(AccessBatchEquivalence, OutcomesAndStatsMatchScalarLoop) {
     SCOPED_TRACE(v.label);
     const CacheTopology topo =
         backend_topology(v.granularity, v.policy, v.drowsy_window);
-    std::unique_ptr<ManagedCache> scalar = make_managed_cache(topo);
+    TimingModel clock;  // the scalar replay's, advanced as a run does
+    std::unique_ptr<ManagedCache> scalar = make_managed_cache(topo, clock);
     std::unique_ptr<ManagedCache> batched = make_managed_cache(topo);
 
     std::vector<AccessOutcome> outs(4096);
@@ -268,7 +270,7 @@ TEST(AccessBatchEquivalence, OutcomesAndStatsMatchScalarLoop) {
         const MemAccess& a = accesses[pos + i];
         const AccessOutcome s =
             scalar->access(a.address, a.kind == AccessKind::kWrite);
-        if (s.stall_cycles != 0) scalar->advance_idle(s.stall_cycles);
+        clock.on_access(s.stall_cycles);
         expect_same_outcome(s, outs[i], pos + i);
       }
       pos += take;
@@ -293,7 +295,8 @@ TEST(AccessBatchEquivalence, UpdateIndexingBetweenBatches) {
        {Granularity::kBank, Granularity::kWay, Granularity::kLine}) {
     const CacheTopology topo =
         backend_topology(g, PowerPolicy::kGated, 0);
-    std::unique_ptr<ManagedCache> scalar = make_managed_cache(topo);
+    TimingModel clock;  // the scalar replay's, advanced as a run does
+    std::unique_ptr<ManagedCache> scalar = make_managed_cache(topo, clock);
     std::unique_ptr<ManagedCache> batched = make_managed_cache(topo);
 
     std::vector<AccessOutcome> outs(1024);
@@ -306,7 +309,7 @@ TEST(AccessBatchEquivalence, UpdateIndexingBetweenBatches) {
         const MemAccess& a = accesses[pos + i];
         const AccessOutcome s =
             scalar->access(a.address, a.kind == AccessKind::kWrite);
-        if (s.stall_cycles != 0) scalar->advance_idle(s.stall_cycles);
+        clock.on_access(s.stall_cycles);
         expect_same_outcome(s, outs[i], pos + i);
       }
       pos += take;

@@ -52,16 +52,15 @@ TEST(DrowsyHybrid, ZeroWindowIsTheGatedPolicy) {
     drowsy0.drowsy_window_cycles = 0;
     ASSERT_EQ(drowsy0.gate_cycles(), drowsy0.breakeven_cycles);
 
-    auto a = make_managed_cache(gated);
-    auto b = make_managed_cache(drowsy0);
+    TimingModel clock;  // both caches', one cycle per access
+    auto a = make_managed_cache(gated, clock);
+    auto b = make_managed_cache(drowsy0, clock);
     for (std::size_t i = 0; i < trace.size(); ++i) {
       const bool w = trace[i].kind == AccessKind::kWrite;
       a->access(trace[i].address, w);
       b->access(trace[i].address, w);
-      if (i % 1'000 == 999) {
-        a->advance_idle(100);
-        b->advance_idle(100);
-      }
+      clock.on_access(0);
+      if (i % 1'000 == 999) clock.on_batch(0, 100);
       if (i % 7'000 == 6'999) {
         a->update_indexing();
         b->update_indexing();

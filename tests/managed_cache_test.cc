@@ -299,12 +299,12 @@ TEST(Factory, RoundTripAllCombinations) {
   }
 }
 
-// ---- advance_idle edge cases, at every granularity ----
+// ---- idle time on the clock, at every granularity ----
 //
 // Every granularity (the drowsy hybrid policy and a two-level routed
-// chain included) must treat a zero-cycle advance as a no-op, reject time
-// advancing after finish(), and turn an idle-only run into full sleep
-// residency.
+// chain included) must treat a zero-cycle advance of its clock as a
+// no-op, reject an access after finish(), and turn an idle-only run into
+// full sleep residency.
 
 std::vector<CacheTopology> all_backend_topologies() {
   std::vector<CacheTopology> topos;
@@ -327,42 +327,62 @@ RouteChain two_level_chain() {
        {l2, InclusionPolicy::kNonInclusive}});
 }
 
-TEST(AdvanceIdle, ZeroCycleAdvanceIsANoOp) {
+TEST(IdleTime, ZeroCycleAdvanceIsANoOp) {
   for (const CacheTopology& topo : all_backend_topologies()) {
-    auto cache = make_managed_cache(topo);
+    TimingModel clock;
+    auto cache = make_managed_cache(topo, clock);
     cache->access(0x40, false);
+    clock.on_access(0);
     const std::uint64_t before = cache->cycles();
-    cache->advance_idle(0);
+    clock.on_batch(0, 0);
     EXPECT_EQ(cache->cycles(), before) << topo.describe();
   }
   RouteChain chain = two_level_chain();
   chain.access(0x40, false);
-  chain.advance_idle(0);
+  chain.clock().on_batch(0, 0);
   for (std::size_t i = 0; i < chain.num_levels(); ++i)
     EXPECT_EQ(chain.level(i).cycles(), 1u) << "level " << i;
 }
 
-TEST(AdvanceIdle, RejectedAfterFinish) {
+TEST(IdleTime, AccessRejectedAfterFinish) {
   for (const CacheTopology& topo : all_backend_topologies()) {
     auto cache = make_managed_cache(topo);
     cache->access(0x40, false);
     cache->finish();
     cache->finish();  // idempotent
-    EXPECT_THROW(cache->advance_idle(1), Error) << topo.describe();
     EXPECT_THROW(cache->access(0x40, false), Error) << topo.describe();
   }
   RouteChain chain = two_level_chain();
   chain.access(0x40, false);
   chain.finish();
-  EXPECT_THROW(chain.advance_idle(1), Error);
   EXPECT_THROW(chain.access(0x40, false), Error);
 }
 
-TEST(AdvanceIdle, IdleOnlyRunSleepsFullyAtEveryGranularity) {
+TEST(IdleTime, ResidencyReadsTheCycleFinishClosedAt) {
+  // A clock that moves after finish() changes no post-finish query.
+  for (const CacheTopology& topo : all_backend_topologies()) {
+    TimingModel clock;
+    auto cache = make_managed_cache(topo, clock);
+    cache->access(0x40, false);
+    clock.on_batch(1, 500);
+    cache->finish();
+    const double residency = cache->unit_residency(0);
+    const double avg = cache->avg_residency();
+    const UnitActivity before = cache->unit_activity(0);
+    clock.on_batch(0, 10'000);
+    EXPECT_EQ(cache->unit_residency(0), residency) << topo.describe();
+    EXPECT_EQ(cache->avg_residency(), avg) << topo.describe();
+    EXPECT_EQ(cache->unit_activity(0).sleep_cycles, before.sleep_cycles)
+        << topo.describe();
+  }
+}
+
+TEST(IdleTime, IdleOnlyRunSleepsFullyAtEveryGranularity) {
   constexpr std::uint64_t kIdle = 10'000;
   for (const CacheTopology& topo : all_backend_topologies()) {
-    auto cache = make_managed_cache(topo);
-    cache->advance_idle(kIdle);
+    TimingModel clock;
+    auto cache = make_managed_cache(topo, clock);
+    clock.on_batch(0, kIdle);
     cache->finish();
     EXPECT_EQ(cache->cycles(), kIdle);
     const double expected =
@@ -384,7 +404,7 @@ TEST(AdvanceIdle, IdleOnlyRunSleepsFullyAtEveryGranularity) {
     }
   }
   RouteChain chain = two_level_chain();
-  chain.advance_idle(kIdle);
+  chain.clock().on_batch(0, kIdle);
   chain.finish();
   const double expected = static_cast<double>(kIdle - 24) /
                           static_cast<double>(kIdle);

@@ -275,22 +275,22 @@ TEST(MultiCore, MatchesAHandReplayOnOneClock) {
   auto s1 = source_for(names[1], lengths[1]);
   const MultiCoreResult engine = MultiCoreSystem(mc).run({s0.get(), s1.get()});
 
+  TimingModel clock;
   std::vector<std::unique_ptr<ManagedCache>> caches;
   std::vector<std::vector<RoutedLevel>> routes(2);
   std::vector<Trace> traces;
   for (std::size_t k = 0; k < 2; ++k) {
     for (const LevelConfig& level : mc.cores[k].levels) {
-      caches.push_back(make_managed_cache(level.topology));
+      caches.push_back(make_managed_cache(level.topology, clock));
       routes[k].push_back({caches.back().get(), level.inclusion});
     }
     auto source = source_for(names[k], lengths[k]);
     traces.push_back(Trace::materialize(*source));
   }
-  caches.push_back(make_managed_cache(mc.llc.topology));
+  caches.push_back(make_managed_cache(mc.llc.topology, clock));
   for (std::vector<RoutedLevel>& route : routes)
     route.push_back({caches.back().get(), mc.llc.inclusion});
 
-  std::uint64_t now = 0;
   std::size_t pos[2] = {0, 0};
   bool done[2] = {false, false};
   while (!done[0] || !done[1]) {
@@ -306,8 +306,7 @@ TEST(MultiCore, MatchesAHandReplayOnOneClock) {
             route_access(routes[k].data(), routes[k].size(),
                          a.address + k * mc.address_stride,
                          a.kind == AccessKind::kWrite);
-        now += 1 + out.stall_cycles;
-        for (auto& cache : caches) cache->advance_idle(now - cache->cycles());
+        clock.on_access(out.stall_cycles);
       }
     }
   }
@@ -315,7 +314,7 @@ TEST(MultiCore, MatchesAHandReplayOnOneClock) {
 
   const SimResult& r = engine.system;
   EXPECT_EQ(r.accesses, lengths[0] + lengths[1]);
-  EXPECT_EQ(r.total_cycles, now);
+  EXPECT_EQ(r.total_cycles, clock.total_cycles());
   // The engine's unit order is depth-major: both L1s, both L2s, the LLC.
   std::vector<std::pair<const ManagedCache*, std::uint64_t>> units;
   for (std::size_t d = 0; d < 2; ++d)

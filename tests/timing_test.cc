@@ -112,24 +112,26 @@ TEST(Timing, DrowsyHybridWakesCheaplyInsideTheWindow) {
   topo.drowsy_window_cycles = 4;
   topo.latency.drowsy_wake_cycles = 1;
   topo.latency.gated_wake_cycles = 3;
-  auto cache = make_managed_cache(topo);
+  TimingModel clock;
+  auto cache = make_managed_cache(topo, clock);
 
   AccessOutcome out = cache->access(0, false);  // cold miss, awake
   EXPECT_EQ(out.wake, WakeDepth::kAwake);
   EXPECT_EQ(out.stall_cycles, 0u);
 
-  cache->advance_idle(5);  // gap 5: drowsy, not yet gated
+  clock.on_batch(1, 5);  // its cycle, then gap 5: drowsy, not yet gated
   out = cache->access(0, false);
   EXPECT_TRUE(out.woke_unit);
   EXPECT_EQ(out.wake, WakeDepth::kDrowsy);
   EXPECT_EQ(out.stall_cycles, 1u);
 
-  cache->advance_idle(9);  // gap 9 >= 8: power-gated
+  clock.on_batch(1, 9);  // its cycle, then gap 9 >= 8: power-gated
   out = cache->access(0, false);
   EXPECT_TRUE(out.woke_unit);
   EXPECT_EQ(out.wake, WakeDepth::kGated);
   EXPECT_EQ(out.stall_cycles, 3u);
 
+  clock.on_access(0);
   out = cache->access(0, false);  // back-to-back: no wake
   EXPECT_EQ(out.wake, WakeDepth::kAwake);
   EXPECT_EQ(out.stall_cycles, 0u);
@@ -142,9 +144,10 @@ TEST(Timing, PureGatedBackendReportsEveryWakeAsGated) {
   topo.cache.line_bytes = 16;
   topo.breakeven_cycles = 4;
   topo.latency.gated_wake_cycles = 3;
-  auto cache = make_managed_cache(topo);
+  TimingModel clock;
+  auto cache = make_managed_cache(topo, clock);
   cache->access(0, false);
-  cache->advance_idle(5);
+  clock.on_batch(1, 5);  // its cycle, then gap 5
   const AccessOutcome out = cache->access(0, false);
   EXPECT_TRUE(out.woke_unit);
   EXPECT_EQ(out.wake, WakeDepth::kGated);
@@ -153,7 +156,8 @@ TEST(Timing, PureGatedBackendReportsEveryWakeAsGated) {
 
 TEST(Timing, SimulatorStallAccountingMatchesManualReplay) {
   // The driver's TimingModel must agree with a by-hand replay of the
-  // same backend over the same trace (access + advance_idle(stall)).
+  // same backend over the same trace (access, then 1 + stall on the
+  // replay's clock).
   SimConfig cfg = static_variant(paper_config(8192, 16, 4));
   cfg.latency.hit_cycles = 1;
   cfg.latency.miss_cycles = 12;
@@ -163,12 +167,14 @@ TEST(Timing, SimulatorStallAccountingMatchesManualReplay) {
   const Trace trace = Trace::materialize(src);
 
   const Simulator sim(cfg);
-  auto manual = make_managed_cache(cfg.topology(sim.breakeven_cycles()));
+  TimingModel clock;
+  auto manual =
+      make_managed_cache(cfg.topology(sim.breakeven_cycles()), clock);
   std::uint64_t manual_stalls = 0;
   for (std::size_t i = 0; i < trace.size(); ++i) {
     const AccessOutcome out = manual->access(
         trace[i].address, trace[i].kind == AccessKind::kWrite);
-    if (out.stall_cycles != 0) manual->advance_idle(out.stall_cycles);
+    clock.on_access(out.stall_cycles);
     manual_stalls += out.stall_cycles;
   }
   manual->finish();
@@ -238,7 +244,6 @@ TEST(Timing, HierarchyStallsSumTheReferencedLevels) {
     stalls += out.stall_cycles;
     if (out.hit)
       ++l1_hits;
-    chain.advance_idle(out.stall_cycles);
   }
   chain.finish();
   l2_hits = chain.stats(1).hits;
