@@ -89,6 +89,7 @@ int run() {
     total.jobs += stats.jobs;
     total.failed_jobs += stats.failed_jobs;
     total.total_accesses += stats.total_accesses;
+    total.simulated_accesses += stats.simulated_accesses;
     total.intervals_observed += stats.intervals_observed;
     total.steals += stats.steals;
     total.wall_seconds += stats.wall_seconds;

@@ -435,6 +435,7 @@ std::vector<SweepOutcome> SweepRunner::run(const std::vector<SweepJob>& jobs,
     stats_.steals += a.steals;
     stats_.sources_built += a.sources;
   }
+  stats_.simulated_accesses = stats_.total_accesses;
   return outcomes;
 }
 

@@ -190,6 +190,10 @@ struct SweepStats {
   std::size_t failed_jobs = 0;
   unsigned threads = 0;
   std::uint64_t total_accesses = 0;      // sum of SimResult::accesses
+  /// Accesses simulated by this run.  Equal to total_accesses, except
+  /// where a resumed sweep folds its journal-restored jobs into the
+  /// totals: those were simulated by an earlier run.
+  std::uint64_t simulated_accesses = 0;
   std::uint64_t intervals_observed = 0;  // observer callbacks fired
   std::uint64_t steals = 0;              // units taken from another worker
   /// TraceSources built: one per solo attempt (per core for multi-core
@@ -197,9 +201,10 @@ struct SweepStats {
   std::uint64_t sources_built = 0;
   double wall_seconds = 0.0;
 
+  /// Simulation rate: the accesses this run simulated over its wall time.
   double accesses_per_second() const {
     return wall_seconds > 0.0
-               ? static_cast<double>(total_accesses) / wall_seconds
+               ? static_cast<double>(simulated_accesses) / wall_seconds
                : 0.0;
   }
 };

@@ -11,7 +11,9 @@
   refused resume   a journal of one design does not resume another: a
                    spec journaled with one fixed [grid] value (l2_banks,
                    footprint) is refused when resumed with another, and
-                   resumes when nothing changed
+                   resumes when nothing changed; that fully restored
+                   resume simulated nothing, so its summary and record
+                   report 0 accesses/s next to the journaled run's totals
 
 Every run uses PCAL_BENCH_ACCESSES=20000.  Only the Python interpreter is
 needed, so it runs on sanitizer builds too.
@@ -21,6 +23,7 @@ Usage:
 """
 import argparse
 import glob
+import json
 import os
 import re
 import subprocess
@@ -123,8 +126,14 @@ def kill_and_resume(c):
                                             "--normalize", record))
 
 
+def read_record(path):
+    with open(path, encoding="utf-8") as f:
+        return json.load(f)
+
+
 def refused_resume(c):
     d = c.dir("refused")
+    record = os.path.join(d, "BENCH_design.json")
     spec = os.path.join(d, "design.sweep")
     with open(spec, "w") as f:
         f.write("[grid]\nname = design\nl2_banks = 4\nfootprint = 16k\n"
@@ -132,6 +141,7 @@ def refused_resume(c):
     for key, other in (("l2_banks", "16"), ("footprint", "256k")):
         journal = os.path.join(d, key + ".pcalj")
         c.ok("journal the design", ["--journal", journal, spec], d)
+        journaled = read_record(record)
         code, out, err = c.sweep(["--resume", journal, spec,
                                   "grid.%s=%s" % (key, other)], d)
         c.check("resume with another [grid] %s is refused" % key,
@@ -142,6 +152,17 @@ def refused_resume(c):
                       ["--resume", journal, spec], d)
         c.check("the same design resumes every job",
                 "resume: 2 jobs restored" in err, err)
+        c.check("a fully restored resume reports 0 accesses/s",
+                re.search(r" 0\.0M accesses/s,", err) is not None, err)
+        resumed = read_record(record)
+        c.check("its record's rate is 0 and its totals the journaled run's",
+                resumed["accesses_per_second"] == 0 and
+                all(resumed[k] == journaled[k] for k in
+                    ("jobs", "failed_jobs", "total_accesses")) and
+                resumed["total_accesses"] > 0,
+                json.dumps({k: resumed.get(k) for k in
+                            ("accesses_per_second", "jobs", "failed_jobs",
+                             "total_accesses")}))
 
 
 def main():

@@ -543,7 +543,9 @@ int main(int argc, char** argv) {
 
     // Resumed runs recompute the merged aggregate; plain runs keep the
     // runner's stats verbatim (threads/wall/steals are run-varying
-    // either way and normalized out of record diffs).
+    // either way and normalized out of record diffs).  The rate keeps
+    // the runner's simulated_accesses: a restored job was simulated by
+    // the run that journaled it, not in this invocation's wall time.
     SweepStats stats = runner.last_stats();
     if (!opt.resume_path.empty()) {
       stats.jobs = outcomes.size();
