@@ -22,6 +22,7 @@
 #include "api/pcal.h"
 #include "api/timeline.h"
 #include "core/run_assembly.h"
+#include "trace/multiprogram.h"
 #include "util/config_file.h"
 #include "util/error.h"
 #include "util/string_util.h"
@@ -211,13 +212,23 @@ api::RunConfig stage_ini(const std::vector<ConfigEntry>& entries,
     if (!keys[i].empty()) rc.set(keys[i], entries[i].value);
   // A [multiprogram] program list replaces the workload with an
   // interleaved multiprog: stream, whose quantum boundaries align
-  // re-indexing to context switches.
+  // re-indexing to context switches.  A quantum is checked wherever it
+  // is set, like every other key of a switched-off section; without
+  // programs it is inert.
+  const ConfigEntry* quantum = find_entry(entries, "multiprogram", "quantum");
+  if (quantum) {
+    try {
+      parse_multiprogram_quantum(quantum->value);
+    } catch (const ConfigError& e) {
+      throw ParseError(path + " " + quantum->where +
+                       ": [multiprogram] quantum: " + e.what());
+    }
+  }
   const ConfigEntry* programs = find_entry(entries, "multiprogram", "programs");
   if (programs && !programs->value.empty()) {
     std::string spec = programs->value;
     std::replace(spec.begin(), spec.end(), ',', '+');
-    if (const ConfigEntry* q = find_entry(entries, "multiprogram", "quantum"))
-      spec += "@" + q->value;
+    if (quantum) spec += "@" + quantum->value;
     rc.set("workload", "multiprog:" + spec);
   }
   return rc;

@@ -22,8 +22,9 @@ WorkloadSpec resolve_program(const std::string& name,
   return make_mediabench_workload(name);  // throws on unknown names
 }
 
-/// "200000" / "100k" / "2M" -> accesses; throws ConfigError otherwise.
-std::uint64_t parse_quantum(const std::string& text) {
+}  // namespace
+
+std::uint64_t parse_multiprogram_quantum(const std::string& text) {
   std::uint64_t scale = 1;
   std::string digits = text;
   if (!digits.empty() && (digits.back() == 'k' || digits.back() == 'K')) {
@@ -44,8 +45,6 @@ std::uint64_t parse_quantum(const std::string& text) {
   return value;
 }
 
-}  // namespace
-
 MultiProgramConfig parse_multiprogram_spec(const std::string& spec,
                                            std::uint64_t footprint_bytes) {
   std::string programs = spec;
@@ -53,7 +52,7 @@ MultiProgramConfig parse_multiprogram_spec(const std::string& spec,
   const std::size_t at = programs.find('@');
   if (at != std::string::npos) {
     config.quantum_accesses =
-        parse_quantum(std::string(trim(programs.substr(at + 1))));
+        parse_multiprogram_quantum(std::string(trim(programs.substr(at + 1))));
     programs.erase(at);
   }
   for (const std::string& field : split(programs, '+')) {

@@ -37,6 +37,10 @@ struct MultiProgramConfig {
 MultiProgramConfig parse_multiprogram_spec(const std::string& spec,
                                            std::uint64_t footprint_bytes);
 
+/// A multiprog quantum as the "@<n>" suffix spells it: "200000", "100k"
+/// or "2M" accesses.  Throws ConfigError on anything else, and on zero.
+std::uint64_t parse_multiprogram_quantum(const std::string& text);
+
 class MultiProgramSource final : public TraceSource {
  public:
   MultiProgramSource(MultiProgramConfig config, std::uint64_t num_accesses);

@@ -7,14 +7,16 @@ user sees of that:
 
   defaults     an INI holding only `[workload] accesses` prints the same
                report as `pcalsim --example` at that length, keys of a
-               switched-off [l3] or [multicore] are inert, and an [l3]
+               switched-off [l3] or [multicore] and a valid quantum
+               without [multiprogram] programs are inert, and an [l3]
                does not inherit [l2] (its unset keys take their own
                documented defaults)
   strictness   unknown keys and sections, duplicate keys, keys before any
                section, negative numbers, a bad L1 value reported once, the
                removed
-               `multiprogram.stride`, a [core<k>] without that core and a
-               missing INI all fail with an error that says where
+               `multiprogram.stride`, a malformed [multiprogram] quantum
+               (with or without programs), a [core<k>] without that core
+               and a missing INI all fail with an error that says where
   run path     `workload.accesses` caps `trace:` replays (text and .pct),
                and [multiprogram] composes the workload under [multicore]
   docs         every `./build/pcalsim <ini> section.key=value ...` command
@@ -121,6 +123,10 @@ def check_defaults(cli, example):
                               "multicore.cores=0", "multicore.llc_size=64k",
                               "multicore.llc_ways_per_core=4"]),
              cli.ok("inert-example", [example, "workload.accesses=20000"]))
+    cli.same("defaults: a quantum without programs changes nothing",
+             cli.ok("inert-quantum", [example, "workload.accesses=20000",
+                                      "multiprogram.quantum=5000"]),
+             cli.ok("inert-example", [example, "workload.accesses=20000"]))
 
     base = [example, "workload.accesses=20000"]
     l2 = ["l2.%s=%s" % kv for kv in L2_NON_DEFAULT.items()]
@@ -191,6 +197,19 @@ def check_strictness(cli, example, example_text):
                      "[multiprogram]\nprograms = sha+cjpeg\nstride = 1m\n")
     cli.rejects("multiprogram stride in the file", [path], "stride.ini line 3",
                 "'stride'")
+
+    # A [multiprogram] quantum is checked whether or not programs are set.
+    for bad in ("-1", "abc"):
+        for programs in ([], ["multiprogram.programs=sha+cjpeg"]):
+            cli.rejects("multiprogram.quantum=%s override%s"
+                        % (bad, " with programs" if programs else ""),
+                        [example] + programs +
+                        ["multiprogram.quantum=" + bad],
+                        "override 'multiprogram.quantum=%s'" % bad,
+                        "[multiprogram] quantum", "bad multiprog quantum")
+    path = cli.write("quantum.ini", "[multiprogram]\nquantum = abc\n")
+    cli.rejects("multiprogram quantum in the file", [path],
+                "quantum.ini line 2", "[multiprogram] quantum")
 
     # A [core<k>] needs a core k.
     cli.rejects("core1 without cores override",
