@@ -187,6 +187,9 @@ struct SystemRun::State {
         const AgingLut* lut, const IntervalObserver& observer,
         std::uint64_t batch_size, bool force_scalar_loop,
         std::vector<UnitEnergyModel> models);
+  // Every level holds the address of `timing`.
+  State(const State&) = delete;
+  State& operator=(const State&) = delete;
 
   void feed(const MemAccess* batch, std::size_t n);
   void step(std::size_t k, const MemAccess& a);
