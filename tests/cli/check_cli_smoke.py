@@ -1,0 +1,176 @@
+#!/usr/bin/env python3
+"""End-to-end smoke checks of pcalsweep and pcalsim.
+
+  spec validation  `--dry-run` accepts `pcalsweep --example` and every
+                   examples/*.sweep (trace_mix.sweep over a generated
+                   `pcal-tracepack gen cjpeg 100000 demo.pct`)
+  determinism      examples/trace_mix.sweep and examples/hierarchy.sweep
+                   print the same stdout at 1 and 8 workers
+  timeline         pcalsim (`--example` at 50000 accesses, a 64 kB L2,
+                   the drowsy policy) prints the same report with and
+                   without `--timeline`; hierarchy.sweep at 8 workers
+                   with a `timeline.dir` prints the plain 8-worker
+                   table; multicore.sweep at `sweep.cores=1,2` with a
+                   `timeline.dir` runs
+  gates            tools/check_timeline_json.py passes every timeline
+                   artifact, and tools/check_bench_json.py every BENCH
+                   record the sweeps write
+
+Every sweep runs at PCAL_BENCH_ACCESSES=20000.  Only the Python
+interpreter is needed, so it runs on sanitizer builds too.
+
+Usage:
+  check_cli_smoke.py --pcalsim P --pcalsweep S --tracepack T
+"""
+import argparse
+import glob
+import os
+import subprocess
+import sys
+import tempfile
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+ROOT = os.path.dirname(os.path.dirname(HERE))
+EXAMPLES = os.path.join(ROOT, "examples")
+BENCH_GATE = os.path.join(ROOT, "tools", "check_bench_json.py")
+TIMELINE_GATE = os.path.join(ROOT, "tools", "check_timeline_json.py")
+ACCESSES = "20000"
+
+
+class Checks:
+    def __init__(self, args, work):
+        self.pcalsim = os.path.abspath(args.pcalsim)
+        self.pcalsweep = os.path.abspath(args.pcalsweep)
+        self.tracepack = os.path.abspath(args.tracepack)
+        self.work = work
+        self.records = []
+        self.failures = []
+        self.checked = 0
+
+    def check(self, name, ok, detail=""):
+        self.checked += 1
+        if not ok:
+            self.failures.append(name + (": " + detail if detail else ""))
+
+    def run(self, name, argv, env=None):
+        """Runs argv in the work directory and requires exit 0; returns
+        stdout."""
+        full_env = {k: v for k, v in os.environ.items()
+                    if not k.startswith("PCAL_")}
+        full_env.update(env or {})
+        proc = subprocess.run(argv, cwd=self.work, env=full_env,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        self.check(name, proc.returncode == 0, "exit %d\n%s" % (
+            proc.returncode, proc.stderr.decode(errors="replace")))
+        return proc.stdout.decode(errors="replace")
+
+    def sweep(self, name, args, workers=None):
+        """pcalsweep at PCAL_BENCH_ACCESSES, its BENCH record written to a
+        directory of its own (gated at the end); returns stdout."""
+        records = os.path.join(self.work, "records", str(len(self.records)))
+        os.makedirs(records)
+        self.records.append(records)
+        env = {"PCAL_BENCH_ACCESSES": ACCESSES,
+               "PCAL_BENCH_JSON_DIR": records}
+        if workers is not None:
+            env["PCAL_BENCH_THREADS"] = str(workers)
+        return self.run(name, [self.pcalsweep] + args, env)
+
+    def same(self, name, a, b):
+        self.check(name, a == b and a != "",
+                   "outputs differ" if a != b else "empty output")
+
+    def gate(self, name, argv):
+        proc = subprocess.run([sys.executable] + argv, stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE)
+        self.check(name, proc.returncode == 0,
+                   proc.stderr.decode(errors="replace"))
+
+
+def spec(name):
+    return os.path.join(EXAMPLES, name + ".sweep")
+
+
+def spec_validation(c):
+    # trace_mix replays demo.pct from the working directory, even to
+    # validate its grid.
+    c.run("pcal-tracepack gen", [c.tracepack, "gen", "cjpeg", "100000",
+                                 "demo.pct"])
+    example = os.path.join(c.work, "example.sweep")
+    with open(example, "w") as f:
+        f.write(c.run("pcalsweep --example", [c.pcalsweep, "--example"]))
+    c.run("--dry-run of the --example spec",
+          [c.pcalsweep, "--dry-run", example])
+    specs = sorted(glob.glob(os.path.join(EXAMPLES, "*.sweep")))
+    c.check("examples/*.sweep found", bool(specs))
+    for path in specs:
+        c.run("--dry-run " + os.path.basename(path),
+              [c.pcalsweep, "--dry-run", path])
+
+
+def determinism(c):
+    tables = {}
+    for name in ("trace_mix", "hierarchy"):
+        for workers in (1, 8):
+            tables[name, workers] = c.sweep(
+                "%s at %d worker(s)" % (name, workers), [spec(name)], workers)
+        c.same("%s: 1 worker == 8 workers" % name, tables[name, 1],
+               tables[name, 8])
+    return tables["hierarchy", 8]
+
+
+def timeline(c, hierarchy_table):
+    config = os.path.join(c.work, "timeline.ini")
+    with open(config, "w") as f:
+        f.write(c.run("pcalsim --example", [c.pcalsim, "--example"]))
+    run = [c.pcalsim, config, "workload.accesses=50000", "l2.size=65536",
+           "partition.policy=drowsy"]
+    single = os.path.join(c.work, "single.json")
+    c.same("pcalsim: --timeline leaves the report unchanged",
+           c.run("pcalsim", run),
+           c.run("pcalsim --timeline", run + ["--timeline", single]))
+
+    timelines = os.path.join(c.work, "timelines")
+    c.same("hierarchy at 8 workers: timeline.dir leaves the table unchanged",
+           hierarchy_table,
+           c.sweep("hierarchy with timeline.dir",
+                   [spec("hierarchy"), "timeline.dir=" + timelines], 8))
+    mc_timelines = os.path.join(c.work, "mc_timelines")
+    c.sweep("multicore at cores=1,2 with timeline.dir",
+            [spec("multicore"), "sweep.cores=1,2",
+             "timeline.dir=" + mc_timelines])
+
+    artifacts = [single]
+    for directory in (timelines, mc_timelines):
+        written = sorted(glob.glob(os.path.join(directory, "*.json")))
+        c.check("timelines in " + directory, bool(written))
+        artifacts += written
+    c.gate("timeline gate", [TIMELINE_GATE] + artifacts)
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--pcalsim", required=True)
+    ap.add_argument("--pcalsweep", required=True)
+    ap.add_argument("--tracepack", required=True)
+    args = ap.parse_args()
+    with tempfile.TemporaryDirectory(prefix="pcal_smoke_") as work:
+        c = Checks(args, work)
+        spec_validation(c)
+        timeline(c, determinism(c))
+        for records in c.records:
+            c.check("a BENCH record in " + records,
+                    bool(glob.glob(os.path.join(records, "BENCH_*.json"))))
+        c.gate("bench gate", [BENCH_GATE] + c.records)
+    for f in c.failures:
+        print("FAIL " + f, file=sys.stderr)
+    if c.failures:
+        print("%d of %d smoke checks failed" % (len(c.failures), c.checked),
+              file=sys.stderr)
+        return 1
+    print("passed %d smoke checks" % c.checked)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
