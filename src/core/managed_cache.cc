@@ -399,13 +399,8 @@ UnitPowerState ManagedCache::unit_state(std::uint64_t unit) const {
 }
 
 std::unique_ptr<ManagedCache> make_managed_cache(
-    const CacheTopology& topology) {
-  return std::make_unique<ManagedCache>(topology);
-}
-
-std::unique_ptr<ManagedCache> make_managed_cache(const CacheTopology& topology,
-                                                 const TimingModel& clock) {
-  return std::make_unique<ManagedCache>(topology, &clock);
+    const CacheTopology& topology, const TimingModel* clock) {
+  return std::make_unique<ManagedCache>(topology, clock);
 }
 
 }  // namespace pcal

@@ -6,12 +6,11 @@
 // banks, and the per-line scheme of its reference [7].  ManagedCache is all
 // of them: one tag store (CacheModel), one Block Control over the
 // topology's power-management units, and one per-access body that
-// access(), probe() and access_batch() share, all on one clock — the
-// run's TimingModel (core/timing.h), which every cache of a run reads.
-// The only
-// per-granularity code is a *unit map* (core/managed_cache.cc): the rule
-// that turns a logical set index into the physical set the tag store
-// serves and the unit that pays for it.
+// access(), probe() and access_batch() share, on the run's one clock
+// (TimingModel, core/timing.h).  The only per-granularity code is a *unit
+// map* (core/managed_cache.cc): the rule that turns a logical set index
+// into the physical set the tag store serves and the unit that pays for
+// it.
 //
 // A "unit" is the architecture's power-management granule: the whole cache
 // (monolithic), one bank, one way-column of a bank (way-grain), or one
@@ -434,14 +433,10 @@ class ManagedCache {
 };
 
 /// Builds the cache for a topology — every granularity and power policy
-/// is the one ManagedCache class — on a clock of its own.  Throws
+/// is the one ManagedCache class — on a run's `clock`, or on a clock of
+/// its own when `clock` is null (see the file comment).  Throws
 /// ConfigError on invalid topologies.
 std::unique_ptr<ManagedCache> make_managed_cache(
-    const CacheTopology& topology);
-
-/// The same, on a run's `clock`, which the cache reads and never
-/// advances; `clock` must outlive the cache.
-std::unique_ptr<ManagedCache> make_managed_cache(const CacheTopology& topology,
-                                                 const TimingModel& clock);
+    const CacheTopology& topology, const TimingModel* clock = nullptr);
 
 }  // namespace pcal

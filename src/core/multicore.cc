@@ -165,10 +165,11 @@ MultiCoreSystem::MultiCoreSystem(MultiCoreConfig config)
 
 /// Everything one run keeps between accesses: the run's clock, the
 /// per-core runtime, the shared LLC, the contention model, the flush
-/// plan, the boundary counters and the snapshot buffers.  step() is the per-access
-/// body; feed() takes one fetched batch of a one-core run, through the
-/// batched chunk loop or step() by step().  SystemRun::drive() feeds
-/// them, so one stream can feed several runs in lockstep.
+/// plan, the boundary counters and the snapshot buffers.  step() is the
+/// per-access body; feed() takes one fetched batch of a one-core run,
+/// through the batched chunk loop or step() by step().
+/// SystemRun::drive() feeds them, so one stream can feed several runs in
+/// lockstep.
 struct SystemRun::State {
   /// Per-core runtime state: the private backends plus the routing chain
   /// route_access walks — the private levels with the shared LLC
@@ -252,7 +253,7 @@ SystemRun::State::State(const MultiCoreConfig& cfg,
                           std::max<std::uint64_t>(batch_size, 1),
                           kMaxDriverBatch))
                     : kBatchSize),
-      llc(make_managed_cache(config.llc.topology, timing)),
+      llc(make_managed_cache(config.llc.topology, &timing)),
       partitioned(config.partitioned()),
       rt(num_cores),
       mask_owner(num_cores) {
@@ -281,7 +282,7 @@ SystemRun::State::State(const MultiCoreConfig& cfg,
     c.offset = k * config.address_stride;
     c.quantum = source->boundary_hint().value_or(0);
     for (const LevelConfig& level : config.cores[k].levels) {
-      c.levels.push_back(make_managed_cache(level.topology, timing));
+      c.levels.push_back(make_managed_cache(level.topology, &timing));
       c.route.push_back({c.levels.back().get(), level.inclusion});
     }
     c.route.push_back({llc.get(), config.llc.inclusion});

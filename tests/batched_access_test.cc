@@ -255,7 +255,7 @@ TEST(AccessBatchEquivalence, OutcomesAndStatsMatchScalarLoop) {
     const CacheTopology topo =
         backend_topology(v.granularity, v.policy, v.drowsy_window);
     TimingModel clock;  // the scalar replay's, advanced as a run does
-    std::unique_ptr<ManagedCache> scalar = make_managed_cache(topo, clock);
+    std::unique_ptr<ManagedCache> scalar = make_managed_cache(topo, &clock);
     std::unique_ptr<ManagedCache> batched = make_managed_cache(topo);
 
     std::vector<AccessOutcome> outs(4096);
@@ -296,7 +296,7 @@ TEST(AccessBatchEquivalence, UpdateIndexingBetweenBatches) {
     const CacheTopology topo =
         backend_topology(g, PowerPolicy::kGated, 0);
     TimingModel clock;  // the scalar replay's, advanced as a run does
-    std::unique_ptr<ManagedCache> scalar = make_managed_cache(topo, clock);
+    std::unique_ptr<ManagedCache> scalar = make_managed_cache(topo, &clock);
     std::unique_ptr<ManagedCache> batched = make_managed_cache(topo);
 
     std::vector<AccessOutcome> outs(1024);

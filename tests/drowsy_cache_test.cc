@@ -53,8 +53,8 @@ TEST(DrowsyHybrid, ZeroWindowIsTheGatedPolicy) {
     ASSERT_EQ(drowsy0.gate_cycles(), drowsy0.breakeven_cycles);
 
     TimingModel clock;  // both caches', one cycle per access
-    auto a = make_managed_cache(gated, clock);
-    auto b = make_managed_cache(drowsy0, clock);
+    auto a = make_managed_cache(gated, &clock);
+    auto b = make_managed_cache(drowsy0, &clock);
     for (std::size_t i = 0; i < trace.size(); ++i) {
       const bool w = trace[i].kind == AccessKind::kWrite;
       a->access(trace[i].address, w);

@@ -330,7 +330,7 @@ RouteChain two_level_chain() {
 TEST(IdleTime, ZeroCycleAdvanceIsANoOp) {
   for (const CacheTopology& topo : all_backend_topologies()) {
     TimingModel clock;
-    auto cache = make_managed_cache(topo, clock);
+    auto cache = make_managed_cache(topo, &clock);
     cache->access(0x40, false);
     clock.on_access(0);
     const std::uint64_t before = cache->cycles();
@@ -362,7 +362,7 @@ TEST(IdleTime, ResidencyReadsTheCycleFinishClosedAt) {
   // A clock that moves after finish() changes no post-finish query.
   for (const CacheTopology& topo : all_backend_topologies()) {
     TimingModel clock;
-    auto cache = make_managed_cache(topo, clock);
+    auto cache = make_managed_cache(topo, &clock);
     cache->access(0x40, false);
     clock.on_batch(1, 500);
     cache->finish();
@@ -381,7 +381,7 @@ TEST(IdleTime, IdleOnlyRunSleepsFullyAtEveryGranularity) {
   constexpr std::uint64_t kIdle = 10'000;
   for (const CacheTopology& topo : all_backend_topologies()) {
     TimingModel clock;
-    auto cache = make_managed_cache(topo, clock);
+    auto cache = make_managed_cache(topo, &clock);
     clock.on_batch(0, kIdle);
     cache->finish();
     EXPECT_EQ(cache->cycles(), kIdle);

@@ -281,13 +281,13 @@ TEST(MultiCore, MatchesAHandReplayOnOneClock) {
   std::vector<Trace> traces;
   for (std::size_t k = 0; k < 2; ++k) {
     for (const LevelConfig& level : mc.cores[k].levels) {
-      caches.push_back(make_managed_cache(level.topology, clock));
+      caches.push_back(make_managed_cache(level.topology, &clock));
       routes[k].push_back({caches.back().get(), level.inclusion});
     }
     auto source = source_for(names[k], lengths[k]);
     traces.push_back(Trace::materialize(*source));
   }
-  caches.push_back(make_managed_cache(mc.llc.topology, clock));
+  caches.push_back(make_managed_cache(mc.llc.topology, &clock));
   for (std::vector<RoutedLevel>& route : routes)
     route.push_back({caches.back().get(), mc.llc.inclusion});
 

@@ -17,7 +17,7 @@ class RouteChain {
  public:
   explicit RouteChain(const std::vector<LevelConfig>& levels) {
     for (const LevelConfig& level : levels) {
-      levels_.push_back(make_managed_cache(level.topology, clock_));
+      levels_.push_back(make_managed_cache(level.topology, &clock_));
       route_.push_back({levels_.back().get(), level.inclusion});
     }
   }

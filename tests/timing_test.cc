@@ -113,7 +113,7 @@ TEST(Timing, DrowsyHybridWakesCheaplyInsideTheWindow) {
   topo.latency.drowsy_wake_cycles = 1;
   topo.latency.gated_wake_cycles = 3;
   TimingModel clock;
-  auto cache = make_managed_cache(topo, clock);
+  auto cache = make_managed_cache(topo, &clock);
 
   AccessOutcome out = cache->access(0, false);  // cold miss, awake
   EXPECT_EQ(out.wake, WakeDepth::kAwake);
@@ -145,7 +145,7 @@ TEST(Timing, PureGatedBackendReportsEveryWakeAsGated) {
   topo.breakeven_cycles = 4;
   topo.latency.gated_wake_cycles = 3;
   TimingModel clock;
-  auto cache = make_managed_cache(topo, clock);
+  auto cache = make_managed_cache(topo, &clock);
   cache->access(0, false);
   clock.on_batch(1, 5);  // its cycle, then gap 5
   const AccessOutcome out = cache->access(0, false);
@@ -169,7 +169,7 @@ TEST(Timing, SimulatorStallAccountingMatchesManualReplay) {
   const Simulator sim(cfg);
   TimingModel clock;
   auto manual =
-      make_managed_cache(cfg.topology(sim.breakeven_cycles()), clock);
+      make_managed_cache(cfg.topology(sim.breakeven_cycles()), &clock);
   std::uint64_t manual_stalls = 0;
   for (std::size_t i = 0; i < trace.size(); ++i) {
     const AccessOutcome out = manual->access(
