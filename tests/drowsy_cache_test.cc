@@ -8,6 +8,8 @@
 // threshold.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "core/enum_strings.h"
 #include "core/experiment.h"
 #include "core/managed_cache.h"
@@ -15,7 +17,6 @@
 #include "trace/trace.h"
 #include "trace/workloads.h"
 #include "util/error.h"
-#include "util/stats.h"
 
 namespace pcal {
 namespace {
@@ -116,38 +117,73 @@ TEST(DrowsyHybrid, WindowIsTransparentToAccessStream) {
     EXPECT_DOUBLE_EQ(a->unit_residency(u), b->unit_residency(u));
 }
 
-// The drowsy/gated decomposition must match manual interval arithmetic:
-// an interval of length len sleeps (len - d) cycles of which
-// (len - g) are gated, so drowsy = sleep(d) - sleep(g).
+// The drowsy/gated decomposition must match interval arithmetic done
+// here, from the outcome stream alone: each access closes its serving
+// unit's idle interval (the cycles since the unit's last access), and
+// finish() closes every unit's trailing one at the cycle it ran to.  An
+// interval of length len sleeps (len - d) cycles if len > d, of which
+// (len - g) are gated if len > g, so drowsy = sleep(d) - sleep(g).
 TEST(DrowsyHybrid, DecompositionMatchesIntervalArithmetic) {
   CacheTopology topo = base_topology();
   topo.policy = PowerPolicy::kDrowsyHybrid;
   topo.drowsy_window_cycles = 50;
-
-  const Trace trace = make_trace(40'000);
-  auto cache = make_managed_cache(topo);
-  for (std::size_t i = 0; i < trace.size(); ++i)
-    cache->access(trace[i].address, trace[i].kind == AccessKind::kWrite);
-  cache->finish();
-
   const std::uint64_t d = topo.breakeven_cycles;
   const std::uint64_t g = topo.gate_cycles();
   ASSERT_EQ(g, d + topo.drowsy_window_cycles);
+
+  struct Sums {
+    std::uint64_t next_free = 0;  // one past the unit's last access
+    std::uint64_t intervals = 0;  // nonzero idle intervals
+    std::uint64_t above_d = 0, sleep_d = 0;
+    std::uint64_t above_g = 0, sleep_g = 0;
+  };
+  auto cache = make_managed_cache(topo);
+  std::vector<Sums> ref(cache->num_units());
+  const auto close = [&](Sums& s, std::uint64_t cycle) {
+    const std::uint64_t len = cycle - s.next_free;
+    if (len > 0) ++s.intervals;
+    if (len > d) {
+      ++s.above_d;
+      s.sleep_d += len - d;
+    }
+    if (len > g) {
+      ++s.above_g;
+      s.sleep_g += len - g;
+    }
+  };
+
+  const Trace trace = make_trace(40'000);
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    const std::uint64_t now = cache->cycles();
+    const AccessOutcome out =
+        cache->access(trace[i].address, trace[i].kind == AccessKind::kWrite);
+    ASSERT_LT(out.physical_unit, ref.size());
+    Sums& s = ref[out.physical_unit];
+    close(s, now);
+    s.next_free = now + 1;
+  }
+  cache->finish();
+  for (Sums& s : ref) close(s, cache->cycles());
+
   bool saw_drowsy = false;
   for (std::uint64_t u = 0; u < cache->num_units(); ++u) {
     const UnitActivity a = cache->unit_activity(u);
-    const IntervalAccumulator& iv = cache->unit_intervals(u);
-    EXPECT_EQ(a.sleep_cycles, iv.sleep_cycles(d));
-    EXPECT_EQ(a.sleep_cycles - a.drowsy_cycles, iv.sleep_cycles(g));
-    EXPECT_EQ(a.sleep_episodes, iv.intervals_above(d));
-    EXPECT_EQ(a.gated_episodes, iv.intervals_above(g));
+    const Sums& s = ref[u];
+    EXPECT_EQ(a.sleep_cycles, s.sleep_d) << "unit " << u;
+    EXPECT_EQ(a.sleep_cycles - a.drowsy_cycles, s.sleep_g) << "unit " << u;
+    EXPECT_EQ(a.sleep_episodes, s.above_d) << "unit " << u;
+    EXPECT_EQ(a.gated_episodes, s.above_g) << "unit " << u;
+    EXPECT_EQ(a.useful_idleness_count,
+              s.intervals == 0 ? 0.0
+                               : static_cast<double>(s.above_d) /
+                                     static_cast<double>(s.intervals))
+        << "unit " << u;
     EXPECT_LE(a.gated_episodes, a.sleep_episodes);
     EXPECT_LE(a.drowsy_cycles, a.sleep_cycles);
     if (a.drowsy_cycles > 0) saw_drowsy = true;
     // Gated residency is the deep slice of the total sleep residency.
-    const double gated_residency =
-        static_cast<double>(iv.sleep_cycles(g)) /
-        static_cast<double>(cache->cycles());
+    const double gated_residency = static_cast<double>(s.sleep_g) /
+                                   static_cast<double>(cache->cycles());
     EXPECT_LE(gated_residency, cache->unit_residency(u) + 1e-12);
   }
   EXPECT_TRUE(saw_drowsy);

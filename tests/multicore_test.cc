@@ -15,7 +15,8 @@
 //   5. the QoS effect is observable: a victim core's LLC traffic changes
 //      between a fully shared and a way-partitioned LLC;
 //   6. one clock: a 2-core run equals a hand replay of its weighted
-//      round-robin order over test-owned caches, unit by unit.
+//      round-robin order over test-owned caches, unit by unit, and so
+//      does each core's slice of the shared LLC's traffic.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -257,7 +258,9 @@ TEST(MultiCore, MatchesAHandReplayOnOneClock) {
   // and no contention: no update fires and no resource stalls, so the
   // engine's result must equal a replay that routes each access through
   // test-owned caches in weighted round-robin order and moves time by
-  // hand — 1 + stall per access, the other core's levels idle.
+  // hand — 1 + stall per access, the other core's levels idle.  The
+  // replay attributes the LLC's tag-store traffic to the issuing core by
+  // its stats delta around each routed access.
   SimConfig base = paper_config(8192, 16, 4);
   base.indexing = IndexingKind::kStatic;
   base.latency.hit_cycles = 1;
@@ -291,6 +294,8 @@ TEST(MultiCore, MatchesAHandReplayOnOneClock) {
   for (std::vector<RoutedLevel>& route : routes)
     route.push_back({caches.back().get(), mc.llc.inclusion});
 
+  const ManagedCache& llc = *caches.back();
+  CacheStats llc_share[2];
   std::size_t pos[2] = {0, 0};
   bool done[2] = {false, false};
   while (!done[0] || !done[1]) {
@@ -302,10 +307,16 @@ TEST(MultiCore, MatchesAHandReplayOnOneClock) {
           break;
         }
         const MemAccess& a = traces[k].accesses()[pos[k]++];
+        const CacheStats before = llc.stats();
         const AccessOutcome out =
             route_access(routes[k].data(), routes[k].size(),
                          a.address + k * mc.address_stride,
                          a.kind == AccessKind::kWrite);
+        const CacheStats& after = llc.stats();
+        llc_share[k].accesses += after.accesses - before.accesses;
+        llc_share[k].hits += after.hits - before.hits;
+        llc_share[k].misses += after.misses - before.misses;
+        llc_share[k].writebacks += after.writebacks - before.writebacks;
         clock.on_access(out.stall_cycles);
       }
     }
@@ -334,6 +345,20 @@ TEST(MultiCore, MatchesAHandReplayOnOneClock) {
               units[i].first->unit_residency(units[i].second))
         << "unit " << i;
   }
+  // Each core's slice of the shared LLC, and the slices cover it.
+  ASSERT_EQ(engine.cores.size(), 2u);
+  for (std::size_t k = 0; k < 2; ++k) {
+    const CacheStats& got = engine.cores[k].llc_stats;
+    EXPECT_EQ(got.accesses, llc_share[k].accesses) << "core " << k;
+    EXPECT_EQ(got.hits, llc_share[k].hits) << "core " << k;
+    EXPECT_EQ(got.misses, llc_share[k].misses) << "core " << k;
+    EXPECT_EQ(got.writebacks, llc_share[k].writebacks) << "core " << k;
+    EXPECT_GT(got.accesses, 0u) << "core " << k;
+  }
+  EXPECT_EQ(llc_share[0].accesses + llc_share[1].accesses,
+            llc.stats().accesses);
+  EXPECT_EQ(llc_share[0].writebacks + llc_share[1].writebacks,
+            llc.stats().writebacks);
   // Stalls happened, and so did both kinds of L1 event.
   EXPECT_GT(r.stall_cycles, 0u);
   EXPECT_GT(r.level_stats.back().accesses, 0u);
