@@ -1,6 +1,7 @@
 #include "trace/multiprogram.h"
 
-#include <cstdlib>
+#include <charconv>
+#include <cstdint>
 #include <sstream>
 
 #include "trace/workloads.h"
@@ -36,13 +37,16 @@ std::uint64_t parse_multiprogram_quantum(const std::string& text) {
     digits.pop_back();
   }
   PCAL_CONFIG_CHECK(!digits.empty(), "empty multiprog quantum");
-  for (char c : digits)
-    PCAL_CONFIG_CHECK(c >= '0' && c <= '9',
-                      "bad multiprog quantum \"" << text << "\"");
-  const std::uint64_t value =
-      std::strtoull(digits.c_str(), nullptr, 10) * scale;
-  PCAL_CONFIG_CHECK(value > 0, "multiprog quantum must be nonzero");
-  return value;
+  std::uint64_t count = 0;
+  const char* end = digits.data() + digits.size();
+  const auto [stop, ec] = std::from_chars(digits.data(), end, count);
+  PCAL_CONFIG_CHECK(stop == end && ec != std::errc::invalid_argument,
+                    "bad multiprog quantum \"" << text << "\"");
+  PCAL_CONFIG_CHECK(ec == std::errc() && count <= UINT64_MAX / scale,
+                    "bad multiprog quantum \"" << text
+                                               << "\": overflows 64 bits");
+  PCAL_CONFIG_CHECK(count > 0, "multiprog quantum must be nonzero");
+  return count * scale;
 }
 
 MultiProgramConfig parse_multiprogram_spec(const std::string& spec,

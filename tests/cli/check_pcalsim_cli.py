@@ -199,7 +199,9 @@ def check_strictness(cli, example, example_text):
                 "'stride'")
 
     # A [multiprogram] quantum is checked whether or not programs are set.
-    for bad in ("-1", "abc"):
+    # (2^54 + 1) k and a count of 77 bits overflow 64 bits.
+    for bad in ("-1", "abc", "18014398509481985k",
+                "99999999999999999999999"):
         for programs in ([], ["multiprogram.programs=sha+cjpeg"]):
             cli.rejects("multiprogram.quantum=%s override%s"
                         % (bad, " with programs" if programs else ""),

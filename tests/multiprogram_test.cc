@@ -114,6 +114,17 @@ TEST(MultiProgram, ParseSpec) {
   EXPECT_THROW(parse_multiprogram_spec("sha+nosuch", 1024), ConfigError);
   EXPECT_THROW(parse_multiprogram_spec("sha+cjpeg@0", 1024), ConfigError);
   EXPECT_THROW(parse_multiprogram_spec("sha+cjpeg@x", 1024), ConfigError);
+  // A count, or a count times its scale, past 64 bits is rejected, not
+  // wrapped or saturated into another quantum.
+  EXPECT_THROW(parse_multiprogram_spec("sha+cjpeg@18014398509481985k", 1024),
+               ConfigError);
+  EXPECT_THROW(
+      parse_multiprogram_spec("sha+cjpeg@99999999999999999999999", 1024),
+      ConfigError);
+  EXPECT_EQ(parse_multiprogram_quantum("18446744073709551615"),
+            18'446'744'073'709'551'615u);
+  EXPECT_EQ(parse_multiprogram_quantum("17592186044415m"),
+            17'592'186'044'415u * 1024u * 1024u);
 }
 
 TEST(MultiProgram, QuantumAlignedReindexing) {
