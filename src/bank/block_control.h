@@ -6,10 +6,14 @@
 // into the low-power state, and the next access wakes it.
 //
 // Model view: with one access per cycle, a bank's behaviour is fully
-// determined by the gaps between its accesses, so we track per-bank idle
-// intervals in O(1) per access and derive sleep residency, sleep episodes
-// (= Vdd transitions) and the paper's "useful idleness" metrics exactly.
-// The SaturatingCounter below mirrors the hardware bit-level semantics and
+// determined by the gaps between its accesses, so we close each bank's
+// idle interval in O(1) per access and keep running counts and sums of
+// the intervals longer than the two thresholds Block Control is built
+// with (util/stats.h): the breakeven, where a bank goes to sleep, and the
+// gate, where the drowsy hybrid power-gates it.  Sleep residency, sleep
+// episodes (= Vdd transitions), their gated share and the paper's
+// "useful idleness" metrics are exact reads of those sums.  The
+// SaturatingCounter below mirrors the hardware bit-level semantics and
 // is cross-checked against the interval arithmetic in the tests.
 #pragma once
 
@@ -50,22 +54,25 @@ class SaturatingCounter {
 
 /// Per-bank activity bookkeeping for the whole partitioned cache.
 ///
-/// State is kept as flat struct-of-arrays columns (`next_free_[]`,
-/// `accesses_[]`, `intervals_[]`), so the batched backend hot loops touch
-/// contiguous memory; the per-bank query API below is a view over those
-/// columns and is unchanged.
+/// State is one small record per bank (its next free cycle, access count
+/// and idle sums), so an access touches one contiguous record and the
+/// batched backend hot loops allocate nothing; the per-bank query API
+/// below reads those records.
 class BlockControl {
  public:
   /// `breakeven_cycles`: idle cycles before a bank is put to sleep.
-  BlockControl(std::uint64_t num_banks, std::uint64_t breakeven_cycles);
+  /// `gate_cycles` (>= the breakeven): idle cycles before it counts as
+  /// power-gated; equal to the breakeven under the gated policy.
+  BlockControl(std::uint64_t num_banks, std::uint64_t breakeven_cycles,
+               std::uint64_t gate_cycles);
 
   /// Records that `bank` is accessed at `cycle`.  Cycles must be
   /// non-decreasing; exactly one bank is accessed per cycle.
   void on_access(std::uint64_t bank, std::uint64_t cycle) {
     PCAL_ASSERT_MSG(!finished_, "BlockControl already finished");
-    PCAL_ASSERT_MSG(bank < next_free_.size(), "bank out of range");
+    PCAL_ASSERT_MSG(bank < banks_.size(), "bank out of range");
     PCAL_ASSERT_MSG(cycle >= last_cycle_, "cycles must be non-decreasing");
-    PCAL_ASSERT_MSG(cycle >= next_free_[bank],
+    PCAL_ASSERT_MSG(cycle >= banks_[bank].next_free,
                     "bank accessed twice in one cycle");
     record_access(bank, cycle);
   }
@@ -75,9 +82,10 @@ class BlockControl {
   /// advancing cycle counter guarantees the invariants by construction.
   void record_access(std::uint64_t bank, std::uint64_t cycle) {
     last_cycle_ = cycle;
-    intervals_[bank].add_interval(cycle - next_free_[bank]);
-    next_free_[bank] = cycle + 1;
-    ++accesses_[bank];
+    Bank& b = banks_[bank];
+    b.idle.add(cycle - b.next_free, breakeven_, gate_);
+    b.next_free = cycle + 1;
+    ++b.accesses;
   }
 
   /// Closes the trailing idle intervals at the end of simulation
@@ -88,7 +96,7 @@ class BlockControl {
   /// True iff the bank would be in the low-power state at `cycle` (its
   /// idle counter has saturated).
   bool is_sleeping(std::uint64_t bank, std::uint64_t cycle) const {
-    const std::uint64_t nf = at(bank);
+    const std::uint64_t nf = at(bank).next_free;
     // Sleeping iff the bank has been idle for more than `breakeven_`
     // cycles: the counter starts at the first idle cycle (next_free) and
     // saturates after breakeven_ increments.
@@ -100,20 +108,21 @@ class BlockControl {
   /// core classify a wakeup's depth: gap >= the gate threshold means the
   /// unit had already power-gated, a shorter gap means it was drowsy.
   std::uint64_t idle_gap(std::uint64_t bank, std::uint64_t cycle) const {
-    const std::uint64_t nf = at(bank);
+    const std::uint64_t nf = at(bank).next_free;
     return cycle >= nf ? cycle - nf : 0;
   }
 
   /// First cycle at which `bank` is free again (one past its last
-  /// access) — the raw column behind is_sleeping/idle_gap, exposed so
+  /// access) — the raw field behind is_sleeping/idle_gap, exposed so
   /// batched backends can derive gap, wake depth and sleep state from
   /// one subtraction.  No bounds check.
   std::uint64_t next_free(std::uint64_t bank) const {
-    return next_free_[bank];
+    return banks_[bank].next_free;
   }
 
-  std::uint64_t num_banks() const { return next_free_.size(); }
+  std::uint64_t num_banks() const { return banks_.size(); }
   std::uint64_t breakeven_cycles() const { return breakeven_; }
+  std::uint64_t gate_cycles() const { return gate_; }
   bool finished() const { return finished_; }
 
   // ---- per-bank statistics (valid after finish()) ----
@@ -123,24 +132,33 @@ class BlockControl {
   std::uint64_t sleep_cycles(std::uint64_t bank) const;
   /// Number of sleep episodes == number of wake transitions.
   std::uint64_t sleep_episodes(std::uint64_t bank) const;
+  /// The power-gated share of sleep: cycles past the gate threshold, and
+  /// the episodes that reached it.
+  std::uint64_t gated_cycles(std::uint64_t bank) const;
+  std::uint64_t gated_episodes(std::uint64_t bank) const;
   /// Time-weighted useful idleness (sleep residency / total time).
   double sleep_residency(std::uint64_t bank, std::uint64_t total_cycles) const;
   /// Count-weighted useful idleness (share of idle intervals > breakeven).
   double useful_idleness_count(std::uint64_t bank) const;
-  const IntervalAccumulator& intervals(std::uint64_t bank) const;
 
  private:
-  /// Bounds-checked read of the next_free column (the scalar-path view).
-  std::uint64_t at(std::uint64_t bank) const {
-    PCAL_ASSERT_MSG(bank < next_free_.size(), "bank out of range");
-    return next_free_[bank];
-  }
+  struct Bank {
+    std::uint64_t next_free = 0;  // first cycle after the last access
+    std::uint64_t accesses = 0;
+    IdleSums idle;
+  };
 
-  // SoA columns, one entry per bank.
-  std::vector<std::uint64_t> next_free_;  // first cycle after last access
-  std::vector<std::uint64_t> accesses_;
-  std::vector<IntervalAccumulator> intervals_;
+  /// Bounds-checked read of one bank's record (the scalar-path view).
+  const Bank& at(std::uint64_t bank) const {
+    PCAL_ASSERT_MSG(bank < banks_.size(), "bank out of range");
+    return banks_[bank];
+  }
+  /// at() for the statistics, which are valid only after finish().
+  const IdleSums& finished_sums(std::uint64_t bank) const;
+
+  std::vector<Bank> banks_;
   std::uint64_t breakeven_;
+  std::uint64_t gate_;
   std::uint64_t last_cycle_ = 0;
   bool finished_ = false;
 };

@@ -5,6 +5,7 @@
 
 #include "core/managed_cache.h"
 #include "core/timing.h"
+#include "util/bitops.h"
 #include "util/error.h"
 
 namespace pcal {
@@ -76,32 +77,37 @@ ContentionLevelShape contention_shape_of(const CacheTopology& topology) {
 
 ContentionModel::ContentionModel(std::vector<ContentionLevelShape> shapes) {
   levels_.reserve(shapes.size());
-  for (ContentionLevelShape& shape : shapes) {
-    shape.params.validate();
+  for (const ContentionLevelShape& shape : shapes) {
+    const ContentionParams& p = shape.params;
+    p.validate();
     LevelState state;
-    state.shape = shape;
+    state.params = p;
+    state.enabled = p.enabled();
+    state.num_banks = shape.num_banks;
     if (shape.num_banks > 0 && shape.num_units >= shape.num_banks)
       state.units_per_bank = shape.num_units / shape.num_banks;
-    if (shape.params.mshrs > 0) state.mshrs.resize(shape.params.mshrs);
-    if (shape.params.ports > 0)
-      state.port_free.resize(shape.num_banks * shape.params.ports, 0);
-    enabled_ = enabled_ || shape.params.enabled();
+    state.line_shift = log2_exact(shape.line_bytes);
+    if (p.bytes_per_cycle > 0)
+      state.transfer_cycles =
+          (shape.line_bytes + p.bytes_per_cycle - 1) / p.bytes_per_cycle;
+    if (p.mshrs > 0) state.mshrs.resize(p.mshrs);
+    if (p.ports > 0) state.port_free.resize(shape.num_banks * p.ports, 0);
+    enabled_ = enabled_ || state.enabled;
     levels_.push_back(std::move(state));
   }
 }
 
-ContentionStall ContentionModel::on_event(const ContentionEvent& event,
-                                          std::uint64_t now) {
+ContentionStall ContentionModel::charge(LevelState& level,
+                                        const ContentionEvent& event,
+                                        std::uint64_t now) {
   ContentionStall stall;
-  LevelState& level = levels_.at(event.level);
-  const ContentionParams& p = level.shape.params;
-  if (!p.enabled()) return stall;
+  const ContentionParams& p = level.params;
   std::uint64_t t = now;
 
   // Port: every reference claims a port of its bank for port_cycles.
   if (p.ports > 0) {
-    const std::uint64_t bank = std::min(
-        event.unit / level.units_per_bank, level.shape.num_banks - 1);
+    const std::uint64_t bank =
+        std::min(event.unit / level.units_per_bank, level.num_banks - 1);
     std::uint64_t* slot = &level.port_free[bank * p.ports];
     for (std::uint64_t i = 1; i < p.ports; ++i)
       if (level.port_free[bank * p.ports + i] < *slot)
@@ -119,7 +125,7 @@ ContentionStall ContentionModel::on_event(const ContentionEvent& event,
     // is busy).
     bool merged = false;
     if (p.mshrs > 0) {
-      const std::uint64_t line = event.address / level.shape.line_bytes;
+      const std::uint64_t line = event.address >> level.line_shift;
       Mshr* victim = &level.mshrs[0];
       for (Mshr& entry : level.mshrs) {
         if (entry.free_at > t && entry.line == line) {
@@ -143,15 +149,12 @@ ContentionStall ContentionModel::on_event(const ContentionEvent& event,
     // the edge longer but does not stall the access).  A merged miss
     // shares the in-flight fill — no second transfer.
     if (!merged && p.bytes_per_cycle > 0) {
-      const std::uint64_t transfer =
-          (level.shape.line_bytes + p.bytes_per_cycle - 1) /
-          p.bytes_per_cycle;
       if (level.edge_busy_until > t) {
         stall.bw += level.edge_busy_until - t;
         t = level.edge_busy_until;
       }
-      level.edge_busy_until = t + transfer;
-      if (event.writeback) level.edge_busy_until += transfer;
+      level.edge_busy_until = t + level.transfer_cycles;
+      if (event.writeback) level.edge_busy_until += level.transfer_cycles;
     }
   }
 

@@ -117,8 +117,8 @@ struct ContentionLevelShape {
 /// granularity, line size).
 ContentionLevelShape contention_shape_of(const CacheTopology& topology);
 
-/// One level reference of one access, as the driver replays it from the
-/// AccessOutcome event trace.
+/// One level reference of one access, as the driver replays it from
+/// route_access's LevelTrace (core/hierarchy.h).
 struct ContentionEvent {
   std::size_t level = 0;
   std::uint64_t unit = 0;     // physical unit touched at that level
@@ -143,8 +143,13 @@ class ContentionModel {
 
   /// Charges one level event arriving at global time `now` (the access's
   /// issue cycle plus stalls already accumulated this access).  Returns
-  /// the stall this event adds, attributed per resource.
-  ContentionStall on_event(const ContentionEvent& event, std::uint64_t now);
+  /// the stall this event adds, attributed per resource; an event at a
+  /// level with no finite resource costs nothing and changes nothing.
+  ContentionStall on_event(const ContentionEvent& event, std::uint64_t now) {
+    LevelState& level = levels_.at(event.level);
+    if (!level.enabled) return {};
+    return charge(level, event, now);
+  }
 
   /// Run-wide stall totals across every event charged so far.
   const ContentionStall& totals() const { return totals_; }
@@ -155,13 +160,23 @@ class ContentionModel {
     std::uint64_t free_at = 0;  // entry is busy while free_at > now
   };
 
+  /// One level's limits and resource state, with what every event would
+  /// otherwise re-derive from its shape worked out at construction.
   struct LevelState {
-    ContentionLevelShape shape;
+    ContentionParams params;
+    bool enabled = false;            // params.enabled()
+    std::uint64_t num_banks = 1;
     std::uint64_t units_per_bank = 1;
+    unsigned line_shift = 0;         // log2(line_bytes)
+    std::uint64_t transfer_cycles = 0;  // one line over the edge
     std::vector<Mshr> mshrs;               // size = params.mshrs
     std::vector<std::uint64_t> port_free;  // size = num_banks * params.ports
     std::uint64_t edge_busy_until = 0;
   };
+
+  /// on_event at an enabled level.
+  ContentionStall charge(LevelState& level, const ContentionEvent& event,
+                         std::uint64_t now);
 
   std::vector<LevelState> levels_;
   ContentionStall totals_;

@@ -3,6 +3,7 @@
 #include <sstream>
 
 #include "core/enum_strings.h"
+#include "util/error.h"
 
 namespace pcal {
 
@@ -21,11 +22,21 @@ std::string HierarchyConfig::describe() const {
 }
 
 AccessOutcome route_access(RoutedLevel* levels, std::size_t num_levels,
-                           std::uint64_t address, bool is_write) {
+                           std::uint64_t address, bool is_write,
+                           LevelTrace* trace) {
+  PCAL_ASSERT_MSG(trace == nullptr || num_levels <= kMaxTraceLevels,
+                  "a " << num_levels << "-level chain outgrows the trace");
+  const auto record = [trace](std::size_t level, const AccessOutcome& out,
+                              std::uint64_t level_address) {
+    if (trace != nullptr)
+      trace->events[trace->size++] = {static_cast<std::uint8_t>(level),
+                                      out.hit, out.writeback,
+                                      out.physical_unit, level_address};
+  };
+  if (trace != nullptr) trace->size = 0;
   AccessOutcome top = levels[0].cache->access(address, is_write);
+  record(0, top, address);
   std::uint64_t stall = top.stall_cycles;
-  top.num_events = 0;
-  top.add_event(0, top.hit, top.writeback, top.physical_unit, address);
 
   // Route one event per level down the hierarchy.  Every policy
   // references a level only on an upper miss (the victim sink only on
@@ -35,7 +46,6 @@ AccessOutcome route_access(RoutedLevel* levels, std::size_t num_levels,
   std::uint64_t cur_address = address;
   for (std::size_t i = 1; i < num_levels && !cur.hit; ++i) {
     const RoutedLevel& level = levels[i];
-    const auto depth = static_cast<std::uint8_t>(i);
     // Exclusive and victim levels consume the eviction stream, the
     // others the miss stream.
     const bool takes_victims = level.inclusion == InclusionPolicy::kExclusive ||
@@ -47,8 +57,7 @@ AccessOutcome route_access(RoutedLevel* levels, std::size_t num_levels,
       // exclusivity survives post-flush refill bursts.
       cur = level.cache->probe(cur_address);
       stall += cur.stall_cycles;
-      top.add_event(depth, cur.hit, cur.writeback, cur.physical_unit,
-                    cur_address);
+      record(i, cur, cur_address);
       continue;
     }
     // The miss stream's event is the fill, the eviction stream's the
@@ -59,8 +68,7 @@ AccessOutcome route_access(RoutedLevel* levels, std::size_t num_levels,
     cur = level.cache->access(event_address, cur.writeback);
     cur_address = event_address;
     stall += cur.stall_cycles;
-    top.add_event(depth, cur.hit, cur.writeback, cur.physical_unit,
-                  event_address);
+    record(i, cur, event_address);
     // Inclusive back-invalidation at line granularity: a victim leaving
     // an inclusive level may still be resident above, where its frame
     // must be dropped to keep the subset property.  A pure tag-store

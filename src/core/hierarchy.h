@@ -40,7 +40,10 @@
 // compose: an access's AccessOutcome::stall_cycles is the sum over every
 // level it actually referenced (each level priced by its own
 // CacheTopology::latency), and the driver then advances the clock by
-// 1 + that sum.
+// 1 + that sum.  What each referenced level did is written only into a
+// LevelTrace the caller passes: the run engine reads it to charge the
+// contention model level by level and to attribute the shared LLC's
+// traffic to the issuing core; nothing else pays for it.
 //
 // Known modeling asymmetries (unchanged from the two-level ancestor):
 // dirty lines written back by a *flush* leave the hierarchy without
@@ -55,6 +58,7 @@
 // bit; zero latencies keep the idealized clock.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -80,18 +84,49 @@ struct RoutedLevel {
   InclusionPolicy inclusion = InclusionPolicy::kNonInclusive;
 };
 
+/// One level's slice of a routed access: which level was referenced,
+/// at what address, which physical unit served it, and whether it hit /
+/// shed a dirty victim.  This is what the contention layer
+/// (core/contention.h) replays — each event claims that level's ports /
+/// MSHRs / edge bandwidth — and what attributes a shared level's
+/// tag-store traffic to a core.
+struct LevelEvent {
+  std::uint8_t level;
+  bool hit;
+  bool writeback;
+  std::uint64_t unit;
+  std::uint64_t address;
+};
+
+/// Deepest chain a LevelTrace can record: 3 private levels + a shared
+/// LLC is the deepest machine the configs can build; 6 leaves headroom.
+constexpr std::size_t kMaxTraceLevels = 6;
+
+/// The events of one routed access, one per level it referenced, level
+/// 0 first.  A walk references a prefix of the chain, so `size` also
+/// says how deep the access went: the chain's last level was referenced
+/// iff size == the chain's length.  Caller-owned and reused; route_access
+/// rewrites `size` and the first `size` events.
+struct LevelTrace {
+  std::size_t size = 0;
+  LevelEvent events[kMaxTraceLevels];
+};
+
 /// Routes one CPU access through `levels` (levels[0] faces the CPU) at
 /// the clock's current cycle, applying the per-level stream semantics
 /// documented above: each lower level consumes its upper neighbour's
 /// miss or eviction stream per its InclusionPolicy, the walk stops at
 /// the first level with nothing to consume, and the returned outcome is
 /// level 0's with stall_cycles summed over every level actually
-/// referenced.  The levels must share one clock, which the caller
-/// advances afterwards.  The run engine (core/multicore.h) routes every
-/// access of a multi-level run through it: each core's private levels
-/// with the shared LLC appended as the chain's last level.
+/// referenced.  Given a `trace` (num_levels <= kMaxTraceLevels), each
+/// referenced level's event is written there.  The levels must share
+/// one clock, which the caller advances afterwards.  The run engine
+/// (core/multicore.h) routes every access of a multi-level run through
+/// it: each core's private levels with the shared LLC appended as the
+/// chain's last level.
 AccessOutcome route_access(RoutedLevel* levels, std::size_t num_levels,
-                           std::uint64_t address, bool is_write);
+                           std::uint64_t address, bool is_write,
+                           LevelTrace* trace = nullptr);
 
 /// One level of a hierarchy: its cache architecture plus how it relates
 /// to the level above it.

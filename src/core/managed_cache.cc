@@ -5,7 +5,6 @@
 
 #include "core/enum_strings.h"
 #include "util/error.h"
-#include "util/stats.h"
 
 namespace pcal {
 
@@ -166,8 +165,8 @@ ManagedCache::ManagedCache(const CacheTopology& topology,
                            const TimingModel* clock)
     : topology_(validated(topology)),
       cache_(topology.cache),
-      control_(topology.num_units(), topology.breakeven_cycles),
-      gate_cycles_(topology.gate_cycles()),
+      control_(topology.num_units(), topology.breakeven_cycles,
+               topology.gate_cycles()),
       offset_bits_(topology.cache.offset_bits()),
       tag_shift_(offset_bits_ + topology.cache.index_bits()),
       index_mask_(low_mask(topology.cache.index_bits())),
@@ -216,7 +215,7 @@ inline std::uint64_t ManagedCache::serve(const Map& map, const Slot& slot,
   // A busy unit has gap 0, and the breakeven is positive, so it never
   // counts as woken (BlockControl::is_sleeping).
   const bool woke = gap >= control_.breakeven_cycles();
-  const WakeDepth wake = classify_wake(woke, gap, gate_cycles_);
+  const WakeDepth wake = classify_wake(woke, gap, control_.gate_cycles());
   const std::uint64_t stall = topology_.latency.event_stall(r.hit, wake);
   if (o != nullptr) {
     o->hit = r.hit;
@@ -228,8 +227,6 @@ inline std::uint64_t ManagedCache::serve(const Map& map, const Slot& slot,
     o->woke_unit = woke;
     o->wake = wake;
     o->stall_cycles = stall;
-    o->num_events = 0;
-    o->add_event(0, r.hit, r.writeback, unit, address);
   }
   if constexpr (kChecked)
     control_.on_access(unit, now);
@@ -377,24 +374,17 @@ UnitActivity ManagedCache::unit_activity(std::uint64_t unit) const {
   a.sleep_cycles = control_.sleep_cycles(unit);
   a.sleep_episodes = control_.sleep_episodes(unit);
   a.useful_idleness_count = control_.useful_idleness_count(unit);
-  const IntervalAccumulator& iv = control_.intervals(unit);
-  const std::uint64_t gated = iv.sleep_cycles(gate_cycles_);
+  const std::uint64_t gated = control_.gated_cycles(unit);
   PCAL_ASSERT(gated <= a.sleep_cycles);
   a.drowsy_cycles = a.sleep_cycles - gated;
-  a.gated_episodes = iv.intervals_above(gate_cycles_);
+  a.gated_episodes = control_.gated_episodes(unit);
   return a;
-}
-
-const IntervalAccumulator& ManagedCache::unit_intervals(
-    std::uint64_t unit) const {
-  PCAL_ASSERT_MSG(finished_at_, "call finish() first");
-  return control_.intervals(unit);
 }
 
 UnitPowerState ManagedCache::unit_state(std::uint64_t unit) const {
   const std::uint64_t gap = control_.idle_gap(unit, clock_->total_cycles());
   if (gap < control_.breakeven_cycles()) return UnitPowerState::kAwake;
-  if (gap >= gate_cycles_) return UnitPowerState::kGated;
+  if (gap >= control_.gate_cycles()) return UnitPowerState::kGated;
   return UnitPowerState::kDrowsy;
 }
 

@@ -41,7 +41,7 @@
 //   sequence at the same cycles produce bit-identical outcomes,
 //   statistics and residencies, on any machine and regardless of what
 //   other instances are doing.
-// - Query order: residency/activity/interval queries are only valid after
+// - Query order: residency/activity queries are only valid after
 //   finish(), and read the cycle finish() closed at; access and
 //   update_indexing are only valid before.  finish() is idempotent.
 #pragma once
@@ -87,28 +87,12 @@ enum class PowerPolicy : std::uint8_t {
   kDrowsyHybrid = 1,
 };
 
-/// One level's slice of a routed access: which level was referenced,
-/// at what address, which physical unit served it, and whether it hit /
-/// shed a dirty victim.  route_access (core/hierarchy.h) records one per
-/// referenced level; a bare cache's access records its single level 0
-/// event.  This is what the contention layer (core/contention.h) replays
-/// — each event claims that level's ports / MSHRs / edge bandwidth.
-struct LevelEvent {
-  std::uint8_t level = 0;
-  bool hit = false;
-  bool writeback = false;
-  std::uint64_t unit = 0;
-  std::uint64_t address = 0;
-};
-
-/// Deepest chain an AccessOutcome can trace: 3 private levels + a shared
-/// LLC is the deepest machine the configs can build; 6 leaves headroom
-/// without bloating the per-access struct.
-constexpr std::size_t kMaxTraceLevels = 6;
-
-/// Outcome of one access through the unified interface.  `unit` is the
-/// power-management granule index (bank number, line number, bank*W+way,
-/// or 0).
+/// Outcome of one access through the unified interface: what one level
+/// did with one access.  `unit` is the power-management granule index
+/// (bank number, line number, bank*W+way, or 0).  route_access
+/// (core/hierarchy.h) returns level 0's, with stall_cycles summed over
+/// the levels the access referenced, and records the other levels'
+/// slices only in a LevelTrace its caller asks for.
 struct AccessOutcome {
   bool hit = false;
   bool writeback = false;  // a dirty victim was evicted
@@ -122,8 +106,7 @@ struct AccessOutcome {
   WakeDepth wake = WakeDepth::kAwake;
   /// Stall cycles this access costs beyond its one base cycle, priced by
   /// the level's CacheTopology::latency (0 under the default all-zero
-  /// latencies — the idealized clock).  Hierarchies report the sum over
-  /// every level the access actually referenced.
+  /// latencies — the idealized clock).
   std::uint64_t stall_cycles = 0;
   /// A valid line was evicted by this access (whether or not it was
   /// dirty; `writeback` flags the dirty case).  `victim_address` is its
@@ -131,24 +114,6 @@ struct AccessOutcome {
   /// lower level consumes.
   bool evicted = false;
   std::uint64_t victim_address = 0;
-  /// Per-level event trace (see LevelEvent).  access(), probe() and
-  /// access_batch() record the single level 0 event; route_access
-  /// overwrites it with the full chain.
-  std::uint8_t num_events = 0;
-  LevelEvent events[kMaxTraceLevels];
-
-  /// Appends one level event (drops silently past kMaxTraceLevels —
-  /// deeper chains than the configs can build).
-  void add_event(std::uint8_t level, bool level_hit, bool level_writeback,
-                 std::uint64_t unit, std::uint64_t address) {
-    if (num_events >= kMaxTraceLevels) return;
-    LevelEvent& e = events[num_events++];
-    e.level = level;
-    e.hit = level_hit;
-    e.writeback = level_writeback;
-    e.unit = unit;
-    e.address = address;
-  }
 };
 
 /// Instantaneous power state of one unit, as the interval observer and
@@ -290,10 +255,9 @@ class ManagedCache {
   /// checks its invariants once per batch rather than per access.
   ///
   /// `out` is optional: given a caller-owned array of length >= n, one
-  /// outcome per access is written there (entries of events[] at and
-  /// past num_events are unspecified when it is reused across calls);
-  /// given nullptr, no outcome is written and nothing else changes.  The
-  /// run engine passes nullptr — it reads only the returned stall.
+  /// outcome per access is written there; given nullptr, no outcome is
+  /// written and nothing else changes.  The run engine passes nullptr —
+  /// it reads only the returned stall.
   ///
   /// Returns the batch's summed stall_cycles, accumulated in-register so
   /// the driver's clock never reads an outcome.
@@ -331,11 +295,6 @@ class ManagedCache {
 
   /// Per-unit activity for energy accounting; valid after finish().
   UnitActivity unit_activity(std::uint64_t unit) const;
-
-  /// One unit's raw idle-interval histogram, valid after finish().  This
-  /// is what lets energy models re-slice idleness at thresholds other
-  /// than the ones the cache ran with.
-  const IntervalAccumulator& unit_intervals(std::uint64_t unit) const;
 
   /// Instantaneous power state of one unit at the current cycle — what
   /// the interval observer samples for the power-state timeline.  Valid
@@ -412,7 +371,6 @@ class ManagedCache {
   CacheTopology topology_;
   CacheModel cache_;
   BlockControl control_;
-  std::uint64_t gate_cycles_;
   unsigned offset_bits_;
   unsigned tag_shift_;  // offset bits + index bits
   std::uint64_t index_mask_;

@@ -34,7 +34,7 @@ void add_stats(CacheStats& into, const CacheStats& s) {
 }
 
 /// Accumulates `after - before` into `into` — the delta attribution of
-/// one routed access's LLC traffic to its issuing core.
+/// one batched chunk's LLC traffic to the run's one core.
 void add_delta(CacheStats& into, const CacheStats& before,
                const CacheStats& after) {
   into.accesses += after.accesses - before.accesses;
@@ -87,6 +87,9 @@ void MultiCoreConfig::validate() const {
   PCAL_CONFIG_CHECK(!cores.empty(),
                     "multi-core system needs at least one core");
   const std::size_t depth = cores.front().levels.size();
+  PCAL_CONFIG_CHECK(depth < kMaxTraceLevels,
+                    "at most " << kMaxTraceLevels - 1
+                               << " private levels per core, got " << depth);
   for (std::size_t k = 0; k < cores.size(); ++k) {
     const Core& core = cores[k];
     PCAL_CONFIG_CHECK(core.levels.size() == depth,
@@ -217,6 +220,8 @@ struct SystemRun::State {
   // The run's one clock: every level below is built on it, and only
   // step() and feed() advance it.
   TimingModel timing;
+  // step()'s level events of the access it is routing.
+  LevelTrace trace;
   std::unique_ptr<ManagedCache> llc;
   const bool partitioned;
   std::vector<CoreRt> rt;
@@ -447,11 +452,18 @@ void SystemRun::State::step(std::size_t k, const MemAccess& a) {
     llc->set_alloc_way_mask(config.cores[k].llc_way_mask);
     mask_owner = k;
   }
-  const CacheStats llc_before = llc->stats();
   const AccessOutcome out =
       route_access(c.route.data(), c.route.size(), a.address + c.offset,
-                   a.kind == AccessKind::kWrite);
-  add_delta(c.llc_stats, llc_before, llc->stats());
+                   a.kind == AccessKind::kWrite, &trace);
+  // The LLC is the chain's last level: if the walk reached it, its event
+  // is this core's share of the LLC's tag-store traffic (an access, a
+  // hit or a miss, and a writeback when it shed a dirty victim).
+  if (trace.size == c.route.size()) {
+    const LevelEvent& e = trace.events[depth];
+    ++c.llc_stats.accesses;
+    ++(e.hit ? c.llc_stats.hits : c.llc_stats.misses);
+    if (e.writeback) ++c.llc_stats.writebacks;
+  }
   std::uint64_t stall = out.stall_cycles;
   if (contention.enabled()) {
     // Replay the routed chain's level trace through the shared resource
@@ -461,8 +473,8 @@ void SystemRun::State::step(std::size_t k, const MemAccess& a) {
     // is in flight while the core stalls), and each event sees the
     // stalls charged so far.
     const std::uint64_t now = timing.total_cycles();
-    for (std::uint8_t e = 0; e < out.num_events; ++e) {
-      const LevelEvent& le = out.events[e];
+    for (std::size_t e = 0; e < trace.size; ++e) {
+      const LevelEvent& le = trace.events[e];
       ContentionEvent ev;
       ev.level = le.level < depth ? k * depth + le.level : num_cores * depth;
       ev.unit = le.unit;

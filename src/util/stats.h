@@ -1,136 +1,62 @@
-// Streaming statistics used throughout the simulator.
+// Idle-interval statistics of one power-managed block.
 //
-// IntervalAccumulator is the load-bearing piece: the paper's "useful
-// idleness" of a bank is the share of its idle intervals that exceed the
-// breakeven time, i.e. the idleness that power management can actually
-// convert into sleep residency.  We track every idle interval length and can
-// answer both the time-weighted definition (used for energy and aging) and
-// the count-weighted one (reported for comparison).
+// The paper's "useful idleness" of a bank is the share of its idle time
+// that power management can actually convert into sleep: an idle
+// interval of `len` cycles sleeps `len - d` cycles iff it outlives the
+// breakeven `d`.  Everything the tables, the aging model and the energy
+// model read about idleness is a count or a sum over the intervals
+// longer than a threshold, and a run only ever asks at the two
+// thresholds its Block Control is built with — the breakeven `d` and
+// the gate `g` (where the drowsy hybrid power-gates; `g == d` under the
+// gated policy).  IdleSums keeps exactly those running counts and sums,
+// O(1) per interval and a fixed 40 bytes per block.
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <vector>
 
 namespace pcal {
 
-/// Welford-style running mean/variance with min/max.
-class RunningStats {
- public:
-  void add(double x);
+/// Running counts and sums over one block's idle intervals at two fixed
+/// thresholds, the breakeven `d` and the gate `g` (`g >= d`).  An
+/// interval counts at a threshold iff it is *strictly* longer, and then
+/// contributes `len - threshold` cycles.  The thresholds are passed in
+/// rather than stored, so a column of blocks that shares them (Block
+/// Control, bank/block_control.h) holds them once.
+struct IdleSums {
+  std::uint64_t intervals = 0;  // nonzero idle intervals
+  std::uint64_t above_d = 0;    // intervals longer than d
+  std::uint64_t excess_d = 0;   // their sum of (len - d): sleep cycles
+  std::uint64_t above_g = 0;    // intervals longer than g
+  std::uint64_t excess_g = 0;   // their sum of (len - g): gated cycles
 
-  std::uint64_t count() const { return n_; }
-  double mean() const { return n_ ? mean_ : 0.0; }
-  /// Population variance (divides by n).
-  double variance() const;
-  double stddev() const;
-  double min() const { return n_ ? min_ : 0.0; }
-  double max() const { return n_ ? max_ : 0.0; }
-  double sum() const { return sum_; }
-
-  /// Merge another accumulator into this one.
-  void merge(const RunningStats& other);
-
- private:
-  std::uint64_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-  double sum_ = 0.0;
-};
-
-/// Fixed-width bucket histogram over [lo, hi); outliers go to under/overflow.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t buckets);
-
-  void add(double x);
-
-  std::size_t bucket_count() const { return counts_.size(); }
-  std::uint64_t bucket(std::size_t i) const { return counts_.at(i); }
-  std::uint64_t underflow() const { return underflow_; }
-  std::uint64_t overflow() const { return overflow_; }
-  std::uint64_t total() const { return total_; }
-  /// [lo, hi) bounds of bucket i.
-  std::pair<double, double> bucket_bounds(std::size_t i) const;
-  /// Approximate quantile (linear within buckets). q in [0,1].
-  double quantile(double q) const;
-
- private:
-  double lo_, hi_, width_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t underflow_ = 0, overflow_ = 0, total_ = 0;
-};
-
-/// Records idle-interval lengths (in cycles) for one power-managed block and
-/// computes the paper's "useful idleness" metrics against a breakeven time.
-///
-/// Storage: lengths up to kSmallMax are counted in a flat array (the hot
-/// path — idle gaps in cache traces are short and heavily repeated), longer
-/// ones in a map.  The split is invisible to the queries: every result is
-/// bit-identical to the original all-map layout, just O(1) per add on the
-/// hot lengths instead of a tree insert.  The array is allocated lazily on
-/// the first short interval, so barely-touched accumulators (one per line
-/// at kLine granularity) stay tiny.
-class IntervalAccumulator {
- public:
-  /// Record one completed idle interval of `cycles` length (may be 0 = no
-  /// idle gap; zero-length intervals are ignored).
-  void add_interval(std::uint64_t cycles) {
-    if (cycles == 0) return;
-    ++count_;
-    total_idle_ += cycles;
-    if (cycles > longest_) longest_ = cycles;
-    if (cycles <= kSmallMax) {
-      if (small_.empty()) small_.assign(kSmallMax + 1, 0);
-      ++small_[cycles];
-    } else {
-      ++by_length_[cycles];
-    }
+  /// Records one completed idle interval of `len` cycles; a zero-length
+  /// interval (no idle gap) is ignored.  Requires g >= d.
+  void add(std::uint64_t len, std::uint64_t d, std::uint64_t g) {
+    if (len == 0) return;
+    ++intervals;
+    if (len <= d) return;
+    ++above_d;
+    excess_d += len - d;
+    if (len <= g) return;
+    ++above_g;
+    excess_g += len - g;
   }
 
-  std::uint64_t interval_count() const { return count_; }
-  std::uint64_t total_idle_cycles() const { return total_idle_; }
-  std::uint64_t longest() const { return longest_; }
+  /// Time-weighted useful idleness: sleep cycles over `total_cycles` of
+  /// observation (0 when nothing was observed).  A block only enters the
+  /// low-power state after its breakeven counter saturates, so this is
+  /// the quantity that drives both leakage savings and NBTI relief.
+  double useful_idleness_time(std::uint64_t total_cycles) const {
+    if (total_cycles == 0) return 0.0;
+    return static_cast<double>(excess_d) / static_cast<double>(total_cycles);
+  }
 
-  /// Sum of cycles in intervals strictly longer than `breakeven`.
-  std::uint64_t idle_cycles_above(std::uint64_t breakeven) const;
-
-  /// Number of intervals strictly longer than `breakeven`.
-  std::uint64_t intervals_above(std::uint64_t breakeven) const;
-
-  /// Time-weighted useful idleness: sleep residency divided by
-  /// `total_cycles` of observation.  A block only enters the low-power state
-  /// after its breakeven counter saturates, so an interval of length `len`
-  /// contributes `len - breakeven` cycles of actual sleep.  This is the
-  /// quantity that drives both leakage savings and NBTI relief.
-  double useful_idleness_time(std::uint64_t breakeven,
-                              std::uint64_t total_cycles) const;
-
-  /// Count-weighted useful idleness: share of idle intervals longer than the
-  /// breakeven time.
-  double useful_idleness_count(std::uint64_t breakeven) const;
-
-  /// Sleep residency in cycles: sum over qualifying intervals of
-  /// (len - breakeven).
-  std::uint64_t sleep_cycles(std::uint64_t breakeven) const;
-
-  void merge(const IntervalAccumulator& other);
-
- private:
-  /// Largest interval length counted in the flat array.
-  static constexpr std::uint64_t kSmallMax = 1024;
-
-  /// Occurrence counts for lengths 1..kSmallMax, indexed by length (slot 0
-  /// unused).  Empty until the first short interval arrives.
-  std::vector<std::uint64_t> small_;
-  // Interval length -> occurrence count, lengths > kSmallMax only.  Long
-  // idle intervals are rare, so the map stays small.
-  std::map<std::uint64_t, std::uint64_t> by_length_;
-  std::uint64_t count_ = 0;
-  std::uint64_t total_idle_ = 0;
-  std::uint64_t longest_ = 0;
+  /// Count-weighted useful idleness: the share of idle intervals longer
+  /// than the breakeven (0 with no interval).
+  double useful_idleness_count() const {
+    if (intervals == 0) return 0.0;
+    return static_cast<double>(above_d) / static_cast<double>(intervals);
+  }
 };
 
 }  // namespace pcal

@@ -1,7 +1,7 @@
 // Batched-vs-scalar equivalence: ManagedCache::access_batch and the
 // Simulator's batched driver loop must reproduce the scalar access()
 // path bit for bit — same outcomes, same SimResult, same per-unit
-// interval histograms, same timeline artifact — for every backend,
+// activity and idle sums, same timeline artifact — for every backend,
 // granularity, power policy and batch size.  This is the contract that
 // lets the batched hot path be the default: it is purely a throughput
 // optimization, never a semantic fork.
@@ -19,7 +19,6 @@
 #include "trace/synthetic.h"
 #include "trace/trace.h"
 #include "trace/workloads.h"
-#include "util/stats.h"
 
 namespace pcal {
 namespace {
@@ -203,15 +202,6 @@ void expect_same_outcome(const AccessOutcome& s, const AccessOutcome& b,
   EXPECT_EQ(s.stall_cycles, b.stall_cycles) << "access " << i;
   EXPECT_EQ(s.evicted, b.evicted) << "access " << i;
   EXPECT_EQ(s.victim_address, b.victim_address) << "access " << i;
-  ASSERT_EQ(s.num_events, b.num_events) << "access " << i;
-  for (std::uint8_t e = 0; e < s.num_events; ++e) {
-    EXPECT_EQ(s.events[e].level, b.events[e].level) << "access " << i;
-    EXPECT_EQ(s.events[e].hit, b.events[e].hit) << "access " << i;
-    EXPECT_EQ(s.events[e].writeback, b.events[e].writeback)
-        << "access " << i;
-    EXPECT_EQ(s.events[e].unit, b.events[e].unit) << "access " << i;
-    EXPECT_EQ(s.events[e].address, b.events[e].address) << "access " << i;
-  }
 }
 
 // Statistics and every unit's bookkeeping, after finish().
@@ -235,13 +225,6 @@ void expect_same_bookkeeping(const ManagedCache& a, const ManagedCache& b) {
         << "unit " << u;
     EXPECT_EQ(aa.drowsy_cycles, ba.drowsy_cycles) << "unit " << u;
     EXPECT_EQ(aa.gated_episodes, ba.gated_episodes) << "unit " << u;
-    const IntervalAccumulator& ai = a.unit_intervals(u);
-    const IntervalAccumulator& bi = b.unit_intervals(u);
-    EXPECT_EQ(ai.interval_count(), bi.interval_count()) << "unit " << u;
-    EXPECT_EQ(ai.total_idle_cycles(), bi.total_idle_cycles()) << "unit " << u;
-    EXPECT_EQ(ai.longest(), bi.longest()) << "unit " << u;
-    EXPECT_EQ(ai.sleep_cycles(24), bi.sleep_cycles(24)) << "unit " << u;
-    EXPECT_EQ(ai.sleep_cycles(72), bi.sleep_cycles(72)) << "unit " << u;
   }
 }
 

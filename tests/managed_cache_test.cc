@@ -134,7 +134,8 @@ struct Reference {
   std::uint64_t cycle = 0;
 
   Reference(const CacheTopology& topo, std::uint64_t units)
-      : cache(topo.cache), control(units, topo.breakeven_cycles) {}
+      : cache(topo.cache),
+        control(units, topo.breakeven_cycles, topo.gate_cycles()) {}
 
   AccessOutcome access(std::uint64_t address, bool is_write,
                        std::uint64_t physical_set, std::uint64_t logical,

@@ -2,177 +2,112 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-
-#include "util/error.h"
+#include <vector>
 
 namespace pcal {
 namespace {
 
-TEST(RunningStats, Empty) {
-  RunningStats s;
-  EXPECT_EQ(s.count(), 0u);
-  EXPECT_EQ(s.mean(), 0.0);
-  EXPECT_EQ(s.variance(), 0.0);
+IdleSums sums_of(const std::vector<std::uint64_t>& lengths, std::uint64_t d,
+                 std::uint64_t g) {
+  IdleSums s;
+  for (std::uint64_t len : lengths) s.add(len, d, g);
+  return s;
 }
 
-TEST(RunningStats, KnownValues) {
-  RunningStats s;
-  for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(x);
-  EXPECT_EQ(s.count(), 8u);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_DOUBLE_EQ(s.variance(), 4.0);  // textbook example
-  EXPECT_DOUBLE_EQ(s.stddev(), 2.0);
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 9.0);
-  EXPECT_DOUBLE_EQ(s.sum(), 40.0);
+TEST(IdleSums, IgnoresZeroLength) {
+  const IdleSums s = sums_of({0, 0}, 0, 0);
+  EXPECT_EQ(s.intervals, 0u);
+  EXPECT_EQ(s.above_d, 0u);
+  EXPECT_EQ(s.excess_d, 0u);
+  EXPECT_EQ(s.above_g, 0u);
+  EXPECT_EQ(s.excess_g, 0u);
 }
 
-TEST(RunningStats, MergeMatchesSequential) {
-  RunningStats all, a, b;
-  for (int i = 0; i < 50; ++i) {
-    const double x = std::sin(i) * 10.0;
-    all.add(x);
-    (i % 2 ? a : b).add(x);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-12);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-10);
-  EXPECT_DOUBLE_EQ(a.min(), all.min());
-  EXPECT_DOUBLE_EQ(a.max(), all.max());
+TEST(IdleSums, BasicAccounting) {
+  const IdleSums s = sums_of({10, 50, 50, 200}, 32, 64);
+  EXPECT_EQ(s.intervals, 4u);
+  EXPECT_EQ(s.above_d, 3u);
+  EXPECT_EQ(s.excess_d, (50 - 32) * 2 + (200 - 32));
+  EXPECT_EQ(s.above_g, 1u);
+  EXPECT_EQ(s.excess_g, 200u - 64u);
 }
 
-TEST(RunningStats, MergeWithEmpty) {
-  RunningStats a, empty;
-  a.add(3.0);
-  a.merge(empty);
-  EXPECT_EQ(a.count(), 1u);
-  empty.merge(a);
-  EXPECT_EQ(empty.count(), 1u);
-  EXPECT_DOUBLE_EQ(empty.mean(), 3.0);
+TEST(IdleSums, ThresholdsAreStrict) {
+  // Strictly longer than a threshold counts: 32 is not above d = 32,
+  // and 33 is not above g = 33.
+  const IdleSums s = sums_of({32, 33, 100}, 32, 33);
+  EXPECT_EQ(s.above_d, 2u);
+  EXPECT_EQ(s.excess_d, (33 - 32) + (100 - 32));
+  // The idle cycles in those intervals: 33 + 100.
+  EXPECT_EQ(s.excess_d + s.above_d * 32, 133u);
+  EXPECT_EQ(s.above_g, 1u);
+  EXPECT_EQ(s.excess_g, 100u - 33u);
 }
 
-TEST(Histogram, BucketsAndOutliers) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(-1.0);
-  h.add(0.0);
-  h.add(1.9);
-  h.add(2.0);
-  h.add(9.99);
-  h.add(10.0);
-  h.add(50.0);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 2u);
-  EXPECT_EQ(h.bucket(0), 2u);
-  EXPECT_EQ(h.bucket(1), 1u);
-  EXPECT_EQ(h.bucket(4), 1u);
-  EXPECT_EQ(h.total(), 7u);
-}
-
-TEST(Histogram, BucketBounds) {
-  Histogram h(10.0, 20.0, 4);
-  EXPECT_EQ(h.bucket_bounds(0), std::make_pair(10.0, 12.5));
-  EXPECT_EQ(h.bucket_bounds(3), std::make_pair(17.5, 20.0));
-  EXPECT_THROW(h.bucket_bounds(4), Error);
-}
-
-TEST(Histogram, Quantile) {
-  Histogram h(0.0, 100.0, 100);
-  for (int i = 0; i < 100; ++i) h.add(i + 0.5);
-  EXPECT_NEAR(h.quantile(0.5), 50.0, 1.5);
-  EXPECT_NEAR(h.quantile(0.9), 90.0, 1.5);
-  EXPECT_THROW(h.quantile(1.5), Error);
-}
-
-TEST(Intervals, IgnoresZeroLength) {
-  IntervalAccumulator acc;
-  acc.add_interval(0);
-  EXPECT_EQ(acc.interval_count(), 0u);
-  EXPECT_EQ(acc.total_idle_cycles(), 0u);
-}
-
-TEST(Intervals, BasicAccounting) {
-  IntervalAccumulator acc;
-  acc.add_interval(10);
-  acc.add_interval(50);
-  acc.add_interval(50);
-  acc.add_interval(200);
-  EXPECT_EQ(acc.interval_count(), 4u);
-  EXPECT_EQ(acc.total_idle_cycles(), 310u);
-  EXPECT_EQ(acc.longest(), 200u);
-}
-
-TEST(Intervals, ThresholdSelectorsAreStrict) {
-  IntervalAccumulator acc;
-  acc.add_interval(32);
-  acc.add_interval(33);
-  acc.add_interval(100);
-  // Strictly greater than the breakeven counts.
-  EXPECT_EQ(acc.intervals_above(32), 2u);
-  EXPECT_EQ(acc.idle_cycles_above(32), 133u);
-  EXPECT_EQ(acc.sleep_cycles(32), (33 - 32) + (100 - 32));
-}
-
-TEST(Intervals, UsefulIdlenessDefinitions) {
-  IntervalAccumulator acc;
-  acc.add_interval(100);  // sleeps 100 - 20 = 80
-  acc.add_interval(10);   // too short
-  acc.add_interval(60);   // sleeps 40
+TEST(IdleSums, UsefulIdlenessDefinitions) {
+  // 100 sleeps 100 - 20 = 80, 10 is too short, 60 sleeps 40.
+  const IdleSums s = sums_of({100, 10, 60}, 20, 20);
   // time-weighted: (80 + 40) / 1000
-  EXPECT_DOUBLE_EQ(acc.useful_idleness_time(20, 1000), 0.12);
+  EXPECT_DOUBLE_EQ(s.useful_idleness_time(1000), 0.12);
   // count-weighted: 2 of 3 intervals qualify
-  EXPECT_NEAR(acc.useful_idleness_count(20), 2.0 / 3.0, 1e-12);
+  EXPECT_NEAR(s.useful_idleness_count(), 2.0 / 3.0, 1e-12);
 }
 
-TEST(Intervals, EmptyMetricsAreZero) {
-  IntervalAccumulator acc;
-  EXPECT_EQ(acc.useful_idleness_time(10, 100), 0.0);
-  EXPECT_EQ(acc.useful_idleness_count(10), 0.0);
-  EXPECT_EQ(acc.useful_idleness_time(10, 0), 0.0);
+TEST(IdleSums, EmptyMetricsAreZero) {
+  const IdleSums s;
+  EXPECT_EQ(s.useful_idleness_time(100), 0.0);
+  EXPECT_EQ(s.useful_idleness_count(), 0.0);
+  EXPECT_EQ(s.useful_idleness_time(0), 0.0);
 }
 
-TEST(Intervals, MergeAddsEverything) {
-  IntervalAccumulator a, b;
-  a.add_interval(50);
-  b.add_interval(50);
-  b.add_interval(7);
-  a.merge(b);
-  EXPECT_EQ(a.interval_count(), 3u);
-  EXPECT_EQ(a.total_idle_cycles(), 107u);
-  EXPECT_EQ(a.intervals_above(40), 2u);
-  EXPECT_EQ(a.sleep_cycles(40), 20u);
-}
+// Property: for any interval set, the sums equal a direct count over the
+// lengths at each threshold; sleep at threshold 0 is the total idle
+// time; and both useful-idleness metrics, and the gate's sums against
+// the breakeven's, are monotone non-increasing in the threshold.
+class IdleSumsMonotone : public ::testing::TestWithParam<std::uint64_t> {};
 
-// Property: for any interval set, time-weighted sleep at breakeven 0 equals
-// the total idle time, and both metrics are monotone non-increasing in the
-// breakeven value.
-class IntervalMonotone : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(IntervalMonotone, MetricsShrinkWithBreakeven) {
-  IntervalAccumulator acc;
+TEST_P(IdleSumsMonotone, MetricsShrinkWithThreshold) {
+  std::vector<std::uint64_t> lengths;
   std::uint64_t seed = GetParam();
   std::uint64_t total = 0;
   for (int i = 0; i < 100; ++i) {
     seed = seed * 6364136223846793005ull + 1442695040888963407ull;
-    const std::uint64_t len = (seed >> 33) % 300;
-    acc.add_interval(len);
-    total += len;
+    lengths.push_back((seed >> 33) % 300);
+    total += lengths.back();
   }
-  EXPECT_EQ(acc.sleep_cycles(0), total);
+  EXPECT_EQ(sums_of(lengths, 0, 0).excess_d, total);
+  const std::uint64_t thresholds[] = {0, 1, 10, 50, 100, 400};
   double prev_time = 2.0, prev_count = 2.0;
-  for (std::uint64_t be : {0ull, 1ull, 10ull, 50ull, 100ull, 400ull}) {
-    const double t = acc.useful_idleness_time(be, 4 * total + 1);
-    const double c = acc.useful_idleness_count(be);
+  for (std::size_t i = 0; i < 6; ++i) {
+    const std::uint64_t d = thresholds[i];
+    const std::uint64_t g = thresholds[i + 1 < 6 ? i + 1 : i];
+    const IdleSums s = sums_of(lengths, d, g);
+    std::uint64_t nonzero = 0, above = 0, excess = 0;
+    for (std::uint64_t len : lengths) {
+      nonzero += len > 0 ? 1 : 0;
+      if (len > d) {
+        ++above;
+        excess += len - d;
+      }
+    }
+    EXPECT_EQ(s.intervals, nonzero);
+    EXPECT_EQ(s.above_d, above);
+    EXPECT_EQ(s.excess_d, excess);
+    EXPECT_LE(s.above_g, s.above_d);
+    EXPECT_LE(s.excess_g, s.excess_d);
+    EXPECT_EQ(s.excess_g, sums_of(lengths, g, g).excess_d);
+    EXPECT_EQ(s.above_g, sums_of(lengths, g, g).above_d);
+    const double t = s.useful_idleness_time(4 * total + 1);
+    const double c = s.useful_idleness_count();
     EXPECT_LE(t, prev_time);
     EXPECT_LE(c, prev_count);
     prev_time = t;
     prev_count = c;
   }
-  EXPECT_EQ(acc.sleep_cycles(400), 0u);
+  EXPECT_EQ(sums_of(lengths, 400, 400).excess_d, 0u);
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, IntervalMonotone,
+INSTANTIATE_TEST_SUITE_P(Seeds, IdleSumsMonotone,
                          ::testing::Values(1u, 2u, 3u, 99u, 12345u));
 
 }  // namespace
