@@ -1,0 +1,91 @@
+#!/usr/bin/env python3
+"""Smoke checks of the routed-path benches.
+
+  gates        each bench exits 0: bench_hierarchy_depth checks its own
+               depth x inclusion x latency invariants (ideal rows keep
+               the idealized clock, timed rows stall, every row prices
+               nonzero energy), bench_multicore_qos the noisy-neighbour
+               effect and the per-core attribution sums, and
+               bench_contention_scaling the cycle identity, the ladder
+               monotonicity and MSHRs separating streaming from hotspot
+  determinism  each bench prints the same stdout at 1 and 8 workers
+               (PCAL_BENCH_THREADS)
+  records      every run writes a BENCH record, and
+               tools/check_bench_json.py passes them all
+
+Every run is at PCAL_BENCH_ACCESSES=20000.  Only the Python interpreter
+is needed, so it runs on sanitizer builds too.
+
+Usage:
+  check_bench_smoke.py BENCH [BENCH ...]
+"""
+import argparse
+import glob
+import os
+import subprocess
+import sys
+import tempfile
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+ROOT = os.path.dirname(os.path.dirname(HERE))
+BENCH_GATE = os.path.join(ROOT, "tools", "check_bench_json.py")
+ACCESSES = "20000"
+WORKERS = (1, 8)
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("benches", nargs="+", metavar="BENCH")
+    args = ap.parse_args()
+    failures = []
+    checked = 0
+
+    def check(name, ok, detail=""):
+        nonlocal checked
+        checked += 1
+        if not ok:
+            failures.append(name + (": " + detail if detail else ""))
+
+    with tempfile.TemporaryDirectory(prefix="pcal_bench_smoke_") as work:
+        records = []
+        for bench in args.benches:
+            name = os.path.basename(bench)
+            stdout = {}
+            for workers in WORKERS:
+                label = "%s at %d worker(s)" % (name, workers)
+                out_dir = os.path.join(work, "%s_%d" % (name, workers))
+                os.makedirs(out_dir)
+                records.append(out_dir)
+                env = {k: v for k, v in os.environ.items()
+                       if not k.startswith("PCAL_")}
+                env.update({"PCAL_BENCH_ACCESSES": ACCESSES,
+                            "PCAL_BENCH_THREADS": str(workers),
+                            "PCAL_BENCH_JSON_DIR": out_dir})
+                proc = subprocess.run([os.path.abspath(bench)], cwd=work,
+                                      env=env, stdout=subprocess.PIPE,
+                                      stderr=subprocess.PIPE)
+                check(label, proc.returncode == 0, "exit %d\n%s" % (
+                    proc.returncode, proc.stderr.decode(errors="replace")))
+                check(label + " wrote a BENCH record",
+                      bool(glob.glob(os.path.join(out_dir, "BENCH_*.json"))))
+                stdout[workers] = proc.stdout.decode(errors="replace")
+            a, b = (stdout[w] for w in WORKERS)
+            check("%s: 1 worker == 8 workers" % name, a == b and a != "",
+                  "outputs differ" if a != b else "empty output")
+        gate = subprocess.run([sys.executable, BENCH_GATE] + records,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        check("bench gate", gate.returncode == 0,
+              gate.stderr.decode(errors="replace"))
+
+    for f in failures:
+        print("FAIL " + f, file=sys.stderr)
+    if failures:
+        print("%d of %d bench smoke checks failed" % (len(failures), checked),
+              file=sys.stderr)
+        return 1
+    print("passed %d bench smoke checks" % checked)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
