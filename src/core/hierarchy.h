@@ -91,11 +91,11 @@ struct RoutedLevel {
 /// MSHRs / edge bandwidth — and what attributes a shared level's
 /// tag-store traffic to a core.
 struct LevelEvent {
-  std::uint8_t level;
-  bool hit;
-  bool writeback;
-  std::uint64_t unit;
-  std::uint64_t address;
+  std::uint8_t level = 0;
+  bool hit = false;
+  bool writeback = false;
+  std::uint64_t unit = 0;
+  std::uint64_t address = 0;
 };
 
 /// Deepest chain a LevelTrace can record: 3 private levels + a shared

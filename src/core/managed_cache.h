@@ -20,7 +20,11 @@
 // The power policy is two thresholds, not code: every unit sleeps after
 // `breakeven_cycles` idle cycles and counts as power-gated after
 // CacheTopology::gate_cycles().  The gated policy is the case where the
-// two coincide; the drowsy hybrid's window separates them.
+// two coincide; the drowsy hybrid's window separates them.  Block
+// Control is built with both and keeps, per unit, running counts and
+// sums of the idle intervals past each (IdleSums, util/stats.h): that is
+// all the residency and activity queries read, and an access adds to
+// them without allocating.
 //
 // ## Ownership, thread-safety and determinism (the API contract)
 //
