@@ -58,9 +58,10 @@
 // MultiCoreResult carries the system-wide SimResult (units ordered
 // depth-major: every core's L1 units, then every core's L2 units, ...,
 // then the LLC's) plus one CoreResult per core: its accesses, stalls,
-// private-level stats, its delta-attributed slice of the LLC's tag-store
-// traffic, and an energy figure = the core's own private levels plus the
-// LLC report scaled by the core's share of LLC accesses.
+// private-level stats, its slice of the LLC's tag-store traffic (counted
+// from the LLC's event of each access it routed), and an energy figure =
+// the core's own private levels plus the LLC report scaled by the core's
+// share of LLC accesses.
 #pragma once
 
 #include <cstdint>
@@ -122,9 +123,10 @@ struct CoreResult {
   std::uint64_t llc_way_mask = 0;
   /// Tag-store stats of the core's private levels, L1 first.
   std::vector<CacheStats> level_stats;
-  /// The core's delta-attributed slice of the shared LLC's traffic
-  /// (snapshots taken around each routed access; update flushes are
-  /// attributed to no core).
+  /// The core's slice of the shared LLC's tag-store traffic: the LLC's
+  /// event of each access it routed (on the batched single-level loop,
+  /// the stats delta of each chunk).  Update flushes are attributed to
+  /// no core.
   CacheStats llc_stats;
   /// The core's private-level energy plus the LLC report scaled by its
   /// share of LLC accesses (even split if the LLC saw none).
