@@ -154,6 +154,19 @@ TEST(ContentionModel, MshrAllocateStallAndMerge) {
   EXPECT_EQ(model.on_event(event(0, 128, true), 40).total(), 0u);
 }
 
+TEST(ContentionModel, MshrMergesWithinOneLineOnly) {
+  // 16-byte lines: 15 and 16 straddle a line boundary, 16 and 31 do not.
+  ContentionParams p;
+  p.mshrs = 2;
+  p.mshr_latency_cycles = 10;
+  ContentionModel model({shape_of(p)});
+  EXPECT_EQ(model.on_event(event(0, 15, true), 0).total(), 0u);  // line 0
+  EXPECT_EQ(model.on_event(event(0, 16, true), 1).total(), 0u);  // line 1
+  EXPECT_EQ(model.on_event(event(0, 31, true), 2).total(), 0u);  // merged
+  // Line 2 finds both entries busy until 10 and 11.
+  EXPECT_EQ(model.on_event(event(0, 32, true), 3).mshr, 7u);
+}
+
 TEST(ContentionModel, BandwidthFillStallsAndWritebackIsPosted) {
   ContentionParams p;
   p.bytes_per_cycle = 4;  // 16B line -> 4-cycle transfer

@@ -16,7 +16,9 @@
 //      between a fully shared and a way-partitioned LLC;
 //   6. one clock: a 2-core run equals a hand replay of its weighted
 //      round-robin order over test-owned caches, unit by unit, and so
-//      does each core's slice of the shared LLC's traffic.
+//      does each core's slice of the shared LLC's traffic — on roomy
+//      levels and on levels small enough that the LLC hits, misses and
+//      sheds dirty victims.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -252,61 +254,45 @@ TEST(MultiCore, PerCoreResultsSumToSystemTotals) {
               1e-6 * r.system.energy.partitioned.total_pj());
 }
 
-TEST(MultiCore, MatchesAHandReplayOnOneClock) {
-  // Two cores at ipc weights 2 and 1, each an L1 (hit 1, miss 6, gated
-  // wake 3) over a private 32kB L2, sharing a 64kB LLC.  Static indexing
-  // and no contention: no update fires and no resource stalls, so the
-  // engine's result must equal a replay that routes each access through
-  // test-owned caches in weighted round-robin order and moves time by
-  // hand — 1 + stall per access, the other core's levels idle.  The
-  // replay attributes the LLC's tag-store traffic to the issuing core by
-  // its stats delta around each routed access.
-  SimConfig base = paper_config(8192, 16, 4);
-  base.indexing = IndexingKind::kStatic;
-  base.latency.hit_cycles = 1;
-  base.latency.miss_cycles = 6;
-  base.latency.gated_wake_cycles = 3;
-  base.lower_levels.push_back(base.make_level(32 * 1024));
-  MultiCoreConfig mc = make_multicore(base, 2, base.make_level(64 * 1024));
-  mc.cores[0].ipc_weight = 2;
-  mc.cores[1].ipc_weight = 1;
-
-  // Unequal lengths: core 0 drops out of the rotation first.
-  const std::uint64_t lengths[2] = {12'000, 30'000};
-  const char* names[2] = {"cjpeg", "dijkstra"};
-  auto s0 = source_for(names[0], lengths[0]);
-  auto s1 = source_for(names[1], lengths[1]);
-  const MultiCoreResult engine = MultiCoreSystem(mc).run({s0.get(), s1.get()});
+/// Runs `mc` on the engine and on a hand replay over test-owned caches
+/// (`traces[k]` is core k's stream) and expects them to agree unit by
+/// unit, in total cycles, and in each core's slice of the LLC's traffic,
+/// which the replay takes as the LLC's stats delta around each routed
+/// access.  Needs static indexing and no contention: no update fires and
+/// no resource stalls.  Returns the LLC's stats, so callers can check
+/// what the run exercised.
+CacheStats expect_matches_hand_replay(const MultiCoreConfig& mc,
+                                      const std::vector<Trace>& traces) {
+  std::vector<Trace> streams = traces;  // the engine's, with own cursors
+  std::vector<TraceSource*> views;
+  for (Trace& stream : streams) views.push_back(&stream);
+  const MultiCoreResult engine = MultiCoreSystem(mc).run(views);
 
   TimingModel clock;
   std::vector<std::unique_ptr<ManagedCache>> caches;
-  std::vector<std::vector<RoutedLevel>> routes(2);
-  std::vector<Trace> traces;
-  for (std::size_t k = 0; k < 2; ++k) {
+  std::vector<std::vector<RoutedLevel>> routes(traces.size());
+  for (std::size_t k = 0; k < traces.size(); ++k)
     for (const LevelConfig& level : mc.cores[k].levels) {
       caches.push_back(make_managed_cache(level.topology, &clock));
       routes[k].push_back({caches.back().get(), level.inclusion});
     }
-    auto source = source_for(names[k], lengths[k]);
-    traces.push_back(Trace::materialize(*source));
-  }
   caches.push_back(make_managed_cache(mc.llc.topology, &clock));
   for (std::vector<RoutedLevel>& route : routes)
     route.push_back({caches.back().get(), mc.llc.inclusion});
 
   const ManagedCache& llc = *caches.back();
-  CacheStats llc_share[2];
-  std::size_t pos[2] = {0, 0};
-  bool done[2] = {false, false};
-  while (!done[0] || !done[1]) {
-    for (std::size_t k = 0; k < 2; ++k) {
-      for (std::uint64_t slot = 0; !done[k] && slot < mc.cores[k].ipc_weight;
+  std::vector<CacheStats> llc_share(traces.size());
+  std::vector<std::size_t> pos(traces.size(), 0);
+  std::size_t live = 0;
+  for (const Trace& trace : traces) live += trace.empty() ? 0 : 1;
+  std::uint64_t accesses = 0;
+  while (live > 0) {
+    for (std::size_t k = 0; k < traces.size(); ++k) {
+      for (std::uint64_t slot = 0;
+           pos[k] < traces[k].size() && slot < mc.cores[k].ipc_weight;
            ++slot) {
-        if (pos[k] == traces[k].size()) {
-          done[k] = true;
-          break;
-        }
         const MemAccess& a = traces[k].accesses()[pos[k]++];
+        if (pos[k] == traces[k].size()) --live;
         const CacheStats before = llc.stats();
         const AccessOutcome out =
             route_access(routes[k].data(), routes[k].size(),
@@ -318,24 +304,26 @@ TEST(MultiCore, MatchesAHandReplayOnOneClock) {
         llc_share[k].misses += after.misses - before.misses;
         llc_share[k].writebacks += after.writebacks - before.writebacks;
         clock.on_access(out.stall_cycles);
+        ++accesses;
       }
     }
   }
   for (auto& cache : caches) cache->finish();
 
   const SimResult& r = engine.system;
-  EXPECT_EQ(r.accesses, lengths[0] + lengths[1]);
+  EXPECT_EQ(r.accesses, accesses);
   EXPECT_EQ(r.total_cycles, clock.total_cycles());
-  // The engine's unit order is depth-major: both L1s, both L2s, the LLC.
+  // The engine's unit order is depth-major: every core's L1, every
+  // core's L2, ..., the LLC.
   std::vector<std::pair<const ManagedCache*, std::uint64_t>> units;
-  for (std::size_t d = 0; d < 2; ++d)
-    for (std::size_t k = 0; k < 2; ++k)
-      for (std::uint64_t u = 0; u < routes[k][d].cache->num_units(); ++u)
-        units.emplace_back(routes[k][d].cache, u);
-  for (std::uint64_t u = 0; u < caches.back()->num_units(); ++u)
-    units.emplace_back(caches.back().get(), u);
-  ASSERT_EQ(r.units.size(), units.size());
-  for (std::size_t i = 0; i < units.size(); ++i) {
+  for (std::size_t d = 0; d + 1 < routes.front().size(); ++d)
+    for (const std::vector<RoutedLevel>& route : routes)
+      for (std::uint64_t u = 0; u < route[d].cache->num_units(); ++u)
+        units.emplace_back(route[d].cache, u);
+  for (std::uint64_t u = 0; u < llc.num_units(); ++u)
+    units.emplace_back(&llc, u);
+  EXPECT_EQ(r.units.size(), units.size());
+  for (std::size_t i = 0; i < units.size() && i < r.units.size(); ++i) {
     const UnitActivity a = units[i].first->unit_activity(units[i].second);
     EXPECT_EQ(r.units[i].accesses, a.accesses) << "unit " << i;
     EXPECT_EQ(r.units[i].sleep_cycles, a.sleep_cycles) << "unit " << i;
@@ -346,22 +334,72 @@ TEST(MultiCore, MatchesAHandReplayOnOneClock) {
         << "unit " << i;
   }
   // Each core's slice of the shared LLC, and the slices cover it.
-  ASSERT_EQ(engine.cores.size(), 2u);
-  for (std::size_t k = 0; k < 2; ++k) {
+  EXPECT_EQ(engine.cores.size(), traces.size());
+  CacheStats covered;
+  for (std::size_t k = 0; k < traces.size() && k < engine.cores.size();
+       ++k) {
     const CacheStats& got = engine.cores[k].llc_stats;
     EXPECT_EQ(got.accesses, llc_share[k].accesses) << "core " << k;
     EXPECT_EQ(got.hits, llc_share[k].hits) << "core " << k;
     EXPECT_EQ(got.misses, llc_share[k].misses) << "core " << k;
     EXPECT_EQ(got.writebacks, llc_share[k].writebacks) << "core " << k;
     EXPECT_GT(got.accesses, 0u) << "core " << k;
+    covered.accesses += llc_share[k].accesses;
+    covered.writebacks += llc_share[k].writebacks;
   }
-  EXPECT_EQ(llc_share[0].accesses + llc_share[1].accesses,
-            llc.stats().accesses);
-  EXPECT_EQ(llc_share[0].writebacks + llc_share[1].writebacks,
-            llc.stats().writebacks);
+  EXPECT_EQ(covered.accesses, llc.stats().accesses);
+  EXPECT_EQ(covered.writebacks, llc.stats().writebacks);
   // Stalls happened, and so did both kinds of L1 event.
   EXPECT_GT(r.stall_cycles, 0u);
-  EXPECT_GT(r.level_stats.back().accesses, 0u);
+  EXPECT_GT(r.level_stats.front().hits, 0u);
+  EXPECT_GT(r.level_stats.front().misses, 0u);
+  return llc.stats();
+}
+
+Trace materialize(const WorkloadSpec& spec, std::uint64_t accesses) {
+  SyntheticTraceSource source(spec, accesses);
+  return Trace::materialize(source);
+}
+
+TEST(MultiCore, MatchesAHandReplayOnOneClock) {
+  // Two cores at ipc weights 2 and 1, each an L1 (hit 1, miss 6, gated
+  // wake 3) over a private L2, sharing an LLC, all statically indexed.
+  // The engine must equal a replay that routes each access through
+  // test-owned caches in weighted round-robin order and moves time by
+  // hand — 1 + stall per access, the other core's levels idle.
+  // Unequal lengths: core 0 drops out of the rotation first.
+  SimConfig base = paper_config(8192, 16, 4);
+  base.indexing = IndexingKind::kStatic;
+  base.latency.hit_cycles = 1;
+  base.latency.miss_cycles = 6;
+  base.latency.gated_wake_cycles = 3;
+
+  // MediaBench streams over a 32kB L2 and a 64kB LLC: the L1s miss
+  // only on first touch.
+  SimConfig roomy = base;
+  roomy.lower_levels.push_back(base.make_level(32 * 1024));
+  MultiCoreConfig mc = make_multicore(roomy, 2, base.make_level(64 * 1024));
+  mc.cores[0].ipc_weight = 2;
+  mc.cores[1].ipc_weight = 1;
+  expect_matches_hand_replay(
+      mc, {materialize(make_mediabench_workload("cjpeg"), 12'000),
+           materialize(make_mediabench_workload("dijkstra"), 30'000)});
+
+  // Footprints past every level (48kB uniform, 64kB hotspot, 30% and
+  // 25% writes) over a 16kB L2 and a 32kB LLC: the LLC both hits and
+  // misses, and sheds dirty victims, so every field of each core's
+  // slice is exercised.
+  SimConfig tight = base;
+  tight.lower_levels.push_back(base.make_level(16 * 1024));
+  mc = make_multicore(tight, 2, base.make_level(32 * 1024));
+  mc.cores[0].ipc_weight = 2;
+  mc.cores[1].ipc_weight = 1;
+  const CacheStats llc = expect_matches_hand_replay(
+      mc, {materialize(make_uniform_workload(48 * 1024), 15'000),
+           materialize(make_hotspot_workload(64 * 1024), 25'000)});
+  EXPECT_GT(llc.hits, 0u);
+  EXPECT_GT(llc.misses, 0u);
+  EXPECT_GT(llc.writebacks, 0u);
 }
 
 TEST(MultiCore, PartitioningChangesTheVictimsLLCTraffic) {
