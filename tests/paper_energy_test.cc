@@ -3,7 +3,7 @@
 // EnergyParams::paper(tech) under UnitEnergyModel must price exactly
 // what the paper's bank model priced: the M-bank partition against the
 // never-sleeping monolithic baseline (Esav), Block Control's breakeven,
-// and per-bank thermal power.  The reference below is an independent,
+// and each bank's own price.  The reference below is an independent,
 // test-local copy of that model's arithmetic — it never calls
 // UnitEnergyModel — and every comparison is on raw doubles with
 // EXPECT_EQ, so a single moved bit fails.  The build compiles with
@@ -18,7 +18,6 @@
 
 #include "core/experiment.h"
 #include "core/simulator.h"
-#include "power/thermal.h"
 #include "trace/synthetic.h"
 #include "trace/workloads.h"
 
@@ -118,19 +117,19 @@ EnergyReport reference_price_run(
   return report;
 }
 
-double reference_average_power_mw(const ReferenceBankModel& m,
-                                  const ReferenceBankActivity& a,
-                                  std::uint64_t total_cycles) {
+/// One bank's price over the run (pJ): what the partition's components
+/// sum for this bank alone.
+double reference_bank_pj(const ReferenceBankModel& m,
+                         const ReferenceBankActivity& a,
+                         std::uint64_t total_cycles) {
   const std::uint64_t bank_bytes = m.partition.bank_bytes(m.cache);
   const double t_ns = static_cast<double>(total_cycles) * m.tech.clock_ns;
   const double sleep_ns =
       static_cast<double>(a.sleep_cycles) * m.tech.clock_ns;
-  const double energy_pj =
-      static_cast<double>(a.accesses) * m.banked_access_energy_pj() +
-      m.leakage_mw(bank_bytes) * (t_ns - sleep_ns) +
-      m.retention_leakage_mw(bank_bytes) * sleep_ns +
-      static_cast<double>(a.sleep_episodes) * m.transition_energy_pj();
-  return energy_pj / t_ns;
+  return static_cast<double>(a.accesses) * m.banked_access_energy_pj() +
+         m.leakage_mw(bank_bytes) * (t_ns - sleep_ns) +
+         m.retention_leakage_mw(bank_bytes) * sleep_ns +
+         static_cast<double>(a.sleep_episodes) * m.transition_energy_pj();
 }
 
 /// The reference model of a config's L1: its bank partition, one bank
@@ -189,8 +188,7 @@ SimResult run(const SimConfig& cfg, const std::string& workload) {
 
 TEST(PaperEnergyReference, BankRunsMatchBitForBit) {
   // 5 workloads x 8/32 kB x 16/32 B lines x M = 2/4/8/16: every
-  // component, the baseline, the breakeven and every bank's thermal
-  // power.
+  // component, the baseline, the breakeven and every bank's price.
   int runs = 0;
   for (const char* workload : kWorkloads)
     for (std::uint64_t size : {8192u, 32768u})
@@ -211,11 +209,12 @@ TEST(PaperEnergyReference, BankRunsMatchBitForBit) {
           EXPECT_EQ(r.breakeven_cycles, ref.breakeven_cycles()) << label;
           const UnitEnergyModel model = cfg.paper_energy_model();
           for (const UnitResult& u : r.units)
-            EXPECT_EQ(BankThermalModel::average_power_mw(
-                          model, unit_activity_of(u), r.total_cycles),
-                      reference_average_power_mw(
-                          ref, {u.accesses, u.sleep_cycles, u.sleep_episodes},
-                          r.total_cycles))
+            EXPECT_EQ(
+                model.price_unit(unit_activity_of(u), r.total_cycles)
+                    .total_pj(),
+                reference_bank_pj(
+                    ref, {u.accesses, u.sleep_cycles, u.sleep_episodes},
+                    r.total_cycles))
                 << label;
           ++runs;
         }

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unordered_set>
+
 #include "util/error.h"
 
 namespace pcal {
@@ -96,6 +98,26 @@ TEST(Workloads, HotspotWorkloadConcentrates) {
 
 TEST(Workloads, HotspotRejectsTinyFootprint) {
   EXPECT_THROW(make_hotspot_workload(4096), ConfigError);
+}
+
+TEST(Workloads, SyntheticWorkloadsShowReuse) {
+  // MediaBench-like workloads must look like real programs: substantial
+  // line reuse and a footprint bounded by the spec.
+  const auto spec = make_mediabench_workload("rijndael_i");
+  SyntheticTraceSource src(spec, 100'000);
+  constexpr std::uint64_t kLineBytes = 16;
+  std::unordered_set<std::uint64_t> lines;
+  std::uint64_t accesses = 0, reuses = 0, writes = 0;
+  while (auto a = src.next()) {
+    ++accesses;
+    if (!lines.insert(a->address / kLineBytes).second) ++reuses;
+    if (a->kind == AccessKind::kWrite) ++writes;
+  }
+  const double n = static_cast<double>(accesses);
+  EXPECT_EQ(accesses, 100'000u);
+  EXPECT_GT(static_cast<double>(reuses) / n, 0.9);
+  EXPECT_LE(lines.size() * kLineBytes, spec.footprint_bytes);
+  EXPECT_NEAR(static_cast<double>(writes) / n, spec.write_fraction, 0.02);
 }
 
 TEST(Workloads, StreamingWalksWholeFootprint) {
