@@ -55,17 +55,6 @@ inline const AgingContext& aging() {
   return *ctx;
 }
 
-/// A calibrated st45 cell model, for benches that query the physics
-/// directly instead of through the LUT (one calibration, not a LUT build).
-inline const CellAgingCharacterizer& calibrated_cell() {
-  static const CellAgingCharacterizer* chr = [] {
-    auto* c = new CellAgingCharacterizer(AgingParams::st45());
-    c->calibrate();
-    return c;
-  }();
-  return *chr;
-}
-
 /// The machine-readable perf record of one bench run — shared with the
 /// pcalsweep CLI, which writes the same BENCH_<name>.json schema (see
 /// core/bench_record.h for the env knobs).

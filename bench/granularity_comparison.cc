@@ -4,27 +4,18 @@
 // This regenerates the paper's *motivating* comparison (§I, §II-B, §III):
 // line-level management is the aging-optimal upper bound but requires
 // modifying the SRAM array internals; uniform banks get most of the
-// benefit using standard memory-compiler macros.  We report lifetime,
-// harvested idleness and wear-leveling metrics for: monolithic, banked
-// M = 4/8/16 (probing), and line-grain probing.
+// benefit using standard memory-compiler macros.  We report lifetime and
+// harvested idleness for: monolithic, banked M = 4/8/16 (probing), and
+// line-grain probing.
 //
 // All five architectures run through the one polymorphic Simulator engine
 // — the configs differ only in their CacheTopology.
 #include "bench_common.h"
 
-#include "aging/wear_metrics.h"
-
 namespace {
 
 using namespace pcal;
 using namespace pcal::bench;
-
-std::vector<double> unit_residencies(const SimResult& r) {
-  std::vector<double> res;
-  res.reserve(r.units.size());
-  for (const auto& u : r.units) res.push_back(u.sleep_residency);
-  return res;
-}
 
 SimConfig fine_config() {
   SimConfig cfg = line_grain_variant(paper_config(8192, 16, 4));
@@ -41,7 +32,7 @@ int main() {
                "DATE'11 §I/§III motivation (8kB, 16B lines)");
 
   TextTable table({"benchmark", "mono:LT", "M4:LT", "M8:LT", "M16:LT",
-                   "line:LT", "line:avg-idl", "M4:gini", "line:gini"});
+                   "line:LT", "line:avg-idl"});
 
   double avg[5] = {};
   const auto& sigs = mediabench_signatures();
@@ -62,12 +53,8 @@ int main() {
   for (const auto& sig : sigs) {
     std::vector<std::string> row{sig.name};
     double lts[4] = {};
-    double m4_gini = 0.0;
-    for (int i = 0; i < 3; ++i) {
-      const SimResult& r = grid.result(next++);
-      lts[i + 1] = r.lifetime_years();
-      if (i == 0) m4_gini = gini_coefficient(unit_residencies(r));
-    }
+    for (int i = 0; i < 3; ++i)
+      lts[i + 1] = grid.result(next++).lifetime_years();
     const SimResult& mono = grid.result(next++);
     lts[0] = mono.lifetime_years();
     const SimResult& fine = grid.result(next++);
@@ -77,9 +64,6 @@ int main() {
     row.push_back(TextTable::num(lts[3], 2));
     row.push_back(TextTable::num(fine.lifetime_years(), 2));
     row.push_back(TextTable::pct(fine.avg_residency(), 1));
-    row.push_back(TextTable::num(m4_gini, 3));
-    row.push_back(TextTable::num(gini_coefficient(unit_residencies(fine)),
-                                 3));
     table.add_row(std::move(row));
     avg[0] += lts[0];
     avg[1] += lts[1];
@@ -91,7 +75,7 @@ int main() {
   table.add_row({"Average", TextTable::num(avg[0] / n, 2),
                  TextTable::num(avg[1] / n, 2), TextTable::num(avg[2] / n, 2),
                  TextTable::num(avg[3] / n, 2), TextTable::num(avg[4] / n, 2),
-                 "-", "-", "-"});
+                 "-"});
   print_table(table);
   std::cout
       << "expected shape: mono < M4 < M8 <= M16 < line.  The line-grain "

@@ -55,18 +55,4 @@ CacheLifetimeResult CacheLifetimeEvaluator::evaluate(
   return finalize(std::move(result));
 }
 
-CacheLifetimeResult CacheLifetimeEvaluator::evaluate_with_temperature(
-    const std::vector<double>& bank_residency,
-    const std::vector<double>& bank_temperature_c, const NbtiModel& nbti,
-    double p0) const {
-  PCAL_ASSERT_MSG(bank_residency.size() == bank_temperature_c.size(),
-                  "residency/temperature size mismatch");
-  CacheLifetimeResult result = evaluate(bank_residency, p0);
-  for (std::size_t i = 0; i < result.banks.size(); ++i) {
-    result.banks[i].lifetime_years *=
-        nbti.thermal_lifetime_scale(bank_temperature_c[i]);
-  }
-  return finalize(std::move(result));
-}
-
 }  // namespace pcal

@@ -41,15 +41,6 @@ class CacheLifetimeEvaluator {
   CacheLifetimeResult evaluate(const std::vector<double>& bank_residency,
                                double p0 = 0.5) const;
 
-  /// Thermal-aware variant: each bank's LUT lifetime (characterized at
-  /// the reference temperature) is rescaled by the Arrhenius lifetime
-  /// factor of its own temperature.  `nbti` provides the scaling;
-  /// `bank_temperature_c` pairs with `bank_residency`.
-  CacheLifetimeResult evaluate_with_temperature(
-      const std::vector<double>& bank_residency,
-      const std::vector<double>& bank_temperature_c, const NbtiModel& nbti,
-      double p0 = 0.5) const;
-
  private:
   const AgingLut* lut_;
 };

@@ -64,12 +64,6 @@ double NbtiModel::time_to_reach(double dvth, double alpha_eff, double vdd,
   return std::pow(dvth / k, 1.0 / params_.n) / alpha_eff;
 }
 
-double NbtiModel::thermal_lifetime_scale(double temperature_c) const {
-  const double ratio = prefactor(params_.vdd_ref, params_.temp_ref_c) /
-                       prefactor(params_.vdd_ref, temperature_c);
-  return std::pow(ratio, 1.0 / params_.n);
-}
-
 void NbtiModel::scale_prefactor(double factor) {
   PCAL_ASSERT(factor > 0.0);
   params_.kdc *= factor;

@@ -48,13 +48,6 @@ class NbtiModel {
   double time_to_reach(double dvth, double alpha_eff, double vdd,
                        double temperature_c) const;
 
-  /// Lifetime scale factor for operating at `temperature_c` instead of
-  /// the model's reference temperature: lifetime(T) = scale * lifetime(T_ref).
-  /// Lifetime goes as prefactor^(-1/n), so the Arrhenius factor is
-  /// amplified by 1/n (~6x) — small prefactor activation energies produce
-  /// the strong lifetime-vs-temperature sensitivity NBTI is known for.
-  double thermal_lifetime_scale(double temperature_c) const;
-
   /// Globally rescales the prefactor (calibration hook).
   void scale_prefactor(double factor);
 
