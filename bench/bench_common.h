@@ -30,24 +30,14 @@
 namespace pcal::bench {
 
 /// Accesses per workload run.  Override with PCAL_BENCH_ACCESSES for
-/// quicker smoke runs.
+/// quicker smoke runs; a malformed override throws.
 inline std::uint64_t accesses() {
-  if (const char* env = std::getenv("PCAL_BENCH_ACCESSES")) {
-    const long long v = std::atoll(env);
-    if (v > 1000) return static_cast<std::uint64_t>(v);
-  }
-  return kDefaultTraceAccesses;
+  return bench_accesses(kDefaultTraceAccesses);
 }
 
 /// Sweep worker threads: PCAL_BENCH_THREADS if set, else the SweepRunner
 /// default (PCAL_SWEEP_THREADS / hardware concurrency).
-inline unsigned threads() {
-  if (const char* env = std::getenv("PCAL_BENCH_THREADS")) {
-    const long v = std::atol(env);
-    if (v >= 1) return static_cast<unsigned>(v);
-  }
-  return SweepRunner::default_threads();
-}
+inline unsigned threads() { return bench_threads(); }
 
 /// The process-wide calibrated aging context (the build-embedded LUT).
 inline const AgingContext& aging() {

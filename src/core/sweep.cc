@@ -2,11 +2,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <cstdlib>
+#include <cstring>
 #include <deque>
 #include <map>
 #include <mutex>
+#include <sstream>
 #include <string>
 #include <thread>
 
@@ -291,11 +294,43 @@ std::vector<std::size_t> run_cohort(
 
 }  // namespace
 
-unsigned SweepRunner::default_threads() {
-  if (const char* env = std::getenv("PCAL_SWEEP_THREADS")) {
-    const long v = std::atol(env);
-    if (v >= 1) return static_cast<unsigned>(v);
+std::optional<std::uint64_t> count_from_env(const char* name,
+                                            std::uint64_t min,
+                                            std::uint64_t max) {
+  const char* env = std::getenv(name);
+  if (env == nullptr) return std::nullopt;
+  const char* end = env + std::strlen(env);
+  std::uint64_t value = 0;
+  // from_chars reads digits only: no sign, space or suffix, and an
+  // overflowing count is an error, not a saturated value.
+  const auto [stop, ec] = std::from_chars(env, end, value);
+  if (ec != std::errc() || stop != end || value < min || value > max) {
+    std::ostringstream os;
+    os << "bad " << name << " '" << env
+       << "' (want a decimal count of at least " << min;
+    if (max != std::numeric_limits<std::uint64_t>::max())
+      os << " and at most " << max;
+    os << ")";
+    throw ConfigError(os.str());
   }
+  return value;
+}
+
+std::uint64_t bench_accesses(std::uint64_t fallback) {
+  return count_from_env("PCAL_BENCH_ACCESSES", 1001).value_or(fallback);
+}
+
+unsigned bench_threads() {
+  if (const auto v = count_from_env("PCAL_BENCH_THREADS", 1,
+                                    std::numeric_limits<unsigned>::max()))
+    return static_cast<unsigned>(*v);
+  return SweepRunner::default_threads();
+}
+
+unsigned SweepRunner::default_threads() {
+  if (const auto v = count_from_env("PCAL_SWEEP_THREADS", 1,
+                                    std::numeric_limits<unsigned>::max()))
+    return static_cast<unsigned>(*v);
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? hw : 1;
 }

@@ -4,6 +4,12 @@
   spec validation  `--dry-run` accepts `pcalsweep --example` and every
                    examples/*.sweep (trace_mix.sweep over a generated
                    `pcal-tracepack gen cjpeg 100000 demo.pct`)
+  tracepack        `info` reports demo.pct's 100000 records, and
+                   `unpack` then `pack` rebuilds it byte for byte
+  env overrides    PCAL_BENCH_ACCESSES=20000 overrides a 2-job spec's
+                   `accesses = 3000`; a malformed PCAL_BENCH_ACCESSES,
+                   PCAL_BENCH_THREADS or PCAL_SWEEP_THREADS fails
+                   pcalsweep with an error naming the variable and value
   determinism      examples/trace_mix.sweep and examples/hierarchy.sweep
                    print the same stdout at 1 and 8 workers
   timeline         pcalsim (`--example` at 50000 accesses, a 64 kB L2,
@@ -24,6 +30,7 @@ Usage:
 """
 import argparse
 import glob
+import json
 import os
 import subprocess
 import sys
@@ -52,17 +59,30 @@ class Checks:
         if not ok:
             self.failures.append(name + (": " + detail if detail else ""))
 
-    def run(self, name, argv, env=None):
-        """Runs argv in the work directory and requires exit 0; returns
-        stdout."""
+    def spawn(self, argv, env=None):
+        """Runs argv in the work directory with no PCAL_* variable but
+        those in `env`."""
         full_env = {k: v for k, v in os.environ.items()
                     if not k.startswith("PCAL_")}
         full_env.update(env or {})
-        proc = subprocess.run(argv, cwd=self.work, env=full_env,
+        return subprocess.run(argv, cwd=self.work, env=full_env,
                               stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+
+    def run(self, name, argv, env=None):
+        """Runs argv and requires exit 0; returns stdout."""
+        proc = self.spawn(argv, env)
         self.check(name, proc.returncode == 0, "exit %d\n%s" % (
             proc.returncode, proc.stderr.decode(errors="replace")))
         return proc.stdout.decode(errors="replace")
+
+    def fails(self, name, argv, env, needles):
+        """Runs argv and requires a nonzero exit whose stderr contains
+        every needle."""
+        proc = self.spawn(argv, env)
+        err = proc.stderr.decode(errors="replace")
+        self.check(name, proc.returncode != 0 and
+                   all(n in err for n in needles),
+                   "exit %d\n%s" % (proc.returncode, err))
 
     def sweep(self, name, args, workers=None):
         """pcalsweep at PCAL_BENCH_ACCESSES, its BENCH record written to a
@@ -106,6 +126,38 @@ def spec_validation(c):
     for path in specs:
         c.run("--dry-run " + os.path.basename(path),
               [c.pcalsweep, "--dry-run", path])
+
+
+def tracepack(c):
+    # demo.pct is spec_validation's `gen cjpeg 100000`.
+    info = c.run("pcal-tracepack info", [c.tracepack, "info", "demo.pct"])
+    c.check("info reports 100000 records", "100000 records" in info, info)
+    c.run("pcal-tracepack unpack",
+          [c.tracepack, "unpack", "demo.pct", "demo.trace"])
+    c.run("pcal-tracepack pack",
+          [c.tracepack, "pack", "demo.trace", "repacked.pct"])
+    with open(os.path.join(c.work, "demo.pct"), "rb") as a, \
+            open(os.path.join(c.work, "repacked.pct"), "rb") as b:
+        c.check("unpack + pack rebuilds demo.pct byte for byte",
+                a.read() == b.read())
+
+
+def env_overrides(c):
+    two = os.path.join(c.work, "two.sweep")
+    with open(two, "w") as f:
+        f.write("[sweep]\nworkload = uniform\nbanks = 2, 4\n"
+                "[grid]\naccesses = 3000\n")
+    c.sweep("PCAL_BENCH_ACCESSES=20000 over accesses = 3000", [two], 1)
+    records = glob.glob(os.path.join(c.records[-1], "BENCH_two.json"))
+    total = json.load(open(records[0]))["total_accesses"] if records else 0
+    c.check("2 jobs x PCAL_BENCH_ACCESSES=20000", total == 40000,
+            "total_accesses %s" % total)
+    bad = [("PCAL_BENCH_ACCESSES", v) for v in ("20k", "2e4", "1000", "abc")]
+    bad += [(var, v) for var in ("PCAL_BENCH_THREADS", "PCAL_SWEEP_THREADS")
+            for v in ("0", "abc", "-3")]
+    for var, value in bad:
+        c.fails("%s=%s fails" % (var, value), [c.pcalsweep, two],
+                {var: value}, [var, "'%s'" % value])
 
 
 def determinism(c):
@@ -157,6 +209,8 @@ def main():
     with tempfile.TemporaryDirectory(prefix="pcal_smoke_") as work:
         c = Checks(args, work)
         spec_validation(c)
+        tracepack(c)
+        env_overrides(c)
         timeline(c, determinism(c))
         for records in c.records:
             c.check("a BENCH record in " + records,

@@ -7,10 +7,12 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <memory>
 #include <mutex>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -544,8 +546,7 @@ TEST(SweepRunner, DefaultThreadsHonorsEnvOverride) {
   // PCAL_SWEEP_THREADS=1 / 8; default-constructed runners must follow.
   SweepRunner runner;
   if (const char* env = std::getenv("PCAL_SWEEP_THREADS")) {
-    EXPECT_EQ(runner.num_threads(),
-              static_cast<unsigned>(std::atol(env)));
+    EXPECT_EQ(std::to_string(runner.num_threads()), env);
   } else {
     EXPECT_GE(runner.num_threads(), 1u);
   }

@@ -108,26 +108,6 @@ cells = idleness:Idl:pct:0, lifetime:LT:num:2
 reduce = mean
 )";
 
-/// Accesses per job: PCAL_BENCH_ACCESSES wins (same contract as the
-/// bench binaries), else the spec's [grid] accesses.
-std::uint64_t accesses_or_env(std::uint64_t spec_accesses) {
-  if (const char* env = std::getenv("PCAL_BENCH_ACCESSES")) {
-    const long long v = std::atoll(env);
-    if (v > 1000) return static_cast<std::uint64_t>(v);
-  }
-  return spec_accesses;
-}
-
-/// Worker threads: PCAL_BENCH_THREADS if set, else the SweepRunner
-/// default (PCAL_SWEEP_THREADS / hardware concurrency).
-unsigned threads_or_env() {
-  if (const char* env = std::getenv("PCAL_BENCH_THREADS")) {
-    const long v = std::atol(env);
-    if (v >= 1) return static_cast<unsigned>(v);
-  }
-  return SweepRunner::default_threads();
-}
-
 std::string coords_of(const GridSpec& spec, const GridJob& job) {
   return spec.job_label(job);
 }
@@ -368,7 +348,7 @@ int main(int argc, char** argv) {
 
   try {
     const GridSpec spec = GridSpec::load(opt.spec_path, opt.overrides);
-    const std::uint64_t accesses = accesses_or_env(spec.accesses());
+    const std::uint64_t accesses = bench_accesses(spec.accesses());
     std::cerr << "[pcalsweep] " << spec.name() << ": "
               << spec.cross_product_size() << " jobs ("
               << spec.describe_axes() << "), " << accesses
@@ -514,7 +494,7 @@ int main(int argc, char** argv) {
     if (writer) run_options.checkpoint = &sink;
     if (!skip.empty()) run_options.skip = &skip;
 
-    SweepRunner runner(threads_or_env());
+    SweepRunner runner(bench_threads());
     std::vector<SweepOutcome> outcomes = runner.run(sweep_jobs, run_options);
     if (writer) writer->flush();
 
