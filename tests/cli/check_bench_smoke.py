@@ -1,15 +1,21 @@
 #!/usr/bin/env python3
-"""Smoke checks of the routed-path benches.
+"""Smoke checks of the bench binaries.
 
   gates        each bench exits 0: bench_hierarchy_depth checks its own
                depth x inclusion x latency invariants (ideal rows keep
                the idealized clock, timed rows stall, every row prices
                nonzero energy), bench_multicore_qos the noisy-neighbour
-               effect and the per-core attribution sums, and
+               effect and the per-core attribution sums,
                bench_contention_scaling the cycle identity, the ladder
-               monotonicity and MSHRs separating streaming from hotspot
+               monotonicity and MSHRs separating streaming from hotspot,
+               and bench_drowsy_comparison that each of the five
+               backends prices nonzero energy
   determinism  each bench prints the same stdout at 1 and 8 workers
                (PCAL_BENCH_THREADS)
+  parity       bench_table4_banks's table (its stdout without the
+               5-line header and the trailing note), where every job
+               runs solo, equals `pcalsweep examples/table4.sweep`, which
+               runs lockstep cohorts, at 1, 3 and 8 workers
   records      every run writes a BENCH record, and
                tools/check_bench_json.py passes them all
 
@@ -17,7 +23,9 @@ Every run is at PCAL_BENCH_ACCESSES=20000.  Only the Python interpreter
 is needed, so it runs on sanitizer builds too.
 
 Usage:
-  check_bench_smoke.py BENCH [BENCH ...]
+  check_bench_smoke.py --pcalsweep S BENCH [BENCH ...]
+
+One of the benches must be bench_table4_banks.
 """
 import argparse
 import glob
@@ -29,12 +37,15 @@ import tempfile
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(os.path.dirname(HERE))
 BENCH_GATE = os.path.join(ROOT, "tools", "check_bench_json.py")
+TABLE4_SPEC = os.path.join(ROOT, "examples", "table4.sweep")
 ACCESSES = "20000"
 WORKERS = (1, 8)
+SPEC_WORKERS = (1, 3, 8)
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--pcalsweep", required=True)
     ap.add_argument("benches", nargs="+", metavar="BENCH")
     args = ap.parse_args()
     failures = []
@@ -48,30 +59,47 @@ def main():
 
     with tempfile.TemporaryDirectory(prefix="pcal_bench_smoke_") as work:
         records = []
+
+        def run(label, argv, workers):
+            """Runs argv at PCAL_BENCH_ACCESSES and `workers`, its BENCH
+            record in a directory of its own; requires exit 0 and a
+            record, and returns stdout."""
+            out_dir = os.path.join(work, "records", str(len(records)))
+            os.makedirs(out_dir)
+            records.append(out_dir)
+            env = {k: v for k, v in os.environ.items()
+                   if not k.startswith("PCAL_")}
+            env.update({"PCAL_BENCH_ACCESSES": ACCESSES,
+                        "PCAL_BENCH_THREADS": str(workers),
+                        "PCAL_BENCH_JSON_DIR": out_dir})
+            proc = subprocess.run(argv, cwd=work, env=env,
+                                  stdout=subprocess.PIPE,
+                                  stderr=subprocess.PIPE)
+            check(label, proc.returncode == 0, "exit %d\n%s" % (
+                proc.returncode, proc.stderr.decode(errors="replace")))
+            check(label + " wrote a BENCH record",
+                  bool(glob.glob(os.path.join(out_dir, "BENCH_*.json"))))
+            return proc.stdout.decode(errors="replace")
+
+        table4 = None
         for bench in args.benches:
             name = os.path.basename(bench)
-            stdout = {}
-            for workers in WORKERS:
-                label = "%s at %d worker(s)" % (name, workers)
-                out_dir = os.path.join(work, "%s_%d" % (name, workers))
-                os.makedirs(out_dir)
-                records.append(out_dir)
-                env = {k: v for k, v in os.environ.items()
-                       if not k.startswith("PCAL_")}
-                env.update({"PCAL_BENCH_ACCESSES": ACCESSES,
-                            "PCAL_BENCH_THREADS": str(workers),
-                            "PCAL_BENCH_JSON_DIR": out_dir})
-                proc = subprocess.run([os.path.abspath(bench)], cwd=work,
-                                      env=env, stdout=subprocess.PIPE,
-                                      stderr=subprocess.PIPE)
-                check(label, proc.returncode == 0, "exit %d\n%s" % (
-                    proc.returncode, proc.stderr.decode(errors="replace")))
-                check(label + " wrote a BENCH record",
-                      bool(glob.glob(os.path.join(out_dir, "BENCH_*.json"))))
-                stdout[workers] = proc.stdout.decode(errors="replace")
+            stdout = {w: run("%s at %d worker(s)" % (name, w),
+                             [os.path.abspath(bench)], w) for w in WORKERS}
             a, b = (stdout[w] for w in WORKERS)
             check("%s: 1 worker == 8 workers" % name, a == b and a != "",
                   "outputs differ" if a != b else "empty output")
+            if name == "bench_table4_banks":
+                table4 = "".join(a.splitlines(keepends=True)[5:-1])
+
+        check("bench_table4_banks is among the benches", table4 is not None)
+        for w in SPEC_WORKERS:
+            spec = run("pcalsweep table4.sweep at %d worker(s)" % w,
+                       [os.path.abspath(args.pcalsweep), TABLE4_SPEC], w)
+            check("table4: bench == spec at %d worker(s)" % w,
+                  table4 is not None and spec == table4 and spec != "",
+                  "outputs differ")
+
         gate = subprocess.run([sys.executable, BENCH_GATE] + records,
                               stdout=subprocess.PIPE, stderr=subprocess.PIPE)
         check("bench gate", gate.returncode == 0,

@@ -83,6 +83,19 @@ def test_emitted_timelines_validate():
         assert cores == [-1, 0, 1], mc["groups"]
 
 
+def test_timeline_leaves_the_run_result_unchanged():
+    # The artifact is a side output: a default-workload run returns the
+    # plain run's result dict, and what it wrote passes the checker.
+    cfg = {"cache_size": "8k", "banks": 4, "accesses": 20000}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "run.json")
+        r = pcal.run(cfg, timeline=path)
+        assert r["accesses"] == 20000
+        assert r == pcal.run(cfg)
+        proc = run_checker(path)
+        assert proc.returncode == 0, proc.stdout
+
+
 def test_one_core_run_reports_the_single_stream_census():
     # A 1-core multi-core run is the single-stream run: every group,
     # private levels included, carries core -1.
