@@ -35,10 +35,6 @@ inline std::uint64_t accesses() {
   return bench_accesses(kDefaultTraceAccesses);
 }
 
-/// Sweep worker threads: PCAL_BENCH_THREADS if set, else the SweepRunner
-/// default (PCAL_SWEEP_THREADS / hardware concurrency).
-inline unsigned threads() { return bench_threads(); }
-
 /// The process-wide calibrated aging context (the build-embedded LUT).
 inline const AgingContext& aging() {
   static AgingContext* ctx = new AgingContext();
@@ -88,7 +84,7 @@ class SweepGrid {
   /// it runs after the outcomes are in, so it may read result(i).
   void run(const std::string& bench_name,
            const std::function<void(std::ostream&)>& extra = {}) {
-    SweepRunner runner(threads());
+    SweepRunner runner(bench_threads());
     outcomes_ = runner.run(jobs_);
     stats_ = runner.last_stats();
     for (const SweepOutcome& o : outcomes_) o.rethrow_if_error();

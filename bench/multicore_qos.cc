@@ -81,7 +81,7 @@ int main() {
     }
   }
 
-  SweepRunner runner(threads());
+  SweepRunner runner(bench_threads());
   const std::vector<SweepOutcome> outcomes = runner.run(jobs);
   const SweepStats& stats = runner.last_stats();
   for (const SweepOutcome& o : outcomes) o.rethrow_if_error();
