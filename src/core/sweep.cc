@@ -7,8 +7,10 @@
 #include <cstdlib>
 #include <cstring>
 #include <deque>
+#include <limits>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -292,11 +294,13 @@ std::vector<std::size_t> run_cohort(
   return solo;
 }
 
-}  // namespace
-
-std::optional<std::uint64_t> count_from_env(const char* name,
-                                            std::uint64_t min,
-                                            std::uint64_t max) {
+/// The count environment variable `name` sets: nullopt when it is
+/// unset, else its value, which must be a plain decimal in [min, max].
+/// Every count the sweep layer reads from the environment comes
+/// through here.
+std::optional<std::uint64_t> count_from_env(
+    const char* name, std::uint64_t min,
+    std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) {
   const char* env = std::getenv(name);
   if (env == nullptr) return std::nullopt;
   const char* end = env + std::strlen(env);
@@ -315,6 +319,8 @@ std::optional<std::uint64_t> count_from_env(const char* name,
   }
   return value;
 }
+
+}  // namespace
 
 std::uint64_t bench_accesses(std::uint64_t fallback) {
   return count_from_env("PCAL_BENCH_ACCESSES", 1001).value_or(fallback);

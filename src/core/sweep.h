@@ -26,9 +26,7 @@
 #include <cstdint>
 #include <exception>
 #include <functional>
-#include <limits>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "core/multicore.h"
@@ -265,7 +263,8 @@ class SweepRunner {
   /// Statistics of the most recent run().
   const SweepStats& last_stats() const { return stats_; }
 
-  /// PCAL_SWEEP_THREADS if set (>= 1), else std::thread::hardware_concurrency.
+  /// PCAL_SWEEP_THREADS if set (a plain decimal >= 1; any other value
+  /// throws ConfigError), else std::thread::hardware_concurrency.
   static unsigned default_threads();
 
  private:
@@ -273,21 +272,14 @@ class SweepRunner {
   SweepStats stats_;
 };
 
-/// The count an environment variable sets: nullopt when `name` is
-/// unset, else its value, which must be a plain decimal (digits only)
-/// in [min, max].  Any other value throws ConfigError naming the
-/// variable and the value.  PCAL_SWEEP_THREADS, PCAL_BENCH_THREADS and
-/// PCAL_BENCH_ACCESSES are all read through it.
-std::optional<std::uint64_t> count_from_env(
-    const char* name, std::uint64_t min,
-    std::uint64_t max = std::numeric_limits<std::uint64_t>::max());
-
-/// Accesses per job: PCAL_BENCH_ACCESSES (above 1000) if set, else
-/// `fallback`.  pcalsweep and the bench binaries share this contract.
+/// Accesses per job: PCAL_BENCH_ACCESSES (a plain decimal above 1000)
+/// if set, else `fallback`.  pcalsweep and the bench binaries share this
+/// contract; any other value throws ConfigError naming the variable and
+/// the value, as do malformed PCAL_BENCH_THREADS and PCAL_SWEEP_THREADS.
 std::uint64_t bench_accesses(std::uint64_t fallback);
 
-/// Worker threads: PCAL_BENCH_THREADS (at least 1) if set, else
-/// SweepRunner::default_threads().
+/// Worker threads: PCAL_BENCH_THREADS (a plain decimal of at least 1) if
+/// set, else SweepRunner::default_threads().
 unsigned bench_threads();
 
 }  // namespace pcal
