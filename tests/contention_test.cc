@@ -9,7 +9,8 @@
 //       the stall total;
 //   (c) monotonicity: shrinking any resource never decreases
 //       total_cycles (finite vs unlimited is provable; the fixed ladders
-//       pin the deterministic finite-vs-finite points);
+//       pin the deterministic finite-vs-finite points), and one MSHR
+//       slows a streaming walk measurably more than a hotspot;
 //   (d) determinism: repeated pool runs of contention-on jobs are
 //       bit-identical.  CMake registers this binary three times (default
 //       width, PCAL_SWEEP_THREADS=1, =8), so (a)-(d) are checked at
@@ -29,21 +30,23 @@ namespace {
 
 constexpr std::uint64_t kAccesses = 50'000;
 
-SweepJob job_for(const SimConfig& config, const std::string& workload) {
+SweepJob job_for(const SimConfig& config, const WorkloadSpec& spec) {
   SweepJob job;
   job.config = config;
-  WorkloadSpec spec;
-  if (workload == "streaming")
-    spec = make_streaming_workload(64 * 1024);
-  else if (workload == "hotspot")
-    spec = make_hotspot_workload(64 * 1024);
-  else
-    spec = make_mediabench_workload(workload);
   job.make_source = [spec] {
     return std::make_unique<SyntheticTraceSource>(spec, kAccesses);
   };
-  job.label = workload;
+  job.label = spec.name;
   return job;
+}
+
+/// streaming and hotspot over 64kB, or a MediaBench workload.
+SweepJob job_for(const SimConfig& config, const std::string& workload) {
+  if (workload == "streaming")
+    return job_for(config, make_streaming_workload(64 * 1024));
+  if (workload == "hotspot")
+    return job_for(config, make_hotspot_workload(64 * 1024));
+  return job_for(config, make_mediabench_workload(workload));
 }
 
 SimResult run_one(const SimConfig& config, const std::string& workload) {
@@ -426,6 +429,35 @@ TEST(ContentionSweep, ShrinkingAnyResourceIsMonotone) {
     EXPECT_GE(total, prev) << "ports=" << ports;
     prev = total;
   }
+}
+
+TEST(ContentionSweep, OneMshrSeparatesStreamingFromHotspot) {
+  // Finite MSHRs must tell high from low memory-level parallelism, or
+  // the model is inert.  On the paper's 8kB/16B M=4 cache with an
+  // 8-cycle miss, one MSHR slows a 256kB streaming walk (every access a
+  // miss) by more than 5%, in MSHR stalls, and by more than a hotspot
+  // that lives in 8kB.
+  SimConfig unlimited = paper_config(8192, 16, 4);
+  unlimited.latency.miss_cycles = 8;
+  SimConfig one_mshr = unlimited;
+  one_mshr.contention.mshrs = 1;
+  std::vector<SweepJob> jobs;
+  for (const WorkloadSpec& spec : {make_streaming_workload(256 * 1024),
+                                   make_hotspot_workload(8 * 1024)}) {
+    jobs.push_back(job_for(unlimited, spec));
+    jobs.push_back(job_for(one_mshr, spec));
+  }
+  SweepRunner runner;
+  const std::vector<SweepOutcome> out = runner.run(jobs);
+  for (const SweepOutcome& o : out) ASSERT_TRUE(o.ok()) << o.error_what;
+  const auto slowdown = [&](std::size_t tight) {
+    return static_cast<double>(out[tight].result.total_cycles) /
+           static_cast<double>(out[tight - 1].result.total_cycles);
+  };
+  const double streaming = slowdown(1), hotspot = slowdown(3);
+  EXPECT_GT(streaming, 1.05);
+  EXPECT_GT(out[1].result.mshr_stall_cycles, 0u);
+  EXPECT_GT(streaming, hotspot);
 }
 
 // ---- (d) determinism ----

@@ -5,12 +5,14 @@
 // bit for bit; a non-inclusive level's access stream is exactly its
 // upper neighbour's miss stream on the same global clock;
 // exclusive/victim levels consume the eviction stream; inclusive levels
-// add back-invalidation flush coupling; and the unit vector concatenates
-// the levels in order.
+// add back-invalidation flush coupling; the unit vector concatenates
+// the levels in order; and every stack depth and inclusion policy keeps
+// the idealized clock without latencies and stalls with them.
 #include "core/hierarchy.h"
 
 #include <gtest/gtest.h>
 
+#include "core/enum_strings.h"
 #include "core/experiment.h"
 #include "core/simulator.h"
 #include "route_chain.h"
@@ -396,6 +398,90 @@ TEST(Hierarchy, HybridPolicyComposesPerLevel) {
   EXPECT_GT(l2_drowsy, 0u);
   EXPECT_GT(r.energy.partitioned.leakage_drowsy_pj, 0.0);
 }
+
+// ---- depth x inclusion x clock ----
+
+struct Stack {
+  int depth;  // 1 = L1 alone, 2 = + a 32kB L2, 3 = + a 128kB L3
+  InclusionPolicy inclusion;  // every lower level's
+};
+
+/// The paper's 8kB/16B M=4 L1 over `stack`'s lower levels, on the ideal
+/// clock or (`timed`) on a realistic latency point: the energy model's
+/// wakeups at every level, an L2 hit of 2 and an L3 hit of 4 cycles, and
+/// at each level a miss priced by what sits beyond it — the next level's
+/// port (8 cycles from L1, 30 from L2) when that level serves fills,
+/// memory (60) when nothing below does.  A victim level holds evictions
+/// only, so victim stacks pay memory at L1.
+SimConfig stack_config(const Stack& stack, bool timed) {
+  SimConfig cfg = paper_config(8192, 16, 4);
+  cfg.force_unit_pricing = true;  // one energy model for every stack
+  if (timed) {
+    cfg.latency = wake_latencies(cfg.energy_params);
+    const bool lower_serves_fills =
+        stack.depth > 1 && stack.inclusion != InclusionPolicy::kVictim;
+    cfg.latency.miss_cycles = lower_serves_fills ? 8 : 60;
+  }
+  if (stack.depth >= 2) {
+    cfg = with_lower_level(cfg, 32 * 1024, 4, 64, stack.inclusion);
+    if (timed) {
+      LatencyParams& l2 = cfg.lower_levels[0].topology.latency;
+      l2 = wake_latencies(cfg.energy_params);
+      l2.hit_cycles = 2;
+      l2.miss_cycles = stack.depth == 2 ? 60 : 30;
+    }
+  }
+  if (stack.depth >= 3) {
+    cfg = with_lower_level(cfg, 128 * 1024, 8, 128, stack.inclusion);
+    if (timed) {
+      LatencyParams& l3 = cfg.lower_levels[1].topology.latency;
+      l3 = wake_latencies(cfg.energy_params);
+      l3.hit_cycles = 4;
+      l3.miss_cycles = 60;
+    }
+  }
+  return cfg;
+}
+
+class HierarchyStack : public ::testing::TestWithParam<Stack> {};
+
+TEST_P(HierarchyStack, IdealClockNeverStallsAndTimedClockDoes) {
+  for (const bool timed : {false, true}) {
+    const SimConfig cfg = stack_config(GetParam(), timed);
+    for (const char* workload : {"cjpeg", "dijkstra", "fft_1"}) {
+      SyntheticTraceSource src(make_mediabench_workload(workload), 20'000);
+      const SimResult r = Simulator(cfg).run(src);
+      const std::string where =
+          r.config_label + (timed ? " timed on " : " ideal on ") + workload;
+      EXPECT_GT(r.energy.partitioned.total_pj(), 0.0) << where;
+      if (timed) {
+        EXPECT_GT(r.total_cycles, r.accesses) << where;
+        EXPECT_GT(r.avg_access_latency(), 1.0) << where;
+      } else {
+        EXPECT_EQ(r.total_cycles, r.accesses) << where;
+        EXPECT_EQ(r.stall_cycles, 0u) << where;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    NineStacks, HierarchyStack,
+    ::testing::Values(Stack{1, InclusionPolicy::kNonInclusive},
+                      Stack{2, InclusionPolicy::kNonInclusive},
+                      Stack{2, InclusionPolicy::kInclusive},
+                      Stack{2, InclusionPolicy::kExclusive},
+                      Stack{2, InclusionPolicy::kVictim},
+                      Stack{3, InclusionPolicy::kNonInclusive},
+                      Stack{3, InclusionPolicy::kInclusive},
+                      Stack{3, InclusionPolicy::kExclusive},
+                      Stack{3, InclusionPolicy::kVictim}),
+    [](const auto& info) {
+      const Stack& s = info.param;
+      return s.depth == 1 ? std::string("L1")
+                          : "L" + std::to_string(s.depth) + "_" +
+                                to_string(s.inclusion);
+    });
 
 }  // namespace
 }  // namespace pcal
