@@ -1,8 +1,8 @@
 // Minimal built-in timer harness: an offline drop-in for the subset of
 // the Google Benchmark API that bench/micro_ops.cc uses.
 //
-// Selected by CMake when neither a system libbenchmark nor a fetched copy
-// is available, so bench_micro_ops builds everywhere.  Implements:
+// Selected by CMake when no system libbenchmark is installed, so
+// bench_micro_ops builds everywhere.  Implements:
 // BENCHMARK(fn)->Arg(n)->Unit(u), BENCHMARK_MAIN(), benchmark::State
 // range-for iteration with adaptive calibration, state.range(0),
 // state.iterations(), state.SetItemsProcessed(), DoNotOptimize().

@@ -1,21 +1,14 @@
 #!/usr/bin/env python3
-"""Smoke checks of the bench binaries.
+"""Smoke checks of the bench binaries and the Table IV spec.
 
-  gates        each bench exits 0: bench_hierarchy_depth checks its own
-               depth x inclusion x latency invariants (ideal rows keep
-               the idealized clock, timed rows stall, every row prices
-               nonzero energy), bench_multicore_qos the noisy-neighbour
-               effect and the per-core attribution sums,
-               bench_contention_scaling the cycle identity, the ladder
-               monotonicity and MSHRs separating streaming from hotspot,
-               and bench_drowsy_comparison that each of the five
-               backends prices nonzero energy
+  gates        each bench exits 0: bench_drowsy_comparison checks that
+               each of the five backends prices nonzero energy
   determinism  each bench prints the same stdout at 1 and 8 workers
                (PCAL_BENCH_THREADS)
-  parity       bench_table4_banks's table (its stdout without the
-               5-line header and the trailing note), where every job
-               runs solo, equals `pcalsweep examples/table4.sweep`, which
-               runs lockstep cohorts, at 1, 3 and 8 workers
+  table4       `pcalsweep examples/table4.sweep`, which runs lockstep
+               cohorts, prints tests/goldens/sweep/table4.out at 1, 3
+               and 8 workers; that golden is the table the solo path
+               (every job alone) printed at the same trace length
   records      every run writes a BENCH record, and
                tools/check_bench_json.py passes them all
 
@@ -24,8 +17,6 @@ is needed, so it runs on sanitizer builds too.
 
 Usage:
   check_bench_smoke.py --pcalsweep S BENCH [BENCH ...]
-
-One of the benches must be bench_table4_banks.
 """
 import argparse
 import glob
@@ -38,6 +29,7 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(os.path.dirname(HERE))
 BENCH_GATE = os.path.join(ROOT, "tools", "check_bench_json.py")
 TABLE4_SPEC = os.path.join(ROOT, "examples", "table4.sweep")
+TABLE4_GOLDEN = os.path.join(ROOT, "tests", "goldens", "sweep", "table4.out")
 ACCESSES = "20000"
 WORKERS = (1, 8)
 SPEC_WORKERS = (1, 3, 8)
@@ -81,7 +73,6 @@ def main():
                   bool(glob.glob(os.path.join(out_dir, "BENCH_*.json"))))
             return proc.stdout.decode(errors="replace")
 
-        table4 = None
         for bench in args.benches:
             name = os.path.basename(bench)
             stdout = {w: run("%s at %d worker(s)" % (name, w),
@@ -89,16 +80,14 @@ def main():
             a, b = (stdout[w] for w in WORKERS)
             check("%s: 1 worker == 8 workers" % name, a == b and a != "",
                   "outputs differ" if a != b else "empty output")
-            if name == "bench_table4_banks":
-                table4 = "".join(a.splitlines(keepends=True)[5:-1])
 
-        check("bench_table4_banks is among the benches", table4 is not None)
+        with open(TABLE4_GOLDEN, encoding="utf-8") as f:
+            golden = f.read()
         for w in SPEC_WORKERS:
             spec = run("pcalsweep table4.sweep at %d worker(s)" % w,
                        [os.path.abspath(args.pcalsweep), TABLE4_SPEC], w)
-            check("table4: bench == spec at %d worker(s)" % w,
-                  table4 is not None and spec == table4 and spec != "",
-                  "outputs differ")
+            check("table4: spec == golden at %d worker(s)" % w,
+                  spec == golden, "outputs differ")
 
         gate = subprocess.run([sys.executable, BENCH_GATE] + records,
                               stdout=subprocess.PIPE, stderr=subprocess.PIPE)

@@ -2,9 +2,8 @@
 """Bench-regression gate over BENCH_*.json perf records (stdlib only).
 
 Every sweep run — the bench binaries and the pcalsweep CLI — drops a
-BENCH_<name>.json record (written by src/core/bench_record.cc).  CI
-uploads them as artifacts; this gate rejects records that indicate a
-silently broken run before they ever become "the new baseline":
+BENCH_<name>.json record (written by src/core/bench_record.cc).  This
+gate rejects records that indicate a silently broken run:
 
   - malformed JSON, or a missing/mistyped core schema key;
   - failed_jobs != 0, zero jobs, or zero total accesses;
@@ -13,10 +12,10 @@ silently broken run before they ever become "the new baseline":
     shard slice), or whose per-job result rows are missing, short, or
     carry a zero/negative energy (the honest-energy invariant: every
     backend prices every run — see docs/ENERGY_MODEL.md);
-  - multi-core result rows ("cores" arrays from bench_multicore_qos and
-    multi-core pcalsweep grids) with a malformed core entry, a core that
-    was attributed zero energy, or per-core accesses/energies that do
-    not sum back to the system row;
+  - multi-core result rows ("cores" arrays from multi-core pcalsweep
+    grids) with a malformed core entry, a core that was attributed zero
+    energy, or per-core accesses/energies that do not sum back to the
+    system row;
   - drowsy_comparison-style backend_energy sections with a zero-energy
     backend.
 
@@ -105,26 +104,6 @@ FAILURE_ROW_SCHEMA = {
     "attempts": (int,),
     "timed_out": (bool,),
     "cancelled": (bool,),
-}
-
-# Scalar-vs-batched driver throughput rows (bench_micro_ops).
-THROUGHPUT_ROW_SCHEMA = {
-    "backend": (str,),
-    "policy": (str,),
-    "mode": (str,),
-    "batch_size": (int,),
-    "accesses": (int,),
-    "wall_seconds": (int, float),
-    "accesses_per_second": (int, float),
-}
-
-# Worker-count scaling rows (bench_sweep_scaling).
-SCALING_ROW_SCHEMA = {
-    "workers": (int,),
-    "wall_seconds": (int, float),
-    "accesses_per_second": (int, float),
-    "speedup": (int, float),
-    "efficiency": (int, float),
 }
 
 # Run-varying keys normalized out before determinism diffs: they depend
@@ -367,69 +346,6 @@ def check_record(path, allow_failures=False):
                 # attribution — the LLC report is split by access share).
                 if "cores" in row:
                     check_cores(row, i, bad)
-
-    # bench_micro_ops throughput rows: every row schema-valid with a
-    # positive measured rate, and each backend/policy pair's batched
-    # mode at least as fast as NO throughput at all (i.e. nonzero) —
-    # the 1.5x speedup target itself is a perf goal tracked in the
-    # record's "speedup" section, not a hard schema gate, so a slow
-    # machine cannot turn the whole CI leg red.
-    if "throughput" in record:
-        rows = record["throughput"]
-        if not isinstance(rows, list) or not rows:
-            bad("'throughput' is not a non-empty list")
-        else:
-            modes = set()
-            for i, row in enumerate(rows):
-                if not isinstance(row, dict):
-                    bad("throughput row %d is not an object" % i)
-                    continue
-                for key, types in THROUGHPUT_ROW_SCHEMA.items():
-                    if key not in row or not typed(row[key], types):
-                        bad("throughput row %d: bad or missing '%s'" % (i, key))
-                if row.get("mode") not in ("scalar", "batched"):
-                    bad("throughput row %d: mode '%s'" % (i, row.get("mode")))
-                else:
-                    modes.add(row["mode"])
-                if not row.get("accesses_per_second", 0) > 0:
-                    bad("throughput row %d: zero accesses/sec" % i)
-                if not row.get("batch_size", 0) >= 1:
-                    bad("throughput row %d: nonpositive batch_size" % i)
-            if modes and modes != {"scalar", "batched"}:
-                bad("throughput rows cover only %s" % sorted(modes))
-        speedups = record.get("speedup")
-        if not isinstance(speedups, dict) or not speedups:
-            bad("'throughput' without a 'speedup' object")
-        else:
-            for name, ratio in speedups.items():
-                if not typed(ratio, (int, float)) or not ratio > 0:
-                    bad("speedup '%s' is not a positive number" % name)
-
-    # bench_sweep_scaling rows: schema-valid, workers strictly
-    # increasing from 1, the 1-worker row anchored at speedup 1.
-    if "scaling" in record:
-        rows = record["scaling"]
-        if not isinstance(rows, list) or not rows:
-            bad("'scaling' is not a non-empty list")
-        else:
-            last_workers = 0
-            for i, row in enumerate(rows):
-                if not isinstance(row, dict):
-                    bad("scaling row %d is not an object" % i)
-                    continue
-                for key, types in SCALING_ROW_SCHEMA.items():
-                    if key not in row or not typed(row[key], types):
-                        bad("scaling row %d: bad or missing '%s'" % (i, key))
-                if row.get("workers", 0) <= last_workers:
-                    bad("scaling row %d: workers not increasing" % i)
-                last_workers = row.get("workers", last_workers)
-                if not row.get("accesses_per_second", 0) > 0:
-                    bad("scaling row %d: zero accesses/sec" % i)
-            if rows and isinstance(rows[0], dict):
-                if rows[0].get("workers") != 1:
-                    bad("scaling curve must start at 1 worker")
-                elif rows[0].get("speedup") != 1:
-                    bad("scaling 1-worker row must anchor speedup at 1")
 
     # drowsy_comparison-style per-backend energy sections.
     if "backend_energy" in record:
