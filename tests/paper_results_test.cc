@@ -3,21 +3,62 @@
 // Tolerances are deliberately loose where the paper's value depends on the
 // authors' exact traces (per-benchmark rows) and tight where our
 // calibration pins the model (averages, the lifetime law, orderings).
+//
+// Every check runs its grid through api::run_grid, pcalsweep's path: the
+// points that share a workload run as one lockstep cohort (one generated
+// stream) on the worker pool.  Keys a grid leaves unset keep their
+// defaults, which are the paper's configuration: bank granularity, a
+// direct-mapped cache, Probing and 16 re-indexing updates.
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
 #include <tuple>
+#include <vector>
 
+#include "api/pcal.h"
 #include "core/experiment.h"
 
 namespace pcal {
 namespace {
 
-constexpr std::uint64_t kAccesses = 1'000'000;
+/// The results of the grid whose [sweep] section is `sweep`, at 1M
+/// accesses per point, in grid order (first axis outermost).
+std::vector<SimResult> run_grid(const std::string& sweep) {
+  const api::GridRun run =
+      api::run_grid_text("[grid]\naccesses = 1000000\n[sweep]\n" + sweep);
+  std::vector<SimResult> results;
+  for (const SweepOutcome& o : run.outcomes) {
+    o.rethrow_if_error();
+    results.push_back(o.result);
+  }
+  return results;
+}
 
-const AgingContext& aging() {
-  static AgingContext* ctx = new AgingContext();
-  return *ctx;
+/// "cache_size = 8192\nline_size = 16\nbanks = 4\n"
+std::string geometry(std::uint64_t size_bytes, std::uint64_t line_bytes,
+                     std::uint64_t banks) {
+  return "cache_size = " + std::to_string(size_bytes) +
+         "\nline_size = " + std::to_string(line_bytes) +
+         "\nbanks = " + std::to_string(banks) + "\n";
+}
+
+/// One workload on the paper's three architectures, the grid's innermost
+/// axes.  A monolithic cache has one unit and fires no updates, so its
+/// two indexing points are one design; the static one is read.
+ThreeWayResult three_way_grid(const std::string& workload,
+                              std::uint64_t size_bytes,
+                              std::uint64_t line_bytes,
+                              std::uint64_t banks) {
+  const std::vector<SimResult> r =
+      run_grid("workload = " + workload + "\n" +
+               geometry(size_bytes, line_bytes, banks) +
+               "granularity = bank, monolithic\nindexing = probing, static\n");
+  ThreeWayResult out;
+  out.reindexed = r.at(0);   // bank, probing
+  out.static_pm = r.at(1);   // bank, static
+  out.monolithic = r.at(3);  // monolithic, static
+  return out;
 }
 
 struct SuiteAverages {
@@ -27,21 +68,24 @@ struct SuiteAverages {
   double idleness = 0.0;  // average reindexed residency
 };
 
+/// The 18 MediaBench workloads, each re-indexed (Probing) and static.
 SuiteAverages run_suite_uncached(std::uint64_t size_bytes,
                                  std::uint64_t line_bytes,
                                  std::uint64_t banks) {
+  const std::vector<SimResult> r =
+      run_grid("workload = mediabench\n" +
+               geometry(size_bytes, line_bytes, banks) +
+               "indexing = probing, static\n");
   SuiteAverages avg;
-  const auto workloads = all_mediabench_workloads();
-  for (const auto& spec : workloads) {
-    const auto r = run_three_way(spec, paper_config(size_bytes, line_bytes,
-                                                    banks),
-                                 aging(), kAccesses);
-    avg.esav += r.reindexed.energy_saving();
-    avg.lt0 += r.static_pm.lifetime_years();
-    avg.lt += r.reindexed.lifetime_years();
-    avg.idleness += r.reindexed.avg_residency();
+  const std::size_t workloads = r.size() / 2;
+  for (std::size_t w = 0; w < workloads; ++w) {
+    const SimResult& reindexed = r[2 * w];
+    avg.esav += reindexed.energy_saving();
+    avg.lt0 += r[2 * w + 1].lifetime_years();
+    avg.lt += reindexed.lifetime_years();
+    avg.idleness += reindexed.avg_residency();
   }
-  const double n = static_cast<double>(workloads.size());
+  const double n = static_cast<double>(workloads);
   avg.esav /= n;
   avg.lt0 /= n;
   avg.lt /= n;
@@ -88,9 +132,7 @@ class Table2Row : public ::testing::TestWithParam<RowCase> {};
 
 TEST_P(Table2Row, LifetimesCloseToPaper) {
   const RowCase& row = GetParam();
-  const auto r = run_three_way(make_mediabench_workload(row.name),
-                               paper_config(8192, 16, 4), aging(),
-                               kAccesses);
+  const auto r = three_way_grid(row.name, 8192, 16, 4);
   EXPECT_NEAR(r.static_pm.lifetime_years(), row.lt0, 0.12) << row.name;
   EXPECT_NEAR(r.reindexed.lifetime_years(), row.lt, 0.40) << row.name;
   EXPECT_NEAR(r.monolithic.lifetime_years(), 2.93, 0.05) << row.name;
@@ -113,26 +155,27 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ---- Table II size trend: energy saving grows with cache size ----
 
+constexpr const char* kSizes =
+    "cache_size = 8192, 16384, 32768\nline_size = 16\nbanks = 4\n";
+
 TEST(PaperTable2, EnergySavingGrowsWithCacheSize) {
-  const auto spec = make_mediabench_workload("ispell");
+  const std::vector<SimResult> by_size =
+      run_grid(std::string("workload = ispell\n") + kSizes);
   double prev = -1.0;
+  std::size_t next = 0;
   for (std::uint64_t kb : {8u, 16u, 32u}) {
-    const auto r = run_three_way(spec, paper_config(kb * 1024, 16, 4),
-                                 aging(), kAccesses);
-    EXPECT_GT(r.reindexed.energy_saving(), prev) << kb << "kB";
-    prev = r.reindexed.energy_saving();
+    const SimResult& r = by_size.at(next++);
+    EXPECT_GT(r.energy_saving(), prev) << kb << "kB";
+    prev = r.energy_saving();
   }
 }
 
 TEST(PaperTable2, LifetimeInsensitiveToCacheSize) {
   // Paper: "the cache size has a limited impact on the lifetime".
-  const auto spec = make_mediabench_workload("lame");
   std::vector<double> lts;
-  for (std::uint64_t kb : {8u, 16u, 32u}) {
-    lts.push_back(run_three_way(spec, paper_config(kb * 1024, 16, 4),
-                                aging(), kAccesses)
-                      .reindexed.lifetime_years());
-  }
+  for (const SimResult& r :
+       run_grid(std::string("workload = lame\n") + kSizes))
+    lts.push_back(r.lifetime_years());
   for (double lt : lts) {
     EXPECT_GT(lt, 3.2);
     EXPECT_LT(lt, 5.6);
@@ -142,18 +185,14 @@ TEST(PaperTable2, LifetimeInsensitiveToCacheSize) {
 // ---- Table III: line size ----
 
 TEST(PaperTable3, LineSizeCutsEnergyNotLifetime) {
-  const auto spec = make_mediabench_workload("gsme");
-  const auto r16 = run_three_way(spec, paper_config(16 * 1024, 16, 4),
-                                 aging(), kAccesses);
-  const auto r32 = run_three_way(spec, paper_config(16 * 1024, 32, 4),
-                                 aging(), kAccesses);
+  const std::vector<SimResult> r = run_grid(
+      "workload = gsme\ncache_size = 16384\nbanks = 4\nline_size = 16, 32\n");
+  const SimResult& r16 = r.at(0);
+  const SimResult& r32 = r.at(1);
   // Energy saving drops with the larger line (paper: 44.3% -> 31.9% avg).
-  EXPECT_LT(r32.reindexed.energy_saving(),
-            r16.reindexed.energy_saving() - 0.01);
+  EXPECT_LT(r32.energy_saving(), r16.energy_saving() - 0.01);
   // Lifetime is nearly untouched (paper: 4.31 -> 4.23 avg).
-  EXPECT_NEAR(r32.reindexed.lifetime_years(),
-              r16.reindexed.lifetime_years(),
-              0.45);
+  EXPECT_NEAR(r32.lifetime_years(), r16.lifetime_years(), 0.45);
 }
 
 // ---- Table IV: number of banks ----
@@ -192,20 +231,18 @@ TEST(PaperHeadline, PowerManagementAloneGivesAboutNinePercent) {
 
 TEST(PaperHeadline, ReindexingReachesUpToTwoX) {
   // sha reaches ~2x in the paper (6.09y at 32kB; 4.74 at 8kB).
-  const auto r = run_three_way(make_mediabench_workload("sha"),
-                               paper_config(8192, 16, 4), aging(),
-                               kAccesses);
+  const auto r = three_way_grid("sha", 8192, 16, 4);
   EXPECT_GT(r.extension_vs_monolithic(), 1.5);
 }
 
 TEST(PaperHeadline, ProbingAndScramblingAreEquivalent) {
   // §IV-B.2: "Probing and Scrambling provide de facto identical results."
-  const auto spec = make_mediabench_workload("rijndael_o");
-  SimConfig cfg = paper_config(8192, 16, 4);
-  cfg.reindex_updates = 64;  // enough updates for the LFSR to mix
-  const SimResult probing = run_workload(spec, cfg, aging(), kAccesses);
-  cfg.indexing = IndexingKind::kScrambling;
-  const SimResult scrambling = run_workload(spec, cfg, aging(), kAccesses);
+  // 64 updates: enough for the LFSR to mix.
+  const std::vector<SimResult> r =
+      run_grid("workload = rijndael_o\n" + geometry(8192, 16, 4) +
+                    "updates = 64\nindexing = probing, scrambling\n");
+  const SimResult& probing = r.at(0);
+  const SimResult& scrambling = r.at(1);
   EXPECT_NEAR(probing.lifetime_years(), scrambling.lifetime_years(),
               probing.lifetime_years() * 0.10);
   EXPECT_NEAR(probing.energy_saving(), scrambling.energy_saving(), 0.02);
