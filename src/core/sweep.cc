@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
-#include <charconv>
 #include <chrono>
 #include <cstdlib>
-#include <cstring>
 #include <deque>
 #include <limits>
 #include <map>
@@ -17,6 +15,7 @@
 
 #include "util/error.h"
 #include "util/job_context.h"
+#include "util/string_util.h"
 
 namespace pcal {
 namespace {
@@ -303,12 +302,8 @@ std::optional<std::uint64_t> count_from_env(
     std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) {
   const char* env = std::getenv(name);
   if (env == nullptr) return std::nullopt;
-  const char* end = env + std::strlen(env);
-  std::uint64_t value = 0;
-  // from_chars reads digits only: no sign, space or suffix, and an
-  // overflowing count is an error, not a saturated value.
-  const auto [stop, ec] = std::from_chars(env, end, value);
-  if (ec != std::errc() || stop != end || value < min || value > max) {
+  const std::optional<std::uint64_t> value = parse_count(env);
+  if (!value || *value < min || *value > max) {
     std::ostringstream os;
     os << "bad " << name << " '" << env
        << "' (want a decimal count of at least " << min;

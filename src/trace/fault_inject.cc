@@ -2,10 +2,13 @@
 
 #include <chrono>
 #include <cstdlib>
+#include <limits>
+#include <optional>
 #include <thread>
 
 #include "util/error.h"
 #include "util/job_context.h"
+#include "util/string_util.h"
 
 namespace pcal {
 namespace {
@@ -19,15 +22,15 @@ FaultMode mode_from_string(const std::string& s) {
                    "' (throw|transient|hang|exit)");
 }
 
-std::uint64_t parse_u64_field(const std::string& key,
-                              const std::string& value) {
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(value.c_str(), &end, 10);
-  if (errno != 0 || end == value.c_str() || *end != '\0')
+std::uint64_t parse_u64_field(
+    const std::string& key, const std::string& value,
+    std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) {
+  const std::optional<std::uint64_t> v = parse_count(value);
+  if (!v || *v > max)
     throw ParseError("fault spec: bad value for '" + key + "': '" + value +
-                     "'");
-  return v;
+                     "' (want a decimal count of at most " +
+                     std::to_string(max) + ")");
+  return *v;
 }
 
 }  // namespace
@@ -56,7 +59,8 @@ FaultSpec parse_fault_spec(const std::string& spec) {
       out.mode = mode_from_string(value);
       saw_mode = true;
     } else if (key == "times") {
-      out.times = static_cast<unsigned>(parse_u64_field(key, value));
+      out.times = static_cast<unsigned>(
+          parse_u64_field(key, value, std::numeric_limits<unsigned>::max()));
     } else {
       throw ParseError("fault spec: unknown key '" + key + "'");
     }

@@ -1,7 +1,7 @@
 #include "trace/multiprogram.h"
 
-#include <charconv>
 #include <cstdint>
+#include <optional>
 #include <sstream>
 
 #include "trace/workloads.h"
@@ -26,27 +26,13 @@ WorkloadSpec resolve_program(const std::string& name,
 }  // namespace
 
 std::uint64_t parse_multiprogram_quantum(const std::string& text) {
-  std::uint64_t scale = 1;
-  std::string digits = text;
-  if (!digits.empty() && (digits.back() == 'k' || digits.back() == 'K')) {
-    scale = 1024;
-    digits.pop_back();
-  } else if (!digits.empty() &&
-             (digits.back() == 'm' || digits.back() == 'M')) {
-    scale = 1024 * 1024;
-    digits.pop_back();
-  }
-  PCAL_CONFIG_CHECK(!digits.empty(), "empty multiprog quantum");
-  std::uint64_t count = 0;
-  const char* end = digits.data() + digits.size();
-  const auto [stop, ec] = std::from_chars(digits.data(), end, count);
-  PCAL_CONFIG_CHECK(stop == end && ec != std::errc::invalid_argument,
-                    "bad multiprog quantum \"" << text << "\"");
-  PCAL_CONFIG_CHECK(ec == std::errc() && count <= UINT64_MAX / scale,
+  const std::optional<std::uint64_t> quantum = parse_scaled_count(text);
+  PCAL_CONFIG_CHECK(quantum.has_value(),
                     "bad multiprog quantum \"" << text
-                                               << "\": overflows 64 bits");
-  PCAL_CONFIG_CHECK(count > 0, "multiprog quantum must be nonzero");
-  return count * scale;
+                        << "\" (want a decimal count with an optional k/M "
+                           "multiplier, below 2^64)");
+  PCAL_CONFIG_CHECK(*quantum > 0, "multiprog quantum must be nonzero");
+  return *quantum;
 }
 
 MultiProgramConfig parse_multiprogram_spec(const std::string& spec,

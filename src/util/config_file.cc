@@ -137,30 +137,10 @@ std::vector<ConfigEntry> load_config(
 
 std::uint64_t parse_config_number(const std::string& s,
                                   const std::string& where) {
-  const std::string t{trim(s)};
-  if (!t.empty() && t.front() != '-') {
-    try {
-      std::size_t consumed = 0;
-      const std::uint64_t out = std::stoull(t, &consumed, 0);
-      if (consumed == t.size()) return out;
-      if (consumed + 1 == t.size()) {
-        const char suffix = t[consumed];
-        const std::uint64_t mult =
-            (suffix == 'k' || suffix == 'K')   ? 1024
-            : (suffix == 'm' || suffix == 'M') ? 1024 * 1024
-                                               : 0;
-        if (mult != 0) {
-          if (out > UINT64_MAX / mult)
-            throw ParseError(where + ": '" + s + "' overflows 64 bits");
-          return out * mult;
-        }
-      }
-    } catch (const ParseError&) {
-      throw;
-    } catch (const std::exception&) {
-    }
-  }
-  throw ParseError(where + ": '" + s + "' is not a non-negative integer");
+  if (const auto value = parse_scaled_count(trim(s))) return *value;
+  throw ParseError(where + ": '" + s +
+                   "' is not a non-negative integer (a decimal count with "
+                   "an optional k/M multiplier, below 2^64)");
 }
 
 double parse_config_real(const std::string& s, const std::string& where) {

@@ -58,9 +58,10 @@ std::vector<ConfigEntry> load_config(
     const std::string& path, const ConfigSyntax& syntax,
     const std::vector<std::string>& overrides = {});
 
-/// Unsigned integer, decimal or 0x-hex, with an optional k/K/m/M binary
-/// multiplier ("8k" = 8192).  Throws ParseError("<where>: ...") on
-/// anything else: a sign, trailing text, or a value past 64 bits.
+/// Decimal count with an optional k/K/m/M binary multiplier ("8k" =
+/// 8192; parse_scaled_count, util/string_util.h).  Surrounding space is
+/// trimmed.  Throws ParseError("<where>: ...") on anything else: a sign,
+/// a 0x prefix, trailing text, or a value past 64 bits.
 std::uint64_t parse_config_number(const std::string& s,
                                   const std::string& where);
 

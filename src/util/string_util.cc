@@ -1,6 +1,8 @@
 #include "util/string_util.h"
 
 #include <cctype>
+#include <charconv>
+#include <limits>
 #include <sstream>
 
 namespace pcal {
@@ -38,6 +40,28 @@ std::string to_lower(std::string s) {
 
 std::string basename_of(std::string_view path) {
   return std::string(path.substr(path.find_last_of('/') + 1));
+}
+
+std::optional<std::uint64_t> parse_count(std::string_view s) {
+  std::uint64_t value = 0;
+  const char* end = s.data() + s.size();
+  // from_chars reads digits only: no sign, space or base prefix, and an
+  // overflowing count is an error, not a saturated value.
+  const auto [stop, ec] = std::from_chars(s.data(), end, value);
+  if (ec != std::errc() || stop != end) return std::nullopt;
+  return value;
+}
+
+std::optional<std::uint64_t> parse_scaled_count(std::string_view s) {
+  const char unit = s.empty() ? '\0' : s.back();
+  const std::uint64_t scale = unit == 'k' || unit == 'K'   ? 1024
+                              : unit == 'm' || unit == 'M' ? 1024 * 1024
+                                                           : 1;
+  if (scale != 1) s.remove_suffix(1);
+  const std::optional<std::uint64_t> count = parse_count(s);
+  if (!count || *count > std::numeric_limits<std::uint64_t>::max() / scale)
+    return std::nullopt;
+  return *count * scale;
 }
 
 std::string format_size(std::uint64_t bytes) {

@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -25,5 +26,17 @@ std::string format_size(std::uint64_t bytes);
 
 /// The final '/'-separated component of a path ("a/b/c.pct" -> "c.pct").
 std::string basename_of(std::string_view path);
+
+/// A plain decimal count: digits and nothing else — no sign, space,
+/// prefix or suffix; a leading zero is still decimal ("010" is 10) — that
+/// fits in 64 bits.  nullopt otherwise.  pcalsweep's and pcal-tracepack's
+/// count arguments, the PCAL_* environment counts and the fault spec's
+/// fields come through here; config values through parse_scaled_count.
+std::optional<std::uint64_t> parse_count(std::string_view s);
+
+/// parse_count's digits times an optional binary multiplier suffix, k/K
+/// (1024) or m/M (1024^2): "8k" is 8192.  nullopt when the digits do not
+/// parse or the product passes 64 bits.
+std::optional<std::uint64_t> parse_scaled_count(std::string_view s);
 
 }  // namespace pcal

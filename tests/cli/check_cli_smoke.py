@@ -10,6 +10,11 @@
                    `accesses = 3000`; a malformed PCAL_BENCH_ACCESSES,
                    PCAL_BENCH_THREADS or PCAL_SWEEP_THREADS fails
                    pcalsweep with an error naming the variable and value
+  counts           a count that is not a plain decimal fails naming the
+                   flag or field and its value: pcalsweep's --timeout-ms,
+                   --retries, --shard and --retry-backoff-ms (checked
+                   with --dry-run), a PCAL_FAULT_INJECT job, and
+                   `pcal-tracepack gen`'s access count
   determinism      examples/trace_mix.sweep and examples/hierarchy.sweep
                    print the same stdout at 1 and 8 workers
   timeline         pcalsim (`--example` at 50000 accesses, a 64 kB L2,
@@ -158,6 +163,21 @@ def env_overrides(c):
     for var, value in bad:
         c.fails("%s=%s fails" % (var, value), [c.pcalsweep, two],
                 {var: value}, [var, "'%s'" % value])
+    return two
+
+
+def bad_counts(c, two):
+    # two.sweep is env_overrides' 2-job spec.
+    for flag, value in (("--timeout-ms", "5s"), ("--retries", "abc"),
+                        ("--shard", "1x/2"), ("--retry-backoff-ms", "-3")):
+        c.fails("%s %s fails" % (flag, value),
+                [c.pcalsweep, "--dry-run", flag, value, two], {},
+                [flag, "'%s'" % value])
+    c.fails("PCAL_FAULT_INJECT job=-1 fails", [c.pcalsweep, two],
+            {"PCAL_FAULT_INJECT": "job=-1:access=0:mode=throw",
+             "PCAL_BENCH_JSON": "0"}, ["'job'", "'-1'"])
+    c.fails("pcal-tracepack gen 100k fails",
+            [c.tracepack, "gen", "cjpeg", "100k", "g.pct"], {}, ["'100k'"])
 
 
 def determinism(c):
@@ -210,7 +230,7 @@ def main():
         c = Checks(args, work)
         spec_validation(c)
         tracepack(c)
-        env_overrides(c)
+        bad_counts(c, env_overrides(c))
         timeline(c, determinism(c))
         for records in c.records:
             c.check("a BENCH record in " + records,

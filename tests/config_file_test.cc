@@ -172,13 +172,14 @@ TEST(ConfigReader, MissingFileThrows) {
   }
 }
 
-TEST(ConfigNumber, SuffixesAndHex) {
+TEST(ConfigNumber, DecimalsAndSuffixes) {
   EXPECT_EQ(parse_config_number("8k", "k"), 8192u);
   EXPECT_EQ(parse_config_number("8K", "k"), 8192u);
   EXPECT_EQ(parse_config_number("2m", "k"), 2u * 1024 * 1024);
   EXPECT_EQ(parse_config_number("2M", "k"), 2u * 1024 * 1024);
-  EXPECT_EQ(parse_config_number("0x10", "k"), 16u);
-  EXPECT_EQ(parse_config_number("0x10k", "k"), 16u * 1024);
+  // A leading zero is decimal, not octal.
+  EXPECT_EQ(parse_config_number("010000", "k"), 10000u);
+  EXPECT_EQ(parse_config_number("010k", "k"), 10u * 1024);
   EXPECT_EQ(parse_config_number(" 42 ", "k"), 42u);
   EXPECT_EQ(parse_config_number("18446744073709551615", "k"), UINT64_MAX);
   // 2^34 M = 2^54: large, but inside 64 bits.
@@ -187,7 +188,8 @@ TEST(ConfigNumber, SuffixesAndHex) {
 
 TEST(ConfigNumber, RejectsSignsTextAndOverflowNamingTheKey) {
   for (const std::string bad :
-       {"-1", "-0", "", "8kb", "8G", "1.5", "zzz", "0x"}) {
+       {"-1", "-0", "", "8kb", "8G", "1.5", "zzz", "0x", "0x10", "0x3000",
+        "+1", "k"}) {
     try {
       parse_config_number(bad, "key 'cache_size'");
       FAIL() << "'" << bad << "' accepted";

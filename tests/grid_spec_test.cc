@@ -51,6 +51,17 @@ workload = cjpeg, sha
             "cache_size x2, banks x3, workload x2");
 }
 
+TEST(GridSpecParse, CountsAreDecimal) {
+  // A leading zero is decimal, not octal, and a 0x prefix is rejected:
+  // a spec's counts read as SWEEP_CLI.md documents them.
+  EXPECT_EQ(parse("[grid]\naccesses = 010000\n[sweep]\nworkload = cjpeg\n")
+                .accesses(),
+            10000u);
+  EXPECT_THROW(parse("[grid]\naccesses = 0x3000\n[sweep]\nworkload = cjpeg\n"),
+               ParseError);
+  EXPECT_THROW(parse(kMinimal, {"sweep.banks=0x4"}), ParseError);
+}
+
 TEST(GridSpecParse, RangeSyntax) {
   const GridSpec spec = parse(R"(
 [sweep]

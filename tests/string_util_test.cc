@@ -55,5 +55,24 @@ TEST(FormatSize, ExactUnits) {
   EXPECT_EQ(format_size(2 * 1024 * 1024), "2MB");
 }
 
+TEST(ParseCount, PlainDecimalsOnly) {
+  EXPECT_EQ(parse_count("0"), 0u);
+  EXPECT_EQ(parse_count("010000"), 10000u);  // decimal, not octal
+  EXPECT_EQ(parse_count("18446744073709551615"), UINT64_MAX);
+  for (const char* bad : {"", "-1", "+1", " 1", "1 ", "0x10", "100k", "2e4",
+                          "5s", "1x", "18446744073709551616"})
+    EXPECT_FALSE(parse_count(bad).has_value()) << "'" << bad << "'";
+}
+
+TEST(ParseScaledCount, BinaryMultipliers) {
+  EXPECT_EQ(parse_scaled_count("8k"), 8192u);
+  EXPECT_EQ(parse_scaled_count("2M"), 2u * 1024 * 1024);
+  EXPECT_EQ(parse_scaled_count("17592186044415m"),
+            17'592'186'044'415u * 1024u * 1024u);
+  for (const char* bad : {"k", "8kb", "8G", "0x10k", "-1k",
+                          "17592186044416M", "18014398509481984k"})
+    EXPECT_FALSE(parse_scaled_count(bad).has_value()) << "'" << bad << "'";
+}
+
 }  // namespace
 }  // namespace pcal

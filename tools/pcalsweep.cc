@@ -46,10 +46,11 @@
 #include <cerrno>
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -232,13 +233,14 @@ int usage() {
 
 bool parse_shard(const std::string& arg, unsigned* index, unsigned* count) {
   const std::size_t slash = arg.find('/');
-  if (slash == std::string::npos || slash == 0 || slash + 1 >= arg.size())
+  if (slash == std::string::npos) return false;
+  const std::optional<std::uint64_t> k = parse_count(arg.substr(0, slash));
+  const std::optional<std::uint64_t> n = parse_count(arg.substr(slash + 1));
+  if (!k || !n || *k < 1 || *k > *n ||
+      *n > std::numeric_limits<unsigned>::max())
     return false;
-  const long k = std::atol(arg.substr(0, slash).c_str());
-  const long n = std::atol(arg.substr(slash + 1).c_str());
-  if (k < 1 || n < 1 || k > n) return false;
-  *index = static_cast<unsigned>(k);
-  *count = static_cast<unsigned>(n);
+  *index = static_cast<unsigned>(*k);
+  *count = static_cast<unsigned>(*n);
   return true;
 }
 
@@ -296,15 +298,23 @@ bool parse_cli(int argc, char** argv, CliOptions* opt, int* exit_code) {
           *exit_code = usage();
           return false;
         }
-      } else if (arg == "--retries") {
-        opt->policy.max_attempts =
-            1 + static_cast<unsigned>(std::atol(value));
-      } else if (arg == "--retry-backoff-ms") {
-        opt->policy.retry_backoff_ms =
-            static_cast<std::uint64_t>(std::atoll(value));
-      } else {  // --timeout-ms
-        opt->policy.deadline_ms =
-            static_cast<std::uint64_t>(std::atoll(value));
+      } else {  // --retries, --retry-backoff-ms, --timeout-ms
+        const std::optional<std::uint64_t> n = parse_count(value);
+        const std::uint64_t max =
+            arg == "--retries" ? std::numeric_limits<unsigned>::max() - 1
+                               : std::numeric_limits<std::uint64_t>::max();
+        if (!n || *n > max) {
+          std::cerr << "pcalsweep: bad " << arg << " '" << value
+                    << "' (want a decimal count of at most " << max << ")\n";
+          *exit_code = usage();
+          return false;
+        }
+        if (arg == "--retries")
+          opt->policy.max_attempts = 1 + static_cast<unsigned>(*n);
+        else if (arg == "--retry-backoff-ms")
+          opt->policy.retry_backoff_ms = *n;
+        else
+          opt->policy.deadline_ms = *n;
       }
       continue;
     }

@@ -8,8 +8,8 @@
 //                                                  pack a synthetic workload
 //                                                  (any MediaBench spec name)
 #include <cstdint>
-#include <cstdlib>
 #include <iostream>
+#include <optional>
 #include <string>
 
 #include "trace/binary_trace.h"
@@ -17,6 +17,7 @@
 #include "trace/trace_io.h"
 #include "trace/workloads.h"
 #include "util/error.h"
+#include "util/string_util.h"
 
 namespace {
 
@@ -67,15 +68,14 @@ int cmd_info(const std::string& path) {
 
 int cmd_gen(const std::string& workload, const std::string& accesses_str,
             const std::string& out) {
-  const long long n = std::atoll(accesses_str.c_str());
-  if (n <= 0) {
+  const std::optional<std::uint64_t> n = pcal::parse_count(accesses_str);
+  if (!n || *n == 0) {
     std::cerr << "pcal-tracepack: bad access count '" << accesses_str
-              << "'\n";
+              << "' (want a positive decimal count)\n";
     return 2;
   }
   const pcal::WorkloadSpec spec = pcal::make_mediabench_workload(workload);
-  pcal::SyntheticTraceSource source(spec,
-                                    static_cast<std::uint64_t>(n));
+  pcal::SyntheticTraceSource source(spec, *n);
   // Streamed, not materialized: constant memory for any access count.
   const std::uint64_t written = pcal::write_pct_stream(source, out);
   std::cout << "generated " << written << " accesses of '" << workload
