@@ -47,10 +47,11 @@ SimConfig small_config(std::uint64_t banks) {
   return cfg;
 }
 
-TraceSourceFactory plain_factory(const std::string& workload = "cjpeg") {
+TraceSourceFactory plain_factory(const std::string& workload = "cjpeg",
+                                 std::uint64_t accesses = kAccesses) {
   const WorkloadSpec spec = make_mediabench_workload(workload);
-  return [spec] {
-    return std::make_unique<SyntheticTraceSource>(spec, kAccesses);
+  return [spec, accesses] {
+    return std::make_unique<SyntheticTraceSource>(spec, accesses);
   };
 }
 
@@ -63,10 +64,11 @@ SweepJob make_job(std::uint64_t banks, TraceSourceFactory factory) {
 }
 
 std::vector<SweepJob> grid_with_fault(const FaultSpec& spec,
-                                      std::size_t n_jobs = 6) {
+                                      std::size_t n_jobs = 6,
+                                      std::uint64_t accesses = kAccesses) {
   std::vector<SweepJob> jobs;
   for (std::size_t i = 0; i < n_jobs; ++i) {
-    TraceSourceFactory factory = plain_factory();
+    TraceSourceFactory factory = plain_factory("cjpeg", accesses);
     if (i == spec.job) factory = wrap_with_fault(std::move(factory), spec);
     jobs.push_back(make_job(1u << (1 + i % 3), std::move(factory)));
   }
@@ -98,6 +100,12 @@ TEST(FaultSpecParsing, RejectsMalformedSpecs) {
   EXPECT_THROW(parse_fault_spec("access=1:mode=throw"), ParseError); // no job
   EXPECT_THROW(parse_fault_spec("job=1:access=2:mode=nope"), ParseError);
   EXPECT_THROW(parse_fault_spec("job=x:access=2:mode=throw"), ParseError);
+  // A sign is not a count: job=-1 must not wrap to job 2^64 - 1.
+  EXPECT_THROW(parse_fault_spec("job=-1:access=0:mode=throw"), ParseError);
+  EXPECT_THROW(parse_fault_spec("job=1:access=+2:mode=throw"), ParseError);
+  // times is an unsigned budget: 2^32 must not truncate to 0.
+  EXPECT_THROW(parse_fault_spec("job=1:access=2:mode=throw:times=4294967296"),
+               ParseError);
   EXPECT_THROW(parse_fault_spec("job=1:access=2:mode=throw:bogus=3"),
                ParseError);
 }
@@ -229,11 +237,16 @@ TEST(JobPolicy, PermanentFaultIsNeverRetried) {
 }
 
 TEST(JobPolicy, InjectedHangTripsTheDeadline) {
+  // Every other job must finish inside the wall-clock deadline, so each
+  // is sized far below it: at 2000 accesses a job takes about 5 ms under
+  // a gcc ASan/UBSan Debug build (17 ms at worst of 30 runs), against
+  // about 40 ms at 20000 accesses, which a loaded host stretched past
+  // 200 ms.
   FaultSpec spec;
   spec.job = 1;
   spec.at_access = 1000;
   spec.mode = FaultMode::kHang;
-  std::vector<SweepJob> jobs = grid_with_fault(spec, 4);
+  std::vector<SweepJob> jobs = grid_with_fault(spec, 4, 2000);
   SweepRunOptions options;
   options.policy.deadline_ms = 200;
   options.policy.on_failure = OnFailure::kRecord;
