@@ -31,7 +31,8 @@
 // (rows axis × columns axis × metric cells, mean-reduced over the
 // remaining axes, with optional [paper] reference columns), which is how
 // the shipped examples/*.sweep files regenerate the paper tables —
-// examples/table4.sweep reproduces bench_table4_banks byte for byte.
+// examples/table4.sweep prints Table IV byte for byte as its retired
+// bench binary did (tests/goldens/sweep/table4.out).
 // Without [table], render_table() lists one row per job.
 //
 // Both sections speak the key table's vocabulary (core/run_assembly.h):

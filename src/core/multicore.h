@@ -38,7 +38,8 @@
 // (ManagedCache::set_alloc_way_mask): core k's misses may only victimize
 // its own ways, while hits are served from any way.  This isolates a
 // well-behaved core's LLC share from a streaming noisy neighbour —
-// bench/multicore_qos.cc measures exactly that effect.  Masks must be
+// examples/multicore.sweep measures exactly that effect, and
+// multicore_test pins it.  Masks must be
 // nonzero, pairwise disjoint, within the LLC's associativity, and either
 // all cores have one or none do (all-zero = fully shared).
 //

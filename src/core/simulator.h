@@ -119,8 +119,8 @@ struct SimConfig {
   /// loop even where the batched path applies.  Only single-level runs
   /// without contention take the batched path; hierarchies and runs
   /// with contention enabled always route one access at a time.
-  /// Results are bit-identical either way; bench/micro_ops.cc uses this
-  /// to measure the batching win.
+  /// Results are bit-identical either way (batched_access_test pins
+  /// it); pcalbench's traced driver reads it to classify a job's path.
   bool force_scalar_loop = false;
 
   /// The lower levels that are actually enabled (non-zero-sized).
