@@ -30,11 +30,14 @@ class State {
   State(std::int64_t arg, std::int64_t target_iters)
       : arg_(arg), remaining_(target_iters), target_(target_iters) {}
 
+  /// What `for (auto _ : state)` binds; marked unused, as Google
+  /// Benchmark's is, so the loop variable draws no -Wunused-variable.
+  struct [[maybe_unused]] Value {};
   struct iterator {
     State* state;
     bool operator!=(const iterator&) const { return state->keep_running(); }
     void operator++() {}
-    int operator*() const { return 0; }
+    Value operator*() const { return {}; }
   };
   iterator begin() {
     start_ = std::chrono::steady_clock::now();
