@@ -5,19 +5,34 @@
 //
 // Usage: aging_exploration [workload] [cache_kb]
 //   e.g. aging_exploration rijndael_i 16
+#include <exception>
 #include <iostream>
+#include <limits>
+#include <optional>
 #include <string>
 
 #include "core/enum_strings.h"
 #include "core/experiment.h"
+#include "util/error.h"
+#include "util/string_util.h"
 #include "util/table.h"
 
-int main(int argc, char** argv) {
-  using namespace pcal;
+namespace {
 
+using namespace pcal;
+
+/// The cache size in kB: a plain decimal whose byte count fits 64 bits.
+std::uint64_t cache_kb_arg(const char* arg) {
+  const std::optional<std::uint64_t> kb = parse_count(arg);
+  if (!kb || *kb > std::numeric_limits<std::uint64_t>::max() / 1024)
+    throw ConfigError(std::string("bad cache size '") + arg +
+                      "' (want a decimal count of kB)");
+  return *kb;
+}
+
+int explore(int argc, char** argv) {
   const std::string workload_name = argc > 1 ? argv[1] : "dijkstra";
-  const std::uint64_t cache_kb =
-      argc > 2 ? std::stoull(argv[2]) : 8;
+  const std::uint64_t cache_kb = argc > 2 ? cache_kb_arg(argv[2]) : 8;
 
   AgingContext aging;
   const WorkloadSpec workload = make_mediabench_workload(workload_name);
@@ -58,4 +73,15 @@ int main(int argc, char** argv) {
                "converges to uniform asymptotically (paper §IV-B.2); rerun "
                "with more updates and the gap closes.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return explore(argc, argv);
+  } catch (const std::exception& e) {
+    std::cerr << "aging_exploration: error: " << e.what() << "\n";
+    return 1;
+  }
 }

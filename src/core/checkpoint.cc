@@ -1,15 +1,18 @@
 #include "core/checkpoint.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cinttypes>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <utility>
 
 #include "core/enum_strings.h"
 #include "util/error.h"
+#include "util/string_util.h"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <unistd.h>
@@ -76,23 +79,35 @@ class TokenReader {
     return data_.substr(start, pos_ - start);
   }
 
+  // Integers are read back exactly as put_u64 and hex16 print them:
+  // digits only, so a sign or a base prefix is an error, not a wrapped
+  // or reinterpreted value.
   std::uint64_t take_u64() {
-    const std::string tok(take());
-    errno = 0;
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(tok.c_str(), &end, 10);
-    if (errno != 0 || end == tok.c_str() || *end != '\0')
-      throw ParseError("journal record: bad integer token '" + tok + "'");
-    return v;
+    const std::string_view tok = take();
+    const std::optional<std::uint64_t> v = parse_count(tok);
+    if (!v)
+      throw ParseError("journal record: bad integer token '" +
+                       std::string(tok) + "'");
+    return *v;
+  }
+
+  /// A take_u64 the writer printed from an `unsigned`.
+  unsigned take_unsigned() {
+    const std::uint64_t v = take_u64();
+    if (v > std::numeric_limits<unsigned>::max())
+      throw ParseError("journal record: integer token " + std::to_string(v) +
+                       " out of range");
+    return static_cast<unsigned>(v);
   }
 
   std::uint64_t take_hex64() {
-    const std::string tok(take());
-    errno = 0;
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(tok.c_str(), &end, 16);
-    if (errno != 0 || end == tok.c_str() || *end != '\0')
-      throw ParseError("journal record: bad hex token '" + tok + "'");
+    const std::string_view tok = take();
+    std::uint64_t v = 0;
+    const char* end = tok.data() + tok.size();
+    const auto [stop, ec] = std::from_chars(tok.data(), end, v, 16);
+    if (ec != std::errc() || stop != end)
+      throw ParseError("journal record: bad hex token '" + std::string(tok) +
+                       "'");
     return v;
   }
 
@@ -335,8 +350,8 @@ JournalHeader parse_header_payload(std::string_view payload) {
   h.fingerprint = r.take_hex64();
   h.jobs = r.take_u64();
   h.accesses = r.take_u64();
-  h.shard_index = static_cast<unsigned>(r.take_u64());
-  h.shard_count = static_cast<unsigned>(r.take_u64());
+  h.shard_index = r.take_unsigned();
+  h.shard_count = r.take_unsigned();
   if (!r.exhausted())
     throw ParseError("journal header has trailing tokens");
   if (h.shard_count == 0 || h.shard_index == 0 ||
@@ -377,7 +392,7 @@ SweepOutcome deserialize_outcome(std::string_view tokens) {
   TokenReader r(tokens);
   SweepOutcome out;
   const bool ok = r.take_bool();
-  out.attempts = static_cast<unsigned>(r.take_u64());
+  out.attempts = r.take_unsigned();
   out.intervals = r.take_u64();
   out.timed_out = r.take_bool();
   out.label = r.take_string();

@@ -216,41 +216,6 @@ std::vector<std::string> expand_workload_axis(const std::string& value,
   return out;
 }
 
-/// Truncating replay of a per-worker .pct mapping (TruncatedSource does
-/// not own its inner source; sweep jobs need one self-contained object).
-class LimitedBinarySource final : public TraceSource {
- public:
-  LimitedBinarySource(const std::string& path, std::uint64_t limit)
-      : inner_(path), limit_(limit) {}
-
-  std::optional<MemAccess> next() override {
-    if (produced_ >= limit_) return std::nullopt;
-    auto a = inner_.next();
-    if (a) ++produced_;
-    return a;
-  }
-  std::size_t next_batch(MemAccess* out, std::size_t max) override {
-    const std::uint64_t room = limit_ - produced_;
-    if (room < max) max = static_cast<std::size_t>(room);
-    const std::size_t n = inner_.next_batch(out, max);
-    produced_ += n;
-    return n;
-  }
-  void reset() override {
-    inner_.reset();
-    produced_ = 0;
-  }
-  std::optional<std::uint64_t> size_hint() const override {
-    return std::min<std::uint64_t>(inner_.size(), limit_);
-  }
-  std::string name() const override { return inner_.name(); }
-
- private:
-  BinaryTraceSource inner_;
-  std::uint64_t limit_;
-  std::uint64_t produced_ = 0;
-};
-
 }  // namespace
 
 TraceSourceFactory make_workload_factory(const std::string& value,
@@ -265,7 +230,8 @@ TraceSourceFactory make_workload_factory(const std::string& value,
       if (accesses >= info.count)
         return [path] { return std::make_unique<BinaryTraceSource>(path); };
       return [path, accesses] {
-        return std::make_unique<LimitedBinarySource>(path, accesses);
+        return std::make_unique<TruncatedSource>(
+            std::make_unique<BinaryTraceSource>(path), accesses);
       };
     }
     // Text/legacy-binary traces: parse once, replay through shared

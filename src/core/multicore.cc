@@ -12,14 +12,10 @@
 namespace pcal {
 namespace {
 
-/// Accesses fetched per TraceSource::next_batch call on the per-access
-/// loop, and the default chunk of the batched one (SimConfig's
-/// batch_size default).
+/// Accesses fetched per TraceSource::next_batch call, and so the largest
+/// chunk the batched loop hands to access_batch.  Results do not depend
+/// on it: chunks split at every update and observer boundary.
 constexpr std::size_t kBatchSize = 256;
-
-/// Ceiling on the batched loop's chunk, and so on the one staging buffer
-/// a run or cohort keeps: 65536 MemAccess records, 1 MB.
-constexpr std::uint64_t kMaxDriverBatch = 1 << 16;
 
 /// Observer cadence for runs with no re-indexing updates.
 constexpr std::uint64_t kDefaultObserverIntervals = 16;
@@ -189,8 +185,7 @@ struct SystemRun::State {
 
   State(const MultiCoreConfig& config, const std::vector<TraceSource*>& sources,
         const AgingLut* lut, const IntervalObserver& observer,
-        std::uint64_t batch_size, bool force_scalar_loop,
-        std::vector<UnitEnergyModel> models);
+        bool force_scalar_loop, std::vector<UnitEnergyModel> models);
   // Every level holds the address of `timing`.
   State(const State&) = delete;
   State& operator=(const State&) = delete;
@@ -214,9 +209,6 @@ struct SystemRun::State {
   // Loop choice: one core issuing straight into a single level, with no
   // resource to arbitrate per access, takes the batched loop (feed()).
   const bool batched;
-  // Accesses per TraceSource::next_batch call, and the batched loop's
-  // chunk ceiling.
-  const std::size_t fetch;
   // The run's one clock: every level below is built on it, and only
   // step() and feed() advance it.
   TimingModel timing;
@@ -242,7 +234,7 @@ struct SystemRun::State {
 SystemRun::State::State(const MultiCoreConfig& cfg,
                         const std::vector<TraceSource*>& srcs,
                         const AgingLut* aging, const IntervalObserver& obs,
-                        std::uint64_t batch_size, bool force_scalar_loop,
+                        bool force_scalar_loop,
                         std::vector<UnitEnergyModel> level_models)
     : config(cfg),
       sources(srcs),
@@ -254,10 +246,6 @@ SystemRun::State::State(const MultiCoreConfig& cfg,
       contention(system_contention_shapes(config)),
       batched(num_cores == 1 && depth == 0 && !contention.enabled() &&
               !force_scalar_loop),
-      fetch(batched ? static_cast<std::size_t>(std::min<std::uint64_t>(
-                          std::max<std::uint64_t>(batch_size, 1),
-                          kMaxDriverBatch))
-                    : kBatchSize),
       llc(make_managed_cache(config.llc.topology, &timing)),
       partitioned(config.partitioned()),
       rt(num_cores),
@@ -430,7 +418,7 @@ void SystemRun::State::feed(const MemAccess* batch, std::size_t n) {
   // sum is read, so no outcome is written.
   CoreRt& c = rt.front();
   for (std::size_t pos = 0; pos < n;) {
-    std::size_t take = std::min(n - pos, fetch);
+    std::size_t take = n - pos;
     if (interval != 0)
       take = std::min<std::uint64_t>(take, interval - since_boundary);
     const CacheStats llc_before = llc->stats();
@@ -632,21 +620,16 @@ SystemRun::~SystemRun() = default;
 void SystemRun::drive(const std::vector<SystemRun*>& runs) {
   PCAL_ASSERT_MSG(!runs.empty(), "SystemRun::drive needs a run");
   const std::vector<TraceSource*>& sources = runs.front()->state_->sources;
-  std::size_t fetch = 0;
-  for (const SystemRun* run : runs) {
+  for (const SystemRun* run : runs)
     PCAL_ASSERT_MSG(run->state_->sources == sources,
                     "lockstep runs must share their trace sources");
-    fetch = std::max(fetch, run->state_->fetch);
-  }
 
   if (sources.size() == 1) {
     // One stream: each fetched batch goes to every run in turn, so the
-    // stream is produced once however many runs consume it.  A run splits
-    // a batch into its own chunks, so the fetch size never shows in its
-    // results.
-    std::vector<MemAccess> batch(fetch);
+    // stream is produced once however many runs consume it.
+    std::vector<MemAccess> batch(kBatchSize);
     while (const std::size_t n =
-               sources.front()->next_batch(batch.data(), fetch))
+               sources.front()->next_batch(batch.data(), kBatchSize))
       for (SystemRun* run : runs) run->state_->feed(batch.data(), n);
     return;
   }
@@ -664,7 +647,7 @@ void SystemRun::drive(const std::vector<SystemRun*>& runs) {
     bool done = false;
   };
   std::vector<Cursor> cursors(s.num_cores);
-  for (Cursor& c : cursors) c.batch.resize(fetch);
+  for (Cursor& c : cursors) c.batch.resize(kBatchSize);
   std::size_t live = s.num_cores;
   while (live > 0) {
     for (std::size_t k = 0; k < s.num_cores; ++k) {
@@ -673,7 +656,7 @@ void SystemRun::drive(const std::vector<SystemRun*>& runs) {
       const std::uint64_t weight = s.config.cores[k].ipc_weight;
       for (std::uint64_t slot = 0; slot < weight; ++slot) {
         if (c.i >= c.n) {
-          c.n = sources[k]->next_batch(c.batch.data(), fetch);
+          c.n = sources[k]->next_batch(c.batch.data(), kBatchSize);
           c.i = 0;
           if (c.n == 0) {
             c.done = true;
@@ -692,8 +675,8 @@ MultiCoreResult SystemRun::finish() { return state_->finish(); }
 MultiCoreResult MultiCoreSystem::run(
     const std::vector<TraceSource*>& sources, const AgingLut* lut,
     const IntervalObserver& observer) const {
-  SystemRun run = start(sources, lut, observer, kBatchSize, false,
-                        level_energy_models(config_));
+  SystemRun run =
+      start(sources, lut, observer, false, level_energy_models(config_));
   SystemRun::drive({&run});
   return run.finish();
 }
@@ -701,12 +684,10 @@ MultiCoreResult MultiCoreSystem::run(
 SystemRun MultiCoreSystem::start(const std::vector<TraceSource*>& sources,
                                  const AgingLut* lut,
                                  const IntervalObserver& observer,
-                                 std::uint64_t batch_size,
                                  bool force_scalar_loop,
                                  std::vector<UnitEnergyModel> models) const {
   return SystemRun(std::make_unique<SystemRun::State>(
-      config_, sources, lut, observer, batch_size, force_scalar_loop,
-      std::move(models)));
+      config_, sources, lut, observer, force_scalar_loop, std::move(models)));
 }
 
 MultiCoreConfig one_core_system(const SimConfig& config) {

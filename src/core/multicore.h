@@ -170,16 +170,16 @@ class MultiCoreSystem {
   const MultiCoreConfig& config() const { return config_; }
 
  private:
-  // Simulator::start forwards SimConfig::batch_size and
-  // force_scalar_loop, the knobs of the batched single-level loop, and
-  // the config's per-level pricing models.
+  // Simulator::start forwards SimConfig::force_scalar_loop, the switch
+  // of the batched single-level loop, and the config's per-level
+  // pricing models.
   friend class Simulator;
   /// Sets up a run (resets the sources; throws ConfigError when they do
   /// not match the cores) without issuing any access.  `models` prices
   /// the levels, in level_energy_models() order.
   SystemRun start(const std::vector<TraceSource*>& sources,
                   const AgingLut* lut, const IntervalObserver& observer,
-                  std::uint64_t batch_size, bool force_scalar_loop,
+                  bool force_scalar_loop,
                   std::vector<UnitEnergyModel> models) const;
 
   MultiCoreConfig config_;

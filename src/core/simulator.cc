@@ -140,8 +140,8 @@ SystemRun Simulator::start(TraceSource& source, const AgingLut* lut,
                            const IntervalObserver& observer) const {
   // The single stream is the 1-core system of the run engine.
   return MultiCoreSystem(one_core_system(config_))
-      .start({&source}, lut, observer, config_.batch_size,
-             config_.force_scalar_loop, level_energy_models(config_));
+      .start({&source}, lut, observer, config_.force_scalar_loop,
+             level_energy_models(config_));
 }
 
 SimResult Simulator::finish(SystemRun& run) const {

@@ -108,13 +108,6 @@ struct SimConfig {
   /// (bench/drowsy_comparison.cc does).
   bool force_unit_pricing = false;
 
-  /// Accesses handed to ManagedCache::access_batch per call on the
-  /// batched hot path (clamped to [1, 65536] by the engine).  The
-  /// engine splits batches at re-indexing / observer boundaries, so
-  /// every batch size produces bit-identical results — this knob is
-  /// purely about throughput.
-  std::uint64_t batch_size = 256;
-
   /// Baseline / diagnostic knob: drive the run through the per-access
   /// loop even where the batched path applies.  Only single-level runs
   /// without contention take the batched path; hierarchies and runs

@@ -108,10 +108,10 @@ std::unique_ptr<TraceSource> build_source(const TraceSourceFactory& factory,
   return std::make_unique<DeadlineCheckedSource>(std::move(source));
 }
 
-/// One attempt of one job.  Throws on failure; on success the outcome's
+/// Simulates one job.  Throws on failure; on success the outcome's
 /// result/cores/intervals are filled in.
-void run_attempt(const SweepJob& job, bool deadline_armed, SweepOutcome* out,
-                 WorkerAccum* accum) {
+void simulate(const SweepJob& job, bool deadline_armed, SweepOutcome* out,
+              WorkerAccum* accum) {
   const IntervalObserver observer = counting_observer(job, out);
   if (job.multicore) {
     PCAL_ASSERT_MSG(
@@ -138,57 +138,37 @@ void run_attempt(const SweepJob& job, bool deadline_armed, SweepOutcome* out,
   out->result = Simulator(job.config).run(*source, job.lut, observer);
 }
 
-/// Runs one job into its outcome slot under the run's JobPolicy.
+/// Runs one job, once, into its outcome slot under the run's JobPolicy.
 /// Exceptions (source factory, config validation, simulation, timeout)
 /// are captured per job with their what() string; a failing job must not
-/// poison the pool.  Returns true iff the job ultimately succeeded.
+/// poison the pool.  Returns true iff the job succeeded.
 bool run_job(const SweepJob& job, const JobPolicy& policy, SweepOutcome* out,
              WorkerAccum* accum) {
-  const unsigned max_attempts = std::max(1u, policy.max_attempts);
   out->label = job.label;
-  for (unsigned attempt = 1;; ++attempt) {
-    out->attempts = attempt;
-    bool transient = false;
-    try {
-      if (policy.deadline_ms > 0) arm_job_deadline(policy.deadline_ms);
-      run_attempt(job, policy.deadline_ms > 0, out, accum);
-      clear_job_deadline();
-      accum->accesses += out->result.accesses;
-      accum->intervals += out->intervals;
-      return true;
-    } catch (const JobTimeoutError& e) {
-      out->error = std::current_exception();
-      out->error_what = e.what();
-      out->timed_out = true;  // deadlines are never retried
-    } catch (const TransientError& e) {
-      out->error = std::current_exception();
-      out->error_what = e.what();
-      transient = true;
-    } catch (const std::exception& e) {
-      out->error = std::current_exception();
-      out->error_what = e.what();
-    } catch (...) {
-      out->error = std::current_exception();
-      out->error_what = "unknown exception";
-    }
-    clear_job_deadline();
-    if (transient && attempt < max_attempts) {
-      // Reset the partial attempt and back off deterministically
-      // (attempt k sleeps k * retry_backoff_ms).
-      out->result = SimResult{};
-      out->cores.clear();
-      out->intervals = 0;
-      out->error = nullptr;
-      out->timed_out = false;
-      if (policy.retry_backoff_ms > 0)
-        std::this_thread::sleep_for(
-            std::chrono::milliseconds(policy.retry_backoff_ms * attempt));
-      continue;
-    }
-    accum->intervals += out->intervals;
-    ++accum->failed;
-    return false;
+  out->attempts = 1;
+  bool ok = false;
+  try {
+    if (policy.deadline_ms > 0) arm_job_deadline(policy.deadline_ms);
+    simulate(job, policy.deadline_ms > 0, out, accum);
+    ok = true;
+  } catch (const JobTimeoutError& e) {
+    out->error = std::current_exception();
+    out->error_what = e.what();
+    out->timed_out = true;
+  } catch (const std::exception& e) {
+    out->error = std::current_exception();
+    out->error_what = e.what();
+  } catch (...) {
+    out->error = std::current_exception();
+    out->error_what = "unknown exception";
   }
+  clear_job_deadline();
+  accum->intervals += out->intervals;
+  if (ok)
+    accum->accesses += out->result.accesses;
+  else
+    ++accum->failed;
+  return ok;
 }
 
 /// The run's work units, in order of their first job: a lone job, or a
@@ -265,7 +245,7 @@ std::vector<std::size_t> run_cohort(
           sims[finished].finish(runs[finished]);
   } catch (const JobTimeoutError& e) {
     // The deadline covers the whole cohort: its unfinished members time
-    // out, and like any timed-out job are never retried.
+    // out.
     for (std::size_t m = finished; m < k; ++m) {
       SweepOutcome& out = outcomes[members[m]];
       out.error = std::current_exception();
@@ -339,10 +319,6 @@ unsigned SweepRunner::default_threads() {
 SweepRunner::SweepRunner(unsigned num_threads)
     : threads_(num_threads > 0 ? num_threads : default_threads()) {}
 
-std::vector<SweepOutcome> SweepRunner::run(const std::vector<SweepJob>& jobs) {
-  return run(jobs, SweepRunOptions{});
-}
-
 std::vector<SweepOutcome> SweepRunner::run(const std::vector<SweepJob>& jobs,
                                            const SweepRunOptions& options) {
   PCAL_ASSERT_MSG(
@@ -375,13 +351,12 @@ std::vector<SweepOutcome> SweepRunner::run(const std::vector<SweepJob>& jobs,
       std::max<std::size_t>(1, std::min(width, units.size()));
   std::vector<WorkerAccum> accums(num_workers);
 
-  // An OnFailure::kAbort policy raises this flag on the first permanent
-  // failure; jobs that have not started by then are marked cancelled
-  // instead of run.  Release/acquire so a cancelling worker's view of
-  // the failing outcome is complete before anyone reads the flag.
+  // JobPolicy::abort_on_failure raises this flag on the first failure;
+  // jobs that have not started by then are marked cancelled instead of
+  // run.  Release/acquire so a cancelling worker's view of the failing
+  // outcome is complete before anyone reads the flag.
   std::atomic<bool> abort_flag{false};
-  const bool abort_on_failure =
-      options.policy.on_failure == OnFailure::kAbort;
+  const bool abort_on_failure = options.policy.abort_on_failure;
   const auto aborted = [&] {
     return abort_on_failure && abort_flag.load(std::memory_order_acquire);
   };

@@ -35,7 +35,7 @@
 namespace pcal {
 
 /// Builds a fresh TraceSource for one job.  Called on the worker thread
-/// that runs the job, once per attempt — jobs never share a mutable
+/// that runs the job, once per run of it — jobs never share a mutable
 /// source except inside a lockstep cohort, which calls only its first
 /// member's factory (see SweepJob::shared_source).  The factory itself
 /// must be safe to *invoke* from any worker thread (it is copied with
@@ -95,16 +95,16 @@ struct SweepOutcome {
   /// The job's SweepJob::label, copied so failure reports name the
   /// offending config without the caller re-deriving it from the index.
   std::string label;
-  /// Attempts consumed (1 = first try; > 1 means the JobPolicy retried).
-  /// 0 iff the job never ran (skipped via SweepRunOptions, or cancelled
-  /// by an abort).
+  /// 1 for a job that ran (nothing retries a job), 0 iff it never ran
+  /// (skipped via SweepRunOptions, or cancelled by an abort).  Kept as a
+  /// journal token and a field of the BENCH record's failure entries.
   unsigned attempts = 0;
   /// Interval-observer callbacks this job fired (counted per job so a
   /// resumed run can reconstruct SweepStats::intervals_observed).
   std::uint64_t intervals = 0;
   /// The job failed by exceeding JobPolicy::deadline_ms.
   bool timed_out = false;
-  /// The job never ran because an OnFailure::kAbort policy cancelled the
+  /// The job never ran because JobPolicy::abort_on_failure cancelled the
   /// sweep first (`error` is set to a synthesized cancellation error).
   bool cancelled = false;
   /// The job was skipped via SweepRunOptions::skip (the slot is default
@@ -118,44 +118,26 @@ struct SweepOutcome {
   }
 };
 
-/// What happens once a job has failed permanently (its retry budget is
-/// spent, its deadline passed, or the error is not transient).
-enum class OnFailure {
-  /// The failure is tolerated data: the outcome records the reason and
-  /// the rest of the grid runs to completion (callers emit structured
-  /// failed-job entries and render the cell as a hole).
-  kRecord,
-  /// Tolerated like kRecord; the spelling callers use when failures are
-  /// still abnormal (report-and-continue, nonzero exit).
-  kSkip,
-  /// The first permanent failure cancels every job that has not started
-  /// yet (their outcomes come back `cancelled`).  One poisoned job used
-  /// to be able to waste the whole grid's compute; this caps the waste
-  /// at the jobs already in flight.
-  kAbort,
-};
-
-/// Per-job fault-isolation policy of one SweepRunner::run.
+/// Per-job fault-isolation policy of one SweepRunner::run.  Nothing
+/// retries a failed job: the failure is captured into its outcome and
+/// the rest of the grid runs on, unless abort_on_failure is set.
 ///
 /// Cohorts follow the same policy, member by member: a member whose
 /// SimConfig fails validation runs solo (and fails exactly as it would
 /// alone); any other exception inside a cohort re-runs its unfinished
-/// members solo under this policy, as a retry would; a cohort of K
-/// members runs under K x deadline_ms, and on expiry its unfinished
-/// members fail timed_out and are never retried.
+/// members solo, so a failure stays with the member that caused it; a
+/// cohort of K members runs under K x deadline_ms, and on expiry its
+/// unfinished members fail timed_out.
 struct JobPolicy {
-  /// Total attempts per job (>= 1).  Only TransientError is retried —
-  /// config and parse errors are deterministic and would fail again.
-  unsigned max_attempts = 1;
-  /// Deterministic backoff: attempt k sleeps k * retry_backoff_ms before
-  /// re-running (0 = immediate retry).
-  std::uint64_t retry_backoff_ms = 0;
   /// Cooperative per-job deadline (0 = none).  Workers arm a
   /// thread-local deadline (util/job_context.h) and the engine polls it
   /// at trace-batch and interval boundaries; a job that exceeds it fails
-  /// with JobTimeoutError and is never retried.
+  /// with JobTimeoutError.
   std::uint64_t deadline_ms = 0;
-  OnFailure on_failure = OnFailure::kSkip;
+  /// The first failure cancels every job that has not started yet (their
+  /// outcomes come back `cancelled`), capping the compute one poisoned
+  /// job can waste at the jobs already in flight.
+  bool abort_on_failure = false;
 };
 
 /// Receives completed jobs as they finish — the checkpoint hook the
@@ -170,9 +152,9 @@ class JobCompletionSink {
                                const SweepOutcome& outcome) = 0;
 };
 
-/// Optional knobs of one run; the default is exactly the legacy
-/// engine — no retries, no deadline, no checkpointing, tolerate-and-mark
-/// failures — pinned bit for bit by the determinism tests.
+/// Optional knobs of one run; the default — no deadline, no
+/// checkpointing, tolerate-and-mark failures — is what the determinism
+/// tests pin bit for bit.
 struct SweepRunOptions {
   JobPolicy policy;
   /// Completed-job sink (journaled checkpointing); may be null.
@@ -196,7 +178,7 @@ struct SweepStats {
   std::uint64_t simulated_accesses = 0;
   std::uint64_t intervals_observed = 0;  // observer callbacks fired
   std::uint64_t steals = 0;              // units taken from another worker
-  /// TraceSources built: one per solo attempt (per core for multi-core
+  /// TraceSources built: one per solo job (per core for multi-core
   /// jobs) and one per cohort.
   std::uint64_t sources_built = 0;
   double wall_seconds = 0.0;
@@ -249,14 +231,10 @@ class SweepRunner {
   /// by one job (source factory or simulation) is captured into that
   /// job's outcome and does not affect the others or the pool.  The
   /// checkpoint sink hears each completed job once, cohort members
-  /// included; an OnFailure::kAbort policy cancels every unit (cohorts
+  /// included; JobPolicy::abort_on_failure cancels every unit (cohorts
   /// whole) that has not started.
-  std::vector<SweepOutcome> run(const std::vector<SweepJob>& jobs);
-
-  /// As above with per-run fault-isolation and checkpointing options.
-  /// Default options reproduce the plain overload bit for bit.
   std::vector<SweepOutcome> run(const std::vector<SweepJob>& jobs,
-                                const SweepRunOptions& options);
+                                const SweepRunOptions& options = {});
 
   unsigned num_threads() const { return threads_; }
 

@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <cstdlib>
-#include <limits>
 #include <optional>
 #include <thread>
 
@@ -15,21 +14,18 @@ namespace {
 
 FaultMode mode_from_string(const std::string& s) {
   if (s == "throw") return FaultMode::kThrow;
-  if (s == "transient") return FaultMode::kTransient;
   if (s == "hang") return FaultMode::kHang;
   if (s == "exit") return FaultMode::kExit;
   throw ParseError("fault spec: unknown mode '" + s +
-                   "' (throw|transient|hang|exit)");
+                   "' (throw|hang|exit)");
 }
 
-std::uint64_t parse_u64_field(
-    const std::string& key, const std::string& value,
-    std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) {
+std::uint64_t parse_u64_field(const std::string& key,
+                              const std::string& value) {
   const std::optional<std::uint64_t> v = parse_count(value);
-  if (!v || *v > max)
+  if (!v)
     throw ParseError("fault spec: bad value for '" + key + "': '" + value +
-                     "' (want a decimal count of at most " +
-                     std::to_string(max) + ")");
+                     "' (want a decimal count)");
   return *v;
 }
 
@@ -58,9 +54,6 @@ FaultSpec parse_fault_spec(const std::string& spec) {
     } else if (key == "mode") {
       out.mode = mode_from_string(value);
       saw_mode = true;
-    } else if (key == "times") {
-      out.times = static_cast<unsigned>(
-          parse_u64_field(key, value, std::numeric_limits<unsigned>::max()));
     } else {
       throw ParseError("fault spec: unknown key '" + key + "'");
     }
@@ -78,26 +71,18 @@ std::optional<FaultSpec> fault_spec_from_env() {
 }
 
 FaultInjectingTraceSource::FaultInjectingTraceSource(
-    std::unique_ptr<TraceSource> inner, FaultSpec spec,
-    std::shared_ptr<std::atomic<long>> budget)
-    : inner_(std::move(inner)), spec_(spec), budget_(std::move(budget)) {
+    std::unique_ptr<TraceSource> inner, FaultSpec spec)
+    : inner_(std::move(inner)), spec_(spec) {
   PCAL_ASSERT_MSG(inner_ != nullptr,
                   "FaultInjectingTraceSource needs an inner source");
-  PCAL_ASSERT_MSG(budget_ != nullptr,
-                  "FaultInjectingTraceSource needs a shared fire budget");
 }
 
 void FaultInjectingTraceSource::maybe_fire() {
   if (produced_ < spec_.at_access) return;
-  if (budget_->load(std::memory_order_relaxed) <= 0) return;
-  if (budget_->fetch_sub(1, std::memory_order_relaxed) <= 0) return;
   switch (spec_.mode) {
     case FaultMode::kThrow:
       throw Error("injected fault at access " +
                   std::to_string(spec_.at_access));
-    case FaultMode::kTransient:
-      throw TransientError("injected transient fault at access " +
-                           std::to_string(spec_.at_access));
     case FaultMode::kHang: {
       // Spin until the cooperative job deadline fires.  Hard-capped so
       // a hang without a deadline fails loudly instead of wedging CI.
@@ -129,11 +114,9 @@ std::size_t FaultInjectingTraceSource::next_batch(MemAccess* out,
                                                   std::size_t max) {
   maybe_fire();
   // Clamp the batch so the stream pauses exactly at the fault access —
-  // the next call fires it.  Without the clamp a large batch would
-  // overshoot and the fault would land late (nondeterministically, as
-  // batch sizes differ between backends).
-  if (produced_ < spec_.at_access &&
-      budget_->load(std::memory_order_relaxed) > 0) {
+  // the next call fires it.  Without the clamp a batch would overshoot
+  // and the fault would land at the next batch boundary instead.
+  if (produced_ < spec_.at_access) {
     const std::uint64_t until = spec_.at_access - produced_;
     if (until < max) max = static_cast<std::size_t>(until);
   }
@@ -160,10 +143,8 @@ std::string FaultInjectingTraceSource::name() const { return inner_->name(); }
 TraceSourceFactory wrap_with_fault(TraceSourceFactory inner,
                                    const FaultSpec& spec) {
   PCAL_ASSERT_MSG(inner != nullptr, "wrap_with_fault needs a factory");
-  auto budget =
-      std::make_shared<std::atomic<long>>(static_cast<long>(spec.times));
-  return [inner = std::move(inner), spec, budget]() {
-    return std::make_unique<FaultInjectingTraceSource>(inner(), spec, budget);
+  return [inner = std::move(inner), spec]() {
+    return std::make_unique<FaultInjectingTraceSource>(inner(), spec);
   };
 }
 

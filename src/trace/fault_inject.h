@@ -1,13 +1,12 @@
 // Deterministic fault injection for crash-safety tests.
 //
-// The robustness machinery — journaled checkpoint/resume, JobPolicy
-// retries, cooperative deadlines — is only trustworthy if it is driven
+// The robustness machinery — journaled checkpoint/resume, failure
+// isolation, cooperative deadlines — is only trustworthy if it is driven
 // by real failures, reproducibly.  FaultInjectingTraceSource wraps any
 // TraceSource and fires a chosen fault when the wrapped stream reaches
 // its Nth access:
 //
-//   kThrow      a permanent Error — the job fails, the grid continues
-//   kTransient  a TransientError — the JobPolicy retry path
+//   kThrow      an Error — the job fails, the grid continues
 //   kHang       spin at the access until the job deadline fires — the
 //               timeout path (hard-capped so a test without a deadline
 //               cannot wedge forever)
@@ -15,17 +14,13 @@
 //               kill-and-resume tests (no destructors, no journal
 //               flush beyond what fsync already persisted)
 //
-// The fire budget (`times`) lives in a shared counter that survives
-// retry attempts and source re-creation: a `times=1` transient fault
-// fires on the first attempt and lets the retry succeed, which is
-// exactly the scenario the retry tests need.
+// Nothing retries a failed job, and arm_fault makes its job solo, so the
+// job's source is built once and the fault fires once.
 //
 // pcalsweep arms injection from the PCAL_FAULT_INJECT environment
-// variable: `job=<index>:access=<n>:mode=<throw|transient|hang|exit>`
-// with an optional `:times=<t>` (default 1).
+// variable: `job=<index>:access=<n>:mode=<throw|hang|exit>`.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -36,7 +31,7 @@
 
 namespace pcal {
 
-enum class FaultMode { kThrow, kTransient, kHang, kExit };
+enum class FaultMode { kThrow, kHang, kExit };
 
 struct FaultSpec {
   /// Job index (within the sweep being run) the fault targets.
@@ -45,12 +40,9 @@ struct FaultSpec {
   /// `at_access` (0-based: 0 faults before the first access).
   std::uint64_t at_access = 0;
   FaultMode mode = FaultMode::kThrow;
-  /// How many times the fault fires before the source behaves normally
-  /// again (shared across retries of the same job).
-  unsigned times = 1;
 };
 
-/// Parses `job=<i>:access=<n>:mode=<m>[:times=<t>]`.
+/// Parses `job=<i>:access=<n>:mode=<m>`.
 /// Throws ParseError on malformed input.
 FaultSpec parse_fault_spec(const std::string& spec);
 
@@ -58,13 +50,11 @@ FaultSpec parse_fault_spec(const std::string& spec);
 std::optional<FaultSpec> fault_spec_from_env();
 
 /// Wraps a TraceSource and fires `spec`'s fault at the configured
-/// access.  The counter is shared: every source built from the same
-/// wrap_with_fault() factory decrements the same budget.
+/// access.
 class FaultInjectingTraceSource final : public TraceSource {
  public:
   FaultInjectingTraceSource(std::unique_ptr<TraceSource> inner,
-                            FaultSpec spec,
-                            std::shared_ptr<std::atomic<long>> budget);
+                            FaultSpec spec);
 
   std::optional<MemAccess> next() override;
   std::size_t next_batch(MemAccess* out, std::size_t max) override;
@@ -78,12 +68,10 @@ class FaultInjectingTraceSource final : public TraceSource {
 
   std::unique_ptr<TraceSource> inner_;
   FaultSpec spec_;
-  std::shared_ptr<std::atomic<long>> budget_;
   std::uint64_t produced_ = 0;
 };
 
-/// Wraps a factory so every source it builds injects `spec`'s fault,
-/// sharing one fire budget across rebuilds (i.e. retry attempts).
+/// Wraps a factory so every source it builds injects `spec`'s fault.
 TraceSourceFactory wrap_with_fault(TraceSourceFactory inner,
                                    const FaultSpec& spec);
 

@@ -104,11 +104,11 @@ class SharedTraceSource final : public TraceSource {
   std::uint64_t pos_ = 0;
 };
 
-/// Wraps a source and truncates it after `limit` accesses.
+/// Owns a source and truncates it after `limit` accesses.
 class TruncatedSource final : public TraceSource {
  public:
-  TruncatedSource(TraceSource& inner, std::uint64_t limit)
-      : inner_(&inner), limit_(limit) {}
+  TruncatedSource(std::unique_ptr<TraceSource> inner, std::uint64_t limit)
+      : inner_(std::move(inner)), limit_(limit) {}
 
   std::optional<MemAccess> next() override {
     if (produced_ >= limit_) return std::nullopt;
@@ -136,7 +136,7 @@ class TruncatedSource final : public TraceSource {
   std::string name() const override { return inner_->name(); }
 
  private:
-  TraceSource* inner_;
+  std::unique_ptr<TraceSource> inner_;
   std::uint64_t limit_;
   std::uint64_t produced_ = 0;
 };

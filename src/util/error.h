@@ -32,18 +32,9 @@ class ParseError : public Error {
   explicit ParseError(const std::string& what) : Error(what) {}
 };
 
-/// A failure that may succeed on retry (I/O hiccup, resource pressure,
-/// injected test faults).  The sweep engine's JobPolicy retries these up
-/// to its attempt budget; every other exception type is permanent and
-/// fails the job on the first throw.
-class TransientError : public Error {
- public:
-  explicit TransientError(const std::string& what) : Error(what) {}
-};
-
 /// Thrown when a sweep job exceeds its JobPolicy deadline.  Raised from
 /// the cooperative cancellation points (trace-batch boundaries, interval
-/// observers, the fault-injection hang loop) — never retried.
+/// observers, the fault-injection hang loop).
 class JobTimeoutError : public Error {
  public:
   explicit JobTimeoutError(const std::string& what) : Error(what) {}

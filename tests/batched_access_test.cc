@@ -2,9 +2,9 @@
 // Simulator's batched driver loop must reproduce the scalar access()
 // path bit for bit — same outcomes, same SimResult, same per-unit
 // activity and idle sums, same timeline artifact — for every backend,
-// granularity, power policy and batch size.  This is the contract that
-// lets the batched hot path be the default: it is purely a throughput
-// optimization, never a semantic fork.
+// granularity and power policy, and access_batch for any batch size.
+// This is the contract that lets the batched hot path be the default:
+// it is purely a throughput optimization, never a semantic fork.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -23,9 +23,9 @@
 namespace pcal {
 namespace {
 
-// The batch sizes the acceptance gate pins: degenerate (1), odd and
-// chunk-straddling (7), the default-ish (64), and larger than the
-// backends' internal 256-entry chunk (4096).
+// The access_batch sizes the cache-level cases interleave: degenerate
+// (1), odd and chunk-straddling (7), 64, and larger than the engine's
+// 256-access chunk (4096).
 const std::uint64_t kBatchSizes[] = {1, 7, 64, 4096};
 
 SimConfig base_config(Granularity g, PowerPolicy policy,
@@ -56,10 +56,9 @@ struct RunArtifacts {
 };
 
 RunArtifacts run_once(const SimConfig& cfg, std::uint64_t accesses,
-                      bool scalar, std::uint64_t batch_size) {
+                      bool scalar) {
   SimConfig run_cfg = cfg;
   run_cfg.force_scalar_loop = scalar;
-  run_cfg.batch_size = batch_size;
   SyntheticTraceSource source(make_hotspot_workload(32 * 1024), accesses);
   api::TimelineRecorder recorder;
   const Simulator sim(run_cfg);
@@ -122,23 +121,18 @@ const Variant kVariants[] = {
     {Granularity::kLine, PowerPolicy::kDrowsyHybrid, 48, "line/drowsy"},
 };
 
-TEST(BatchedSimulatorEquivalence, AllBackendsAllBatchSizes) {
+TEST(BatchedSimulatorEquivalence, AllBackends) {
   const std::uint64_t kAccesses = 60000;
   for (const Variant& v : kVariants) {
     const SimConfig cfg =
         base_config(v.granularity, v.policy, v.drowsy_window);
-    const RunArtifacts scalar =
-        run_once(cfg, kAccesses, /*scalar=*/true, /*batch=*/256);
-    for (const std::uint64_t batch : kBatchSizes) {
-      const RunArtifacts batched =
-          run_once(cfg, kAccesses, /*scalar=*/false, batch);
-      SCOPED_TRACE(std::string(v.label) + " batch=" +
-                   std::to_string(batch));
-      expect_same_result(scalar.result, batched.result);
-      // The timeline artifact is byte-identical: same boundaries, same
-      // censuses, same deltas.
-      EXPECT_EQ(scalar.timeline_json, batched.timeline_json);
-    }
+    const RunArtifacts scalar = run_once(cfg, kAccesses, /*scalar=*/true);
+    const RunArtifacts batched = run_once(cfg, kAccesses, /*scalar=*/false);
+    SCOPED_TRACE(v.label);
+    expect_same_result(scalar.result, batched.result);
+    // The timeline artifact is byte-identical: same boundaries, same
+    // censuses, same deltas.
+    EXPECT_EQ(scalar.timeline_json, batched.timeline_json);
   }
 }
 
@@ -150,24 +144,22 @@ TEST(BatchedSimulatorEquivalence, StaticIndexingObserverCadence) {
     SimConfig cfg = base_config(g, PowerPolicy::kGated, 0);
     cfg.indexing = IndexingKind::kStatic;
     cfg.reindex_updates = 0;
-    const RunArtifacts scalar = run_once(cfg, 40000, true, 256);
-    const RunArtifacts batched = run_once(cfg, 40000, false, 4096);
+    const RunArtifacts scalar = run_once(cfg, 40000, true);
+    const RunArtifacts batched = run_once(cfg, 40000, false);
     expect_same_result(scalar.result, batched.result);
     EXPECT_EQ(scalar.timeline_json, batched.timeline_json);
   }
 }
 
 TEST(BatchedSimulatorEquivalence, HierarchyTakesDefaultBatchPath) {
-  // A two-level stack routes one access at a time whatever the batch
-  // size — the knob must not reach its results.
+  // A two-level stack routes one access at a time either way —
+  // force_scalar_loop must not reach its results.
   SimConfig cfg = base_config(Granularity::kBank, PowerPolicy::kGated, 0);
   cfg = two_level_variant(cfg, 32 * 1024);
-  const RunArtifacts scalar = run_once(cfg, 40000, true, 256);
-  for (const std::uint64_t batch : {std::uint64_t{7}, std::uint64_t{512}}) {
-    const RunArtifacts batched = run_once(cfg, 40000, false, batch);
-    expect_same_result(scalar.result, batched.result);
-    EXPECT_EQ(scalar.timeline_json, batched.timeline_json);
-  }
+  const RunArtifacts scalar = run_once(cfg, 40000, true);
+  const RunArtifacts batched = run_once(cfg, 40000, false);
+  expect_same_result(scalar.result, batched.result);
+  EXPECT_EQ(scalar.timeline_json, batched.timeline_json);
 }
 
 // ---- cache-level: raw access_batch vs the per-access loop ----

@@ -21,6 +21,7 @@
 
 #include <unistd.h>
 
+#include <cinttypes>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -216,6 +217,14 @@ TEST(Serialization, MalformedRecordsAreRejected) {
   EXPECT_THROW(deserialize_outcome(good + " trailing"), ParseError);
   EXPECT_THROW(deserialize_outcome(good.substr(0, good.size() / 2)),
                ParseError);
+  // A count is read only as the writer prints it: a sign must not wrap
+  // attempts to 2^32 - 1 or intervals to 2^64 - 2.
+  EXPECT_NO_THROW(deserialize_outcome("0 1 3 0 ~lbl ~err"));
+  EXPECT_THROW(deserialize_outcome("0 -1 0 0 ~lbl ~err"), ParseError);
+  EXPECT_THROW(deserialize_outcome("0 +3 -2 0 ~lbl ~err"), ParseError);
+  EXPECT_THROW(deserialize_outcome("0 1 0x3 0 ~lbl ~err"), ParseError);
+  // attempts is an unsigned: 2^32 + 1 must not truncate to 1.
+  EXPECT_THROW(deserialize_outcome("0 4294967297 0 0 ~lbl ~err"), ParseError);
 }
 
 TEST(Fingerprint, DeterministicAndFieldSeparated) {
@@ -339,6 +348,37 @@ TEST(Journal, CorruptMiddleLineIsFatalWithDiagnostic) {
     EXPECT_NE(std::string(e.what()).find(":line 3:"), std::string::npos)
         << e.what();
   }
+}
+
+/// `payload` with the checksum the journal writer appends to each line.
+std::string checksummed(const std::string& payload) {
+  Fingerprint fp;
+  fp.add(payload);
+  char sum[17];
+  std::snprintf(sum, sizeof(sum), "%016" PRIx64, fp.value());
+  return payload + ' ' + sum;
+}
+
+TEST(Journal, PrefixedHexFingerprintIsRejected) {
+  // The writer prints fingerprints as bare hex digits; a 0x prefix is
+  // damage, even on a line whose checksum holds.
+  const std::string path = temp_path("journal_0x.pcalj");
+  const std::string tail = " 4 " + std::to_string(kAccesses) + " 1 1";
+  std::ofstream(path, std::ios::trunc)
+      << checksummed("pcal-journal v1 ~t 1234abcd5678ef00" + tail) << "\n";
+  EXPECT_EQ(load_journal(path).header.fingerprint, 0x1234abcd5678ef00ull);
+  std::ofstream(path, std::ios::trunc)
+      << checksummed("pcal-journal v1 ~t 0x1234abcd5678ef00" + tail) << "\n";
+  EXPECT_THROW(load_journal(path), ParseError);
+
+  SweepOutcome ok;
+  ok.attempts = 1;
+  std::ofstream(path, std::ios::trunc)
+      << render_journal_header(sample_header(4)) << "\n"
+      << checksummed("J 0 0x00000000000003e8 " + serialize_outcome(ok))
+      << "\n"
+      << render_journal_record(1, 1001, ok) << "\n";
+  EXPECT_THROW(load_journal(path), ParseError);
 }
 
 TEST(Journal, AppendRefusesMismatchedHeader) {

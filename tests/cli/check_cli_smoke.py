@@ -11,10 +11,15 @@
                    PCAL_BENCH_THREADS or PCAL_SWEEP_THREADS fails
                    pcalsweep with an error naming the variable and value
   counts           a count that is not a plain decimal fails naming the
-                   flag or field and its value: pcalsweep's --timeout-ms,
-                   --retries, --shard and --retry-backoff-ms (checked
-                   with --dry-run), a PCAL_FAULT_INJECT job, and
-                   `pcal-tracepack gen`'s access count
+                   flag or field and its value: pcalsweep's --timeout-ms
+                   and --shard (checked with --dry-run), a
+                   PCAL_FAULT_INJECT job, `pcal-tracepack gen`'s access
+                   count, and aging_exploration's cache size (before any
+                   simulation runs)
+  unknown input    pcalsweep fails naming an option it does not know
+                   (--retries, --retry-backoff-ms, --bogus) and a
+                   PCAL_FAULT_INJECT mode or key it does not know
+                   (mode=transient, times=2)
   determinism      examples/trace_mix.sweep and examples/hierarchy.sweep
                    print the same stdout at 1 and 8 workers
   timeline         pcalsim (`--example` at 50000 accesses, a 64 kB L2,
@@ -32,6 +37,7 @@ interpreter is needed, so it runs on sanitizer builds too.
 
 Usage:
   check_cli_smoke.py --pcalsim P --pcalsweep S --tracepack T
+                     [--aging-exploration A]
 """
 import argparse
 import glob
@@ -54,6 +60,8 @@ class Checks:
         self.pcalsim = os.path.abspath(args.pcalsim)
         self.pcalsweep = os.path.abspath(args.pcalsweep)
         self.tracepack = os.path.abspath(args.tracepack)
+        self.aging_exploration = (os.path.abspath(args.aging_exploration)
+                                  if args.aging_exploration else None)
         self.work = work
         self.records = []
         self.failures = []
@@ -80,14 +88,16 @@ class Checks:
             proc.returncode, proc.stderr.decode(errors="replace")))
         return proc.stdout.decode(errors="replace")
 
-    def fails(self, name, argv, env, needles):
-        """Runs argv and requires a nonzero exit whose stderr contains
-        every needle."""
+    def fails(self, name, argv, env, needles, code=None):
+        """Runs argv and requires a nonzero exit (`code`, when given)
+        whose stderr contains every needle; returns stdout."""
         proc = self.spawn(argv, env)
         err = proc.stderr.decode(errors="replace")
         self.check(name, proc.returncode != 0 and
+                   code in (None, proc.returncode) and
                    all(n in err for n in needles),
                    "exit %d\n%s" % (proc.returncode, err))
+        return proc.stdout.decode(errors="replace")
 
     def sweep(self, name, args, workers=None):
         """pcalsweep at PCAL_BENCH_ACCESSES, its BENCH record written to a
@@ -168,8 +178,7 @@ def env_overrides(c):
 
 def bad_counts(c, two):
     # two.sweep is env_overrides' 2-job spec.
-    for flag, value in (("--timeout-ms", "5s"), ("--retries", "abc"),
-                        ("--shard", "1x/2"), ("--retry-backoff-ms", "-3")):
+    for flag, value in (("--timeout-ms", "5s"), ("--shard", "1x/2")):
         c.fails("%s %s fails" % (flag, value),
                 [c.pcalsweep, "--dry-run", flag, value, two], {},
                 [flag, "'%s'" % value])
@@ -178,6 +187,31 @@ def bad_counts(c, two):
              "PCAL_BENCH_JSON": "0"}, ["'job'", "'-1'"])
     c.fails("pcal-tracepack gen 100k fails",
             [c.tracepack, "gen", "cjpeg", "100k", "g.pct"], {}, ["'100k'"])
+    if c.aging_exploration:
+        for value in ("8x", "-8"):
+            out = c.fails("aging_exploration dijkstra %s fails" % value,
+                          [c.aging_exploration, "dijkstra", value], {},
+                          ["aging_exploration: error:", "'%s'" % value], 1)
+            c.check("aging_exploration %s fails before simulating" % value,
+                    out == "", out)
+
+
+def unknown_input(c, two):
+    # An option pcalsweep does not know fails by name and with the usage,
+    # wherever it stands.
+    for option, argv in (("--retries", ["--retries", "1", "--dry-run", two]),
+                         ("--retry-backoff-ms",
+                          ["--retry-backoff-ms", "5", "--dry-run", two]),
+                         ("--bogus", [two, "--bogus", "--dry-run"]),
+                         ("--bogus", ["--bogus"])):
+        c.fails("pcalsweep %s fails" % " ".join(map(os.path.basename, argv)),
+                [c.pcalsweep] + argv, {},
+                ["unknown option '%s'" % option, "usage:"], 2)
+    for fault, needle in (("job=0:access=0:mode=transient", "'transient'"),
+                          ("job=0:access=0:mode=throw:times=2", "'times'")):
+        c.fails("PCAL_FAULT_INJECT %s fails" % fault, [c.pcalsweep, two],
+                {"PCAL_FAULT_INJECT": fault, "PCAL_BENCH_JSON": "0"},
+                [needle])
 
 
 def determinism(c):
@@ -225,12 +259,15 @@ def main():
     ap.add_argument("--pcalsim", required=True)
     ap.add_argument("--pcalsweep", required=True)
     ap.add_argument("--tracepack", required=True)
+    ap.add_argument("--aging-exploration")
     args = ap.parse_args()
     with tempfile.TemporaryDirectory(prefix="pcal_smoke_") as work:
         c = Checks(args, work)
         spec_validation(c)
         tracepack(c)
-        bad_counts(c, env_overrides(c))
+        two = env_overrides(c)
+        bad_counts(c, two)
+        unknown_input(c, two)
         timeline(c, determinism(c))
         for records in c.records:
             c.check("a BENCH record in " + records,

@@ -14,6 +14,11 @@
                    resumes when nothing changed; that fully restored
                    resume simulated nothing, so its summary and record
                    report 0 accesses/s next to the journaled run's totals
+  committed journal
+                   a copy of tests/goldens/journal/journal_v1.pcalj, a v1
+                   journal already on disk (one failed record, one
+                   hierarchy and two 2-core records), resumes with every
+                   job restored and stdout equal to a fresh run
 
 Every run uses PCAL_BENCH_ACCESSES=20000.  Only the Python interpreter is
 needed, so it runs on sanitizer builds too.
@@ -26,6 +31,7 @@ import glob
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -33,6 +39,7 @@ import tempfile
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(os.path.dirname(HERE))
 TABLE4 = os.path.join(ROOT, "examples", "table4.sweep")
+JOURNAL_GOLDEN = os.path.join(ROOT, "tests", "goldens", "journal")
 GATE = os.path.join(ROOT, "tools", "check_bench_json.py")
 ACCESSES = "20000"
 SHARDS = 3
@@ -165,6 +172,23 @@ def refused_resume(c):
                              "total_accesses")}))
 
 
+def committed_journal(c):
+    d = c.dir("committed")
+    spec = os.path.join(JOURNAL_GOLDEN, "journal_v1.sweep")
+    journal = os.path.join(d, "journal_v1.pcalj")
+    shutil.copyfile(os.path.join(JOURNAL_GOLDEN, "journal_v1.pcalj"), journal)
+    # The fault and the failure policy the journal was written under.
+    fault = {"PCAL_FAULT_INJECT": "job=1:access=5000:mode=throw"}
+    fresh, _ = c.ok("fresh run of the journaled grid",
+                    ["--on-failure", "record", spec], d, fault)
+    resumed, err = c.ok("resume of the committed journal",
+                        ["--on-failure", "record", "--resume", journal, spec],
+                        d, fault)
+    c.check("the committed journal restores every job",
+            "resume: 4 jobs restored" in err, err)
+    c.check("resumed stdout == fresh stdout", fresh and resumed == fresh)
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--pcalsweep", required=True)
@@ -174,6 +198,7 @@ def main():
         shard_and_merge(c)
         kill_and_resume(c)
         refused_resume(c)
+        committed_journal(c)
         leftovers = glob.glob(os.path.join(work, "BENCH_*.json"))
         c.check("records land in their own directories", not leftovers,
                 " ".join(leftovers))

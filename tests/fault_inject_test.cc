@@ -1,17 +1,18 @@
 // Fault-injection harness + JobPolicy fault-isolation invariants
 // (trace/fault_inject.h, core/sweep.h):
 //
-//   1. PCAL_FAULT_INJECT spec parsing — accepted forms, defaults,
-//      rejected garbage;
-//   2. the fault actually fires at the configured access, exactly
-//      `times` times, with the budget shared across retry attempts;
-//   3. retry-then-succeed: a transient fault consumed by attempt 1 lets
-//      attempt 2 produce a result bit-identical to a fault-free run;
+//   1. PCAL_FAULT_INJECT spec parsing — accepted modes, rejected
+//      garbage;
+//   2. the fault actually fires at the configured access, on the batch
+//      path too;
+//   3. a failing job fails alone: its outcome carries its label and
+//      reason, and the rest of the grid completes;
 //   4. timeout-then-skip: an injected hang trips the cooperative
 //      deadline, the job records timed_out and the rest of the grid
 //      completes;
 //   5. abort policy: the first failure cancels not-yet-started jobs
-//      with `cancelled` outcomes; kRecord/kSkip keep the grid running.
+//      with `cancelled` outcomes;
+//   6. arm_fault takes its job out of a lockstep cohort.
 //
 // CMake registers this binary at the default pool width plus
 // PCAL_SWEEP_THREADS=1 and =8 — fault isolation must not depend on
@@ -75,17 +76,11 @@ std::vector<SweepJob> grid_with_fault(const FaultSpec& spec,
   return jobs;
 }
 
-TEST(FaultSpecParsing, AcceptsFullAndDefaultedForms) {
-  const FaultSpec a = parse_fault_spec("job=3:access=1000:mode=transient");
+TEST(FaultSpecParsing, AcceptsEveryMode) {
+  const FaultSpec a = parse_fault_spec("job=3:access=1000:mode=throw");
   EXPECT_EQ(a.job, 3u);
   EXPECT_EQ(a.at_access, 1000u);
-  EXPECT_EQ(a.mode, FaultMode::kTransient);
-  EXPECT_EQ(a.times, 1u);
-
-  const FaultSpec b =
-      parse_fault_spec("job=0:access=0:mode=throw:times=4");
-  EXPECT_EQ(b.mode, FaultMode::kThrow);
-  EXPECT_EQ(b.times, 4u);
+  EXPECT_EQ(a.mode, FaultMode::kThrow);
 
   EXPECT_EQ(parse_fault_spec("job=1:access=2:mode=hang").mode,
             FaultMode::kHang);
@@ -103,10 +98,11 @@ TEST(FaultSpecParsing, RejectsMalformedSpecs) {
   // A sign is not a count: job=-1 must not wrap to job 2^64 - 1.
   EXPECT_THROW(parse_fault_spec("job=-1:access=0:mode=throw"), ParseError);
   EXPECT_THROW(parse_fault_spec("job=1:access=+2:mode=throw"), ParseError);
-  // times is an unsigned budget: 2^32 must not truncate to 0.
-  EXPECT_THROW(parse_fault_spec("job=1:access=2:mode=throw:times=4294967296"),
-               ParseError);
   EXPECT_THROW(parse_fault_spec("job=1:access=2:mode=throw:bogus=3"),
+               ParseError);
+  // Nothing retries a failed job, so no mode or key shapes a retry.
+  EXPECT_THROW(parse_fault_spec("job=1:access=2:mode=transient"), ParseError);
+  EXPECT_THROW(parse_fault_spec("job=1:access=2:mode=throw:times=2"),
                ParseError);
 }
 
@@ -132,108 +128,6 @@ TEST(FaultSource, FiresAtTheConfiguredAccess) {
   } catch (const Error&) {
     EXPECT_EQ(produced, 100u);
   }
-  // Budget exhausted: a rebuilt source streams clean.
-  std::unique_ptr<TraceSource> retry = factory();
-  std::uint64_t total = 0;
-  while (retry->next()) ++total;
-  EXPECT_EQ(total, kAccesses);
-}
-
-TEST(FaultSource, BudgetIsSharedAcrossRebuilds) {
-  FaultSpec spec;
-  spec.job = 0;
-  spec.at_access = 10;
-  spec.mode = FaultMode::kTransient;
-  spec.times = 2;
-  TraceSourceFactory factory = wrap_with_fault(plain_factory(), spec);
-  for (int attempt = 0; attempt < 2; ++attempt) {
-    std::unique_ptr<TraceSource> source = factory();
-    EXPECT_THROW(
-        {
-          while (source->next()) {
-          }
-        },
-        TransientError)
-        << "attempt " << attempt;
-  }
-  std::unique_ptr<TraceSource> third = factory();
-  std::uint64_t total = 0;
-  while (third->next()) ++total;
-  EXPECT_EQ(total, kAccesses);
-}
-
-TEST(JobPolicy, TransientFaultRetriesToBitIdenticalResult) {
-  // Reference: the same grid with no fault.
-  FaultSpec none;
-  none.job = 999;  // out of range — injects nowhere
-  std::vector<SweepJob> clean = grid_with_fault(none);
-  SweepRunner ref_runner;
-  const std::vector<SweepOutcome> reference = ref_runner.run(clean);
-
-  FaultSpec spec;
-  spec.job = 2;
-  spec.at_access = 5000;
-  spec.mode = FaultMode::kTransient;
-  std::vector<SweepJob> jobs = grid_with_fault(spec);
-  SweepRunOptions options;
-  options.policy.max_attempts = 3;
-  options.policy.on_failure = OnFailure::kRecord;
-  SweepRunner runner;
-  const std::vector<SweepOutcome> outcomes = runner.run(jobs, options);
-
-  ASSERT_EQ(outcomes.size(), reference.size());
-  for (std::size_t i = 0; i < outcomes.size(); ++i) {
-    ASSERT_TRUE(outcomes[i].ok()) << "job " << i;
-    EXPECT_EQ(outcomes[i].attempts, i == spec.job ? 2u : 1u) << i;
-    // The retried job's result is indistinguishable from never faulting.
-    EXPECT_EQ(outcomes[i].result.accesses, reference[i].result.accesses);
-    EXPECT_EQ(outcomes[i].result.total_cycles,
-              reference[i].result.total_cycles);
-    EXPECT_EQ(outcomes[i].result.cache_stats.hits,
-              reference[i].result.cache_stats.hits);
-    EXPECT_EQ(outcomes[i].result.energy.partitioned.total_pj(),
-              reference[i].result.energy.partitioned.total_pj());
-  }
-  EXPECT_EQ(runner.last_stats().failed_jobs, 0u);
-}
-
-TEST(JobPolicy, TransientFaultWithoutRetryBudgetFails) {
-  FaultSpec spec;
-  spec.job = 1;
-  spec.at_access = 100;
-  spec.mode = FaultMode::kTransient;
-  std::vector<SweepJob> jobs = grid_with_fault(spec);
-  SweepRunOptions options;  // max_attempts = 1: no retries
-  options.policy.on_failure = OnFailure::kRecord;
-  SweepRunner runner;
-  const std::vector<SweepOutcome> outcomes = runner.run(jobs, options);
-  EXPECT_FALSE(outcomes[spec.job].ok());
-  EXPECT_EQ(outcomes[spec.job].attempts, 1u);
-  EXPECT_THROW(outcomes[spec.job].rethrow_if_error(), TransientError);
-  for (std::size_t i = 0; i < outcomes.size(); ++i) {
-    if (i != spec.job) {
-      EXPECT_TRUE(outcomes[i].ok()) << i;
-    }
-  }
-  EXPECT_EQ(runner.last_stats().failed_jobs, 1u);
-}
-
-TEST(JobPolicy, PermanentFaultIsNeverRetried) {
-  FaultSpec spec;
-  spec.job = 0;
-  spec.at_access = 50;
-  spec.mode = FaultMode::kThrow;
-  spec.times = 5;  // budget would allow retries to keep faulting
-  std::vector<SweepJob> jobs = grid_with_fault(spec, 3);
-  SweepRunOptions options;
-  options.policy.max_attempts = 3;
-  options.policy.on_failure = OnFailure::kRecord;
-  SweepRunner runner;
-  const std::vector<SweepOutcome> outcomes = runner.run(jobs, options);
-  EXPECT_FALSE(outcomes[0].ok());
-  EXPECT_EQ(outcomes[0].attempts, 1u);  // permanent errors fail fast
-  EXPECT_FALSE(outcomes[0].error_what.empty());
-  EXPECT_EQ(outcomes[0].label, "banks=2");
 }
 
 TEST(JobPolicy, InjectedHangTripsTheDeadline) {
@@ -249,7 +143,6 @@ TEST(JobPolicy, InjectedHangTripsTheDeadline) {
   std::vector<SweepJob> jobs = grid_with_fault(spec, 4, 2000);
   SweepRunOptions options;
   options.policy.deadline_ms = 200;
-  options.policy.on_failure = OnFailure::kRecord;
   SweepRunner runner;
   const std::vector<SweepOutcome> outcomes = runner.run(jobs, options);
   EXPECT_FALSE(outcomes[spec.job].ok());
@@ -262,22 +155,6 @@ TEST(JobPolicy, InjectedHangTripsTheDeadline) {
     }
 }
 
-TEST(JobPolicy, TimeoutIsNeverRetried) {
-  FaultSpec spec;
-  spec.job = 0;
-  spec.at_access = 100;
-  spec.mode = FaultMode::kHang;
-  std::vector<SweepJob> jobs = grid_with_fault(spec, 2);
-  SweepRunOptions options;
-  options.policy.max_attempts = 3;
-  options.policy.deadline_ms = 200;
-  options.policy.on_failure = OnFailure::kRecord;
-  SweepRunner runner(1);
-  const std::vector<SweepOutcome> outcomes = runner.run(jobs, options);
-  EXPECT_TRUE(outcomes[0].timed_out);
-  EXPECT_EQ(outcomes[0].attempts, 1u);
-}
-
 TEST(JobPolicy, AbortCancelsUnstartedJobs) {
   FaultSpec spec;
   spec.job = 0;
@@ -285,7 +162,7 @@ TEST(JobPolicy, AbortCancelsUnstartedJobs) {
   spec.mode = FaultMode::kThrow;
   std::vector<SweepJob> jobs = grid_with_fault(spec, 8);
   SweepRunOptions options;
-  options.policy.on_failure = OnFailure::kAbort;
+  options.policy.abort_on_failure = true;
   // Serial runner: job 0 fails immediately, so jobs 1..7 must all be
   // cancelled (with a pool some may already be in flight — the serial
   // registration pins the strongest form of the invariant).
@@ -308,10 +185,8 @@ TEST(JobPolicy, FailureCarriesLabelAndWhatString) {
   spec.at_access = 10;
   spec.mode = FaultMode::kThrow;
   std::vector<SweepJob> jobs = grid_with_fault(spec, 3);
-  SweepRunOptions options;
-  options.policy.on_failure = OnFailure::kRecord;
   SweepRunner runner;
-  const std::vector<SweepOutcome> outcomes = runner.run(jobs, options);
+  const std::vector<SweepOutcome> outcomes = runner.run(jobs);
   EXPECT_FALSE(outcomes[1].ok());
   EXPECT_EQ(outcomes[1].label, "banks=4");
   EXPECT_NE(outcomes[1].error_what.find("injected"), std::string::npos)
@@ -321,8 +196,8 @@ TEST(JobPolicy, FailureCarriesLabelAndWhatString) {
 TEST(FaultIsolation, InjectedJobOfAKeyedGridRunsSolo) {
   // GridSpec keys every point by its workload, so the grid runs as
   // lockstep cohorts.  arm_fault must take its job out of its cohort:
-  // exactly that job fails (or retries), with the error, label and
-  // attempt count of the same fault in an all-solo run.
+  // exactly that job fails, with the error, label and attempt count of
+  // the same fault in an all-solo run.
   std::istringstream text(R"([grid]
 name = keyed
 accesses = 20000
@@ -334,47 +209,36 @@ workload = cjpeg, sha
   const GridSpec spec = GridSpec::parse(text);
   const std::vector<GridJob> points = spec.expand();
   for (const std::uint64_t target : {0u, 6u, 13u}) {
-    for (const FaultMode mode : {FaultMode::kThrow, FaultMode::kTransient}) {
-      FaultSpec fault;
-      fault.job = target;
-      fault.at_access = 5000;
-      fault.mode = mode;
-      const auto grid = [&](bool keyed) {
-        std::vector<SweepJob> jobs;
-        for (std::size_t i = 0; i < points.size(); ++i) {
-          SweepJob job = spec.sweep_job(points[i], nullptr);
-          if (!keyed) job.shared_source.clear();
-          if (i == fault.job) arm_fault(job, fault);
-          jobs.push_back(std::move(job));
-        }
-        return jobs;
-      };
-      SweepRunOptions options;
-      options.policy.max_attempts = 2;
-      const std::vector<SweepOutcome> solo =
-          SweepRunner(1).run(grid(false), options);
-      for (unsigned threads : {1u, 2u, 0u}) {
-        SCOPED_TRACE("job " + std::to_string(target) + " threads " +
-                     std::to_string(threads));
-        SweepRunner runner(threads);
-        const std::vector<SweepOutcome> got = runner.run(grid(true), options);
-        ASSERT_EQ(got.size(), solo.size());
-        for (std::size_t i = 0; i < got.size(); ++i) {
-          EXPECT_EQ(got[i].ok(), solo[i].ok()) << i;
-          EXPECT_EQ(got[i].error_what, solo[i].error_what) << i;
-          EXPECT_EQ(got[i].label, solo[i].label) << i;
-          EXPECT_EQ(got[i].attempts, solo[i].attempts) << i;
-          EXPECT_EQ(got[i].result.accesses, solo[i].result.accesses) << i;
-        }
-        if (mode == FaultMode::kThrow) {
-          EXPECT_FALSE(got[target].ok());
-          EXPECT_EQ(runner.last_stats().failed_jobs, 1u);
-        } else {
-          EXPECT_TRUE(got[target].ok());
-          EXPECT_EQ(got[target].attempts, 2u);
-          EXPECT_EQ(runner.last_stats().failed_jobs, 0u);
-        }
+    FaultSpec fault;
+    fault.job = target;
+    fault.at_access = 5000;
+    fault.mode = FaultMode::kThrow;
+    const auto grid = [&](bool keyed) {
+      std::vector<SweepJob> jobs;
+      for (std::size_t i = 0; i < points.size(); ++i) {
+        SweepJob job = spec.sweep_job(points[i], nullptr);
+        if (!keyed) job.shared_source.clear();
+        if (i == fault.job) arm_fault(job, fault);
+        jobs.push_back(std::move(job));
       }
+      return jobs;
+    };
+    const std::vector<SweepOutcome> solo = SweepRunner(1).run(grid(false));
+    for (unsigned threads : {1u, 2u, 0u}) {
+      SCOPED_TRACE("job " + std::to_string(target) + " threads " +
+                   std::to_string(threads));
+      SweepRunner runner(threads);
+      const std::vector<SweepOutcome> got = runner.run(grid(true));
+      ASSERT_EQ(got.size(), solo.size());
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].ok(), solo[i].ok()) << i;
+        EXPECT_EQ(got[i].error_what, solo[i].error_what) << i;
+        EXPECT_EQ(got[i].label, solo[i].label) << i;
+        EXPECT_EQ(got[i].attempts, solo[i].attempts) << i;
+        EXPECT_EQ(got[i].result.accesses, solo[i].result.accesses) << i;
+      }
+      EXPECT_FALSE(got[target].ok());
+      EXPECT_EQ(runner.last_stats().failed_jobs, 1u);
     }
   }
 }

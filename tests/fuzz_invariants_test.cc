@@ -184,12 +184,11 @@ TEST_P(FuzzContention, ResourceLimitsObeyTheStructuralLaws) {
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzContention,
                          ::testing::Range<std::uint64_t>(1, 17));
 
-// Batched-vs-scalar under fuzzed configs: for random architectures,
-// workloads and a random batch size, the batched driver loop
-// must reproduce the scalar loop's SimResult exactly.  (The exhaustive
-// fixed-grid version lives in tests/batched_access_test.cc; this keeps
-// the corner-finding pressure on odd bank counts, granularities, stream
-// mixes and batch sizes.)
+// Batched-vs-scalar under fuzzed configs: for random architectures and
+// workloads, the batched driver loop must reproduce the scalar loop's
+// SimResult exactly.  (The exhaustive fixed-grid version lives in
+// tests/batched_access_test.cc; this keeps the corner-finding pressure
+// on odd bank counts, granularities and stream mixes.)
 class FuzzBatchedEquivalence
     : public ::testing::TestWithParam<std::uint64_t> {};
 
@@ -218,7 +217,6 @@ TEST_P(FuzzBatchedEquivalence, BatchedLoopMatchesScalarLoop) {
 
   SimConfig batched_cfg = cfg;
   batched_cfg.force_scalar_loop = false;
-  batched_cfg.batch_size = 1 + rng.next_below(5000);
   SyntheticTraceSource sb(spec, kAccesses);
   const SimResult b = Simulator(batched_cfg).run(sb, &aging().lut());
 

@@ -879,12 +879,21 @@ TEST(GridSpecExpand, PctTraceWorkloadOpensPerJobSources) {
   ASSERT_TRUE(first.has_value());
   EXPECT_EQ(first->address, 0u);
 
-  // An accesses limit below the trace length truncates the replay.
+  // An accesses limit below the trace length truncates the replay, on
+  // the per-access and the batched path alike.
   const std::vector<GridJob> limited = spec.expand(10);
   auto c = limited[0].make_source();
+  ASSERT_TRUE(c->size_hint().has_value());
+  EXPECT_EQ(*c->size_hint(), 10u);
   n = 0;
   while (c->next()) ++n;
   EXPECT_EQ(n, 10u);
+  auto d = limited[1].make_source();
+  MemAccess batch[64];
+  n = 0;
+  while (const std::size_t got = d->next_batch(batch, 64)) n += got;
+  EXPECT_EQ(n, 10u);
+  EXPECT_EQ(batch[9].address, 9u * 64);
 }
 
 TEST(GridSpecExpand, TextTraceWorkloadSharesOneParse) {

@@ -58,7 +58,7 @@ std::string digest(const SimConfig& c, const MultiCoreConfig* mc) {
      << " seed " << c.indexing_seed << " pol " << static_cast<int>(c.policy)
      << " dw " << c.drowsy_window_cycles << " upd " << c.reindex_updates
      << " be " << c.breakeven_override << " unit " << c.force_unit_pricing
-     << " batch " << c.batch_size << " scalar " << c.force_scalar_loop;
+     << " scalar " << c.force_scalar_loop;
   put(os, c.latency);
   put(os, c.contention);
   const EnergyParams& e = c.energy_params;

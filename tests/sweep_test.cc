@@ -213,7 +213,7 @@ std::vector<std::string> cohort_workloads(const std::string& pct) {
 
 /// One config per engine path a cohort member can take: bank, way, line
 /// and drowsy-hybrid backends, an L2 level, contention, the forced
-/// per-access loop and an odd batch size.
+/// per-access loop.
 std::vector<SimConfig> cohort_configs() {
   const SimConfig base = small_config(4, IndexingKind::kProbing);
   SimConfig way = way_grain_variant(base);
@@ -223,8 +223,6 @@ std::vector<SimConfig> cohort_configs() {
   contended.latency.miss_cycles = 8;
   SimConfig scalar = base;
   scalar.force_scalar_loop = true;
-  SimConfig odd_batch = small_config(8, IndexingKind::kScrambling);
-  odd_batch.batch_size = 7;
   return {base,
           way,
           line_grain_variant(base),
@@ -232,7 +230,7 @@ std::vector<SimConfig> cohort_configs() {
           two_level_variant(base, 32768),
           contended,
           scalar,
-          odd_batch};
+          small_config(8, IndexingKind::kScrambling)};
 }
 
 /// The cohort grid, workload innermost (as in table4, so a cohort's
@@ -416,7 +414,7 @@ TEST(SweepCohorts, AbortCancelsCohortsThatHaveNotStarted) {
   // the third (workload 2) has not started when job 1 fails.
   jobs[1].config.cache.size_bytes = 12345;
   SweepRunOptions options;
-  options.policy.on_failure = OnFailure::kAbort;
+  options.policy.abort_on_failure = true;
   SweepRunner runner(1);
   const std::vector<SweepOutcome> got = runner.run(jobs, options);
   for (std::size_t i = 0; i < got.size(); ++i) {
@@ -437,8 +435,8 @@ TEST(SweepCohorts, AbortCancelsCohortsThatHaveNotStarted) {
 
 TEST(SweepCohorts, AnyOtherExceptionRerunsMembersSolo) {
   // The shared source's factory fails once: the cohort gives up and its
-  // members re-run solo under a no-retry policy — and still match the
-  // keyless reference, attempts included.
+  // members re-run solo — and still match the keyless reference,
+  // attempts included.
   const PctFile pct;
   std::vector<std::uint64_t> calls;
   const std::vector<SweepOutcome> reference =
@@ -468,7 +466,7 @@ TEST(SweepCohorts, DeadlineCoversTheCohortAndIsNeverRetried) {
   // One cohort of K = 8 members (the cjpeg jobs) at one worker; member 1
   // stalls in its observer until the deadline passes.  The deadline is
   // K x deadline_ms, and on expiry every unfinished member times out
-  // after one attempt despite the retry budget.
+  // after its one run.
   const PctFile pct;
   std::vector<std::uint64_t> calls;
   std::vector<SweepJob> jobs;
@@ -489,7 +487,6 @@ TEST(SweepCohorts, DeadlineCoversTheCohortAndIsNeverRetried) {
   };
   SweepRunOptions options;
   options.policy.deadline_ms = 50;
-  options.policy.max_attempts = 3;
   SweepRunner runner(1);
   const std::vector<SweepOutcome> got = runner.run(jobs, options);
   EXPECT_GE(stalled_ms->load(), 8 * 50);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 namespace pcal {
 namespace {
 
@@ -66,8 +68,7 @@ TEST(Trace, MaterializeRespectsLimit) {
 }
 
 TEST(TruncatedSource, LimitsAndResets) {
-  Trace src = make_trace();
-  TruncatedSource trunc(src, 2);
+  TruncatedSource trunc(std::make_unique<Trace>(make_trace()), 2);
   EXPECT_TRUE(trunc.next().has_value());
   EXPECT_TRUE(trunc.next().has_value());
   EXPECT_FALSE(trunc.next().has_value());
@@ -78,8 +79,7 @@ TEST(TruncatedSource, LimitsAndResets) {
 }
 
 TEST(TruncatedSource, LimitBeyondSource) {
-  Trace src = make_trace();
-  TruncatedSource trunc(src, 100);
+  TruncatedSource trunc(std::make_unique<Trace>(make_trace()), 100);
   EXPECT_EQ(*trunc.size_hint(), 3u);
   int n = 0;
   while (trunc.next()) ++n;

@@ -23,8 +23,6 @@
 //                      (failures are data: structured "failures"
 //                      entries, table holes, exit 0) | abort (cancel
 //                      jobs not yet started)
-//   --retries <n>      retry TransientError jobs up to n extra attempts
-//   --retry-backoff-ms <ms>  deterministic backoff (attempt k waits k*ms)
 //   --timeout-ms <ms>  cooperative per-job deadline (JobTimeoutError)
 //   --retry-failed     with --resume: re-run journaled failures too
 //
@@ -38,9 +36,9 @@
 //   PCAL_BENCH_THREADS    worker count (else PCAL_SWEEP_THREADS / cores)
 //   PCAL_BENCH_JSON_DIR   where BENCH_<name>.json lands (default: cwd)
 //   PCAL_BENCH_JSON=0     suppress the JSON record
-//   PCAL_FAULT_INJECT     job=<i>:access=<n>:mode=<throw|transient|hang
-//                         |exit>[:times=<t>] — deterministic fault
-//                         injection for the crash-safety tests
+//   PCAL_FAULT_INJECT     job=<i>:access=<n>:mode=<throw|hang|exit> —
+//                         deterministic fault injection for the
+//                         crash-safety tests
 #include <sys/stat.h>
 
 #include <cerrno>
@@ -204,6 +202,8 @@ class MappedJournalSink final : public JobCompletionSink {
 struct CliOptions {
   bool dry_run = false;
   bool retry_failed = false;
+  // --on-failure record: failures are data, and the run exits 0.
+  bool record_failures = false;
   std::string spec_path;
   std::vector<std::string> overrides;
   std::string journal_path;
@@ -223,8 +223,6 @@ int usage() {
          "  --resume <file>          resume from a journal (appends to it)\n"
          "  --shard k/N              run the k-th of N deterministic slices\n"
          "  --on-failure skip|record|abort   failed-job handling\n"
-         "  --retries <n>            extra attempts for transient errors\n"
-         "  --retry-backoff-ms <ms>  deterministic retry backoff\n"
          "  --timeout-ms <ms>        cooperative per-job deadline\n"
          "  --retry-failed           with --resume: re-run journaled "
          "failures\n";
@@ -265,8 +263,7 @@ bool parse_cli(int argc, char** argv, CliOptions* opt, int* exit_code) {
       continue;
     }
     if (arg == "--journal" || arg == "--resume" || arg == "--shard" ||
-        arg == "--on-failure" || arg == "--retries" ||
-        arg == "--retry-backoff-ms" || arg == "--timeout-ms") {
+        arg == "--on-failure" || arg == "--timeout-ms") {
       const char* value = need_value(&i);
       if (value == nullptr) {
         std::cerr << "pcalsweep: " << arg << " needs a value\n";
@@ -286,37 +283,31 @@ bool parse_cli(int argc, char** argv, CliOptions* opt, int* exit_code) {
         }
       } else if (arg == "--on-failure") {
         const std::string v = value;
-        if (v == "skip") {
-          opt->policy.on_failure = OnFailure::kSkip;
-        } else if (v == "record") {
-          opt->policy.on_failure = OnFailure::kRecord;
-        } else if (v == "abort") {
-          opt->policy.on_failure = OnFailure::kAbort;
+        if (v == "skip" || v == "record" || v == "abort") {
+          opt->record_failures = v == "record";
+          opt->policy.abort_on_failure = v == "abort";
         } else {
           std::cerr << "pcalsweep: bad --on-failure '" << v
                     << "' (skip|record|abort)\n";
           *exit_code = usage();
           return false;
         }
-      } else {  // --retries, --retry-backoff-ms, --timeout-ms
+      } else {  // --timeout-ms
         const std::optional<std::uint64_t> n = parse_count(value);
-        const std::uint64_t max =
-            arg == "--retries" ? std::numeric_limits<unsigned>::max() - 1
-                               : std::numeric_limits<std::uint64_t>::max();
-        if (!n || *n > max) {
+        if (!n) {
           std::cerr << "pcalsweep: bad " << arg << " '" << value
-                    << "' (want a decimal count of at most " << max << ")\n";
+                    << "' (want a decimal count of milliseconds)\n";
           *exit_code = usage();
           return false;
         }
-        if (arg == "--retries")
-          opt->policy.max_attempts = 1 + static_cast<unsigned>(*n);
-        else if (arg == "--retry-backoff-ms")
-          opt->policy.retry_backoff_ms = *n;
-        else
-          opt->policy.deadline_ms = *n;
+        opt->policy.deadline_ms = *n;
       }
       continue;
+    }
+    if (starts_with(arg, "--")) {
+      std::cerr << "pcalsweep: unknown option '" << arg << "'\n";
+      *exit_code = usage();
+      return false;
     }
     // An override is "section.key=value" — a dot before the '=' and no
     // path separator in the key part, so a spec path containing '='
@@ -557,8 +548,6 @@ int main(int argc, char** argv) {
       ++failed;
       std::cerr << "[pcalsweep] job " << slice[i] << " ("
                 << coords_of(spec, jobs[slice[i]]) << ") failed";
-      if (outcomes[i].attempts > 1)
-        std::cerr << " after " << outcomes[i].attempts << " attempts";
       if (outcomes[i].timed_out) std::cerr << " (deadline exceeded)";
       if (outcomes[i].cancelled) std::cerr << " (cancelled)";
       std::cerr << ": " << outcomes[i].error_what << "\n";
@@ -638,7 +627,7 @@ int main(int argc, char** argv) {
       // Under --on-failure record, failures are tolerated data: the
       // table renders them as holes and the run exits 0.  The default
       // keeps the strict contract — no table, exit 1.
-      if (opt.policy.on_failure != OnFailure::kRecord) return 1;
+      if (!opt.record_failures) return 1;
     }
 
     // stdout carries exactly what bench_common.h's print_table() emits,
