@@ -47,7 +47,7 @@ void BM_DecoderDecode(benchmark::State& state) {
   CacheConfig cache;
   cache.size_bytes = 8192;
   cache.line_bytes = 16;
-  BankDecoder d(cache, part, make_indexing_policy(kind, 8, 1));
+  BankDecoder d(cache, part, kind, 1);
   std::uint64_t idx = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(d.decode(idx & 511));

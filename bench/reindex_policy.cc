@@ -9,7 +9,7 @@
 #include <cmath>
 
 #include "bench_common.h"
-#include "indexing/scrambling.h"
+#include "indexing/index_rotation.h"
 
 int main() {
   using namespace pcal;
@@ -22,11 +22,11 @@ int main() {
   std::cout << "LFSR pattern-repetition error (M = 8):\n";
   TextTable err_table({"updates N", "error", "error*sqrt(N)"});
   for (std::uint64_t n : {64u, 256u, 1024u, 4096u, 16384u, 65536u}) {
-    ScramblingIndexing s(8, 1);
+    IndexRotation s(IndexingKind::kScrambling, 3, 1);
     std::vector<std::uint64_t> counts(8, 0);
     for (std::uint64_t u = 0; u < n; ++u) {
       s.update();
-      ++counts[s.pattern() & 7u];
+      ++counts[s.pattern()];
     }
     const double ideal = static_cast<double>(n) / 8.0;
     double worst = 0.0;

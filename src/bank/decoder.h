@@ -2,23 +2,23 @@
 //
 // Splits an n-bit cache index into (p MSBs = logical bank, n-p LSBs =
 // line-in-bank), routes the logical bank through the time-varying f()
-// (IndexingPolicy), and produces both the physical set index and the 1-hot
-// activation word.  This is the entire hardware addition of the paper's
-// architecture; everything else is standard memory-compiler macros.
+// (an IndexRotation over the p bank bits), and produces both the physical
+// set index and the 1-hot activation word.  This is the entire hardware
+// addition of the paper's architecture; everything else is standard
+// memory-compiler macros.
 //
 // Between two `update` signals f() is a fixed p-bit permutation, so the
 // decoder keeps it as an M-entry table of physical banks, rebuilt from
-// the policy at construction, update() and reset().  Each rebuild checks
-// the table is a permutation of [0, M); decode() is then a bit split and
-// one table read, inline, with no call into the policy.
+// the rotation at construction and at every update().  Each rebuild
+// checks the table is a permutation of [0, M); decode() is then a bit
+// split and one table read, inline.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <memory>
 
 #include "bank/partition_config.h"
-#include "indexing/index_policy.h"
+#include "indexing/index_rotation.h"
 #include "util/error.h"
 
 namespace pcal {
@@ -33,9 +33,10 @@ struct DecodedIndex {
 
 class BankDecoder {
  public:
-  /// Takes ownership of the indexing policy.
+  /// f() is the `indexing` rotation over the partition's p bank bits;
+  /// `seed` seeds Scrambling's LFSR.
   BankDecoder(const CacheConfig& cache, const PartitionConfig& partition,
-              std::unique_ptr<IndexingPolicy> policy);
+              IndexingKind indexing, std::uint64_t seed);
 
   /// Decodes an n-bit set index (as produced by CacheConfig::set_index_of).
   DecodedIndex decode(std::uint64_t set_index) const {
@@ -52,18 +53,9 @@ class BankDecoder {
   /// Fires the `update` signal: advances f().  The caller must flush the
   /// cache afterwards — the mapping change invalidates all resident lines.
   void update() {
-    policy_->update();
+    f_.update();
     rebuild_table();
   }
-
-  void reset() {
-    policy_->reset();
-    rebuild_table();
-  }
-
-  /// Read-only: advancing the policy behind the decoder would leave its
-  /// table stale, so f() moves only through update() and reset().
-  const IndexingPolicy& policy() const { return *policy_; }
 
   unsigned index_bits() const { return index_bits_; }
   unsigned bank_bits() const { return bank_bits_; }
@@ -79,7 +71,7 @@ class BankDecoder {
   unsigned line_bits_;   // n - p
   std::uint64_t line_mask_;
   std::uint64_t num_banks_;
-  std::unique_ptr<IndexingPolicy> policy_;
+  IndexRotation f_;
   /// f() for the current update: logical bank -> physical bank.
   std::array<std::uint64_t, PartitionConfig::kMaxBanks> physical_bank_{};
 };

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <charconv>
-#include <cinttypes>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -21,12 +20,6 @@
 
 namespace pcal {
 namespace {
-
-std::string hex16(std::uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016" PRIx64, v);
-  return buf;
-}
 
 // ---- token encoders ------------------------------------------------------
 //

@@ -21,7 +21,7 @@
 
 #include "core/hierarchy.h"
 #include "core/managed_cache.h"
-#include "indexing/index_policy.h"
+#include "indexing/index_rotation.h"
 
 namespace pcal {
 

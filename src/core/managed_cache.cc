@@ -82,7 +82,8 @@ struct ManagedCache::MonolithicMap {
 
 // Bank (paper Fig. 1 + Fig. 2): the bank decoder D splits the n-bit index
 // into p MSBs (the logical bank) and n-p LSBs (the line in the bank), and
-// routes the logical bank through the time-varying f() (IndexingPolicy).
+// routes the logical bank through the time-varying f() (an IndexRotation
+// over the p bank bits, read from the decoder's table).
 // Each of the M uniform banks is one unit, with its own Block Control
 // counter.  An update advances f() and flushes the cache, exactly as the
 // paper requires ("every time the indexing is updated the entire cache
@@ -122,12 +123,14 @@ struct ManagedCache::WayMap {
 // Line (reference [7], "Dynamic Indexing: Concurrent Leakage and Aging
 // Optimization for Caches", which the DATE'11 paper coarsens to banks):
 // every set is a unit with its own breakeven counter, and re-indexing
-// rotates the entire n-bit index, not just its p MSBs — a probing
-// counter added mod L, or an n-bit LFSR pattern XORed in.  Idleness is
-// harvested and balanced at the finest grain, which makes it the
-// aging-optimal upper bound; but it needs per-line sleep transistors and
-// control inside the SRAM array, which is exactly what the paper's
-// bank-level scheme avoids.
+// rotates the entire n-bit index, not just its p MSBs: the bank decoder's
+// IndexRotation over n bits instead of p — a probing counter added mod L,
+// or an n-bit LFSR pattern XORed in.  Idleness is harvested and balanced
+// at the finest grain, which makes it the aging-optimal upper bound; but
+// it needs per-line sleep transistors and control inside the SRAM array,
+// which is exactly what the paper's bank-level scheme avoids.  The map
+// computes the rotation's f() from by-value copies of its addend, pattern
+// and mask, so the batched loop keeps them in registers.
 struct ManagedCache::LineMap {
   std::uint64_t add, xr, mask;
   Slot decode(std::uint64_t set) const {
@@ -147,7 +150,7 @@ decltype(auto) ManagedCache::with_unit_map(F&& f) const {
     case Granularity::kWay:
       return f(WayMap{BankMap{*decoder_}, topology_.cache.ways});
     case Granularity::kLine:
-      return f(LineMap{line_add_, line_xor_, index_mask_});
+      return f(LineMap{line_f_->add(), line_f_->pattern(), line_f_->mask()});
   }
   return f(MonolithicMap{});
 }
@@ -178,14 +181,11 @@ ManagedCache::ManagedCache(const CacheTopology& topology,
       break;
     case Granularity::kBank:
     case Granularity::kWay:
-      decoder_.emplace(topology.cache, topology.partition,
-                       make_indexing_policy(topology.indexing,
-                                            topology.partition.num_banks,
-                                            topology.indexing_seed));
+      decoder_.emplace(topology.cache, topology.partition, topology.indexing,
+                       topology.indexing_seed);
       break;
     case Granularity::kLine:
-      if (topology.indexing == IndexingKind::kScrambling)
-        lfsr_.emplace(std::min(24u, topology.cache.index_bits() + 8u),
+      line_f_.emplace(topology.indexing, topology.cache.index_bits(),
                       topology.indexing_seed);
       break;
   }
@@ -326,10 +326,7 @@ std::uint64_t ManagedCache::update_indexing() {
       decoder_->update();
       break;
     case Granularity::kLine:
-      if (topology_.indexing == IndexingKind::kProbing)
-        line_add_ = (line_add_ + 1) & index_mask_;
-      else if (topology_.indexing == IndexingKind::kScrambling)
-        line_xor_ = lfsr_->step() & index_mask_;
+      line_f_->update();
       break;
   }
   ++updates_;

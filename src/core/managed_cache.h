@@ -10,7 +10,9 @@
 // (TimingModel, core/timing.h).  The only per-granularity code is a *unit
 // map* (core/managed_cache.cc): the rule that turns a logical set index
 // into the physical set the tag store serves and the unit that pays for
-// it.
+// it.  Every map that re-indexes moves through one f(), an IndexRotation
+// (indexing/index_rotation.h): over the p bank bits in the bank decoder
+// (bank and way grain), over all n index bits at line grain.
 //
 // A "unit" is the architecture's power-management granule: the whole cache
 // (monolithic), one bank, one way-column of a bank (way-grain), or one
@@ -63,9 +65,8 @@
 #include "cache/cache_config.h"
 #include "core/contention.h"
 #include "core/timing.h"
-#include "indexing/index_policy.h"
+#include "indexing/index_rotation.h"
 #include "trace/access.h"
-#include "util/lfsr.h"
 
 namespace pcal {
 
@@ -380,12 +381,8 @@ class ManagedCache {
   std::uint64_t index_mask_;
   /// Bank and way grain: the p-MSB decode through f().
   std::optional<BankDecoder> decoder_;
-  /// Line grain: the full-index rotation, physical set =
-  /// ((logical + line_add_) mod L) XOR line_xor_.  Probing advances the
-  /// addend, scrambling draws the XOR pattern from the LFSR.
-  std::uint64_t line_add_ = 0;
-  std::uint64_t line_xor_ = 0;
-  std::optional<GaloisLfsr> lfsr_;
+  /// Line grain: f() over all n index bits.
+  std::optional<IndexRotation> line_f_;
   /// A standalone cache's own clock (null on a run's clock).
   std::unique_ptr<TimingModel> own_clock_;
   const TimingModel* clock_;

@@ -167,9 +167,6 @@ struct UnitResult {
   double lifetime_years = 0.0;         // 0 if no LUT was supplied
 };
 
-/// Back-compat name from when the simulator was bank-only.
-using BankResult = UnitResult;
-
 struct SimResult {
   std::string workload;
   std::string config_label;

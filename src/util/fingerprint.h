@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <string>
 #include <string_view>
 
 namespace pcal {
@@ -49,5 +50,13 @@ class Fingerprint {
   static constexpr std::uint64_t kPrime = 1099511628211ull;
   std::uint64_t h_ = 14695981039346656037ull;  // FNV-1a offset basis
 };
+
+/// A fingerprint as written to journals and records: 16 lowercase hex
+/// digits, zero-padded.
+inline std::string hex16(std::uint64_t v) {
+  char buf[17];
+  std::snprintf(buf, sizeof(buf), "%016" PRIx64, v);
+  return buf;
+}
 
 }  // namespace pcal

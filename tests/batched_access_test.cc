@@ -136,7 +136,7 @@ TEST(BatchedSimulatorEquivalence, AllBackends) {
   }
 }
 
-TEST(BatchedSimulatorEquivalence, StaticIndexingObserverCadence) {
+TEST(BatchedSimulatorEquivalence, NoUpdatesObserverCadence) {
   // No re-indexing updates: boundaries come from the observer-only
   // cadence, which the batched driver must still split at exactly.
   for (const Granularity g :

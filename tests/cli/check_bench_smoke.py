@@ -5,11 +5,14 @@
                each of the five backends prices nonzero energy
   determinism  each bench prints the same stdout at 1 and 8 workers
                (PCAL_BENCH_THREADS)
+  goldens      a bench with a golden tests/goldens/bench/<name>.out
+               (bench_<name>) prints exactly it at 1 and at 8 workers;
+               such a bench writes no BENCH record
   table4       `pcalsweep examples/table4.sweep`, which runs lockstep
                cohorts, prints tests/goldens/sweep/table4.out at 1, 3
                and 8 workers; that golden is the table the solo path
                (every job alone) printed at the same trace length
-  records      every run writes a BENCH record, and
+  records      every other run writes a BENCH record, and
                tools/check_bench_json.py passes them all
 
 Every run is at PCAL_BENCH_ACCESSES=20000.  Only the Python interpreter
@@ -30,6 +33,7 @@ ROOT = os.path.dirname(os.path.dirname(HERE))
 BENCH_GATE = os.path.join(ROOT, "tools", "check_bench_json.py")
 TABLE4_SPEC = os.path.join(ROOT, "examples", "table4.sweep")
 TABLE4_GOLDEN = os.path.join(ROOT, "tests", "goldens", "sweep", "table4.out")
+BENCH_GOLDENS = os.path.join(ROOT, "tests", "goldens", "bench")
 ACCESSES = "20000"
 WORKERS = (1, 8)
 SPEC_WORKERS = (1, 3, 8)
@@ -52,13 +56,13 @@ def main():
     with tempfile.TemporaryDirectory(prefix="pcal_bench_smoke_") as work:
         records = []
 
-        def run(label, argv, workers):
+        def run(label, argv, workers, record=True):
             """Runs argv at PCAL_BENCH_ACCESSES and `workers`, its BENCH
-            record in a directory of its own; requires exit 0 and a
-            record, and returns stdout."""
-            out_dir = os.path.join(work, "records", str(len(records)))
-            os.makedirs(out_dir)
-            records.append(out_dir)
+            record in a directory of its own; requires exit 0 and, when
+            `record`, a record, and returns stdout."""
+            out_dir = tempfile.mkdtemp(prefix="records_", dir=work)
+            if record:
+                records.append(out_dir)
             env = {k: v for k, v in os.environ.items()
                    if not k.startswith("PCAL_")}
             env.update({"PCAL_BENCH_ACCESSES": ACCESSES,
@@ -69,14 +73,27 @@ def main():
                                   stderr=subprocess.PIPE)
             check(label, proc.returncode == 0, "exit %d\n%s" % (
                 proc.returncode, proc.stderr.decode(errors="replace")))
-            check(label + " wrote a BENCH record",
-                  bool(glob.glob(os.path.join(out_dir, "BENCH_*.json"))))
+            if record:
+                check(label + " wrote a BENCH record",
+                      bool(glob.glob(os.path.join(out_dir, "BENCH_*.json"))))
             return proc.stdout.decode(errors="replace")
 
         for bench in args.benches:
             name = os.path.basename(bench)
+            golden_path = os.path.join(
+                BENCH_GOLDENS, name.replace("bench_", "", 1) + ".out")
+            golden = None
+            if os.path.exists(golden_path):
+                with open(golden_path, encoding="utf-8") as f:
+                    golden = f.read()
             stdout = {w: run("%s at %d worker(s)" % (name, w),
-                             [os.path.abspath(bench)], w) for w in WORKERS}
+                             [os.path.abspath(bench)], w,
+                             record=golden is None) for w in WORKERS}
+            if golden is not None:
+                for w in WORKERS:
+                    check("%s: stdout == golden at %d worker(s)" % (name, w),
+                          stdout[w] == golden, "outputs differ")
+                continue
             a, b = (stdout[w] for w in WORKERS)
             check("%s: 1 worker == 8 workers" % name, a == b and a != "",
                   "outputs differ" if a != b else "empty output")

@@ -17,7 +17,8 @@
                    count, and aging_exploration's cache size (before any
                    simulation runs)
   unknown input    pcalsweep fails naming an option it does not know
-                   (--retries, --retry-backoff-ms, --bogus) and a
+                   (--retries, --retry-backoff-ms, --bogus), a second
+                   positional argument that is not an override, and a
                    PCAL_FAULT_INJECT mode or key it does not know
                    (mode=transient, times=2)
   determinism      examples/trace_mix.sweep and examples/hierarchy.sweep
@@ -197,16 +198,20 @@ def bad_counts(c, two):
 
 
 def unknown_input(c, two):
-    # An option pcalsweep does not know fails by name and with the usage,
-    # wherever it stands.
-    for option, argv in (("--retries", ["--retries", "1", "--dry-run", two]),
-                         ("--retry-backoff-ms",
-                          ["--retry-backoff-ms", "5", "--dry-run", two]),
-                         ("--bogus", [two, "--bogus", "--dry-run"]),
-                         ("--bogus", ["--bogus"])):
+    # An option pcalsweep does not know, or a second positional argument
+    # that is not a section.key=value override, fails by name and with the
+    # usage, wherever it stands.
+    unknown = "unknown option '%s'"
+    for needle, argv in (
+            (unknown % "--retries", ["--retries", "1", "--dry-run", two]),
+            (unknown % "--retry-backoff-ms",
+             ["--retry-backoff-ms", "5", "--dry-run", two]),
+            (unknown % "--bogus", [two, "--bogus", "--dry-run"]),
+            (unknown % "--bogus", ["--bogus"]),
+            ("unexpected argument 'extra': a run takes one spec path plus "
+             "section.key=value overrides", [two, "extra", "--dry-run"])):
         c.fails("pcalsweep %s fails" % " ".join(map(os.path.basename, argv)),
-                [c.pcalsweep] + argv, {},
-                ["unknown option '%s'" % option, "usage:"], 2)
+                [c.pcalsweep] + argv, {}, [needle, "usage:"], 2)
     for fault, needle in (("job=0:access=0:mode=transient", "'transient'"),
                           ("job=0:access=0:mode=throw:times=2", "'times'")):
         c.fails("PCAL_FAULT_INJECT %s fails" % fault, [c.pcalsweep, two],

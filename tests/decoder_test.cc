@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
+#include "core/enum_strings.h"
 #include "util/error.h"
+#include "util/lfsr.h"
 
 namespace pcal {
 namespace {
@@ -20,8 +23,7 @@ CacheConfig cache_8k() {
 BankDecoder make_decoder(IndexingKind kind, std::uint64_t banks = 4) {
   PartitionConfig part;
   part.num_banks = banks;
-  return BankDecoder(cache_8k(), part,
-                     make_indexing_policy(kind, banks, /*seed=*/1));
+  return BankDecoder(cache_8k(), part, kind, /*seed=*/1);
 }
 
 TEST(Decoder, SplitsIndexBits) {
@@ -81,82 +83,52 @@ TEST(Decoder, RejectsOutOfRangeIndex) {
   EXPECT_THROW(d.decode(512), Error);
 }
 
-// decode() reads f() from a table the decoder rebuilds at construction,
-// update() and reset(); it must agree with the policy itself at every
-// step, for every set, and stay a bijection on sets.
+// decode() reads f() from a table the decoder rebuilds at construction
+// and at every update(); it must agree with the paper's f() (Fig. 3) at
+// every step, for every set, and stay a bijection on sets.  The reference
+// f() is written here from the paper, not taken from the engine: Probing
+// maps logical bank l to (l + c) mod M after c updates, Scrambling to
+// l XOR (LFSR state mod M), the state of a min(24, max(2, p) + 8)-bit
+// Galois LFSR stepped once per update (the identity before the first).
 TEST(Decoder, TableFollowsThePolicy) {
   for (auto kind : {IndexingKind::kStatic, IndexingKind::kProbing,
                     IndexingKind::kScrambling}) {
     for (std::uint64_t banks : {1u, 2u, 4u, 8u, 16u}) {
       BankDecoder d = make_decoder(kind, banks);
-      const unsigned line_bits = d.index_bits() - d.bank_bits();
-      const auto check = [&](const std::string& when) {
-        SCOPED_TRACE(d.policy().name() + " M=" + std::to_string(banks) +
-                     " " + when);
+      const unsigned p = d.bank_bits();
+      const unsigned line_bits = d.index_bits() - p;
+      GaloisLfsr lfsr(std::min(24u, std::max(2u, p) + 8u), /*seed=*/1);
+      std::uint64_t updates = 0, pattern = 0;
+      const auto f = [&](std::uint64_t l) -> std::uint64_t {
+        switch (kind) {
+          case IndexingKind::kStatic: return l;
+          case IndexingKind::kProbing: return (l + updates) % banks;
+          case IndexingKind::kScrambling: return l ^ pattern;
+        }
+        return l;
+      };
+      const auto check = [&] {
+        SCOPED_TRACE(std::string(to_string(kind)) + " M=" +
+                     std::to_string(banks) + " after " +
+                     std::to_string(updates) + " updates");
         std::vector<bool> seen(512, false);
         for (std::uint64_t s = 0; s < 512; ++s) {
           const DecodedIndex r = d.decode(s);
-          ASSERT_EQ(r.physical_bank, d.policy().map_bank(s >> line_bits))
-              << "set " << s;
+          ASSERT_EQ(r.physical_bank, f(s >> line_bits)) << "set " << s;
           ASSERT_LT(r.physical_set, 512u);
           ASSERT_FALSE(seen[r.physical_set]) << "set " << s;
           seen[r.physical_set] = true;
         }
       };
-      check("after construction");
-      for (std::uint64_t u = 1; u <= 3 * banks; ++u) {
+      check();
+      for (int u = 0; u < 3 * 16; ++u) {
         d.update();
-        check("after update " + std::to_string(u));
+        ++updates;
+        pattern = lfsr.step() % banks;
+        check();
       }
-      d.reset();
-      EXPECT_EQ(d.policy().updates(), 0u);
-      check("after reset");
     }
   }
-}
-
-// A policy that stops being a permutation after a given number of
-// updates: every logical bank then maps to physical bank 0.
-class CollapsingPolicy final : public IndexingPolicy {
- public:
-  CollapsingPolicy(std::uint64_t banks, std::uint64_t good_updates)
-      : banks_(banks), good_(good_updates) {}
-  std::uint64_t map_bank(std::uint64_t logical) const override {
-    return updates_ < good_ ? logical : 0;
-  }
-  void update() override { ++updates_; }
-  void reset() override { updates_ = 0; }
-  std::uint64_t num_banks() const override { return banks_; }
-  std::uint64_t updates() const override { return updates_; }
-  std::string name() const override { return "collapsing"; }
-  std::unique_ptr<IndexingPolicy> clone() const override {
-    return std::make_unique<CollapsingPolicy>(*this);
-  }
-
- private:
-  std::uint64_t banks_, good_, updates_ = 0;
-};
-
-TEST(Decoder, RejectsANonPermutationAtEveryRebuild) {
-  PartitionConfig part;
-  part.num_banks = 4;
-  EXPECT_THROW(BankDecoder(cache_8k(), part,
-                           std::make_unique<CollapsingPolicy>(4, 0)),
-               Error);
-  BankDecoder d(cache_8k(), part, std::make_unique<CollapsingPolicy>(4, 2));
-  EXPECT_NO_THROW(d.update());
-  EXPECT_THROW(d.update(), Error);
-  d.reset();  // back to a permutation: the rebuilt table is whole again
-  EXPECT_EQ(d.decode((3u << 7) | 5u).physical_set, (3u << 7) | 5u);
-}
-
-TEST(Decoder, RejectsPolicyBankMismatch) {
-  PartitionConfig part;
-  part.num_banks = 4;
-  EXPECT_THROW(BankDecoder(cache_8k(), part,
-                           make_indexing_policy(IndexingKind::kProbing, 8)),
-               ConfigError);
-  EXPECT_THROW(BankDecoder(cache_8k(), part, nullptr), ConfigError);
 }
 
 TEST(PartitionConfig, Validation) {

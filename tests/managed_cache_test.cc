@@ -1,15 +1,17 @@
 // Parity and factory tests for ManagedCache.
 //
 // Each unit map must reproduce an independent reference built in the test
-// from the plain components — a CacheModel behind the identity map, the
-// paper's bank split through an IndexingPolicy, or reference [7]'s
-// full-index rotation — bit for bit, across re-indexing updates.  The factory is exercised over the full
+// from the plain components — a CacheModel behind the identity map, or
+// behind the paper's bank split or reference [7]'s full-index rotation
+// through an f() written here from Fig. 3 — bit for bit, across
+// re-indexing updates.  The factory is exercised over the full
 // Granularity x IndexingKind matrix.
 #include "core/managed_cache.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "bank/block_control.h"
 #include "cache/cache.h"
@@ -166,20 +168,31 @@ void expect_same_units(const ManagedCache& mc, const Reference& ref) {
   }
 }
 
+/// Scrambling's LFSR width for a `bits`-bit pattern, as
+/// indexing/index_rotation.h documents it: wider than the pattern, so its
+/// low bits reach the identity pattern too.
+unsigned scrambling_width(unsigned bits) {
+  return std::min(24u, std::max(2u, bits) + 8u);
+}
+
 // kBank must reproduce the paper's decoder in front of a plain tag store,
-// including across re-indexing updates.  The reference applies f()
-// through its own policy instance, so it shares no code with the
-// decoder's table: logical bank = set / lines-per-bank, physical set =
-// f(logical) * lines-per-bank + set mod lines-per-bank.
+// including across re-indexing updates.  The reference's f() is written
+// here from Fig. 3, so it shares no code with the decoder: Probing maps
+// logical bank l to (l + c) mod M after c updates, Scrambling to
+// l XOR (LFSR state mod M), the LFSR stepped once per update.  Logical
+// bank = set / lines-per-bank, physical set = f(logical) * lines-per-bank
+// + set mod lines-per-bank.
 TEST(BackendParity, BankMatchesDecoderReference) {
   const Trace trace = make_trace(20'000);
   for (IndexingKind kind :
        {IndexingKind::kProbing, IndexingKind::kScrambling}) {
     CacheTopology topo = base_topology(Granularity::kBank);
     topo.indexing = kind;
-    Reference ref(topo, topo.partition.num_banks);
-    const std::unique_ptr<IndexingPolicy> policy = make_indexing_policy(
-        kind, topo.partition.num_banks, topo.indexing_seed);
+    const std::uint64_t banks = topo.partition.num_banks;
+    Reference ref(topo, banks);
+    GaloisLfsr lfsr(scrambling_width(topo.partition.bank_bits()),
+                    topo.indexing_seed);
+    std::uint64_t counter = 0, pattern = 0;
     const std::uint64_t lines = topo.partition.lines_per_bank(topo.cache);
     auto mc = make_managed_cache(topo);
 
@@ -187,7 +200,9 @@ TEST(BackendParity, BankMatchesDecoderReference) {
       const bool is_write = trace[i].kind == AccessKind::kWrite;
       const std::uint64_t set = topo.cache.set_index_of(trace[i].address);
       const std::uint64_t logical = set / lines;
-      const std::uint64_t physical = policy->map_bank(logical);
+      const std::uint64_t physical = kind == IndexingKind::kProbing
+                                         ? (logical + counter) % banks
+                                         : logical ^ pattern;
       const AccessOutcome want =
           ref.access(trace[i].address, is_write,
                      physical * lines + set % lines, logical, physical);
@@ -198,13 +213,14 @@ TEST(BackendParity, BankMatchesDecoderReference) {
       ASSERT_EQ(got.physical_unit, want.physical_unit) << "access " << i;
       ASSERT_EQ(got.woke_unit, want.woke_unit) << "access " << i;
       if (i % 5'000 == 4'999) {
-        policy->update();
+        ++counter;
+        pattern = lfsr.step() % banks;
         EXPECT_EQ(mc->update_indexing(), ref.cache.flush());
       }
     }
     ref.control.finish(ref.cycle);
     mc->finish();
-    EXPECT_EQ(mc->indexing_updates(), policy->updates());
+    EXPECT_EQ(mc->indexing_updates(), counter);
     EXPECT_EQ(mc->stats().hits, ref.cache.stats().hits);
     EXPECT_EQ(mc->stats().flushes, ref.cache.stats().flushes);
     expect_same_units(*mc, ref);
@@ -213,53 +229,59 @@ TEST(BackendParity, BankMatchesDecoderReference) {
 
 // kLine must reproduce reference [7]'s full-index rotation in front of a
 // plain tag store: probing adds an update counter to the whole index mod
-// L, scrambling XORs in an LFSR pattern drawn at each update.  The LFSR's
-// low index bits stay zero for its first steps, so the run updates often
-// enough to reach nonzero patterns.
+// L, scrambling XORs in an LFSR pattern drawn at each update, from an
+// LFSR of the same width rule as the bank decoder's over n index bits.
+// The LFSR's low index bits stay zero for its first steps, so the run
+// updates often enough to reach nonzero patterns.  The 2-set cache (n = 1)
+// pins the rule's floor: its LFSR is 10 bits wide.
 TEST(BackendParity, LineMatchesRotationReference) {
   const Trace trace = make_trace(20'000);
-  for (IndexingKind kind :
-       {IndexingKind::kProbing, IndexingKind::kScrambling}) {
-    CacheTopology topo = base_topology(Granularity::kLine);
-    topo.indexing = kind;
-    const std::uint64_t sets = topo.cache.num_sets();
-    Reference ref(topo, sets);
-    GaloisLfsr lfsr(std::min(24u, topo.cache.index_bits() + 8u),
-                    topo.indexing_seed);
-    std::uint64_t counter = 0, pattern = 0;
-    bool scrambled = false;
-    auto mc = make_managed_cache(topo);
+  for (std::uint64_t size : {8192u, 32u}) {
+    for (IndexingKind kind :
+         {IndexingKind::kProbing, IndexingKind::kScrambling}) {
+      SCOPED_TRACE(std::to_string(size) + " B " + to_string(kind));
+      CacheTopology topo = base_topology(Granularity::kLine);
+      topo.cache.size_bytes = size;
+      topo.indexing = kind;
+      const std::uint64_t sets = topo.cache.num_sets();
+      Reference ref(topo, sets);
+      GaloisLfsr lfsr(scrambling_width(topo.cache.index_bits()),
+                      topo.indexing_seed);
+      std::uint64_t counter = 0, pattern = 0;
+      bool scrambled = false;
+      auto mc = make_managed_cache(topo);
 
-    for (std::size_t i = 0; i < trace.size(); ++i) {
-      const bool is_write = trace[i].kind == AccessKind::kWrite;
-      const std::uint64_t logical =
-          topo.cache.set_index_of(trace[i].address);
-      const std::uint64_t physical = kind == IndexingKind::kProbing
-                                         ? (logical + counter) % sets
-                                         : logical ^ pattern;
-      const AccessOutcome want =
-          ref.access(trace[i].address, is_write, physical, logical, physical);
-      const AccessOutcome got = mc->access(trace[i].address, is_write);
-      ASSERT_EQ(got.hit, want.hit) << "access " << i;
-      ASSERT_EQ(got.writeback, want.writeback) << "access " << i;
-      ASSERT_EQ(got.logical_unit, want.logical_unit) << "access " << i;
-      ASSERT_EQ(got.physical_unit, want.physical_unit) << "access " << i;
-      ASSERT_EQ(got.woke_unit, want.woke_unit) << "access " << i;
-      if (i % 1'000 == 999) {
-        ++counter;
-        pattern = lfsr.step() % sets;
-        scrambled = scrambled || pattern != 0;
-        EXPECT_EQ(mc->update_indexing(), ref.cache.flush());
+      for (std::size_t i = 0; i < trace.size(); ++i) {
+        const bool is_write = trace[i].kind == AccessKind::kWrite;
+        const std::uint64_t logical =
+            topo.cache.set_index_of(trace[i].address);
+        const std::uint64_t physical = kind == IndexingKind::kProbing
+                                           ? (logical + counter) % sets
+                                           : logical ^ pattern;
+        const AccessOutcome want = ref.access(trace[i].address, is_write,
+                                              physical, logical, physical);
+        const AccessOutcome got = mc->access(trace[i].address, is_write);
+        ASSERT_EQ(got.hit, want.hit) << "access " << i;
+        ASSERT_EQ(got.writeback, want.writeback) << "access " << i;
+        ASSERT_EQ(got.logical_unit, want.logical_unit) << "access " << i;
+        ASSERT_EQ(got.physical_unit, want.physical_unit) << "access " << i;
+        ASSERT_EQ(got.woke_unit, want.woke_unit) << "access " << i;
+        if (i % 1'000 == 999) {
+          ++counter;
+          pattern = lfsr.step() % sets;
+          scrambled = scrambled || pattern != 0;
+          EXPECT_EQ(mc->update_indexing(), ref.cache.flush());
+        }
       }
+      if (kind == IndexingKind::kScrambling) {
+        EXPECT_TRUE(scrambled);
+      }
+      ref.control.finish(ref.cycle);
+      mc->finish();
+      EXPECT_EQ(mc->indexing_updates(), counter);
+      EXPECT_EQ(mc->stats().hits, ref.cache.stats().hits);
+      expect_same_units(*mc, ref);
     }
-    if (kind == IndexingKind::kScrambling) {
-      EXPECT_TRUE(scrambled);
-    }
-    ref.control.finish(ref.cycle);
-    mc->finish();
-    EXPECT_EQ(mc->indexing_updates(), counter);
-    EXPECT_EQ(mc->stats().hits, ref.cache.stats().hits);
-    expect_same_units(*mc, ref);
   }
 }
 

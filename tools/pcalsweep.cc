@@ -42,8 +42,6 @@
 #include <sys/stat.h>
 
 #include <cerrno>
-#include <cinttypes>
-#include <cstdio>
 #include <cstring>
 #include <iostream>
 #include <limits>
@@ -60,6 +58,7 @@
 #include "core/grid_spec.h"
 #include "trace/fault_inject.h"
 #include "util/error.h"
+#include "util/fingerprint.h"
 #include "util/string_util.h"
 
 namespace {
@@ -106,10 +105,6 @@ col_prefix = M=
 cells = idleness:Idl:pct:0, lifetime:LT:num:2
 reduce = mean
 )";
-
-std::string coords_of(const GridSpec& spec, const GridJob& job) {
-  return spec.job_label(job);
-}
 
 /// Ensures the [timeline] artifact directory exists (one level; an
 /// existing directory is fine).  Throws so the failure surfaces before
@@ -174,12 +169,6 @@ std::uint64_t job_fingerprint(std::uint64_t run_fp, std::size_t index,
   for (const std::string& c : job.coords) add_str(&fp, c);
   add_str(&fp, job.workload);
   return fp.value();
-}
-
-std::string hex16(std::uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016" PRIx64, v);
-  return buf;
 }
 
 /// Translates the runner's slice-local job indices to global
@@ -322,6 +311,9 @@ bool parse_cli(int argc, char** argv, CliOptions* opt, int* exit_code) {
     } else if (opt->spec_path.empty()) {
       opt->spec_path = arg;
     } else {
+      std::cerr << "pcalsweep: unexpected argument '" << arg
+                << "': a run takes one spec path plus section.key=value "
+                   "overrides\n";
       *exit_code = usage();
       return false;
     }
@@ -547,7 +539,7 @@ int main(int argc, char** argv) {
       if (outcomes[i].ok()) continue;
       ++failed;
       std::cerr << "[pcalsweep] job " << slice[i] << " ("
-                << coords_of(spec, jobs[slice[i]]) << ") failed";
+                << spec.job_label(jobs[slice[i]]) << ") failed";
       if (outcomes[i].timed_out) std::cerr << " (deadline exceeded)";
       if (outcomes[i].cancelled) std::cerr << " (cancelled)";
       std::cerr << ": " << outcomes[i].error_what << "\n";
@@ -591,7 +583,7 @@ int main(int argc, char** argv) {
           f << (first ? "" : ",\n") << "    {\"job\": " << slice[i]
             << ", \"workload\": \""
             << json_escape(jobs[slice[i]].workload) << "\", \"config\": \""
-            << json_escape(coords_of(spec, jobs[slice[i]]))
+            << json_escape(spec.job_label(jobs[slice[i]]))
             << "\", \"reason\": \"" << json_escape(outcomes[i].error_what)
             << "\", \"attempts\": " << outcomes[i].attempts
             << ", \"timed_out\": "
