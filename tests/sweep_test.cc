@@ -213,7 +213,8 @@ std::vector<std::string> cohort_workloads(const std::string& pct) {
 
 /// One config per engine path a cohort member can take: bank, way, line
 /// and drowsy-hybrid backends, an L2 level, contention, the forced
-/// per-access loop.
+/// per-access loop, and a timed batched member whose clock runs ahead
+/// of its untimed cohort mates on the same geometry.
 std::vector<SimConfig> cohort_configs() {
   const SimConfig base = small_config(4, IndexingKind::kProbing);
   SimConfig way = way_grain_variant(base);
@@ -223,6 +224,10 @@ std::vector<SimConfig> cohort_configs() {
   contended.latency.miss_cycles = 8;
   SimConfig scalar = base;
   scalar.force_scalar_loop = true;
+  SimConfig timed = base;
+  timed.latency.hit_cycles = 1;
+  timed.latency.miss_cycles = 6;
+  timed.latency.gated_wake_cycles = 3;
   return {base,
           way,
           line_grain_variant(base),
@@ -230,18 +235,43 @@ std::vector<SimConfig> cohort_configs() {
           two_level_variant(base, 32768),
           contended,
           scalar,
-          small_config(8, IndexingKind::kScrambling)};
+          small_config(8, IndexingKind::kScrambling),
+          timed};
+}
+
+/// One observer call in text: the boundary, the clock, the update
+/// count, the CPU-facing stats and every group's stats and unit states.
+std::string describe_snapshot(const IntervalSnapshot& s) {
+  std::ostringstream os;
+  const auto stats = [&os](const CacheStats& c) {
+    os << " [" << c.accesses << ' ' << c.hits << ' ' << c.misses << ' '
+       << c.writebacks << ' ' << c.flushes << ' ' << c.flushed_dirty << ']';
+  };
+  os << s.interval << ' ' << s.cycles << ' ' << s.updates_applied << ' '
+     << s.fired_update << s.final_snapshot << s.context_switch << ' '
+     << s.accesses << ' ' << s.stall_cycles;
+  stats(*s.stats);
+  for (const UnitGroupStates& g : *s.groups) {
+    os << " g" << g.core << '/' << g.level << '/' << g.first_unit << '/'
+       << g.units << ':' << g.awake << '/' << g.drowsy << '/' << g.gated;
+    stats(g.stats);
+  }
+  os << ' ';
+  for (const UnitPowerState u : *s.unit_states) os << to_char(u);
+  os << '\n';
+  return os.str();
 }
 
 /// The cohort grid, workload innermost (as in table4, so a cohort's
-/// members are not adjacent jobs).  `calls` receives one per-job count
-/// of user-observer callbacks.  Keyless jobs are the solo oracle.
+/// members are not adjacent jobs).  `snapshots` receives, per job, the
+/// text of every user-observer call (describe_snapshot).  Keyless jobs
+/// are the solo oracle.
 std::vector<SweepJob> cohort_grid(const std::string& pct, bool keyed,
-                                  std::vector<std::uint64_t>* calls) {
+                                  std::vector<std::string>* snapshots) {
   const std::vector<SimConfig> configs = cohort_configs();
   const std::vector<std::string> workloads = cohort_workloads(pct);
   std::vector<SweepJob> jobs;
-  calls->assign(configs.size() * workloads.size(), 0);
+  snapshots->assign(configs.size() * workloads.size(), "");
   for (std::size_t c = 0; c < configs.size(); ++c) {
     for (const std::string& w : workloads) {
       SweepJob job;
@@ -249,8 +279,10 @@ std::vector<SweepJob> cohort_grid(const std::string& pct, bool keyed,
       job.make_source = make_workload_factory(w, kAccesses, 64 * 1024);
       if (keyed) job.shared_source = w;
       job.label = "config=" + std::to_string(c) + " workload=" + w;
-      std::uint64_t* slot = &(*calls)[jobs.size()];
-      job.observer = [slot](const IntervalSnapshot&) { ++*slot; };
+      std::string* slot = &(*snapshots)[jobs.size()];
+      job.observer = [slot](const IntervalSnapshot& s) {
+        *slot += describe_snapshot(s);
+      };
       jobs.push_back(std::move(job));
     }
   }
@@ -299,9 +331,9 @@ std::uint64_t cohort_sources(std::size_t keys, std::size_t members,
 
 TEST(SweepCohorts, MatchKeylessSoloRunsBitForBit) {
   const PctFile pct;
-  std::vector<std::uint64_t> solo_calls;
+  std::vector<std::string> solo_snapshots;
   const std::vector<SweepJob> solo_jobs =
-      cohort_grid(pct.path(), false, &solo_calls);
+      cohort_grid(pct.path(), false, &solo_snapshots);
   SweepRunner serial(1);
   const std::vector<SweepOutcome> reference = serial.run(solo_jobs);
   for (const SweepOutcome& o : reference) ASSERT_TRUE(o.ok()) << o.error_what;
@@ -309,16 +341,17 @@ TEST(SweepCohorts, MatchKeylessSoloRunsBitForBit) {
 
   for (unsigned threads : {1u, 2u, 8u}) {
     const std::string at = "threads=" + std::to_string(threads);
-    std::vector<std::uint64_t> calls;
-    const std::vector<SweepJob> jobs = cohort_grid(pct.path(), true, &calls);
+    std::vector<std::string> snapshots;
+    const std::vector<SweepJob> jobs =
+        cohort_grid(pct.path(), true, &snapshots);
     SweepRunner runner(threads);
     const std::vector<SweepOutcome> got = runner.run(jobs);
     ASSERT_EQ(got.size(), reference.size());
     for (std::size_t i = 0; i < got.size(); ++i) {
       expect_same_outcome(got[i], reference[i],
                           at + " job " + std::to_string(i));
-      EXPECT_EQ(calls[i], solo_calls[i]) << at << " job " << i;
-      EXPECT_GT(calls[i], 0u);
+      EXPECT_EQ(snapshots[i], solo_snapshots[i]) << at << " job " << i;
+      EXPECT_FALSE(snapshots[i].empty());
     }
     const SweepStats& stats = runner.last_stats();
     EXPECT_EQ(stats.sources_built,
@@ -351,8 +384,9 @@ class RecordingSink final : public JobCompletionSink {
 
 TEST(SweepCohorts, InvalidMemberSkipMaskAndCheckpointSink) {
   const PctFile pct;
-  std::vector<std::uint64_t> calls;
-  std::vector<SweepJob> solo_jobs = cohort_grid(pct.path(), false, &calls);
+  std::vector<std::string> snapshots;
+  std::vector<SweepJob> solo_jobs =
+      cohort_grid(pct.path(), false, &snapshots);
   // Job 4 (config 1 = way grain, second workload) fails validation.
   const std::size_t bad = 4;
   solo_jobs[bad].config.cache.size_bytes = 12345;
@@ -365,7 +399,7 @@ TEST(SweepCohorts, InvalidMemberSkipMaskAndCheckpointSink) {
 
   for (unsigned threads : {1u, 2u, 8u}) {
     const std::string at = "threads=" + std::to_string(threads);
-    std::vector<SweepJob> jobs = cohort_grid(pct.path(), true, &calls);
+    std::vector<SweepJob> jobs = cohort_grid(pct.path(), true, &snapshots);
     jobs[bad].config.cache.size_bytes = 12345;
     RecordingSink sink;
     SweepRunOptions options;
@@ -407,8 +441,8 @@ TEST(SweepCohorts, InvalidMemberSkipMaskAndCheckpointSink) {
 
 TEST(SweepCohorts, AbortCancelsCohortsThatHaveNotStarted) {
   const PctFile pct;
-  std::vector<std::uint64_t> calls;
-  std::vector<SweepJob> jobs = cohort_grid(pct.path(), true, &calls);
+  std::vector<std::string> snapshots;
+  std::vector<SweepJob> jobs = cohort_grid(pct.path(), true, &snapshots);
   // Job 1 sits in the second cohort (workload 1); at one worker the
   // cohorts run in order of their first job, so the first two run and
   // the third (workload 2) has not started when job 1 fails.
@@ -438,11 +472,11 @@ TEST(SweepCohorts, AnyOtherExceptionRerunsMembersSolo) {
   // members re-run solo — and still match the keyless reference,
   // attempts included.
   const PctFile pct;
-  std::vector<std::uint64_t> calls;
+  std::vector<std::string> snapshots;
   const std::vector<SweepOutcome> reference =
-      SweepRunner(1).run(cohort_grid(pct.path(), false, &calls));
+      SweepRunner(1).run(cohort_grid(pct.path(), false, &snapshots));
   for (unsigned threads : {1u, 2u}) {
-    std::vector<SweepJob> jobs = cohort_grid(pct.path(), true, &calls);
+    std::vector<SweepJob> jobs = cohort_grid(pct.path(), true, &snapshots);
     auto failures = std::make_shared<std::atomic<int>>(1);
     for (std::size_t i = 0; i < jobs.size(); i += 3) {
       TraceSourceFactory inner = jobs[i].make_source;
@@ -463,16 +497,16 @@ TEST(SweepCohorts, AnyOtherExceptionRerunsMembersSolo) {
 }
 
 TEST(SweepCohorts, DeadlineCoversTheCohortAndIsNeverRetried) {
-  // One cohort of K = 8 members (the cjpeg jobs) at one worker; member 1
+  // One cohort of K = 9 members (the cjpeg jobs) at one worker; member 1
   // stalls in its observer until the deadline passes.  The deadline is
   // K x deadline_ms, and on expiry every unfinished member times out
   // after its one run.
   const PctFile pct;
-  std::vector<std::uint64_t> calls;
+  std::vector<std::string> snapshots;
   std::vector<SweepJob> jobs;
-  for (SweepJob& job : cohort_grid(pct.path(), true, &calls))
+  for (SweepJob& job : cohort_grid(pct.path(), true, &snapshots))
     if (job.shared_source == "cjpeg") jobs.push_back(std::move(job));
-  ASSERT_EQ(jobs.size(), 8u);
+  ASSERT_EQ(jobs.size(), 9u);
   const auto t0 = std::chrono::steady_clock::now();
   auto stalled_ms = std::make_shared<std::atomic<long>>(-1);
   jobs[1].observer = [t0, stalled_ms](const IntervalSnapshot&) {
@@ -489,7 +523,7 @@ TEST(SweepCohorts, DeadlineCoversTheCohortAndIsNeverRetried) {
   options.policy.deadline_ms = 50;
   SweepRunner runner(1);
   const std::vector<SweepOutcome> got = runner.run(jobs, options);
-  EXPECT_GE(stalled_ms->load(), 8 * 50);
+  EXPECT_GE(stalled_ms->load(), 9 * 50);
   for (std::size_t i = 0; i < got.size(); ++i) {
     const std::string at = "job " + std::to_string(i);
     EXPECT_TRUE(got[i].timed_out) << at;
