@@ -59,34 +59,62 @@ class SaturatingCounter {
 /// batched backend hot loops allocate nothing; the per-bank query API
 /// below reads those records.
 class BlockControl {
+  struct Bank;
+
  public:
+  /// The batched power step's handle on Block Control: the bank records
+  /// and both thresholds, by value.  A loop that holds one in a local
+  /// keeps the thresholds and the record pointer in registers for a whole
+  /// chunk (stores through the records cannot alias a local).  record()
+  /// is on_access without its checks: the caller's clock, advancing at
+  /// least one cycle per access, guarantees them by construction.
+  class Recorder {
+   public:
+    std::uint64_t breakeven() const { return breakeven_; }
+    std::uint64_t gate() const { return gate_; }
+
+    /// Records that `bank` is accessed at `cycle`; returns the idle
+    /// cycles that preceded the access.
+    std::uint64_t record(std::uint64_t bank, std::uint64_t cycle) const {
+      Bank& b = banks_[bank];
+      const std::uint64_t gap = cycle - b.next_free;
+      b.idle.add(gap, breakeven_, gate_);
+      b.next_free = cycle + 1;
+      ++b.accesses;
+      return gap;
+    }
+
+   private:
+    friend class BlockControl;
+    Recorder(Bank* banks, std::uint64_t breakeven, std::uint64_t gate)
+        : banks_(banks), breakeven_(breakeven), gate_(gate) {}
+
+    Bank* banks_;
+    std::uint64_t breakeven_;
+    std::uint64_t gate_;
+  };
+
   /// `breakeven_cycles`: idle cycles before a bank is put to sleep.
   /// `gate_cycles` (>= the breakeven): idle cycles before it counts as
   /// power-gated; equal to the breakeven under the gated policy.
   BlockControl(std::uint64_t num_banks, std::uint64_t breakeven_cycles,
                std::uint64_t gate_cycles);
 
-  /// Records that `bank` is accessed at `cycle`.  Cycles must be
-  /// non-decreasing; exactly one bank is accessed per cycle.
-  void on_access(std::uint64_t bank, std::uint64_t cycle) {
+  /// Records that `bank` is accessed at `cycle`; returns the idle cycles
+  /// that preceded the access.  Cycles must be non-decreasing; exactly
+  /// one bank is accessed per cycle.
+  std::uint64_t on_access(std::uint64_t bank, std::uint64_t cycle) {
     PCAL_ASSERT_MSG(!finished_, "BlockControl already finished");
     PCAL_ASSERT_MSG(bank < banks_.size(), "bank out of range");
     PCAL_ASSERT_MSG(cycle >= last_cycle_, "cycles must be non-decreasing");
     PCAL_ASSERT_MSG(cycle >= banks_[bank].next_free,
                     "bank accessed twice in one cycle");
-    record_access(bank, cycle);
+    last_cycle_ = cycle;
+    return recorder().record(bank, cycle);
   }
 
-  /// on_access without the per-access invariant checks: the batched hot
-  /// path, where the caller asserts once per batch and its monotonically
-  /// advancing cycle counter guarantees the invariants by construction.
-  void record_access(std::uint64_t bank, std::uint64_t cycle) {
-    last_cycle_ = cycle;
-    Bank& b = banks_[bank];
-    b.idle.add(cycle - b.next_free, breakeven_, gate_);
-    b.next_free = cycle + 1;
-    ++b.accesses;
-  }
+  /// The unchecked recorder of the batched hot path (see Recorder).
+  Recorder recorder() { return {banks_.data(), breakeven_, gate_}; }
 
   /// Closes the trailing idle intervals at the end of simulation
   /// (`end_cycle` = one past the last simulated cycle).  Must be called
@@ -110,14 +138,6 @@ class BlockControl {
   std::uint64_t idle_gap(std::uint64_t bank, std::uint64_t cycle) const {
     const std::uint64_t nf = at(bank).next_free;
     return cycle >= nf ? cycle - nf : 0;
-  }
-
-  /// First cycle at which `bank` is free again (one past its last
-  /// access) — the raw field behind is_sleeping/idle_gap, exposed so
-  /// batched backends can derive gap, wake depth and sleep state from
-  /// one subtraction.  No bounds check.
-  std::uint64_t next_free(std::uint64_t bank) const {
-    return banks_[bank].next_free;
   }
 
   std::uint64_t num_banks() const { return banks_.size(); }

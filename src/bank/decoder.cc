@@ -8,7 +8,6 @@ BankDecoder::BankDecoder(const CacheConfig& cache,
     : index_bits_(cache.index_bits()),
       bank_bits_(partition.bank_bits()),
       line_bits_(index_bits_ - bank_bits_),
-      line_mask_(low_mask(line_bits_)),
       num_banks_(partition.num_banks),
       f_(indexing, bank_bits_, seed) {
   cache.validate();

@@ -1,11 +1,13 @@
 // Bank decoder "D" with dynamic indexing (paper Fig. 1b + Fig. 2).
 //
 // Splits an n-bit cache index into (p MSBs = logical bank, n-p LSBs =
-// line-in-bank), routes the logical bank through the time-varying f()
-// (an IndexRotation over the p bank bits), and produces both the physical
-// set index and the 1-hot activation word.  This is the entire hardware
-// addition of the paper's architecture; everything else is standard
-// memory-compiler macros.
+// line-in-bank) and routes the logical bank through the time-varying f()
+// (an IndexRotation over the p bank bits) to the physical bank whose
+// 1-hot select line it raises; the line-in-bank passes through unchanged.
+// This is the entire hardware addition of the paper's architecture;
+// everything else is standard memory-compiler macros.  The simulator needs
+// only the physical bank: its tag store is indexed by the logical set
+// (cache/cache.h), which every update's flush makes exact.
 //
 // Between two `update` signals f() is a fixed p-bit permutation, so the
 // decoder keeps it as an M-entry table of physical banks, rebuilt from
@@ -25,10 +27,7 @@ namespace pcal {
 
 struct DecodedIndex {
   std::uint64_t logical_bank = 0;   // p MSBs before f()
-  std::uint64_t physical_bank = 0;  // after f()
-  std::uint64_t line = 0;           // n-p LSBs, unchanged by f()
-  std::uint64_t physical_set = 0;   // physical_bank * lines_per_bank + line
-  std::uint64_t select_mask = 0;    // 1-hot over M banks
+  std::uint64_t physical_bank = 0;  // after f(): the bank that serves
 };
 
 class BankDecoder {
@@ -41,13 +40,8 @@ class BankDecoder {
   /// Decodes an n-bit set index (as produced by CacheConfig::set_index_of).
   DecodedIndex decode(std::uint64_t set_index) const {
     PCAL_ASSERT_MSG(set_index >> index_bits_ == 0, "set index out of range");
-    DecodedIndex d;
-    d.line = set_index & line_mask_;
-    d.logical_bank = set_index >> line_bits_;
-    d.physical_bank = physical_bank_[d.logical_bank];
-    d.physical_set = (d.physical_bank << line_bits_) | d.line;
-    d.select_mask = std::uint64_t{1} << d.physical_bank;
-    return d;
+    const std::uint64_t logical = set_index >> line_bits_;
+    return {logical, physical_bank_[logical]};
   }
 
   /// Fires the `update` signal: advances f().  The caller must flush the
@@ -69,7 +63,6 @@ class BankDecoder {
   unsigned index_bits_;  // n
   unsigned bank_bits_;   // p
   unsigned line_bits_;   // n - p
-  std::uint64_t line_mask_;
   std::uint64_t num_banks_;
   IndexRotation f_;
   /// f() for the current update: logical bank -> physical bank.

@@ -17,13 +17,15 @@ std::string CacheConfig::describe() const {
 CacheModel::CacheModel(const CacheConfig& config) : config_(config) {
   config_.validate();
   num_sets_ = config_.num_sets();
+  offset_bits_ = config_.offset_bits();
+  tag_shift_ = offset_bits_ + config_.index_bits();
   ways_.resize(num_sets_ * config_.ways);
 }
 
 CacheAccessResult CacheModel::access_address(std::uint64_t address,
                                              bool is_write) {
   return access(config_.tag_of(address), config_.set_index_of(address),
-                is_write, address);
+                is_write);
 }
 
 CacheAccessResult CacheModel::probe(std::uint64_t tag, std::uint64_t set) {
@@ -37,11 +39,11 @@ CacheAccessResult CacheModel::probe(std::uint64_t tag, std::uint64_t set) {
     if (way.valid && way.tag == tag) {
       ++stats_.hits;
       way.lru = lru_clock_;
-      return {true, false, w, false, 0};
+      return {true, false, false, w, 0};
     }
   }
   ++stats_.misses;
-  return {false, false, 0, false, 0};
+  return {};
 }
 
 void CacheModel::set_alloc_way_mask(std::uint64_t mask) {

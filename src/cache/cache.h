@@ -1,10 +1,16 @@
 // Behavioral cache model.
 //
 // A set-indexed tag store with optional associativity (LRU replacement) and
-// write-back dirty tracking.  ManagedCache's unit maps supply *physical*
-// set indices after dynamic re-indexing, so the access entry point takes
-// (tag, set) rather than a raw address; address-based access is provided
-// for unmapped use.
+// write-back dirty tracking, accessed by (tag, set); address-based access
+// is provided for convenience.  ManagedCache indexes it by the *logical*
+// set, the address's own index bits: between two re-indexing updates f()
+// is a bijection on sets, and every update flushes the store, so each
+// physical set would hold exactly one logical set's lines in the same ways
+// and LRU order.  The store reads no clock (LRU counts accesses), so hits,
+// misses, served ways, writebacks and victims depend on none of the
+// partitioning, f(), power policy or latency — which is what lets lockstep
+// runs of one geometry share one store (core/multicore.h).  A victim's
+// address is rebuilt from its (tag, set).
 #pragma once
 
 #include <cstdint>
@@ -17,15 +23,14 @@ namespace pcal {
 struct CacheAccessResult {
   bool hit = false;
   bool writeback = false;  // a dirty victim was evicted
+  /// A valid line (dirty or clean) was evicted to make room; its
+  /// line-aligned address is `victim_address`, rebuilt from the victim's
+  /// tag and the accessed set.
+  bool evicted = false;
   /// Way within the set that served the access (the hitting way, or the
   /// replacement victim on a miss).  0 for direct-mapped caches; lets
   /// way-grain power management attribute the access to its unit.
   std::uint64_t way = 0;
-  /// A valid line (dirty or clean) was evicted to make room.  Its
-  /// line-aligned address is `victim_address` — only meaningful when the
-  /// caller supplies addresses to access() (hierarchy levels do; legacy
-  /// (tag, set)-only callers get 0).
-  bool evicted = false;
   std::uint64_t victim_address = 0;
 };
 
@@ -52,12 +57,8 @@ class CacheModel {
   const CacheConfig& config() const { return config_; }
 
   /// Access by pre-computed (tag, set).  `set` must be < num_sets().
-  /// `address` is remembered per line so evictions can report their
-  /// victim's address (dynamic re-indexing makes the (tag, set) -> address
-  /// inverse time-varying, so the original address is stored, not
-  /// reconstructed); pass 0 when the eviction stream is not consumed.
   CacheAccessResult access(std::uint64_t tag, std::uint64_t set,
-                           bool is_write, std::uint64_t address = 0);
+                           bool is_write);
 
   /// Lookup without allocation: counts one access and a hit/miss, touches
   /// LRU on a hit, but a miss installs nothing and evicts nothing.  The
@@ -101,14 +102,15 @@ class CacheModel {
  private:
   struct Way {
     std::uint64_t tag = 0;
-    std::uint64_t address = 0;  // line-aligned, for victim reporting
-    std::uint64_t lru = 0;      // higher = more recently used
+    std::uint64_t lru = 0;  // higher = more recently used
     bool valid = false;
     bool dirty = false;
   };
 
   CacheConfig config_;
   std::uint64_t num_sets_ = 0;  // config_.num_sets(), set at construction
+  unsigned offset_bits_ = 0;    // config_.offset_bits()
+  unsigned tag_shift_ = 0;      // offset bits + index bits
   std::vector<Way> ways_;       // num_sets * ways, set-major
   std::uint64_t lru_clock_ = 0;
   /// Allocation (victim-choice) way mask; ways >= 64 are always
@@ -119,8 +121,8 @@ class CacheModel {
 
 // Inline: the per-access body of every ManagedCache loop calls it.
 inline CacheAccessResult CacheModel::access(std::uint64_t tag,
-                                            std::uint64_t set, bool is_write,
-                                            std::uint64_t address) {
+                                            std::uint64_t set,
+                                            bool is_write) {
   PCAL_ASSERT_MSG(set < num_sets_,
                   "set " << set << " out of range " << num_sets_);
   ++stats_.accesses;
@@ -133,7 +135,7 @@ inline CacheAccessResult CacheModel::access(std::uint64_t tag,
       ++stats_.hits;
       way.lru = lru_clock_;
       if (is_write) way.dirty = true;
-      return {true, false, w, false, 0};
+      return {true, false, false, w, 0};
     }
     // Only allocatable ways (the alloc mask; ways >= 64 always qualify)
     // compete for the victim slot — hits above are mask-blind.
@@ -152,15 +154,15 @@ inline CacheAccessResult CacheModel::access(std::uint64_t tag,
                   "allocation way mask selects no way in set " << set);
   const bool evicted = victim->valid;
   const bool writeback = evicted && victim->dirty;
-  const std::uint64_t victim_address = evicted ? victim->address : 0;
+  const std::uint64_t victim_address =
+      evicted ? (victim->tag << tag_shift_) | (set << offset_bits_) : 0;
   if (writeback) ++stats_.writebacks;
   victim->valid = true;
   victim->tag = tag;
-  victim->address = address & ~(config_.line_bytes - 1);
   victim->dirty = is_write;
   victim->lru = lru_clock_;
-  return {false, writeback, static_cast<std::uint64_t>(victim - base),
-          evicted, victim_address};
+  return {false, writeback, evicted,
+          static_cast<std::uint64_t>(victim - base), victim_address};
 }
 
 }  // namespace pcal

@@ -68,6 +68,11 @@ struct CacheConfig {
   }
 
   std::string describe() const;
+
+  friend bool operator==(const CacheConfig& a, const CacheConfig& b) {
+    return a.size_bytes == b.size_bytes && a.line_bytes == b.line_bytes &&
+           a.ways == b.ways && a.address_bits == b.address_bits;
+  }
 };
 
 }  // namespace pcal

@@ -60,23 +60,23 @@ std::string CacheTopology::describe() const {
 // ---- Unit maps ----
 //
 // A unit map turns a logical set index (CacheConfig::set_index_of) into a
-// Slot — the physical set the tag store serves plus the logical and
-// physical unit bases — and refines a base with the way the tag store
-// served into the power-managed unit.  Every map is a bijection on sets
-// for a fixed mapping state, so hit/miss behaviour between two updates is
-// that of the unpartitioned cache: only *where* a line lives, and so which
-// unit pays for it, depends on the granularity.
+// Slot — the logical and physical unit bases — and refines a base with
+// the way the tag store served into the power-managed unit.  Every map is
+// a bijection on sets for a fixed mapping state, and every update
+// flushes, so hit/miss behaviour is that of the unpartitioned cache: the
+// tag store is indexed by the logical set, and only which unit pays for
+// an access depends on the granularity.
 //
 // The maps are plain value types built once per call (access, probe,
-// access_batch); the batched loop is instantiated once per map, so no
-// per-access dispatch remains inside it.
+// access_batch, power_batch); the power pass is instantiated once per
+// map, so no per-access dispatch remains inside it.
 
 // Monolithic: the whole array is one unit and never re-maps (an update
 // is a plain flush).  Its single Block Control counter almost never
 // saturates under real traffic — the paper's reference point: no useful
 // idleness, nominal aging, zero savings.
 struct ManagedCache::MonolithicMap {
-  static Slot decode(std::uint64_t set) { return {set, 0, 0}; }
+  static Slot decode(std::uint64_t) { return {0, 0}; }
   static std::uint64_t unit(std::uint64_t, std::uint64_t) { return 0; }
 };
 
@@ -94,7 +94,7 @@ struct ManagedCache::BankMap {
   const BankDecoder& decoder;
   Slot decode(std::uint64_t set) const {
     const DecodedIndex d = decoder.decode(set);
-    return {d.physical_set, d.logical_bank, d.physical_bank};
+    return {d.logical_bank, d.physical_bank};
   }
   static std::uint64_t unit(std::uint64_t bank, std::uint64_t) {
     return bank;
@@ -134,8 +134,7 @@ struct ManagedCache::WayMap {
 struct ManagedCache::LineMap {
   std::uint64_t add, xr, mask;
   Slot decode(std::uint64_t set) const {
-    const std::uint64_t physical = ((set + add) & mask) ^ xr;
-    return {physical, set, physical};
+    return {set, ((set + add) & mask) ^ xr};
   }
   static std::uint64_t unit(std::uint64_t set, std::uint64_t) { return set; }
 };
@@ -155,6 +154,53 @@ decltype(auto) ManagedCache::with_unit_map(F&& f) const {
   return f(MonolithicMap{});
 }
 
+// The power step.  It reads the tag store's outcome only: the wakeup is
+// classified after the tag step at every granularity, because the way map
+// needs the served way to know which unit woke.  Block Control's records
+// and thresholds, the latencies and the serving cycle live in this
+// by-value struct, which the batched pass holds in a local for a whole
+// chunk, so they stay in registers rather than being reloaded around
+// every store through the records.
+struct ManagedCache::PowerStep {
+  BlockControl& control;  // the checked path's per-access asserts
+  BlockControl::Recorder records;
+  LatencyParams latency;
+  std::uint64_t now;  // the cycle the next access is served at
+  std::uint64_t stalls = 0;
+
+  /// Serves one access at `now` and advances it by 1 + the access's
+  /// stall; fills `o` only when it is non-null.  kChecked: Block
+  /// Control's per-access asserts (access/probe).
+  template <bool kChecked, class Map>
+  void serve(const Map& map, const TagOutcome& t, AccessOutcome* o) {
+    const Slot slot = map.decode(t.set);
+    const std::uint64_t unit = map.unit(slot.physical, t.result.way);
+    std::uint64_t gap;  // idle cycles before this access
+    if constexpr (kChecked)
+      gap = control.on_access(unit, now);
+    else
+      gap = records.record(unit, now);
+    // A busy unit has gap 0, and the breakeven is positive, so it never
+    // counts as woken (BlockControl::is_sleeping).
+    const bool woke = gap >= records.breakeven();
+    const WakeDepth wake = classify_wake(woke, gap, records.gate());
+    const std::uint64_t stall = latency.event_stall(t.result.hit, wake);
+    if (o != nullptr) {
+      o->hit = t.result.hit;
+      o->writeback = t.result.writeback;
+      o->evicted = t.result.evicted;
+      o->victim_address = t.result.victim_address;
+      o->logical_unit = map.unit(slot.logical, t.result.way);
+      o->physical_unit = unit;
+      o->woke_unit = woke;
+      o->wake = wake;
+      o->stall_cycles = stall;
+    }
+    now += 1 + stall;
+    stalls += stall;
+  }
+};
+
 namespace {
 
 const CacheTopology& validated(const CacheTopology& topology) {
@@ -162,12 +208,16 @@ const CacheTopology& validated(const CacheTopology& topology) {
   return topology;
 }
 
+/// Accesses per tag pass of access_batch(): the tag outcomes of one
+/// chunk stay in the L1 data cache until the power pass reads them.
+constexpr std::size_t kChunk = 256;
+
 }  // namespace
 
 ManagedCache::ManagedCache(const CacheTopology& topology,
                            const TimingModel* clock)
     : topology_(validated(topology)),
-      cache_(topology.cache),
+      tags_(std::make_shared<CacheModel>(topology.cache)),
       control_(topology.num_units(), topology.breakeven_cycles,
                topology.gate_cycles()),
       offset_bits_(topology.cache.offset_bits()),
@@ -191,58 +241,14 @@ ManagedCache::ManagedCache(const CacheTopology& topology,
   }
 }
 
-// The one per-access body.  The wakeup is classified after the tag-store
-// access at every granularity: the tag store never touches Block Control,
-// and the way map needs the served way to know which unit woke.
-template <bool kChecked, class Map>
-inline std::uint64_t ManagedCache::serve(const Map& map, const Slot& slot,
-                                         std::uint64_t tag,
-                                         std::uint64_t address,
-                                         bool is_write, bool allocate,
-                                         std::uint64_t now,
-                                         AccessOutcome* o) {
-  const CacheAccessResult r =
-      allocate ? cache_.access(tag, slot.set, is_write, address)
-               : cache_.probe(tag, slot.set);
-  const std::uint64_t unit = map.unit(slot.physical, r.way);
-  std::uint64_t gap = 0;  // idle cycles before this access
-  if constexpr (kChecked) {
-    gap = control_.idle_gap(unit, now);
-  } else {
-    const std::uint64_t nf = control_.next_free(unit);
-    gap = now >= nf ? now - nf : 0;
-  }
-  // A busy unit has gap 0, and the breakeven is positive, so it never
-  // counts as woken (BlockControl::is_sleeping).
-  const bool woke = gap >= control_.breakeven_cycles();
-  const WakeDepth wake = classify_wake(woke, gap, control_.gate_cycles());
-  const std::uint64_t stall = topology_.latency.event_stall(r.hit, wake);
-  if (o != nullptr) {
-    o->hit = r.hit;
-    o->writeback = r.writeback;
-    o->evicted = r.evicted;
-    o->victim_address = r.victim_address;
-    o->logical_unit = map.unit(slot.logical, r.way);
-    o->physical_unit = unit;
-    o->woke_unit = woke;
-    o->wake = wake;
-    o->stall_cycles = stall;
-  }
-  if constexpr (kChecked)
-    control_.on_access(unit, now);
-  else
-    control_.record_access(unit, now);
-  return stall;
-}
-
 AccessOutcome ManagedCache::serve_one(std::uint64_t address, bool is_write,
                                       bool allocate) {
   PCAL_ASSERT_MSG(!finished_at_, "cache already finished");
+  const TagOutcome t = tag_step(address, is_write, allocate);
   AccessOutcome out;
-  with_unit_map([&](const auto& map) {
-    serve<true>(map, map.decode(set_index_of(address)), tag_of(address),
-                address, is_write, allocate, clock_->total_cycles(), &out);
-  });
+  PowerStep p{control_, control_.recorder(), topology_.latency,
+              clock_->total_cycles()};
+  with_unit_map([&](const auto& map) { p.serve<true>(map, t, &out); });
   if (own_clock_) own_clock_->on_access(0);
   return out;
 }
@@ -255,68 +261,92 @@ AccessOutcome ManagedCache::probe(std::uint64_t address) {
   return serve_one(address, /*is_write=*/false, /*allocate=*/false);
 }
 
-// Batched hot loop, two stages per chunk: (1) tag extraction and the unit
-// map's decode for the whole chunk — the mapping only moves on
-// update_indexing(), which the driver never fires mid-batch — then (2)
-// the shared per-access body per element, with Block Control via the
-// assert-free record_access.  One invariant check per batch.  The loop
-// reads the clock once and keeps the serving cycle in a local, advanced
-// by 1 + stall per access exactly as the clock's owner advances the
-// clock between per-access calls, so every statistic matches the
-// per-access path bit for bit.  Outcomes are written only when the
-// caller asked for them.
+// The batched path runs the two steps as two passes over each chunk:
+// the tag pass walks the store for the whole chunk — the mapping only
+// moves on an update, which the driver never fires mid-batch — then the
+// power pass serves each access, with Block Control through the
+// assert-free recorder.  One invariant check per batch.  The power pass
+// starts at the clock's cycle and advances its local serving cycle by
+// 1 + stall per access exactly as the clock's owner advances the clock
+// between per-access calls, so every statistic matches the per-access
+// path bit for bit.  Outcomes are written only when the caller asked for
+// them.
+void ManagedCache::tag_batch(const MemAccess* accesses, std::size_t n,
+                             TagOutcome* tags) {
+  PCAL_ASSERT_MSG(!finished_at_, "cache already finished");
+  for (std::size_t j = 0; j < n; ++j)
+    tags[j] = tag_step(accesses[j].address,
+                       accesses[j].kind == AccessKind::kWrite,
+                       /*allocate=*/true);
+}
+
 template <class Map>
-std::uint64_t ManagedCache::run_batch(const Map& map,
-                                      const MemAccess* accesses,
-                                      std::size_t n, AccessOutcome* out) {
-  constexpr std::size_t kChunk = 256;
-  std::uint64_t tags[kChunk];
-  Slot slots[kChunk];
+std::uint64_t ManagedCache::power_pass(const Map& map, const TagOutcome* tags,
+                                       std::size_t n, std::uint64_t* now,
+                                       AccessOutcome* out) {
+  PowerStep p{control_, control_.recorder(), topology_.latency, *now};
+  if (out == nullptr)
+    for (std::size_t j = 0; j < n; ++j) p.serve<false>(map, tags[j], nullptr);
+  else
+    for (std::size_t j = 0; j < n; ++j) p.serve<false>(map, tags[j], out + j);
+  *now = p.now;
+  return p.stalls;
+}
+
+std::uint64_t ManagedCache::power_batch(const TagOutcome* tags, std::size_t n,
+                                        AccessOutcome* out) {
+  PCAL_ASSERT_MSG(!finished_at_, "cache already finished");
   std::uint64_t now = clock_->total_cycles();
-  std::uint64_t stalls = 0;
-  for (std::size_t base = 0; base < n; base += kChunk) {
-    const std::size_t m = std::min(kChunk, n - base);
-    for (std::size_t j = 0; j < m; ++j) {
-      const std::uint64_t address = accesses[base + j].address;
-      tags[j] = tag_of(address);
-      slots[j] = map.decode(set_index_of(address));
-    }
-    for (std::size_t j = 0; j < m; ++j) {
-      const MemAccess& a = accesses[base + j];
-      const std::uint64_t stall = serve<false>(
-          map, slots[j], tags[j], a.address, a.kind == AccessKind::kWrite,
-          /*allocate=*/true, now, out != nullptr ? out + base + j : nullptr);
-      now += 1 + stall;
-      stalls += stall;
-    }
-  }
+  const std::uint64_t stalls = with_unit_map([&](const auto& map) {
+    return power_pass(map, tags, n, &now, out);
+  });
+  if (own_clock_) own_clock_->on_batch(n, stalls);
   return stalls;
 }
 
 std::uint64_t ManagedCache::access_batch(const MemAccess* accesses,
                                          std::size_t n, AccessOutcome* out) {
   PCAL_ASSERT_MSG(!finished_at_, "cache already finished");
+  TagOutcome tags[kChunk];
+  std::uint64_t now = clock_->total_cycles();
   const std::uint64_t stalls = with_unit_map([&](const auto& map) {
-    return run_batch(map, accesses, n, out);
+    std::uint64_t sum = 0;
+    for (std::size_t base = 0; base < n; base += kChunk) {
+      const std::size_t m = std::min(kChunk, n - base);
+      tag_batch(accesses + base, m, tags);
+      sum += power_pass(map, tags, m, &now,
+                        out != nullptr ? out + base : nullptr);
+    }
+    return sum;
   });
   if (own_clock_) own_clock_->on_batch(n, stalls);
   return stalls;
 }
 
+void ManagedCache::share_tags(const ManagedCache& other) {
+  PCAL_ASSERT_MSG(tags_->config() == other.tags_->config(),
+                  "only caches of one geometry can share a tag store");
+  PCAL_ASSERT_MSG(stats().accesses == 0 && other.stats().accesses == 0,
+                  "a tag store is shared before either cache serves");
+  tags_ = other.tags_;
+}
+
 bool ManagedCache::invalidate_line(std::uint64_t address) {
-  const std::uint64_t set = with_unit_map([&](const auto& map) {
-    return map.decode(set_index_of(address)).set;
-  });
-  return cache_.invalidate(tag_of(address), set);
+  return tags_->invalidate(tag_of(address), set_index_of(address));
 }
 
 bool ManagedCache::set_alloc_way_mask(std::uint64_t mask) {
   if (topology_.granularity == Granularity::kLine) return false;
-  cache_.set_alloc_way_mask(mask);
+  tags_->set_alloc_way_mask(mask);
   return true;
 }
 
 std::uint64_t ManagedCache::update_indexing() {
+  rotate_indexing();
+  return tags_->flush();
+}
+
+void ManagedCache::rotate_indexing() {
   PCAL_ASSERT_MSG(!finished_at_, "cache already finished");
   switch (topology_.granularity) {
     case Granularity::kMonolithic:
@@ -330,7 +360,6 @@ std::uint64_t ManagedCache::update_indexing() {
       break;
   }
   ++updates_;
-  return cache_.flush();
 }
 
 void ManagedCache::finish() {

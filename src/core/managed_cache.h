@@ -5,14 +5,24 @@
 // the monolithic cache (no management), the paper's uniformly partitioned
 // banks, and the per-line scheme of its reference [7].  ManagedCache is all
 // of them: one tag store (CacheModel), one Block Control over the
-// topology's power-management units, and one per-access body that
-// access(), probe() and access_batch() share, on the run's one clock
-// (TimingModel, core/timing.h).  The only per-granularity code is a *unit
-// map* (core/managed_cache.cc): the rule that turns a logical set index
-// into the physical set the tag store serves and the unit that pays for
-// it.  Every map that re-indexes moves through one f(), an IndexRotation
-// (indexing/index_rotation.h): over the p bank bits in the bank decoder
-// (bank and way grain), over all n index bits at line grain.
+// topology's power-management units, and one per-access body in two
+// steps that access(), probe() and access_batch() share, on the run's one
+// clock (TimingModel, core/timing.h):
+//
+//   - the *tag step* walks the tag store, indexed by the logical set (the
+//     address's own index bits): hit or miss, the served way, the victim;
+//   - the *power step* maps the logical set and the served way to the
+//     unit that pays, and runs Block Control, the wakeup and the stall.
+//
+// The only per-granularity code is a *unit map* (core/managed_cache.cc),
+// the power step's rule for that unit.  Every map that re-indexes moves
+// through one f(), an IndexRotation (indexing/index_rotation.h): over the
+// p bank bits in the bank decoder (bank and way grain), over all n index
+// bits at line grain.  Every update flushes the tag store and f() is a
+// bijection on sets in between, so the store's outcomes depend on the
+// geometry and the flush points alone (cache/cache.h): lockstep runs of
+// one geometry walk one shared store (share_tags) and each runs only its
+// own power step (core/multicore.h).
 //
 // A "unit" is the architecture's power-management granule: the whole cache
 // (monolithic), one bank, one way-column of a bank (way-grain), or one
@@ -40,9 +50,10 @@
 // - A ManagedCache instance is NOT thread-safe: all mutating calls
 //   (access, update_indexing, finish) must come from one thread at a
 //   time.  The caches of one run share only its clock, and they live on
-//   one worker; distinct runs share no mutable state (each cohort member
-//   keeps its own run clock), which is what lets SweepRunner drive one
-//   run per worker with no locks.
+//   one worker; distinct runs share no mutable state but the tag store a
+//   lockstep group shares on that one worker (each cohort member keeps
+//   its own run clock), which is what lets SweepRunner drive one run per
+//   worker with no locks.
 // - Every cache is deterministic: the same topology and the same access
 //   sequence at the same cycles produce bit-identical outcomes,
 //   statistics and residencies, on any machine and regardless of what
@@ -119,6 +130,14 @@ struct AccessOutcome {
   /// lower level consumes.
   bool evicted = false;
   std::uint64_t victim_address = 0;
+};
+
+/// The tag step's outcome of one access: the logical set it indexed and
+/// what the tag store did there — everything the power step reads from
+/// the store.
+struct TagOutcome {
+  std::uint64_t set = 0;
+  CacheAccessResult result;
 };
 
 /// Instantaneous power state of one unit, as the interval observer and
@@ -269,9 +288,31 @@ class ManagedCache {
   std::uint64_t access_batch(const MemAccess* accesses, std::size_t n,
                              AccessOutcome* out);
 
+  /// access_batch() in its two steps, for lockstep runs that share one
+  /// tag store: tag_batch() walks the store for `n` accesses and writes
+  /// one TagOutcome per access to `tags`; power_batch() then runs the
+  /// power step of each sharing cache over them, with access_batch()'s
+  /// clock, stall and outcome semantics.  tag_batch() on one cache
+  /// followed by power_batch() on it is access_batch(), bit for bit.
+  void tag_batch(const MemAccess* accesses, std::size_t n, TagOutcome* tags);
+  std::uint64_t power_batch(const TagOutcome* tags, std::size_t n,
+                            AccessOutcome* out);
+
+  /// Walks `other`'s tag store from now on instead of its own: every tag
+  /// step either cache takes, stats() and cache() read the one store.
+  /// Both must have the same CacheConfig and have served nothing yet.
+  /// The store's owners must then feed it each access once and flush it
+  /// once per update: one update_indexing(), and rotate_indexing() on
+  /// every other cache that shares it.
+  void share_tags(const ManagedCache& other);
+
   /// Fires the update signal: advances the time-varying indexing and
   /// flushes the cache.  Returns the number of dirty lines written back.
   std::uint64_t update_indexing();
+
+  /// update_indexing() without the flush: for a cache whose shared tag
+  /// store another sharer's update_indexing() flushed for this update.
+  void rotate_indexing();
 
   /// Finalizes idle-interval bookkeeping at the clock's current cycle;
   /// call when the trace ends.  Residency/activity queries are only
@@ -293,7 +334,7 @@ class ManagedCache {
   double min_residency() const;
 
   /// Tag-store statistics (hits, misses, writebacks, flushes).
-  const CacheStats& stats() const { return cache_.stats(); }
+  const CacheStats& stats() const { return tags_->stats(); }
 
   /// Number of re-indexing updates applied so far.
   std::uint64_t indexing_updates() const { return updates_; }
@@ -326,14 +367,12 @@ class ManagedCache {
   bool invalidate_line(std::uint64_t address);
 
   /// Read-only view of the tag store (occupancy diagnostics).
-  const CacheModel& cache() const { return cache_; }
+  const CacheModel& cache() const { return *tags_; }
 
  private:
-  /// One decoded set index: the physical set the tag store serves and
-  /// the logical/physical unit bases the unit map refines with the
-  /// served way.
+  /// The logical and physical unit bases of one logical set, which the
+  /// unit map refines with the served way.
   struct Slot {
-    std::uint64_t set;
     std::uint64_t logical;
     std::uint64_t physical;
   };
@@ -344,25 +383,30 @@ class ManagedCache {
   struct WayMap;
   struct LineMap;
 
+  /// The power step and the state it keeps in locals (managed_cache.cc).
+  struct PowerStep;
+
   /// Calls `f` with the topology's unit map (one switch per call).
   template <class F>
   decltype(auto) with_unit_map(F&& f) const;
 
-  /// The one per-access body, serving at cycle `now`; returns the
-  /// access's stall cycles and fills `out` only when it is non-null.
-  /// kChecked: Block Control's per-access asserts (access/probe);
-  /// otherwise the batched loop's assert-free bookkeeping.
-  template <bool kChecked, class Map>
-  std::uint64_t serve(const Map& map, const Slot& slot, std::uint64_t tag,
-                      std::uint64_t address, bool is_write, bool allocate,
-                      std::uint64_t now, AccessOutcome* out);
+  /// The tag step of one access.
+  TagOutcome tag_step(std::uint64_t address, bool is_write, bool allocate) {
+    const std::uint64_t set = set_index_of(address);
+    const std::uint64_t tag = tag_of(address);
+    return {set, allocate ? tags_->access(tag, set, is_write)
+                          : tags_->probe(tag, set)};
+  }
 
   AccessOutcome serve_one(std::uint64_t address, bool is_write,
                           bool allocate);
 
+  /// The power step over `n` tag outcomes, serving the first at `*now`
+  /// and advancing it past the last; returns the summed stalls.
   template <class Map>
-  std::uint64_t run_batch(const Map& map, const MemAccess* accesses,
-                          std::size_t n, AccessOutcome* out);
+  std::uint64_t power_pass(const Map& map, const TagOutcome* tags,
+                           std::size_t n, std::uint64_t* now,
+                           AccessOutcome* out);
 
   /// CacheConfig::set_index_of / tag_of over the geometry fixed at
   /// construction: no per-access log2 or division.
@@ -374,7 +418,8 @@ class ManagedCache {
   }
 
   CacheTopology topology_;
-  CacheModel cache_;
+  /// The tag store: this cache's own, or one it shares (share_tags).
+  std::shared_ptr<CacheModel> tags_;
   BlockControl control_;
   unsigned offset_bits_;
   unsigned tag_shift_;  // offset bits + index bits

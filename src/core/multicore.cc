@@ -165,10 +165,9 @@ MultiCoreSystem::MultiCoreSystem(MultiCoreConfig config)
 /// Everything one run keeps between accesses: the run's clock, the
 /// per-core runtime, the shared LLC, the contention model, the flush
 /// plan, the boundary counters and the snapshot buffers.  step() is the
-/// per-access body; feed() takes one fetched batch of a one-core run,
-/// through the batched chunk loop or step() by step().
-/// SystemRun::drive() feeds them, so one stream can feed several runs in
-/// lockstep.
+/// per-access body; feed_group() takes one fetched batch through a group
+/// of batched one-core runs.  SystemRun::drive() feeds them, so one
+/// stream can feed several runs in lockstep.
 struct SystemRun::State {
   /// Per-core runtime state: the private backends plus the routing chain
   /// route_access walks — the private levels with the shared LLC
@@ -190,9 +189,11 @@ struct SystemRun::State {
   State(const State&) = delete;
   State& operator=(const State&) = delete;
 
-  void feed(const MemAccess* batch, std::size_t n);
+  bool shares_tags_with(const State& other) const;
+  static void feed_group(const std::vector<State*>& group,
+                         const MemAccess* batch, std::size_t n);
   void step(std::size_t k, const MemAccess& a);
-  void on_boundary();
+  void on_boundary(bool flush_llc);
   void notify(std::uint64_t index, bool fired, bool final_snapshot);
   bool at_context_switch() const;
   MultiCoreResult finish();
@@ -207,7 +208,8 @@ struct SystemRun::State {
   const std::size_t depth;
   ContentionModel contention;
   // Loop choice: one core issuing straight into a single level, with no
-  // resource to arbitrate per access, takes the batched loop (feed()).
+  // resource to arbitrate per access, takes the batched loop
+  // (feed_group()).
   const bool batched;
   // The run's one clock: every level below is built on it, and only
   // step() and feed() advance it.
@@ -389,8 +391,10 @@ void SystemRun::State::notify(std::uint64_t index, bool fired,
 
 // Everything that happens at an update/observer boundary, shared by both
 // loops: fire the re-indexing update while budget remains, then hand the
-// observer its snapshot.
-void SystemRun::State::on_boundary() {
+// observer its snapshot.  `flush_llc` is false for a group member whose
+// shared LLC store another member's update already flushed: it only
+// advances its own f().
+void SystemRun::State::on_boundary(bool flush_llc) {
   since_boundary = 0;
   ++boundary_index;
   bool fired = false;
@@ -398,39 +402,66 @@ void SystemRun::State::on_boundary() {
     for (std::size_t k = 0; k < num_cores; ++k)
       for (std::size_t i = 0; i < rt[k].levels.size(); ++i)
         if (flush[k][i]) rt[k].levels[i]->update_indexing();
-    if (config.llc.topology.rotates()) llc->update_indexing();
+    if (config.llc.topology.rotates()) {
+      if (flush_llc)
+        llc->update_indexing();
+      else
+        llc->rotate_indexing();
+    }
     ++updates_applied;
     fired = true;
   }
   if (observer) notify(boundary_index, fired, false);
 }
 
-void SystemRun::State::feed(const MemAccess* batch, std::size_t n) {
-  if (!batched) {
-    for (std::size_t i = 0; i < n; ++i) step(0, batch[i]);
-    return;
-  }
-  // Whole chunks through the backend's struct-of-arrays access_batch,
-  // split exactly at boundaries so updates and snapshots land on the
-  // same access positions as the per-access loop; statistics and
-  // residencies are bit-identical between the two
-  // (tests/batched_access_test.cc pins it).  Only the returned stall
-  // sum is read, so no outcome is written.
-  CoreRt& c = rt.front();
+// Batched runs whose LLC tag stores must see identical histories: the
+// same geometry, fed the same stream, flushed at the same accesses (the
+// same update interval and budget), and split into chunks at the same
+// boundaries (the same cadence).  The store reads no clock (cache/
+// cache.h), so latencies, power policy, granularity and f() may differ.
+bool SystemRun::State::shares_tags_with(const State& other) const {
+  return batched && other.batched &&
+         config.llc.topology.cache == other.config.llc.topology.cache &&
+         update_interval == other.update_interval &&
+         config.reindex_updates == other.config.reindex_updates &&
+         interval == other.interval;
+}
+
+// One fetched batch through a group of batched runs that share the first
+// member's LLC tag store (a solo run is a group of one).  Chunks split
+// exactly at boundaries, so updates and snapshots land on the same
+// access positions as the per-access loop.  Each chunk takes one tag
+// pass over the shared store and one power pass per member; at a
+// boundary the first member's update flushes the store once, and every
+// member advances its own f() and hands its observer the snapshot.  So
+// every member's stats, residencies and snapshots equal its solo run's
+// at every boundary (tests/batched_access_test.cc and the cohort tests
+// of tests/sweep_test.cc pin both).  Only the returned stall sums are
+// read, so no outcome is written.
+void SystemRun::State::feed_group(const std::vector<State*>& group,
+                                  const MemAccess* batch, std::size_t n) {
+  State& lead = *group.front();
+  TagOutcome tags[kBatchSize];
   for (std::size_t pos = 0; pos < n;) {
-    std::size_t take = n - pos;
-    if (interval != 0)
-      take = std::min<std::uint64_t>(take, interval - since_boundary);
-    const CacheStats llc_before = llc->stats();
-    const std::uint64_t stalls =
-        llc->access_batch(batch + pos, take, /*out=*/nullptr);
-    add_delta(c.llc_stats, llc_before, llc->stats());
-    timing.on_batch(take, stalls);
-    c.accesses += take;
-    c.stalls += stalls;
+    std::size_t take = std::min(n - pos, kBatchSize);
+    if (lead.interval != 0)
+      take = std::min<std::uint64_t>(take,
+                                     lead.interval - lead.since_boundary);
+    const CacheStats llc_before = lead.llc->stats();
+    lead.llc->tag_batch(batch + pos, take, tags);
+    for (State* s : group) {
+      CoreRt& c = s->rt.front();
+      const std::uint64_t stalls =
+          s->llc->power_batch(tags, take, /*out=*/nullptr);
+      add_delta(c.llc_stats, llc_before, lead.llc->stats());
+      s->timing.on_batch(take, stalls);
+      c.accesses += take;
+      c.stalls += stalls;
+      s->since_boundary += take;
+    }
     pos += take;
-    since_boundary += take;
-    if (interval != 0 && since_boundary >= interval) on_boundary();
+    if (lead.interval != 0 && lead.since_boundary >= lead.interval)
+      for (State* s : group) s->on_boundary(/*flush_llc=*/s == &lead);
   }
 }
 
@@ -477,7 +508,7 @@ void SystemRun::State::step(std::size_t k, const MemAccess& a) {
   timing.on_access(stall);
   ++c.accesses;
   c.stalls += stall;
-  if (interval != 0 && ++since_boundary >= interval) on_boundary();
+  if (interval != 0 && ++since_boundary >= interval) on_boundary(true);
 }
 
 MultiCoreResult SystemRun::State::finish() {
@@ -626,11 +657,37 @@ void SystemRun::drive(const std::vector<SystemRun*>& runs) {
 
   if (sources.size() == 1) {
     // One stream: each fetched batch goes to every run in turn, so the
-    // stream is produced once however many runs consume it.
+    // stream is produced once however many runs consume it.  Batched
+    // runs whose LLC stores see identical histories form a group that
+    // walks one store (feed_group); the others route access by access.
+    std::vector<std::vector<State*>> groups;
+    std::vector<State*> routed;
+    for (SystemRun* run : runs) {
+      State* s = run->state_.get();
+      if (!s->batched) {
+        routed.push_back(s);
+        continue;
+      }
+      const auto group =
+          std::find_if(groups.begin(), groups.end(),
+                       [s](const std::vector<State*>& g) {
+                         return s->shares_tags_with(*g.front());
+                       });
+      if (group == groups.end()) {
+        groups.push_back({s});
+      } else {
+        s->llc->share_tags(*group->front()->llc);
+        group->push_back(s);
+      }
+    }
     std::vector<MemAccess> batch(kBatchSize);
     while (const std::size_t n =
-               sources.front()->next_batch(batch.data(), kBatchSize))
-      for (SystemRun* run : runs) run->state_->feed(batch.data(), n);
+               sources.front()->next_batch(batch.data(), kBatchSize)) {
+      for (const std::vector<State*>& group : groups)
+        State::feed_group(group, batch.data(), n);
+      for (State* s : routed)
+        for (std::size_t i = 0; i < n; ++i) s->step(0, batch[i]);
+    }
     return;
   }
 

@@ -28,9 +28,26 @@
 // leakage and residency stay exact.
 //
 // One core with no private levels, no finite resource anywhere and no
-// forced scalar loop — a single-level Simulator run — instead hands
-// whole chunks to ManagedCache::access_batch, split exactly at update
-// and observer boundaries; results are bit-identical either way.
+// forced scalar loop — a single-level Simulator run — is *batched*: it
+// takes whole chunks, split exactly at update and observer boundaries,
+// through its cache's tag pass and power pass (ManagedCache::tag_batch,
+// power_batch); results are bit-identical to the per-access loop.
+//
+// ## Lockstep groups
+//
+// SystemRun::drive feeds one stream to several runs (a sweep cohort).
+// Batched runs whose tag stores must see identical histories — the same
+// CacheConfig, the same flush points (the same update interval and
+// budget) and the same boundary cadence — form a *group* that shares one
+// tag store: each chunk takes one tag pass, then every member's power
+// pass over its outcomes; at an update boundary the store is flushed
+// once, then every member advances its own f() and hands its observer
+// the snapshot.  The store reads no clock, so members may differ in
+// granularity, f(), power policy and latency: their clocks diverge, and
+// each member's stats, snapshots and results equal its solo run's at
+// every boundary.  A solo batched run is a group of one; routed runs
+// (hierarchies, multi-core, contention, the forced scalar loop) keep
+// calling access() per access.
 //
 // ## Way partitioning (QoS)
 //
@@ -200,10 +217,11 @@ class SystemRun {
   /// The fetch loop: drains the runs' sources through every run.  All
   /// runs must share the same sources.  With one source (single-core
   /// runs) each fetched batch goes to every run in turn, so K runs cost
-  /// one pass over the stream, and each result is bit-identical to
-  /// driving that run alone.  With one source per core (two or more
-  /// cores) `runs` must hold exactly one run, whose cores take turns in
-  /// weighted round-robin order.  Exceptions from a source, a backend or
+  /// one pass over the stream, batched runs of one geometry share one
+  /// tag walk (the lockstep groups above), and each result is
+  /// bit-identical to driving that run alone.  With one source per core
+  /// (two or more cores) `runs` must hold exactly one run, whose cores
+  /// take turns in weighted round-robin order.  Exceptions from a source, a backend or
   /// an observer propagate; the runs are then unusable.
   static void drive(const std::vector<SystemRun*>& runs);
 

@@ -30,16 +30,18 @@ struct IdleSums {
   std::uint64_t excess_g = 0;   // their sum of (len - g): gated cycles
 
   /// Records one completed idle interval of `len` cycles; a zero-length
-  /// interval (no idle gap) is ignored.  Requires g >= d.
+  /// interval (no idle gap) is ignored.  Requires g >= d.  Branch-free:
+  /// the interval lengths of a real trace make every threshold test a
+  /// coin flip the predictor cannot learn, so each sum adds an excess
+  /// masked to zero when the interval does not count.
   void add(std::uint64_t len, std::uint64_t d, std::uint64_t g) {
-    if (len == 0) return;
-    ++intervals;
-    if (len <= d) return;
-    ++above_d;
-    excess_d += len - d;
-    if (len <= g) return;
-    ++above_g;
-    excess_g += len - g;
+    const bool past_d = len > d;
+    const bool past_g = len > g;
+    intervals += len != 0;
+    above_d += past_d;
+    excess_d += (len - d) & (std::uint64_t{0} - past_d);
+    above_g += past_g;
+    excess_g += (len - g) & (std::uint64_t{0} - past_g);
   }
 
   /// Time-weighted useful idleness: sleep cycles over `total_cycles` of

@@ -148,7 +148,7 @@ struct Reference {
     out.physical_unit = physical;
     out.woke_unit = control.is_sleeping(physical, cycle);
     const CacheAccessResult r =
-        cache.access(cc.tag_of(address), physical_set, is_write, address);
+        cache.access(cc.tag_of(address), physical_set, is_write);
     out.hit = r.hit;
     out.writeback = r.writeback;
     control.on_access(physical, cycle++);
