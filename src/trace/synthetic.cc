@@ -174,13 +174,12 @@ inline MemAccess SyntheticTraceSource::step() {
   ++in_window_;
   ++produced_;
 
-  // Pick an active stream, weighted.
+  // Pick an active stream, weighted: the first whose cumulative weight
+  // reaches u.
   std::size_t chosen = active_idx_.front();
   if (active_idx_.size() > 1) {
     const double u = rng_.next_double() * active_cdf_.back();
-    const auto it =
-        std::lower_bound(active_cdf_.begin(), active_cdf_.end(), u);
-    chosen = active_idx_[static_cast<std::size_t>(it - active_cdf_.begin())];
+    chosen = active_idx_[cdf_index(active_cdf_.data(), active_cdf_.size(), u)];
   }
   const std::uint64_t addr = gen_address(chosen);
   const AccessKind kind = rng_.next_bool(spec_.write_fraction)

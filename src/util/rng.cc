@@ -1,18 +1,8 @@
 #include "util/rng.h"
 
-#include <algorithm>
 #include <cmath>
 
-#include "util/error.h"
-
 namespace pcal {
-namespace {
-
-constexpr std::uint64_t rotl(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
-
-}  // namespace
 
 Xoshiro256::Xoshiro256(std::uint64_t seed) {
   SplitMix64 sm(seed);
@@ -22,42 +12,9 @@ Xoshiro256::Xoshiro256(std::uint64_t seed) {
   if (s_[0] == 0 && s_[1] == 0 && s_[2] == 0 && s_[3] == 0) s_[0] = 1;
 }
 
-std::uint64_t Xoshiro256::next() {
-  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
-}
-
-double Xoshiro256::next_double() {
-  // 53 high-quality bits -> [0, 1).
-  return static_cast<double>(next() >> 11) * 0x1.0p-53;
-}
-
-std::uint64_t Xoshiro256::next_below(std::uint64_t bound) {
-  PCAL_ASSERT(bound != 0);
-  // Lemire-style rejection: accept unless we fall into the biased tail.
-  const std::uint64_t threshold = (0 - bound) % bound;
-  for (;;) {
-    const std::uint64_t r = next();
-    if (r >= threshold) return r % bound;
-  }
-}
-
 std::uint64_t Xoshiro256::next_in(std::uint64_t lo, std::uint64_t hi) {
   PCAL_ASSERT(lo <= hi);
   return lo + next_below(hi - lo + 1);
-}
-
-bool Xoshiro256::next_bool(double p) {
-  if (p <= 0.0) return false;
-  if (p >= 1.0) return true;
-  return next_double() < p;
 }
 
 ZipfSampler::ZipfSampler(std::uint64_t n, double s) {
@@ -71,12 +28,6 @@ ZipfSampler::ZipfSampler(std::uint64_t n, double s) {
   const double total = acc;
   for (auto& c : cdf_) c /= total;
   cdf_.back() = 1.0;  // guard against accumulated rounding
-}
-
-std::uint64_t ZipfSampler::sample(Xoshiro256& rng) const {
-  const double u = rng.next_double();
-  const auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
-  return static_cast<std::uint64_t>(it - cdf_.begin());
 }
 
 }  // namespace pcal

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
+#include <vector>
 
 #include "util/error.h"
 
@@ -122,6 +124,35 @@ TEST(Zipf, SingleElement) {
 }
 
 TEST(Zipf, RejectsEmptySupport) { EXPECT_THROW(ZipfSampler(0, 1.0), Error); }
+
+// cdf_index is std::lower_bound's index, found branch-free: check it on
+// CDFs of every size from 1 to 300 (some with runs of equal entries, as a
+// zero weight leaves), at random u, at every CDF value and just below
+// and above each.
+TEST(CdfIndex, MatchesLowerBound) {
+  Xoshiro256 r(11);
+  for (std::size_t n = 1; n <= 300; ++n) {
+    std::vector<double> cdf(n);
+    double acc = 0.0;
+    for (double& c : cdf) {
+      acc += r.next_bool(0.2) ? 0.0 : r.next_double();
+      c = acc;
+    }
+    const auto expect_index = [&](double u) {
+      const auto want = static_cast<std::size_t>(
+          std::lower_bound(cdf.begin(), cdf.end(), u) - cdf.begin());
+      ASSERT_EQ(cdf_index(cdf.data(), n, u), want)
+          << "n " << n << " u " << u;
+    };
+    for (int i = 0; i < 200; ++i) expect_index(r.next_double() * acc * 1.1);
+    for (const double c : cdf) {
+      expect_index(c);
+      expect_index(std::nextafter(c, -1.0));
+      expect_index(std::nextafter(c, 2.0 * acc + 1.0));
+    }
+    expect_index(-1.0);
+  }
+}
 
 }  // namespace
 }  // namespace pcal

@@ -250,6 +250,57 @@ TEST(Synthetic, NextBatchMatchesNextAtEveryBatchSize) {
   }
 }
 
+/// FNV-1a over every access's address and kind, in stream order.
+std::uint64_t stream_digest(TraceSource& source) {
+  std::uint64_t h = 1469598103934665603ull;
+  const auto mix = [&h](std::uint64_t v) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (v >> (8 * byte)) & 0xff;
+      h *= 1099511628211ull;
+    }
+  };
+  std::vector<MemAccess> buf(256);
+  while (const std::size_t n = source.next_batch(buf.data(), buf.size()))
+    for (std::size_t i = 0; i < n; ++i) {
+      mix(buf[i].address);
+      mix(static_cast<std::uint64_t>(buf[i].kind));
+    }
+  return h;
+}
+
+TEST(Synthetic, MediaBenchStreamsArePinned) {
+  // Every paper table and golden reads these streams, so the generator's
+  // arithmetic (the RNG, the Zipf and stream-choice searches) must not
+  // move them: each MediaBench stream's first 100k accesses are pinned
+  // by digest.
+  const std::map<std::string, std::uint64_t> want = {
+      {"adpcm.dec", 0xf57eeff512b0dddull},
+      {"cjpeg", 0xc83c4d90747be9aeull},
+      {"CRC32", 0xda3631cfaeb7571cull},
+      {"dijkstra", 0xf52942ff8172c688ull},
+      {"djpeg", 0xf1c9c84b3abf2301ull},
+      {"fft_1", 0xdda810955e6ad1bbull},
+      {"fft_2", 0x9ea4da937a3a7c3dull},
+      {"gsmd", 0x25b8a771067ff8d2ull},
+      {"gsme", 0xe05d8c055c13eaa4ull},
+      {"ispell", 0xb56350be07846044ull},
+      {"lame", 0xff19a71cc94675caull},
+      {"mad", 0x34288830287b79ceull},
+      {"rijndael_i", 0x68e9102f1221c86cull},
+      {"rijndael_o", 0x5cae62b3d55acdc5ull},
+      {"say", 0xfe344ebe384486c4ull},
+      {"search", 0xa0f1be3a485824f5ull},
+      {"sha", 0x70a5ac55ddf7f3e9ull},
+      {"tiff2bw", 0x377f1ea3efb37e31ull},
+  };
+  const std::vector<WorkloadSpec> specs = all_mediabench_workloads();
+  ASSERT_EQ(specs.size(), want.size());
+  for (const WorkloadSpec& spec : specs) {
+    SyntheticTraceSource source(spec, 100000);
+    EXPECT_EQ(stream_digest(source), want.at(spec.name)) << spec.name;
+  }
+}
+
 TEST(MeasureWindowIdleness, CountsUntouchedRegions) {
   // A trace that touches region 0 every window and region 2 in every other
   // window.
