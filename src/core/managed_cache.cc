@@ -20,8 +20,14 @@ std::uint64_t CacheTopology::num_units() const {
 
 void CacheTopology::validate() const {
   cache.validate();
-  if (granularity == Granularity::kBank || granularity == Granularity::kWay)
+  // f() rotates the p bank bits at bank and way grain and all n index
+  // bits at line grain; a monolithic cache has none.
+  if (granularity == Granularity::kBank || granularity == Granularity::kWay) {
     partition.validate(cache);
+    check_rotation_seed(indexing, partition.bank_bits(), indexing_seed);
+  } else if (granularity == Granularity::kLine) {
+    check_rotation_seed(indexing, cache.index_bits(), indexing_seed);
+  }
   PCAL_CONFIG_CHECK(breakeven_cycles > 0, "breakeven time must be positive");
   PCAL_CONFIG_CHECK(gate_cycles() >= breakeven_cycles,
                     "gate threshold must not precede the drowsy threshold");

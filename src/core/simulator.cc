@@ -43,16 +43,13 @@ LevelConfig SimConfig::make_level(std::uint64_t size_bytes) const {
 }
 
 void SimConfig::validate() const {
-  cache.validate();
-  // The partition feeds the backend at kBank/kWay only.  Monolithic and
-  // line-grain runs never consult it (the per-unit energy model that
-  // derives the kLine breakeven substitutes M = 1).
-  if (granularity == Granularity::kBank ||
-      granularity == Granularity::kWay)
-    partition.validate(cache);
+  // The L1's topology checks the geometry, f()'s seed, the latencies and
+  // the contention limits, and the partition at kBank/kWay only:
+  // monolithic and line-grain runs never consult it (the per-unit energy
+  // model that derives the kLine breakeven substitutes M = 1).  The
+  // breakeven is resolved later; any positive value stands in for it.
+  topology(/*breakeven_cycles=*/1).validate();
   energy_params.validate();
-  latency.validate();
-  contention.validate();
   for (const LevelConfig& level : lower_levels)
     if (level.enabled()) level.topology.validate();
 }

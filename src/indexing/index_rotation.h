@@ -33,10 +33,21 @@ enum class IndexingKind : std::uint8_t {
   kScrambling = 2, // XOR with LFSR state (Fig. 3b)
 };
 
+/// Width of Scrambling's LFSR for a `bits`-bit pattern:
+/// min(24, max(2, bits) + 8), as the file comment derives.
+unsigned scrambler_width(unsigned bits);
+
+/// Throws ConfigError unless `seed` can seed an IndexRotation of `kind`
+/// over `bits` index bits: Scrambling's LFSR must start nonzero, so the
+/// seed must be nonzero in its low scrambler_width(bits) bits.  Static
+/// and Probing read no seed.
+void check_rotation_seed(IndexingKind kind, unsigned bits,
+                         std::uint64_t seed);
+
 class IndexRotation {
  public:
   /// The identity over `bits` index bits.  `seed` seeds Scrambling's LFSR
-  /// and must be nonzero in its low min(24, max(2, bits) + 8) bits.
+  /// (check_rotation_seed).
   IndexRotation(IndexingKind kind, unsigned bits, std::uint64_t seed);
 
   /// f(i) for the current update; i must be below 2^bits.

@@ -157,6 +157,21 @@ TEST(RunConfigTest, ValidateNamesTheKeyOfAGeometryError) {
   EXPECT_TRUE(absent.validate().empty()) << api::describe(absent.validate());
 }
 
+TEST(RunConfigTest, ValidateRejectsAScramblingSeedTheLfsrCannotTake) {
+  // What pcal.run pre-flights: a seed that is zero in the low bits of
+  // Scrambling's LFSR fails before the run, naming seed and width.
+  RunConfig rc = small_config();
+  rc.set("indexing", "scrambling").set("banks", "4").set("seed", "1024");
+  const std::vector<ConfigIssue> issues = rc.validate();
+  ASSERT_EQ(issues.size(), 1u) << api::describe(issues);
+  EXPECT_NE(issues[0].reason.find("seed 1024 is zero in its low 10 bits"),
+            std::string::npos)
+      << issues[0].reason;
+  EXPECT_THROW(api::run(rc), ConfigError);
+  rc.set("seed", "1025");
+  EXPECT_TRUE(rc.validate().empty()) << api::describe(rc.validate());
+}
+
 TEST(RunConfigTest, ValidateResolvesWorkloads) {
   RunConfig rc = small_config();
   rc.set("workload", "no_such_workload");

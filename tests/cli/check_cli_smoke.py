@@ -16,6 +16,10 @@
                    PCAL_FAULT_INJECT job, `pcal-tracepack gen`'s access
                    count, and aging_exploration's cache size (before any
                    simulation runs)
+  scrambling seed  `--dry-run` fails, naming the seed and the LFSR width,
+                   on a Scrambling spec whose seed is zero in the low
+                   bits of its LFSR (`seed = 1, 1024` and `seed = 0` at
+                   M = 4, a 10-bit LFSR), and accepts `seed = 1, 1025`
   unknown input    pcalsweep fails naming an option it does not know
                    (--retries, --retry-backoff-ms, --bogus), a second
                    positional argument that is not an override, and a
@@ -197,6 +201,23 @@ def bad_counts(c, two):
                     out == "", out)
 
 
+def bad_seed(c):
+    # Scrambling at M = 4 steps a 10-bit LFSR: a seed that is zero modulo
+    # 2^10 fails the grid's validation, before any job runs.
+    for seeds, bad in (("1, 1024", "1024"), ("0", "0"), ("1, 1025", None)):
+        path = os.path.join(c.work, "seed.sweep")
+        with open(path, "w") as f:
+            f.write("[grid]\naccesses = 3000\n[sweep]\nworkload = cjpeg\n"
+                    "indexing = scrambling\nbanks = 4\nseed = %s\n" % seeds)
+        argv = [c.pcalsweep, "--dry-run", path]
+        if bad is None:
+            c.run("--dry-run seed = %s" % seeds, argv)
+        else:
+            c.fails("--dry-run seed = %s fails" % seeds, argv, {},
+                    ["seed %s is zero in its low 10 bits" % bad,
+                     "10-bit LFSR"], 1)
+
+
 def unknown_input(c, two):
     # An option pcalsweep does not know, or a second positional argument
     # that is not a section.key=value override, fails by name and with the
@@ -272,6 +293,7 @@ def main():
         tracepack(c)
         two = env_overrides(c)
         bad_counts(c, two)
+        bad_seed(c)
         unknown_input(c, two)
         timeline(c, determinism(c))
         for records in c.records:

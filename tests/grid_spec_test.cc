@@ -459,6 +459,43 @@ workload = cjpeg
                ConfigError);
 }
 
+TEST(GridSpecExpand, ScramblingSeedMustBeNonzeroInItsLfsrWidth) {
+  // Scrambling steps a min(24, max(2, bits) + 8)-bit LFSR over f()'s
+  // index bits, whose state must start nonzero: a seed that is zero in
+  // those low bits fails the grid's validation, naming seed and width,
+  // before any job runs.
+  const auto expand_error = [](const std::string& sweep) -> std::string {
+    try {
+      parse("[sweep]\nworkload = cjpeg\n" + sweep).expand(1000);
+    } catch (const ConfigError& e) {
+      return e.what();
+    }
+    return "";
+  };
+  // M = 4: p = 2 bank bits, a 10-bit LFSR.
+  const std::string bank =
+      expand_error("indexing = scrambling\nbanks = 4\nseed = 1, 1024\n");
+  EXPECT_NE(bank.find("seed 1024 is zero in its low 10 bits"),
+            std::string::npos)
+      << bank;
+  EXPECT_NE(expand_error("indexing = scrambling\nbanks = 4\nseed = 0\n")
+                .find("seed 0 "),
+            std::string::npos);
+  // Line grain, 8 kB / 16 B: n = 9 index bits, a 17-bit LFSR.
+  const std::string line = expand_error(
+      "granularity = line\ncache_size = 8192\nindexing = scrambling\n"
+      "seed = 131072\n");
+  EXPECT_NE(line.find("low 17 bits"), std::string::npos) << line;
+  EXPECT_EQ(expand_error("granularity = line\ncache_size = 8192\n"
+                         "indexing = scrambling\nseed = 65536, 1025\n"),
+            "");
+  // Probing and a monolithic cache read no seed.
+  EXPECT_EQ(expand_error("indexing = probing\nseed = 0, 1024\n"), "");
+  EXPECT_EQ(expand_error("granularity = monolithic\n"
+                         "indexing = scrambling\nseed = 0\n"),
+            "");
+}
+
 TEST(GridSpecParse, GridScalarsFixAnyConfigKey) {
   // [grid] takes name, accesses, footprint and every config key but a
   // workload; fixing a key is a one-value axis without a coordinate.
