@@ -2,9 +2,10 @@
 """Markdown link checker for the repo docs (stdlib only, used by CI).
 
 Scans the given markdown files/directories for inline links and images
-(``[text](target)`` / ``![alt](target)``) and reference definitions
-(``[label]: target``), and verifies that every *relative* target exists
-on disk (anchors are stripped; external schemes are skipped).  It also
+(``[text](target)`` / ``![alt](target)``) and one-line reference
+definitions (``[label]: target``), and verifies that every *relative*
+target exists on disk (anchors are stripped; external schemes are
+skipped).  It also
 checks every backticked repo path (`src/...`, `tests/...`, `tools/...`,
 `examples/...`, `bench/...`, `bindings/...`, `docs/...`,
 `pcalbench/...`) against the repo root, so a doc that names a deleted
@@ -19,7 +20,10 @@ import re
 import sys
 
 INLINE = re.compile(r"!?\[[^\]]*\]\(([^)\s]+)(?:\s+\"[^\"]*\")?\)")
-REFDEF = re.compile(r"^\s{0,3}\[[^\]]+\]:\s+(\S+)", re.MULTILINE)
+# A reference definition is one line: neither the label nor the gap after
+# the colon may cross a newline, or a wrapped line that starts with "["
+# would pair with a "]:" lines below.
+REFDEF = re.compile(r"^[ \t]{0,3}\[[^\]\n]+\]:[ \t]+(\S+)", re.MULTILINE)
 SKIP_SCHEMES = ("http://", "https://", "mailto:", "ftp://")
 CODE_SPAN = re.compile(r"`([^`\n]+)`")
 REPO_DIRS = ("src/", "tests/", "tools/", "examples/", "bench/", "bindings/",
