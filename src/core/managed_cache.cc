@@ -291,10 +291,8 @@ std::uint64_t ManagedCache::power_pass(const Map& map, const TagOutcome* tags,
                                        std::size_t n, std::uint64_t* now,
                                        AccessOutcome* out) {
   PowerStep p{control_, control_.recorder(), topology_.latency, *now};
-  if (out == nullptr)
-    for (std::size_t j = 0; j < n; ++j) p.serve<false>(map, tags[j], nullptr);
-  else
-    for (std::size_t j = 0; j < n; ++j) p.serve<false>(map, tags[j], out + j);
+  for (std::size_t j = 0; j < n; ++j)
+    p.serve<false>(map, tags[j], out != nullptr ? out + j : nullptr);
   *now = p.now;
   return p.stalls;
 }
