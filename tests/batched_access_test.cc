@@ -339,5 +339,65 @@ TEST(AccessBatchEquivalence, NullOutcomeBufferChangesNothingElse) {
   }
 }
 
+TEST(SharedTagStore, EverySharerMatchesItsSoloCache) {
+  // Caches of one geometry that share a tag store (as a lockstep group
+  // does) must each see what they would alone: one tag pass per chunk
+  // feeds every sharer's power pass, and each update flushes the store
+  // once while every sharer advances its own f().  The sharers differ in
+  // granularity, f(), power policy and latency.
+  SyntheticTraceSource src(make_hotspot_workload(32 * 1024), 20000);
+  const Trace trace = Trace::materialize(src);
+  const std::vector<MemAccess>& accesses = trace.accesses();
+
+  std::vector<CacheTopology> topos;
+  for (const Variant& v : kVariants) {
+    CacheTopology topo =
+        backend_topology(v.granularity, v.policy, v.drowsy_window);
+    topo.cache.ways = 2;
+    topos.push_back(topo);
+  }
+  topos[1].indexing = IndexingKind::kScrambling;
+  topos[1].latency = LatencyParams{};
+  topos[3].partition.num_banks = 2;
+
+  std::vector<std::unique_ptr<ManagedCache>> solo, shared;
+  for (const CacheTopology& topo : topos) {
+    solo.push_back(make_managed_cache(topo));
+    shared.push_back(make_managed_cache(topo));
+    if (shared.size() > 1) shared.back()->share_tags(*shared.front());
+  }
+
+  std::vector<TagOutcome> tags(256);
+  std::vector<AccessOutcome> want(256), got(256);
+  std::size_t chunk = 0;
+  for (std::size_t pos = 0; pos < accesses.size(); pos += 256, ++chunk) {
+    const std::size_t take = std::min<std::size_t>(256, accesses.size() - pos);
+    shared.front()->tag_batch(accesses.data() + pos, take, tags.data());
+    for (std::size_t c = 0; c < topos.size(); ++c) {
+      SCOPED_TRACE(kVariants[c].label);
+      EXPECT_EQ(shared[c]->power_batch(tags.data(), take, got.data()),
+                solo[c]->access_batch(accesses.data() + pos, take,
+                                      want.data()));
+      for (std::size_t i = 0; i < take; ++i)
+        expect_same_outcome(want[i], got[i], pos + i);
+      EXPECT_EQ(shared[c]->cycles(), solo[c]->cycles());
+    }
+    if (chunk % 10 == 9) {
+      EXPECT_EQ(shared.front()->update_indexing(),
+                solo.front()->update_indexing());
+      for (std::size_t c = 1; c < topos.size(); ++c) {
+        shared[c]->rotate_indexing();
+        solo[c]->update_indexing();
+      }
+    }
+  }
+  for (std::size_t c = 0; c < topos.size(); ++c) {
+    SCOPED_TRACE(kVariants[c].label);
+    solo[c]->finish();
+    shared[c]->finish();
+    expect_same_bookkeeping(*solo[c], *shared[c]);
+  }
+}
+
 }  // namespace
 }  // namespace pcal
