@@ -47,8 +47,8 @@
 //
 // Known modeling asymmetries (unchanged from the two-level ancestor):
 // dirty lines written back by a *flush* leave the hierarchy without
-// touching the level below (flush writebacks have no per-line addresses
-// in the tag-store model), and exclusivity is approximate — a line moved
+// touching the level below (CacheModel::flush counts them but reports no
+// addresses), and exclusivity is approximate — a line moved
 // conceptually upward by a probe hit cannot be invalidated below, so it
 // may be double-counted until its lower frame is reused.
 //

@@ -14,8 +14,10 @@
 // generated once and handed to every member's engine in turn — so a grid
 // of C configs over W workloads generates W streams, not C x W, holding
 // one batch in memory rather than a trace (the one-pass, many-
-// configurations idea of Mattson et al.'s stack simulation).  Each
-// member's result is bit-identical to its solo run.
+// configurations idea of Mattson et al.'s stack simulation).  Members of
+// one cache geometry also share one tag walk (the lockstep groups of
+// core/multicore.h).  Each member's result is bit-identical to its solo
+// run.
 //
 // Per-interval observer callbacks stream into per-worker accumulators
 // (each worker writes only its own cache-line-padded slot — no shared
