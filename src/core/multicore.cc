@@ -212,7 +212,7 @@ struct SystemRun::State {
   // (feed_group()).
   const bool batched;
   // The run's one clock: every level below is built on it, and only
-  // step() and feed() advance it.
+  // step() and feed_group() advance it.
   TimingModel timing;
   // step()'s level events of the access it is routing.
   LevelTrace trace;
@@ -420,8 +420,7 @@ void SystemRun::State::on_boundary(bool flush_llc) {
 // boundaries (the same cadence).  The store reads no clock (cache/
 // cache.h), so latencies, power policy, granularity and f() may differ.
 bool SystemRun::State::shares_tags_with(const State& other) const {
-  return batched && other.batched &&
-         config.llc.topology.cache == other.config.llc.topology.cache &&
+  return config.llc.topology.cache == other.config.llc.topology.cache &&
          update_interval == other.update_interval &&
          config.reindex_updates == other.config.reindex_updates &&
          interval == other.interval;
